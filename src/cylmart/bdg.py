@@ -60,6 +60,19 @@ def integral_kernel(phi: IntegrandProcess, spec: NoiseSpec, grid: TimeGrid, flav
     return GammaKernel(grid, qv_exact(spec, grid), mats, flavor)
 
 
+def _shared_cell_energy(mats: np.ndarray, sig: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-cell ||phi sigma Q^{1/2}||_HS^2 for shared sigma, shape (K,): the
+    per-path einsums of ``ito_isometry`` for one path, bit for bit."""
+    rows = np.einsum("kmc,kcd->kmd", mats, sig)
+    _, m, dd = rows.shape
+    energy = np.zeros(rows.shape[0])
+    for i in range(m):
+        for d in range(dd):
+            for e in range(dd):
+                energy = energy + rows[:, i, d] * q[d, e] * rows[:, i, e]
+    return energy
+
+
 def ito_isometry(phi: IntegrandProcess, ens: MartEnsemble) -> IsometryReport:
     """E ||integral(T)||^2 against the exact per-path kernel energy.
 
@@ -67,17 +80,29 @@ def ito_isometry(phi: IntegrandProcess, ens: MartEnsemble) -> IsometryReport:
     phi (density)^{1/2} against the bracket, evaluated exactly per path; the
     z-score is the paired-difference mean over its standard error.
     """
+    if ens.n_paths < 2:
+        raise ValueError("ito_isometry needs n_paths >= 2 for a standard error")
     zeta = integrate(phi, ens)
     lhs_paths = np.sum(zeta.terminal() ** 2, axis=1)
 
-    sig = ens.sigma_for_paths()  # (n, K, dc, dd)
     q = ens.spec.q()
     mats = phi.matrices
-    if mats.ndim == 3:
-        rows = np.einsum("kmc,nkcd->nkmd", mats, sig)
+    # Shared sigma and deterministic phi give every path the same energy.
+    # With C-ordered inputs and more than two paths the per-path einsum
+    # below adds each output's terms one at a time in (m, d, e) order, as
+    # _shared_cell_energy does once; for two paths numpy groups them otherwise.
+    shared = mats.ndim == 3 and ens.sigma_is_shared and ens.n_paths > 2
+    if shared and all(a.flags.c_contiguous for a in (mats, ens.sigma_path, q)):
+        energy = _shared_cell_energy(mats, ens.sigma_path, q)
+        # a contiguous (n, K) copy: a broadcast view takes another BLAS path
+        energy = np.broadcast_to(energy, (ens.n_paths, energy.size)).copy()
     else:
-        rows = np.einsum("nkmc,nkcd->nkmd", mats, sig)
-    energy = np.einsum("nkmd,de,nkme->nk", rows, q, rows)
+        sig = ens.sigma_for_paths()  # (n, K, dc, dd)
+        if mats.ndim == 3:
+            rows = np.einsum("kmc,nkcd->nkmd", mats, sig)
+        else:
+            rows = np.einsum("nkmc,nkcd->nkmd", mats, sig)
+        energy = np.einsum("nkmd,de,nkme->nk", rows, q, rows)
     rhs_paths = energy @ ens.grid.widths
 
     diff = lhs_paths - rhs_paths
@@ -179,6 +204,8 @@ def bdg_ratio_panel(
     reproducible regardless of the worker count (CYLMART_THREADS only sets
     the thread pool size).
     """
+    if n_paths < 2:
+        raise ValueError("bdg_ratio_panel needs n_paths >= 2 for a standard error")
     workers = worker_count()
     jobs = [
         (inst, p_list, flavors, n_paths, seed + 1000 * i, gamma_samples)

@@ -278,9 +278,17 @@ def simulate(
     k = grid.n_cells
     root_q = psd_sqrt(spec.q())
     scale = np.sqrt(grid.widths)[:, None]
-    rngs = path_rngs(seed, n_paths)
     dw = np.empty((n_paths, k, spec.d_drive))
-    for j, rng in enumerate(rngs):
+    # one generator per call, set to each path's own stream in turn
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for j, (state, inc) in enumerate(path_rngs(seed, n_paths)):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         dw[j] = (rng.standard_normal((k, spec.d_drive)) @ root_q.T) * scale
 
     sigma_vals = spec.sigma_along(grid, dw) if spec.adapted else spec.sigma_on_grid(grid)

@@ -65,16 +65,6 @@ def _pinv_sym(b: np.ndarray, rcond: float = RANK_CUTOFF_RTOL) -> np.ndarray:
     return (vecs * inv) @ vecs.T
 
 
-def _orth_projection(columns: np.ndarray, rcond: float = RANK_CUTOFF_RTOL) -> np.ndarray:
-    """Orthogonal projection onto the column span, rank by relative SVD cutoff."""
-    if columns.size == 0:
-        return np.zeros((columns.shape[0], columns.shape[0]))
-    u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    rank = int(np.sum(s > rcond * (s[0] if s.size else 0.0)))
-    ur = u[:, :rank]
-    return ur @ ur.T
-
-
 @dataclass(frozen=True)
 class ProjectionTriple:
     """Output of :func:`projection_selection`.

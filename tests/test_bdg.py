@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cylmart.bdg import (
     BDGInstance,
+    IsometryReport,
     bdg_ratio_panel,
     fit_bracket,
     integral_kernel,
@@ -12,9 +15,26 @@ from cylmart.bdg import (
     validate_derivatives,
 )
 from cylmart.gammanorm import gamma_norm_exact_hilbert
-from cylmart.integration import IntegrandProcess
+from cylmart.integration import IntegrandProcess, integrate
 from cylmart.martingales import NoiseSpec, qv_exact, simulate
 from cylmart.measures import TimeGrid
+
+
+def _isometry_reference(phi, ens):
+    """ito_isometry with the per-path einsums for every ensemble."""
+    lhs_paths = np.sum(integrate(phi, ens).terminal() ** 2, axis=1)
+    sig = ens.sigma_for_paths()
+    q = ens.spec.q()
+    mats = phi.matrices
+    if mats.ndim == 3:
+        rows = np.einsum("kmc,nkcd->nkmd", mats, sig)
+    else:
+        rows = np.einsum("nkmc,nkcd->nkmd", mats, sig)
+    rhs_paths = np.einsum("nkmd,de,nkme->nk", rows, q, rows) @ ens.grid.widths
+    diff = lhs_paths - rhs_paths
+    se = float(np.std(diff, ddof=1) / np.sqrt(ens.n_paths))
+    z = float(np.mean(diff) / se) if se > 0 else 0.0
+    return IsometryReport(float(np.mean(lhs_paths)), float(np.mean(rhs_paths)), z, ens.n_paths)
 
 
 @pytest.fixture
@@ -61,6 +81,45 @@ class TestIsometry:
         rep = ito_isometry(phi, ens)
         kernel = integral_kernel(phi, spec, grid)
         assert rep.rhs == pytest.approx(gamma_norm_exact_hilbert(kernel) ** 2, rel=1e-10)
+
+    def test_single_path_raises(self):
+        ens = simulate(NoiseSpec(2, 2, np.eye(2)), TimeGrid.uniform(1, 8), 1, 3)
+        with pytest.raises(ValueError, match="n_paths >= 2"):
+            ito_isometry(IntegrandProcess.constant(ens.grid, np.eye(2)), ens)
+
+    @given(
+        d_cyl=st.integers(1, 4),
+        d_drive=st.integers(1, 4),
+        m=st.integers(1, 4),
+        cells=st.integers(1, 10),
+        n=st.integers(2, 40),
+        per_cell_sigma=st.booleans(),
+        per_cell_phi=st.booleans(),
+        q_layout=st.sampled_from([None, "C", "F"]),
+        seed=st.integers(0, 2**32),
+    )
+    # two paths with one cell, m = d_cyl = 1 and d_drive = 2 is where numpy
+    # sums the per-path einsum in another order than for three paths
+    @example(1, 2, 1, 1, 2, False, False, "C", 12)
+    @example(1, 2, 1, 1, 3, False, False, "C", 1037)
+    @settings(max_examples=80, deadline=None)
+    def test_shared_sigma_fast_path_is_bit_exact(
+        self, d_cyl, d_drive, m, cells, n, per_cell_sigma, per_cell_phi, q_layout, seed
+    ):
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(np.cumsum(np.r_[0.0, rng.uniform(0.1, 1.0, cells)]))
+        sig_shape = (cells, d_cyl, d_drive) if per_cell_sigma else (d_cyl, d_drive)
+        q = None
+        if q_layout is not None:
+            a = rng.standard_normal((d_drive, d_drive))
+            q = np.asarray(a @ a.T, order=q_layout)
+        spec = NoiseSpec(d_cyl, d_drive, rng.standard_normal(sig_shape), q_drive=q)
+        mats = rng.standard_normal((cells, m, d_cyl) if per_cell_phi else (m, d_cyl))
+        phi = IntegrandProcess(grid, mats) if per_cell_phi else IntegrandProcess.constant(grid, mats)
+        ens = simulate(spec, grid, n, seed)
+        fast, reference = ito_isometry(phi, ens), _isometry_reference(phi, ens)
+        for field in ("lhs", "rhs", "z"):
+            assert np.array_equal(getattr(fast, field), getattr(reference, field)), field
 
 
 class TestPanel:
@@ -120,6 +179,13 @@ class TestPanel:
             rep = bdg_ratio_panel([inst], [2], ["hilbert"], 20_000, seed=13)[0]
             out.append(rep.ratio)
         assert out[0] == pytest.approx(out[1], rel=0.05)
+
+    def test_single_path_raises(self, grid):
+        inst = BDGInstance(
+            "one", NoiseSpec(1, 1, np.eye(1)), IntegrandProcess.constant(grid, np.eye(1)), grid
+        )
+        with pytest.raises(ValueError, match="n_paths >= 2"):
+            bdg_ratio_panel([inst], [2], ["hilbert"], 1, seed=15)
 
     def test_csv_row_format(self, grid):
         inst = BDGInstance(
