@@ -50,13 +50,17 @@ class IsometryReport:
         return abs(self.z) <= z_max
 
 
-def integral_kernel(phi: IntegrandProcess, spec: NoiseSpec, grid: TimeGrid, flavor="hilbert") -> GammaKernel:
-    """Kernel phi * (operator density)^{1/2} against the bracket measure."""
+def _kernel_matrices(phi: IntegrandProcess, spec: NoiseSpec, grid: TimeGrid) -> np.ndarray:
+    """phi * (operator density)^{1/2} per cell, shape (K, m, dc)."""
     if phi.matrices.ndim != 3:
         raise ValueError("kernel construction needs a deterministic integrand")
-    qm = qm_operator(spec, grid).matrices  # (K, dc, dc)
-    roots = np.stack([psd_sqrt(q) for q in qm])
-    mats = np.einsum("kmc,kcd->kmd", phi.matrices, roots)
+    roots = np.stack([psd_sqrt(q) for q in qm_operator(spec, grid).matrices])
+    return np.einsum("kmc,kcd->kmd", phi.matrices, roots)
+
+
+def integral_kernel(phi: IntegrandProcess, spec: NoiseSpec, grid: TimeGrid, flavor="hilbert") -> GammaKernel:
+    """Kernel phi * (operator density)^{1/2} against the bracket measure."""
+    mats = _kernel_matrices(phi, spec, grid)
     return GammaKernel(grid, qv_exact(spec, grid), mats, flavor)
 
 
@@ -350,11 +354,9 @@ def ito_residual(
             pts.append((grid.points[-1], zeta[-1, -1]))
         validate_derivatives(f, d1f, d2f, d22f, pts)
 
-    qm = qm_operator(ens.spec, grid).matrices if not ens.spec.adapted else None
-    if qm is None:
+    if ens.spec.adapted:
         raise ValueError("residual checking needs a deterministic spec")
-    roots = np.stack([psd_sqrt(qmat) for qmat in qm])
-    kernels = np.einsum("kmc,kcd->kmd", phi.matrices, roots)  # (K, m, dc)
+    kernels = _kernel_matrices(phi, ens.spec, grid)  # (K, m, dc)
     dqv = qv_exact(ens.spec, grid).increments
 
     residual = np.empty((n, k + 1))

@@ -22,6 +22,17 @@ from .experiments import EXPERIMENTS, experiment_defaults
 from .harness import ConfigError, ReplayMismatch, RunReport, emit_plotdata, replay, run, validate_config
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes: a usage error, not a traceback, on bad input."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cylmart", description="stochastic-calculus verification experiments"
@@ -32,8 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", type=Path, help="JSON config file to merge")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None)
+        p.add_argument("--paths", type=_positive_int, default=None)
+        p.add_argument("--grid", type=_positive_int, default=None)
         p.add_argument("--out", type=str, default="runs")
         p.add_argument("--force", action="store_true", help="reuse an existing run dir")
 

@@ -2,11 +2,14 @@
 
 The generator is a symmetric negative-semidefinite matrix (possibly zero), so
 the semigroup is contractive and self-adjoint and applies through a cached
-eigendecomposition.  Solutions are produced by fixed-point iteration of the
-variation-of-constants map on a dyadic block schedule, with distances
-measured in the V norm (L2-in-time moment plus bracket-weighted kernel
-moment).  Per-block stopping times cap the bracket mass a block can carry,
-and localization checks compare runs against stopped drivers pathwise.
+eigendecomposition, with exp(tA) built once per distinct t.  Every
+left-point convolution and the mild map itself run one scan,
+acc <- exp(dt A)(acc + increment), cell by cell.  Solutions are produced by
+fixed-point iteration of the variation-of-constants map on a dyadic block
+schedule, with distances measured in the V norm (L2-in-time moment plus
+bracket-weighted kernel moment).  Per-block stopping times cap the bracket
+mass a block can carry, and localization checks compare runs against stopped
+drivers pathwise.
 """
 
 from __future__ import annotations
@@ -80,10 +83,15 @@ class SEEProblem:
 
 
 class Semigroup:
-    """exp(tA) for symmetric negative-semidefinite A, cached eigenbasis."""
+    """exp(tA) for symmetric negative-semidefinite A, cached eigenbasis.
+
+    ``matrix(t)`` caches one read-only matrix per distinct t, so a uniform
+    grid builds exp(dt A) once.
+    """
 
     def __init__(self, generator: np.ndarray | None, dim: int):
         self.dim = dim
+        self._matrices: dict[float, np.ndarray] = {}
         if generator is None:
             self.identity = True
             return
@@ -101,15 +109,19 @@ class Semigroup:
         self.vecs = vecs
 
     def matrix(self, t: float) -> np.ndarray:
-        if self.identity:
-            return np.eye(self.dim)
-        return (self.vecs * np.exp(t * self.vals)) @ self.vecs.T
+        mat = self._matrices.get(t)
+        if mat is None:
+            if self.identity:
+                mat = np.eye(self.dim)
+            else:
+                mat = (self.vecs * np.exp(t * self.vals)) @ self.vecs.T
+            mat.setflags(write=False)
+            self._matrices[t] = mat
+        return mat
 
     def apply(self, t: float, x: np.ndarray) -> np.ndarray:
         """exp(tA) x along the last axis; contraction for t >= 0."""
-        if self.identity or t == 0.0:
-            return x if self.identity else x @ self.matrix(0.0).T
-        return x @ self.matrix(t).T
+        return x if self.identity else x @ self.matrix(t).T
 
 
 def semigroup_apply(generator: np.ndarray | None, t: float, x: np.ndarray) -> np.ndarray:
@@ -124,6 +136,38 @@ def _eval_noise(problem: SEEProblem, t: float, states: np.ndarray) -> np.ndarray
     return g
 
 
+def _scan(
+    sg: Semigroup, grid: TimeGrid, step: Callable, out: np.ndarray, i0: int, i1: int
+) -> np.ndarray:
+    """The left-point variation-of-constants recursion: from acc = out[:, i0],
+    acc <- exp(dt_j A)(acc + step(j)) is written to out[:, j + 1] for cells
+    i0 <= j < i1.
+
+    With the identity semigroup the sums run left to right, bit for bit as
+    ``np.cumsum`` adds them.
+    """
+    acc = out[:, i0, :]
+    for j in range(i0, i1):
+        acc = sg.apply(grid.widths[j], acc + step(j))
+        out[:, j + 1, :] = acc
+    return out
+
+
+def _drift_step(problem: SEEProblem, grid: TimeGrid, u: np.ndarray) -> Callable:
+    """Cell j's drift increment F(t_j, u_j) dt_j."""
+    return lambda j: (
+        np.asarray(problem.drift(grid.points[j], u[:, j, :]), dtype=float) * grid.widths[j]
+    )
+
+
+def _noise_step(problem: SEEProblem, ens: MartEnsemble, u: np.ndarray) -> Callable:
+    """Cell j's noise increment G(t_j, u_j) sigma dW_j."""
+    driven = ens.driven_increments()  # (n, K, dc)
+    return lambda j: np.einsum(
+        "nmc,nc->nm", _eval_noise(problem, ens.grid.points[j], u[:, j, :]), driven[:, j, :]
+    )
+
+
 def det_convolution(problem: SEEProblem, grid: TimeGrid, u: np.ndarray) -> np.ndarray:
     """Left-point quadrature of int_0^t exp((t-s)A) F(s, u(s)) ds.
 
@@ -131,14 +175,7 @@ def det_convolution(problem: SEEProblem, grid: TimeGrid, u: np.ndarray) -> np.nd
     exact left-point sum thanks to the semigroup property.
     """
     sg = Semigroup(problem.generator, problem.dim)
-    n, kp1, m = u.shape
-    out = np.zeros_like(u)
-    acc = np.zeros((n, m))
-    for j in range(kp1 - 1):
-        inc = np.asarray(problem.drift(grid.points[j], u[:, j, :]), dtype=float)
-        acc = sg.apply(grid.widths[j], acc + inc * grid.widths[j])
-        out[:, j + 1, :] = acc
-    return out
+    return _scan(sg, grid, _drift_step(problem, grid, u), np.zeros_like(u), 0, u.shape[1] - 1)
 
 
 def stoch_convolution(
@@ -149,24 +186,9 @@ def stoch_convolution(
     With a zero generator this reduces to plain accumulation of G sigma dW,
     bit-identical to the integral of the same integrand.
     """
-    grid = ens.grid
-    driven = ens.driven_increments()  # (n, K, dc)
-    n, kp1, m = u.shape
-    out = np.zeros_like(u)
-    if problem.generator is None:
-        inc = np.empty((n, kp1 - 1, m))
-        for j in range(kp1 - 1):
-            g = _eval_noise(problem, grid.points[j], u[:, j, :])
-            inc[:, j, :] = np.einsum("nmc,nc->nm", g, driven[:, j, :])
-        np.cumsum(inc, axis=1, out=out[:, 1:, :])
-        return out
-    sg = Semigroup(problem.generator, m)
-    acc = np.zeros((n, m))
-    for j in range(kp1 - 1):
-        g = _eval_noise(problem, grid.points[j], u[:, j, :])
-        acc = sg.apply(grid.widths[j], acc + np.einsum("nmc,nc->nm", g, driven[:, j, :]))
-        out[:, j + 1, :] = acc
-    return out
+    sg = Semigroup(problem.generator, u.shape[-1])
+    step = _noise_step(problem, ens, u)
+    return _scan(sg, ens.grid, step, np.zeros_like(u), 0, u.shape[1] - 1)
 
 
 def fixed_point_map(
@@ -183,25 +205,17 @@ def fixed_point_map(
     states); grid points outside the window are returned untouched from
     ``u``.
     """
-    grid = ens.grid
-    driven = ens.driven_increments()
     n, kp1, m = u.shape
     if i1 is None:
         i1 = kp1 - 1
     if base is None:
         base = problem.initial_states(n)
-    sg = Semigroup(problem.generator, m)
+    drift = _drift_step(problem, ens.grid, u)
+    noise = _noise_step(problem, ens, u)
     out = u.copy()
-    acc = base.copy()
-    out[:, i0, :] = acc
-    for j in range(i0, i1):
-        t = grid.points[j]
-        inc = np.asarray(problem.drift(t, u[:, j, :]), dtype=float) * grid.widths[j]
-        g = _eval_noise(problem, t, u[:, j, :])
-        inc = inc + np.einsum("nmc,nc->nm", g, driven[:, j, :])
-        acc = sg.apply(grid.widths[j], acc + inc)
-        out[:, j + 1, :] = acc
-    return out
+    out[:, i0, :] = base
+    sg = Semigroup(problem.generator, m)
+    return _scan(sg, ens.grid, lambda j: drift(j) + noise(j), out, i0, i1)
 
 
 def vp_norm(
@@ -350,15 +364,13 @@ def picard_solve(
     diag = PicardDiagnostics(blocks=list(blocks))
 
     n, m = ens.n_paths, problem.dim
-    sg = Semigroup(problem.generator, m)
     base = problem.initial_states(n)
     if initial is None:
-        # recursion form, so a drift- and noise-free problem is an exact
-        # fixed point of the discrete map
+        # the scan with a zero step, so a drift- and noise-free problem is an
+        # exact fixed point of the discrete map
         u = np.zeros((n, grid.n_cells + 1, m))
         u[:, 0, :] = base
-        for j in range(grid.n_cells):
-            u[:, j + 1, :] = sg.apply(grid.widths[j], u[:, j, :])
+        _scan(Semigroup(problem.generator, m), grid, lambda j: 0.0, u, 0, grid.n_cells)
     else:
         u = initial.copy()
         u[:, 0, :] = base  # iterates may start anywhere; the anchor may not

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -166,6 +168,19 @@ def _execute(cfg: dict) -> RunReport:
     )
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory and rename it, so
+    a crash mid-write never leaves a truncated file under ``path``."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def run(cfg: dict, force: bool = False) -> RunReport:
     """Execute a validated config; persist under out/<experiment>-<hash>/.
 
@@ -184,7 +199,7 @@ def run(cfg: dict, force: bool = False) -> RunReport:
                 "pass force=True / --force to overwrite"
             )
         run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "report.json").write_text(json.dumps(report.to_json(), indent=1))
+        _write_atomic(run_dir / "report.json", json.dumps(report.to_json(), indent=1))
         emit_plotdata(report, run_dir)
         report.run_dir = str(run_dir)
     return report

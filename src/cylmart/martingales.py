@@ -260,6 +260,46 @@ def _bracket_increments(spec: NoiseSpec, grid: TimeGrid, sigma_vals: np.ndarray)
     return norms * grid.widths * rate
 
 
+def _assemble(
+    spec: NoiseSpec,
+    grid: TimeGrid,
+    seed: int,
+    dw: np.ndarray,
+    sigma_vals: np.ndarray,
+    test_panel: np.ndarray,
+) -> MartEnsemble:
+    """The one place an ensemble is built from driver increments and sigma.
+
+    The bracket is exact per path (broadcast when sigma is shared) and the
+    panel evaluations are prefix sums of sigma dW against ``test_panel``.
+    """
+    if not np.isfinite(dw).all():
+        raise ValueError("driver increments are not all finite")
+    if not np.isfinite(sigma_vals).all():
+        raise ValueError("sigma values are not all finite")
+    n_paths, k = dw.shape[:2]
+    test_panel = np.atleast_2d(np.asarray(test_panel, dtype=float))
+    bracket_inc = _bracket_increments(spec, grid, sigma_vals)
+    if sigma_vals.ndim == 3:
+        bracket_inc = np.broadcast_to(bracket_inc, (n_paths, k)).copy()
+    # the output first, the temporaries after it: freed last, they do not
+    # leave holes under live arrays (peak RSS of repeated runs is lower)
+    m_evals = np.zeros((n_paths, k + 1, test_panel.shape[0]))
+    m_inc = _driven(sigma_vals, dw) @ test_panel.T  # (n, K, n_h)
+    np.cumsum(m_inc, axis=1, out=m_evals[:, 1:, :])
+    return MartEnsemble(
+        spec=spec,
+        grid=grid,
+        n_paths=n_paths,
+        seed=seed,
+        driver_increments=dw,
+        test_panel=test_panel,
+        m_evals=m_evals,
+        bracket=BracketPaths(grid, bracket_inc),
+        sigma_path=sigma_vals,
+    )
+
+
 def simulate(
     spec: NoiseSpec,
     grid: TimeGrid,
@@ -291,35 +331,9 @@ def simulate(
         }
         dw[j] = (rng.standard_normal((k, spec.d_drive)) @ root_q.T) * scale
 
-    sigma_vals = spec.sigma_along(grid, dw) if spec.adapted else spec.sigma_on_grid(grid)
-
     if test_panel is None:
         test_panel = np.eye(spec.d_cyl)
-    test_panel = np.atleast_2d(np.asarray(test_panel, dtype=float))
-
-    driven = _driven(sigma_vals, dw)
-    if sigma_vals.ndim == 3:
-        bracket_inc = np.broadcast_to(
-            _bracket_increments(spec, grid, sigma_vals), (n_paths, k)
-        ).copy()
-    else:
-        bracket_inc = _bracket_increments(spec, grid, sigma_vals)
-
-    m_inc = driven @ test_panel.T  # (n, K, n_h)
-    m_evals = np.zeros((n_paths, k + 1, test_panel.shape[0]))
-    np.cumsum(m_inc, axis=1, out=m_evals[:, 1:, :])
-
-    return MartEnsemble(
-        spec=spec,
-        grid=grid,
-        n_paths=n_paths,
-        seed=seed,
-        driver_increments=dw,
-        test_panel=test_panel,
-        m_evals=m_evals,
-        bracket=BracketPaths(grid, bracket_inc),
-        sigma_path=sigma_vals,
-    )
+    return _assemble(spec, grid, seed, dw, spec.sigma_along(grid, dw), test_panel)
 
 
 def qv_exact(
@@ -538,22 +552,7 @@ def stop_ensemble(ens: MartEnsemble, tau_idx: np.ndarray) -> MartEnsemble:
         sigma_vals = ens.sigma_path[None, :, :, :] * keep[:, :, None, None]
     else:
         sigma_vals = ens.sigma_path * keep[:, :, None, None]
-    driven = _driven(sigma_vals, dw)
-    m_inc = driven @ ens.test_panel.T
-    m_evals = np.zeros_like(ens.m_evals)
-    np.cumsum(m_inc, axis=1, out=m_evals[:, 1:, :])
-    bracket_inc = _bracket_increments(ens.spec, ens.grid, sigma_vals)
-    return MartEnsemble(
-        spec=ens.spec,
-        grid=ens.grid,
-        n_paths=ens.n_paths,
-        seed=ens.seed,
-        driver_increments=dw,
-        test_panel=ens.test_panel,
-        m_evals=m_evals,
-        bracket=BracketPaths(ens.grid, bracket_inc),
-        sigma_path=sigma_vals,
-    )
+    return _assemble(ens.spec, ens.grid, ens.seed, dw, sigma_vals, ens.test_panel)
 
 
 def save_ensemble(ens: MartEnsemble, directory: str | Path) -> Path:
@@ -610,26 +609,6 @@ def load_ensemble(directory: str | Path, spec: NoiseSpec | None = None) -> MartE
         dw[p] = np.loadtxt(path_file, delimiter=",", skiprows=1).reshape(
             grid.n_cells, spec.d_drive
         )
-    sigma_vals = spec.sigma_along(grid, dw) if spec.adapted else spec.sigma_on_grid(grid)
-    panel = np.asarray(manifest["test_panel"], dtype=float)
-    driven = _driven(sigma_vals, dw)
-    if sigma_vals.ndim == 3:
-        bracket_inc = np.broadcast_to(
-            _bracket_increments(spec, grid, sigma_vals), (n_paths, grid.n_cells)
-        ).copy()
-    else:
-        bracket_inc = _bracket_increments(spec, grid, sigma_vals)
-    m_inc = driven @ panel.T
-    m_evals = np.zeros((n_paths, grid.n_cells + 1, panel.shape[0]))
-    np.cumsum(m_inc, axis=1, out=m_evals[:, 1:, :])
-    return MartEnsemble(
-        spec=spec,
-        grid=grid,
-        n_paths=n_paths,
-        seed=manifest["seed"],
-        driver_increments=dw,
-        test_panel=panel,
-        m_evals=m_evals,
-        bracket=BracketPaths(grid, bracket_inc),
-        sigma_path=sigma_vals,
+    return _assemble(
+        spec, grid, manifest["seed"], dw, spec.sigma_along(grid, dw), manifest["test_panel"]
     )

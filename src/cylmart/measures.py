@@ -117,6 +117,9 @@ class GridMeasure:
             raise ValueError(
                 f"expected {self.grid.n_cells} increments, got shape {inc.shape}"
             )
+        if not np.isfinite(inc).all():
+            bad = int(np.flatnonzero(~np.isfinite(inc))[0])
+            raise ValueError(f"non-finite increment at cell {bad}")
         if np.any(inc < 0):
             bad = int(np.flatnonzero(inc < 0)[0])
             raise ValueError(f"negative increment at cell {bad}")

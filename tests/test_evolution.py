@@ -1,11 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cylmart.evolution as evolution
 from cylmart.evolution import (
     PicardError,
     SEEProblem,
     Semigroup,
+    _eval_noise,
     det_convolution,
+    fixed_point_map,
     lipschitz_quotient,
     localization_consistency,
     mild_residual,
@@ -435,3 +442,214 @@ class TestProblemConfig:
         prob, grid = problem_from_config(cfg)
         g = prob.noise_map(0.0, np.array([[1.0, 2.0]]))
         np.testing.assert_allclose(g[0], np.diag([0.3, 0.6]))
+
+
+# Reference copies of the semigroup and the four recursions that ``_scan``
+# replaced, kept verbatim: the scan must reproduce them bit for bit.
+class ReferenceSemigroup(Semigroup):
+    def matrix(self, t):
+        if self.identity:
+            return np.eye(self.dim)
+        return (self.vecs * np.exp(t * self.vals)) @ self.vecs.T
+
+    def apply(self, t, x):
+        if self.identity or t == 0.0:
+            return x if self.identity else x @ self.matrix(0.0).T
+        return x @ self.matrix(t).T
+
+
+def reference_det_convolution(problem, grid, u):
+    sg = ReferenceSemigroup(problem.generator, problem.dim)
+    n, kp1, m = u.shape
+    out = np.zeros_like(u)
+    acc = np.zeros((n, m))
+    for j in range(kp1 - 1):
+        inc = np.asarray(problem.drift(grid.points[j], u[:, j, :]), dtype=float)
+        acc = sg.apply(grid.widths[j], acc + inc * grid.widths[j])
+        out[:, j + 1, :] = acc
+    return out
+
+
+def reference_stoch_convolution(problem, ens, u):
+    grid = ens.grid
+    driven = ens.driven_increments()  # (n, K, dc)
+    n, kp1, m = u.shape
+    out = np.zeros_like(u)
+    if problem.generator is None:
+        inc = np.empty((n, kp1 - 1, m))
+        for j in range(kp1 - 1):
+            g = _eval_noise(problem, grid.points[j], u[:, j, :])
+            inc[:, j, :] = np.einsum("nmc,nc->nm", g, driven[:, j, :])
+        np.cumsum(inc, axis=1, out=out[:, 1:, :])
+        return out
+    sg = ReferenceSemigroup(problem.generator, m)
+    acc = np.zeros((n, m))
+    for j in range(kp1 - 1):
+        g = _eval_noise(problem, grid.points[j], u[:, j, :])
+        acc = sg.apply(grid.widths[j], acc + np.einsum("nmc,nc->nm", g, driven[:, j, :]))
+        out[:, j + 1, :] = acc
+    return out
+
+
+def reference_fixed_point_map(problem, ens, u, i0=0, i1=None, base=None):
+    grid = ens.grid
+    driven = ens.driven_increments()
+    n, kp1, m = u.shape
+    if i1 is None:
+        i1 = kp1 - 1
+    if base is None:
+        base = problem.initial_states(n)
+    sg = ReferenceSemigroup(problem.generator, m)
+    out = u.copy()
+    acc = base.copy()
+    out[:, i0, :] = acc
+    for j in range(i0, i1):
+        t = grid.points[j]
+        inc = np.asarray(problem.drift(t, u[:, j, :]), dtype=float) * grid.widths[j]
+        g = _eval_noise(problem, t, u[:, j, :])
+        inc = inc + np.einsum("nmc,nc->nm", g, driven[:, j, :])
+        acc = sg.apply(grid.widths[j], acc + inc)
+        out[:, j + 1, :] = acc
+    return out
+
+
+def reference_initial_flow(problem, ens):
+    grid = ens.grid
+    n, m = ens.n_paths, problem.dim
+    sg = ReferenceSemigroup(problem.generator, m)
+    base = problem.initial_states(n)
+    u = np.zeros((n, grid.n_cells + 1, m))
+    u[:, 0, :] = base
+    for j in range(grid.n_cells):
+        u[:, j + 1, :] = sg.apply(grid.widths[j], u[:, j, :])
+    return u
+
+
+@st.composite
+def scan_cases(draw):
+    """A problem with nonlinear drift and noise, an ensemble and a probe u.
+
+    Covers m in {1, 2, 3}, d_cyl in {1, 2}, uniform and non-uniform grids,
+    no generator and a random negative-semidefinite one, state-dependent and
+    constant (broadcast) noise maps, shared and per-path initial values.
+    """
+    m = draw(st.integers(1, 3))
+    d_cyl = draw(st.integers(1, 2))
+    d_drive = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 4))
+    uniform = draw(st.booleans())
+    with_generator = draw(st.booleans())
+    constant_noise = draw(st.booleans())
+    per_path_u0 = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    if uniform:
+        grid = TimeGrid.uniform(float(rng.uniform(0.5, 2.0)), k)
+    else:
+        grid = TimeGrid(np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.5, k))]))
+    generator = None
+    if with_generator:
+        a = rng.standard_normal((m, m))
+        generator = -(a @ a.T)
+    f_mat = rng.standard_normal((m, m))
+    f_off = rng.standard_normal(m)
+    g_mat = rng.standard_normal((m, d_cyl))
+
+    def drift(t, x):
+        return np.sin(x) @ f_mat.T + t * f_off
+
+    def noise(t, x):
+        if constant_noise:
+            return g_mat
+        return np.cos(x + t)[:, :, None] * g_mat
+
+    spec = NoiseSpec(d_cyl, d_drive, rng.standard_normal((d_cyl, d_drive)))
+    u0 = rng.standard_normal((n, m) if per_path_u0 else m)
+    problem = SEEProblem(
+        generator=generator,
+        drift=drift,
+        lip_drift=1.0,
+        growth_drift=1.0,
+        noise_map=noise,
+        lip_noise=1.0,
+        u0=u0,
+        noise=spec,
+        horizon=grid.horizon,
+    )
+    ens = simulate(spec, grid, n, seed=int(rng.integers(0, 1000)))
+    u = rng.standard_normal((n, k + 1, m))
+    return problem, ens, u, rng
+
+
+class TestScanOracle:
+    """The one scan against the four recursions it replaced, bit for bit."""
+
+    @given(scan_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_convolutions(self, case):
+        problem, ens, u, _ = case
+        np.testing.assert_array_equal(
+            det_convolution(problem, ens.grid, u),
+            reference_det_convolution(problem, ens.grid, u),
+        )
+        np.testing.assert_array_equal(
+            stoch_convolution(problem, ens, u), reference_stoch_convolution(problem, ens, u)
+        )
+
+    @given(scan_cases(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fixed_point_map_windows(self, case, data):
+        problem, ens, u, rng = case
+        k = ens.grid.n_cells
+        i0 = data.draw(st.integers(0, k - 1))
+        i1 = data.draw(st.integers(i0 + 1, k))
+        base = rng.standard_normal((ens.n_paths, problem.dim))
+        np.testing.assert_array_equal(
+            fixed_point_map(problem, ens, u, i0=i0, i1=i1, base=base),
+            reference_fixed_point_map(problem, ens, u, i0=i0, i1=i1, base=base),
+        )
+        np.testing.assert_array_equal(
+            fixed_point_map(problem, ens, u), reference_fixed_point_map(problem, ens, u)
+        )
+
+    @given(scan_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_picard_initial_iterate(self, case):
+        problem, ens, _, _ = case
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def first_call(problem, ens, u, **kwargs):
+            seen.append(u.copy())
+            raise Stop
+
+        with mock.patch.object(evolution, "fixed_point_map", first_call):
+            with pytest.raises(Stop):
+                picard_solve(problem, ens, validate=False)
+        np.testing.assert_array_equal(seen[0], reference_initial_flow(problem, ens))
+
+
+class TestSemigroupCache:
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_cached_matrix_is_uncached_formula_and_read_only(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((m, m))
+        sg = Semigroup(-(a @ a.T), m)
+        ref = ReferenceSemigroup(-(a @ a.T), m)
+        for t in (0.0, 0.125, 1.0 / 3.0, 2.5):
+            mat = sg.matrix(t)
+            np.testing.assert_array_equal(mat, ref.matrix(t))
+            assert sg.matrix(t) is mat
+            assert not mat.flags.writeable
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1.0
+            x = rng.standard_normal((3, m))
+            np.testing.assert_array_equal(sg.apply(t, x), ref.apply(t, x))
+
+    def test_identity_matrix_read_only(self):
+        sg = Semigroup(None, 3)
+        np.testing.assert_array_equal(sg.matrix(0.5), np.eye(3))
+        assert not sg.matrix(0.5).flags.writeable

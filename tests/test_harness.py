@@ -78,6 +78,21 @@ class TestRun:
         for crit in obj["criteria"]:
             assert {"name", "pass", "value", "target"} <= set(crit)
 
+    def test_crash_while_writing_keeps_previous_report(self, tmp_path, monkeypatch):
+        cfg = make_config("countex", out=str(tmp_path))
+        run_dir = Path(run(cfg).run_dir)
+        before = (run_dir / "report.json").read_text()
+
+        def crash(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr("cylmart.harness.os.replace", crash)
+        with pytest.raises(OSError, match="disk gone"):
+            run(cfg, force=True)
+        assert (run_dir / "report.json").read_text() == before
+        assert not list(run_dir.glob("*.tmp"))
+        replay(run_dir)
+
 
 class TestReplay:
     def test_bit_identical(self, tmp_path):
@@ -184,6 +199,19 @@ class TestCli:
         code = main(["plotdata", str(run_dir / "report.json"), "--out", str(dest)])
         assert code == 0
         assert (dest / "countex_orders.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["see", "--paths", "-5"], ["see", "--paths", "0"], ["see", "--grid", "0"]]
+    )
+    def test_non_positive_size_is_a_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "is not a positive integer" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_threads_env_only_affects_speed(self, tmp_path, monkeypatch):
         cfg = make_config("kw", paths=100, instances=3)

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from cylmart.martingales import (
+    BracketPaths,
+    MartEnsemble,
     NoiseSpec,
+    _bracket_increments,
+    _driven,
     am_operator,
     countex_spec,
     load_ensemble,
@@ -14,6 +18,7 @@ from cylmart.martingales import (
     simulate,
     sphere_panel,
     stacked_spec,
+    stop_ensemble,
     stopped_spec,
 )
 from cylmart.measures import TimeGrid
@@ -329,3 +334,177 @@ class TestScalarVsOperatorBracket:
             a = np.asarray(spec.sigma) @ np.asarray(spec.sigma).T
             trace_total = np.trace(a) * 1.0
             assert qv_exact(spec, grid).total_mass <= trace_total + 1e-12
+
+
+def _adapted_vol(i, t, w_prev):
+    s = w_prev.sum(axis=(-2, -1)) if w_prev.shape[-2] else np.zeros(w_prev.shape[:-2])
+    return (1.0 + 0.5 * np.tanh(s) ** 2)[..., None, None] * np.array([[1.0, -0.5], [0.3, 2.0]])
+
+
+# Reference copies of the ensemble tails that ``_assemble`` replaced.
+def reference_simulate_tail(spec, grid, n_paths, seed, dw, test_panel=None):
+    k = grid.n_cells
+    sigma_vals = spec.sigma_along(grid, dw) if spec.adapted else spec.sigma_on_grid(grid)
+
+    if test_panel is None:
+        test_panel = np.eye(spec.d_cyl)
+    test_panel = np.atleast_2d(np.asarray(test_panel, dtype=float))
+
+    driven = _driven(sigma_vals, dw)
+    if sigma_vals.ndim == 3:
+        bracket_inc = np.broadcast_to(
+            _bracket_increments(spec, grid, sigma_vals), (n_paths, k)
+        ).copy()
+    else:
+        bracket_inc = _bracket_increments(spec, grid, sigma_vals)
+
+    m_inc = driven @ test_panel.T  # (n, K, n_h)
+    m_evals = np.zeros((n_paths, k + 1, test_panel.shape[0]))
+    np.cumsum(m_inc, axis=1, out=m_evals[:, 1:, :])
+
+    return MartEnsemble(
+        spec=spec,
+        grid=grid,
+        n_paths=n_paths,
+        seed=seed,
+        driver_increments=dw,
+        test_panel=test_panel,
+        m_evals=m_evals,
+        bracket=BracketPaths(grid, bracket_inc),
+        sigma_path=sigma_vals,
+    )
+
+
+def reference_stop_ensemble(ens, tau_idx):
+    tau_idx = np.broadcast_to(np.asarray(tau_idx, dtype=int), (ens.n_paths,))
+    k = ens.grid.n_cells
+    keep = (np.arange(k)[None, :] < tau_idx[:, None]).astype(float)
+    dw = ens.driver_increments * keep[:, :, None]
+    if ens.sigma_is_shared:
+        sigma_vals = ens.sigma_path[None, :, :, :] * keep[:, :, None, None]
+    else:
+        sigma_vals = ens.sigma_path * keep[:, :, None, None]
+    driven = _driven(sigma_vals, dw)
+    m_inc = driven @ ens.test_panel.T
+    m_evals = np.zeros_like(ens.m_evals)
+    np.cumsum(m_inc, axis=1, out=m_evals[:, 1:, :])
+    bracket_inc = _bracket_increments(ens.spec, ens.grid, sigma_vals)
+    return MartEnsemble(
+        spec=ens.spec,
+        grid=ens.grid,
+        n_paths=ens.n_paths,
+        seed=ens.seed,
+        driver_increments=dw,
+        test_panel=ens.test_panel,
+        m_evals=m_evals,
+        bracket=BracketPaths(ens.grid, bracket_inc),
+        sigma_path=sigma_vals,
+    )
+
+
+def reference_load_tail(spec, grid, manifest, dw):
+    n_paths = manifest["n_paths"]
+    sigma_vals = spec.sigma_along(grid, dw) if spec.adapted else spec.sigma_on_grid(grid)
+    panel = np.asarray(manifest["test_panel"], dtype=float)
+    driven = _driven(sigma_vals, dw)
+    if sigma_vals.ndim == 3:
+        bracket_inc = np.broadcast_to(
+            _bracket_increments(spec, grid, sigma_vals), (n_paths, grid.n_cells)
+        ).copy()
+    else:
+        bracket_inc = _bracket_increments(spec, grid, sigma_vals)
+    m_inc = driven @ panel.T
+    m_evals = np.zeros((n_paths, grid.n_cells + 1, panel.shape[0]))
+    np.cumsum(m_inc, axis=1, out=m_evals[:, 1:, :])
+    return MartEnsemble(
+        spec=spec,
+        grid=grid,
+        n_paths=n_paths,
+        seed=manifest["seed"],
+        driver_increments=dw,
+        test_panel=panel,
+        m_evals=m_evals,
+        bracket=BracketPaths(grid, bracket_inc),
+        sigma_path=sigma_vals,
+    )
+
+
+def assert_same_ensemble(a, b):
+    assert a.n_paths == b.n_paths and a.seed == b.seed
+    for name in ("driver_increments", "test_panel", "m_evals", "sigma_path"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
+    np.testing.assert_array_equal(a.bracket.increments, b.bracket.increments)
+
+
+CORE_SPECS = {
+    "shared": lambda k: NoiseSpec(2, 2, np.array([[1.0, 0.4], [-0.2, 0.7]])),
+    "per-cell": lambda k: NoiseSpec(
+        2, 2, np.random.default_rng(5).standard_normal((k, 2, 2)),
+        q_drive=np.array([[2.0, 0.5], [0.5, 1.0]]),
+    ),
+    "adapted": lambda k: NoiseSpec(2, 2, _adapted_vol),
+}
+PANELS = {
+    "default": None,
+    "rotated": np.array([[0.6, 0.8], [-0.8, 0.6], [1.0, 1.0]]),
+}
+
+
+class TestEnsembleCore:
+    """simulate/stop_ensemble/load_ensemble against the tails they replaced."""
+
+    @pytest.mark.parametrize("panel", sorted(PANELS))
+    @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
+    def test_simulate_matches_reference(self, grid, kind, panel):
+        spec = CORE_SPECS[kind](grid.n_cells)
+        ens = simulate(spec, grid, 7, seed=31, test_panel=PANELS[panel])
+        ref = reference_simulate_tail(
+            spec, grid, 7, 31, ens.driver_increments, PANELS[panel]
+        )
+        assert_same_ensemble(ens, ref)
+
+    @pytest.mark.parametrize("panel", sorted(PANELS))
+    @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
+    def test_stop_matches_reference(self, grid, kind, panel):
+        spec = CORE_SPECS[kind](grid.n_cells)
+        ens = simulate(spec, grid, 6, seed=32, test_panel=PANELS[panel])
+        tau = np.array([0, 3, 8, 16, 16, 11])
+        assert_same_ensemble(stop_ensemble(ens, tau), reference_stop_ensemble(ens, tau))
+
+    @pytest.mark.parametrize("panel", sorted(PANELS))
+    @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
+    def test_bundle_roundtrip_is_bit_exact(self, tmp_path, grid, kind, panel):
+        spec = CORE_SPECS[kind](grid.n_cells)
+        ens = simulate(spec, grid, 5, seed=33, test_panel=PANELS[panel])
+        save_ensemble(ens, tmp_path / "b")
+        back = load_ensemble(tmp_path / "b", spec=spec)
+        assert_same_ensemble(back, ens)
+        manifest = {"n_paths": 5, "seed": 33, "test_panel": ens.test_panel.tolist()}
+        assert_same_ensemble(
+            back, reference_load_tail(spec, grid, manifest, back.driver_increments)
+        )
+
+
+class TestNonFiniteInput:
+    def test_nan_sigma_rejected(self, grid):
+        with pytest.raises(ValueError, match="sigma values are not all finite"):
+            simulate(NoiseSpec(1, 1, np.array([[np.nan]])), grid, 4, seed=1)
+
+    def test_nan_adapted_sigma_rejected(self, grid):
+        def vol(i, t, w_prev):
+            return np.full(w_prev.shape[:-2] + (1, 1), np.nan if i == 5 else 1.0)
+
+        with pytest.raises(ValueError, match="sigma values are not all finite"):
+            simulate(NoiseSpec(1, 1, vol), grid, 4, seed=1)
+
+    def test_corrupted_bundle_rejected(self, tmp_path, grid):
+        ens = simulate(NoiseSpec(2, 2, np.eye(2)), grid, 3, seed=2)
+        save_ensemble(ens, tmp_path / "b")
+        path_file = tmp_path / "b" / "path_00001.csv"
+        lines = path_file.read_text().splitlines()
+        lines[4] = "nan," + lines[4].split(",", 1)[1]
+        path_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="driver increments are not all finite"):
+            load_ensemble(tmp_path / "b")

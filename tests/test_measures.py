@@ -74,6 +74,14 @@ class TestMeasureFromIncreasing:
         back = measure_from_increasing(m.to_increasing())
         np.testing.assert_array_equal(back.increments, inc)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_increment_rejected_with_cell(self, bad):
+        g = TimeGrid.uniform(1.0, 4)
+        with pytest.raises(ValueError, match="non-finite increment at cell 0"):
+            GridMeasure(g, [bad, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="non-finite increment at cell 2"):
+            GridMeasure(g, [1.0, 1.0, bad, 1.0])
+
 
 class TestSupMeasures:
     def test_single_measure_fixed_point(self):
