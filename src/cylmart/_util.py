@@ -1,21 +1,21 @@
-"""Shared helpers: RNG substreams, norms, canonical JSON, worker count."""
+"""Shared helpers: RNG substreams, norms, canonical JSON."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import operator
-import os
 
 import numpy as np
 
 __all__ = [
     "path_rngs",
     "single_rng",
+    "is_hilbert",
     "flavor_norm",
     "canonical_json",
     "config_hash",
-    "worker_count",
+    "int_at_least",
 ]
 
 
@@ -114,9 +114,14 @@ def single_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
 
 
+def is_hilbert(flavor) -> bool:
+    """Whether a norm flavor names the Euclidean norm."""
+    return flavor in ("hilbert", "euclidean", 2, 2.0)
+
+
 def flavor_norm(values: np.ndarray, flavor, axis: int = -1) -> np.ndarray:
-    """Norm along ``axis``: Euclidean for flavor ``'hilbert'``/2, else p-norm."""
-    if flavor in ("hilbert", "euclidean", 2, 2.0):
+    """Norm along ``axis``: Euclidean for a Hilbert flavor, else p-norm."""
+    if is_hilbert(flavor):
         return np.linalg.norm(values, axis=axis)
     p = float(flavor)
     if not p >= 1.0:
@@ -133,10 +138,9 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 
-def worker_count() -> int:
-    """Worker cap from CYLMART_THREADS (>= 1). Affects speed only."""
-    raw = os.environ.get("CYLMART_THREADS", "1")
+def int_at_least(value, least: int) -> bool:
+    """Whether ``value`` is an integer, not a bool, no smaller than ``least``."""
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        return False

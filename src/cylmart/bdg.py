@@ -11,13 +11,12 @@ recorded, never asserted a priori.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import flavor_norm, worker_count
+from ._util import flavor_norm
 from .gammanorm import GammaKernel, gamma_norm
 from .integration import IntegrandProcess, integrate
 from .martingales import MartEnsemble, NoiseSpec, qm_operator, qv_exact, simulate
@@ -204,23 +203,16 @@ def bdg_ratio_panel(
 ) -> list[BDGReport]:
     """Sup-moment versus kernel-norm moment across an instance panel.
 
-    Per-instance seeds derive from (seed, instance index), so the panel is
-    reproducible regardless of the worker count (CYLMART_THREADS only sets
-    the thread pool size).
+    Instance i runs at seed ``seed + 1000 * i``, so each instance's reports
+    depend on the master seed and its index alone.
     """
     if n_paths < 2:
         raise ValueError("bdg_ratio_panel needs n_paths >= 2 for a standard error")
-    workers = worker_count()
-    jobs = [
-        (inst, p_list, flavors, n_paths, seed + 1000 * i, gamma_samples)
+    return [
+        r
         for i, inst in enumerate(instances)
+        for r in _panel_one(inst, p_list, flavors, n_paths, seed + 1000 * i, gamma_samples)
     ]
-    if workers == 1:
-        chunks = [_panel_one(*job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda j: _panel_one(*j), jobs))
-    return [r for chunk in chunks for r in chunk]
 
 
 def fit_bracket(reports: Sequence[BDGReport]) -> dict:

@@ -7,8 +7,8 @@ Usage::
     cylmart replay <report.json or run directory>
     cylmart plotdata <report.json> [--out DIR]
 
-Exit code 0 means every criterion of the run passed.  CYLMART_THREADS caps
-worker threads (speed only; results are identical at any setting).
+Exit code 0 means every criterion of the run passed; a bad flag or config
+file exits 2 with a message.
 """
 
 from __future__ import annotations
@@ -18,19 +18,28 @@ import json
 import sys
 from pathlib import Path
 
+from ._util import int_at_least
 from .experiments import EXPERIMENTS, experiment_defaults
 from .harness import ConfigError, ReplayMismatch, RunReport, emit_plotdata, replay, run, validate_config
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for sizes: a usage error, not a traceback, on bad input."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
+def _int_type(least: int, what: str):
+    """argparse type for integers: a usage error, not a traceback, on bad input."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if not int_at_least(value, least):
+            raise argparse.ArgumentTypeError(f"{value} is not a {what} integer")
+        return value
+
+    return parse
+
+
+_positive_int = _int_type(1, "positive")
+_seed_int = _int_type(0, "non-negative")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in sorted(EXPERIMENTS):
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", type=Path, help="JSON config file to merge")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed_int, default=None)
         p.add_argument("--paths", type=_positive_int, default=None)
         p.add_argument("--grid", type=_positive_int, default=None)
         p.add_argument("--out", type=str, default="runs")

@@ -15,6 +15,7 @@ import numpy as np
 from ._util import single_rng
 from .bdg import (
     BDGInstance,
+    BDGReport,
     bdg_ratio_panel,
     fit_bracket,
     ito_isometry,
@@ -645,10 +646,7 @@ def run_bdg(params: dict, seed: int) -> ExperimentResult:
         "fitted C reproduced within 10% under a different master seed",
     )
     res.series["bdg_panel"] = {
-        "columns": [
-            "instance", "p", "flavor", "n_paths", "lhs", "lhs_stderr", "rhs",
-            "rhs_stderr", "ratio", "degenerate",
-        ],
+        "columns": BDGReport.CSV_HEADER.split(","),
         "rows": [
             [
                 r.instance, float(r.p), str(r.flavor), float(r.n_paths), r.lhs,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import flavor_norm, single_rng
+from ._util import flavor_norm, is_hilbert, single_rng
 from .measures import GridMeasure, TimeGrid
 
 __all__ = [
@@ -34,10 +34,6 @@ __all__ = [
     "EmbeddingReport",
     "type2_cotype2_check",
 ]
-
-
-def _is_hilbert(flavor) -> bool:
-    return flavor in ("hilbert", "euclidean", 2, 2.0)
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,7 @@ class GammaKernel:
 
 def gamma_norm_exact_hilbert(kernel: GammaKernel) -> float:
     """Weighted Hilbert-Schmidt norm; only valid for the Euclidean flavor."""
-    if not _is_hilbert(kernel.flavor):
+    if not is_hilbert(kernel.flavor):
         raise ValueError("exact evaluation requires the Euclidean flavor")
     sq = np.sum(kernel.matrices**2, axis=(1, 2)) @ kernel.measure.increments
     return float(np.sqrt(sq))
@@ -104,6 +100,13 @@ class GammaEstimate:
         }
 
 
+def _root_mean(sq: np.ndarray) -> tuple[float, float]:
+    """Root of the sample mean of ``sq`` and its delta-method standard error."""
+    value = float(np.sqrt(float(np.mean(sq))))
+    se_sq = float(np.std(sq, ddof=1) / np.sqrt(sq.size))
+    return value, (se_sq / (2 * value) if value > 0 else 0.0)
+
+
 def gamma_norm_mc(kernel: GammaKernel, n_samples: int, seed: int) -> GammaEstimate:
     """Monte-Carlo Gaussian-series estimate of the kernel norm.
 
@@ -120,17 +123,13 @@ def gamma_norm_mc(kernel: GammaKernel, n_samples: int, seed: int) -> GammaEstima
     rng = single_rng(seed, stream=7)
     g = rng.standard_normal((n_samples, kernel.grid.n_cells, kernel.input_dim))
     v = np.einsum("kmd,skd->sm", w, g)
-    sq = flavor_norm(v, kernel.flavor) ** 2
-    mean = float(np.mean(sq))
-    value = float(np.sqrt(mean))
-    se_sq = float(np.std(sq, ddof=1) / np.sqrt(n_samples))
-    stderr = se_sq / (2 * value) if value > 0 else 0.0
+    value, stderr = _root_mean(flavor_norm(v, kernel.flavor) ** 2)
     return GammaEstimate(value, stderr, n_samples, seed)
 
 
 def gamma_norm(kernel: GammaKernel, n_samples: int = 4096, seed: int = 0) -> GammaEstimate:
     """Exact where available (Euclidean), Monte Carlo otherwise."""
-    if _is_hilbert(kernel.flavor):
+    if is_hilbert(kernel.flavor):
         return GammaEstimate(gamma_norm_exact_hilbert(kernel), 0.0, 0, seed)
     return gamma_norm_mc(kernel, n_samples, seed)
 
@@ -201,7 +200,7 @@ def _dual_ball_sample(m: int, flavor, n: int, seed: int, hint: np.ndarray | None
     if hint is not None:
         pts.append(np.atleast_2d(hint))
     pts = np.concatenate(pts, axis=0)
-    if _is_hilbert(flavor):
+    if is_hilbert(flavor):
         q = 2.0
     else:
         p = float(flavor)
@@ -267,7 +266,7 @@ def gamma_fubini_check(kernel: GammaKernel, n_samples: int = 4096, seed: int = 0
     (equal for p = 2 and for a single row), which the caller records as an
     empirical bracket.
     """
-    if _is_hilbert(kernel.flavor):
+    if is_hilbert(kernel.flavor):
         p = 2.0
     else:
         p = float(kernel.flavor)
@@ -300,9 +299,5 @@ def type2_cotype2_check(kernel: GammaKernel, n_samples: int = 4096, seed: int = 
     g = rng.standard_normal((n_samples, kernel.grid.n_cells, kernel.input_dim))
     per_cell = np.einsum("kmd,skd->skm", kernel.matrices, g)
     sq = flavor_norm(per_cell, kernel.flavor) ** 2  # (s, K)
-    agg = sq @ kernel.measure.increments  # (s,)
-    mean = float(np.mean(agg))
-    value = float(np.sqrt(mean))
-    se = float(np.std(agg, ddof=1) / np.sqrt(n_samples))
-    stderr = se / (2 * value) if value > 0 else 0.0
+    value, stderr = _root_mean(sq @ kernel.measure.increments)
     return EmbeddingReport(gamma_full=full, cellwise=value, cellwise_stderr=stderr)

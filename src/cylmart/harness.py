@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from ._util import config_hash
+from ._util import config_hash, int_at_least
 from .experiments import EXPERIMENTS, Criterion, experiment_defaults
 
 __all__ = [
@@ -58,7 +58,7 @@ def make_config(
     cfg = {
         "schema": SCHEMA_VERSION,
         "experiment": experiment,
-        "seed": int(seed),
+        "seed": seed,
         "out": out,
         "params": {**params, **overrides},
     }
@@ -67,7 +67,8 @@ def make_config(
 
 def validate_config(cfg: dict) -> dict:
     """Schema check: exactly the known top-level keys, exactly the known
-    params for the experiment; unknown fields are errors."""
+    params for the experiment; unknown fields are errors.  The seed must be a
+    non-negative integer and the ``paths``/``grid`` sizes positive integers."""
     allowed_top = {"schema", "experiment", "seed", "out", "params"}
     unknown = set(cfg) - allowed_top
     if unknown:
@@ -91,10 +92,16 @@ def validate_config(cfg: dict) -> dict:
             f"(allowed: {sorted(defaults)})"
         )
     merged = {**defaults, **params}
+    seed = cfg.get("seed", 20240)
+    if not int_at_least(seed, 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    for size in ("paths", "grid"):
+        if size in merged and not int_at_least(merged[size], 1):
+            raise ConfigError(f"param {size!r} must be a positive integer, got {merged[size]!r}")
     return {
         "schema": SCHEMA_VERSION,
         "experiment": experiment,
-        "seed": int(cfg.get("seed", 20240)),
+        "seed": int(seed),
         "out": cfg.get("out"),
         "params": merged,
     }

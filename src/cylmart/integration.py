@@ -9,9 +9,7 @@ property live here too.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -92,29 +90,6 @@ class IntegralPaths:
     def terminal(self) -> np.ndarray:
         return self.values[:, -1, :]
 
-    def save(self, directory: str | Path, name: str = "integral") -> Path:
-        """One CSV per path (t plus target coordinates), next to an ensemble
-        bundle in a run directory."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        m = self.values.shape[2]
-        header = ["t"] + [f"x_{j}" for j in range(m)]
-        for p in range(self.values.shape[0]):
-            with open(directory / f"{name}_{p:05d}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(
-                    np.column_stack([self.grid.points, self.values[p]]).tolist()
-                )
-        return directory
-
-
-def _accumulate(increments: np.ndarray, grid: TimeGrid, flavor="hilbert") -> IntegralPaths:
-    n, k, m = increments.shape
-    out = np.zeros((n, k + 1, m))
-    np.cumsum(increments, axis=1, out=out[:, 1:, :])
-    return IntegralPaths(grid, out, flavor)
-
 
 def integrate(phi: IntegrandProcess, ens: MartEnsemble, flavor="hilbert") -> IntegralPaths:
     """Left-point integral: zeta(t_j) = sum_{i<j} phi(t_i) sigma(t_i) dW_{i+1}."""
@@ -148,7 +123,9 @@ def _contract_and_accumulate(phi, driven, ens, flavor) -> IntegralPaths:
         raise ValueError("per-path integrand does not match path count")
     # single contraction spelling; see martingales._driven for why
     inc = np.einsum("nkmc,nkc->nkm", mats, driven)
-    return _accumulate(inc, ens.grid, flavor)
+    out = np.zeros((ens.n_paths, ens.grid.n_cells + 1, inc.shape[2]))
+    np.cumsum(inc, axis=1, out=out[:, 1:, :])
+    return IntegralPaths(ens.grid, out, flavor)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import is_hilbert
 from .integration import IntegrandProcess, integrate
 from .martingales import BracketPaths, MartEnsemble
 from .measures import GridMeasure, TimeGrid
@@ -36,6 +37,19 @@ __all__ = [
 
 SNAP_RTOL = 1e-12
 PLATEAU_RTOL = 1e-14
+
+
+def _last_at_or_below(sorted_vals: np.ndarray, queries, scale: float, hi: int) -> np.ndarray:
+    """Index of the last entry of ``sorted_vals`` at or below each query,
+    clipped to [0, hi].
+
+    Queries are snapped up by SNAP_RTOL * max(scale, 1), so that exactly
+    aligned breakpoints resolve to the exact inverse; ties resolve to the
+    last entry, which is the discrete form of right-continuity.
+    """
+    snap = SNAP_RTOL * max(scale, 1.0)
+    raw = np.searchsorted(sorted_vals, queries + snap, side="right")
+    return np.clip(raw - 1, 0, hi)
 
 
 def _prefix_rows(qv) -> tuple[TimeGrid, np.ndarray]:
@@ -59,11 +73,25 @@ class TimeChange:
     prefix: np.ndarray  # (n, K+1)
     s_points: np.ndarray  # (n, K+1), uniform on [0, total mass]
     tau_idx: np.ndarray  # (n, K+1) ints
-    infinite: np.ndarray  # (n, K+1) bools
 
     @property
     def n_paths(self) -> int:
         return self.prefix.shape[0]
+
+    @property
+    def infinite(self) -> np.ndarray:
+        """(n, K+1) bools, true where s is at or above the total mass: only
+        there does tau reach the last grid point, as no prefix exceeds it."""
+        return self.tau_idx == self.grid.n_cells
+
+    def for_paths(self, n: int) -> "TimeChange":
+        """This clock for an n-path ensemble; a one-path clock is shared."""
+        if self.n_paths == n:
+            return self
+        if self.n_paths != 1:
+            raise ValueError("time change and ensemble have incompatible path counts")
+        arrays = (self.prefix, self.s_points, self.tau_idx)
+        return TimeChange(self.grid, *(np.broadcast_to(a, (n, a.shape[1])) for a in arrays))
 
     @property
     def totals(self) -> np.ndarray:
@@ -77,12 +105,6 @@ class TimeChange:
     def to_pairs(self, path: int = 0) -> np.ndarray:
         """(s, tau_s) rows for serialization."""
         return np.column_stack([self.s_points[path], self.tau_times()[path]])
-
-    def source_cells(self, s_values: np.ndarray, path: int) -> np.ndarray:
-        """Source cell whose mass interval contains each s value."""
-        snap = SNAP_RTOL * max(self.totals[path], 1.0)
-        raw = np.searchsorted(self.prefix[path], np.asarray(s_values) + snap, side="right")
-        return np.clip(raw - 1, 0, self.grid.n_cells - 1)
 
 
 def build_time_change(qv) -> TimeChange:
@@ -98,13 +120,9 @@ def build_time_change(qv) -> TimeChange:
     totals = prefix[:, -1]
     s_points = np.linspace(np.zeros(n), totals, kp1, axis=1)
     tau_idx = np.empty((n, kp1), dtype=int)
-    infinite = np.empty((n, kp1), dtype=bool)
     for p in range(n):
-        snap = SNAP_RTOL * max(totals[p], 1.0)
-        raw = np.searchsorted(prefix[p], s_points[p] + snap, side="right")
-        infinite[p] = raw == kp1
-        tau_idx[p] = np.clip(raw - 1, 0, kp1 - 1)
-    return TimeChange(grid, prefix, s_points, tau_idx, infinite)
+        tau_idx[p] = _last_at_or_below(prefix[p], s_points[p], totals[p], kp1 - 1)
+    return TimeChange(grid, prefix, s_points, tau_idx)
 
 
 @dataclass(frozen=True)
@@ -131,17 +149,10 @@ def apply_time_change(ens: MartEnsemble, tc: TimeChange) -> TimeChangedEnsemble:
     values.  The transported bracket satisfies bracket(s) = min(s, total)
     within one source-cell mass.
     """
-    if tc.n_paths not in (1, ens.n_paths):
-        raise ValueError("time change and ensemble have incompatible path counts")
-    idx = tc.tau_idx
-    if tc.n_paths == 1 and ens.n_paths > 1:
-        idx = np.broadcast_to(idx, (ens.n_paths, idx.shape[1]))
+    clock = tc.for_paths(ens.n_paths)
     rows = np.arange(ens.n_paths)[:, None]
-    values = ens.m_evals[rows, idx, :]
-    prefix = tc.prefix if tc.n_paths == ens.n_paths else np.broadcast_to(
-        tc.prefix, (ens.n_paths, tc.prefix.shape[1])
-    )
-    bracket_values = prefix[rows, idx]
+    values = ens.m_evals[rows, clock.tau_idx, :]
+    bracket_values = clock.prefix[rows, clock.tau_idx]
     return TimeChangedEnsemble(tc, values, bracket_values)
 
 
@@ -174,11 +185,6 @@ class DdsReport:
     def max_gap(self) -> float:
         return float(self.gaps.max())
 
-    def normalized_gap(self) -> float:
-        """max gap / sqrt(max cell mass); ladder-stable by design."""
-        denom = np.sqrt(self.max_cell_mass) if self.max_cell_mass > 0 else 1.0
-        return self.max_gap / denom
-
 
 def dds_integral_check(phi: IntegrandProcess, ens: MartEnsemble, tc: TimeChange) -> DdsReport:
     """Pathwise identity between int phi dM and its unit-clock transport.
@@ -188,30 +194,23 @@ def dds_integral_check(phi: IntegrandProcess, ens: MartEnsemble, tc: TimeChange)
     the report carries the per-path sup gap, which is bounded by a multiple
     of sqrt(max cell mass) and vanishes to round-off when the clocks align.
     """
-    if tc.n_paths not in (1, ens.n_paths):
-        raise ValueError("time change and ensemble have incompatible path counts")
+    clock = tc.for_paths(ens.n_paths)
     source = integrate(phi, ens).values  # (n, K+1, m)
     vec = ens.vector_paths()  # (n, K+1, dc)
     k = ens.grid.n_cells
     m = phi.target_dim
     gaps = np.empty(ens.n_paths)
     for p in range(ens.n_paths):
-        tp = 0 if tc.n_paths == 1 else p
-        prefix = tc.prefix[tp]
-        s_pts = tc.s_points[tp]
-        idx = tc.tau_idx[tp]
-        snap = SNAP_RTOL * max(prefix[-1], 1.0)
-        cells = np.clip(
-            np.searchsorted(prefix, s_pts[:-1] + snap, side="right") - 1, 0, k - 1
-        )
+        prefix = clock.prefix[p]
+        s_pts = clock.s_points[p]
+        idx = clock.tau_idx[p]
+        cells = np.minimum(idx[:-1], k - 1)  # source cell of each s-cell
         mats = phi.matrices if phi.matrices.ndim == 3 else phi.matrices[p]
         psi = mats[cells]  # (K, m, dc)
         dn = vec[p][idx[1:]] - vec[p][idx[:-1]]  # (K, dc)
         transported = np.zeros((k + 1, m))
         np.cumsum(np.einsum("kmc,kc->km", psi, dn), axis=0, out=transported[1:])
-        back = np.clip(
-            np.searchsorted(s_pts, prefix + snap, side="right") - 1, 0, k
-        )
+        back = _last_at_or_below(s_pts, prefix, prefix[-1], k)
         gaps[p] = np.abs(source[p] - transported[back]).max()
     max_mass = float(np.diff(tc.prefix, axis=1).max())
     return DdsReport(gaps=gaps, max_cell_mass=max_mass)
@@ -251,12 +250,11 @@ def gamma_timechange_check(kernel, n_samples: int = 4096, seed: int = 0) -> Tran
     grid = kernel.grid
     k = grid.n_cells
     total = qv.total_mass
-    prefix = qv.prefix()
-    snap = SNAP_RTOL * max(total, 1.0)
     if total == 0:
         return TransportPair(0.0, 0.0, 0.0, 0.0, 0.0)
     s_pts = np.linspace(0.0, total, k + 1)
-    cells = np.clip(np.searchsorted(prefix, s_pts[:-1] + snap, side="right") - 1, 0, k - 1)
+    # the clock of build_time_change, but against the pairwise total mass
+    cells = _last_at_or_below(qv.prefix(), s_pts[:-1], total, k - 1)
     s_grid = TimeGrid(s_pts)
     transported = GammaKernel(
         grid=s_grid,
@@ -269,7 +267,7 @@ def gamma_timechange_check(kernel, n_samples: int = 4096, seed: int = 0) -> Tran
     hs_sup = hs_cells[support]
     tv = float(np.abs(np.diff(hs_sup)).sum()) + (float(hs_sup.max()) if hs_sup.size else 0.0)
     rebin = (total / k) * tv
-    if kernel.flavor in ("hilbert", 2, 2.0):
+    if is_hilbert(kernel.flavor):
         lhs = gamma_norm_exact_hilbert(kernel)
         rhs = gamma_norm_exact_hilbert(transported)
         # the bound controls squared norms; convert through the larger root

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cylmart._util import single_rng
+from cylmart._util import flavor_norm, single_rng
 from cylmart.gammanorm import (
+    EmbeddingReport,
+    GammaEstimate,
     GammaKernel,
     gamma_fubini_check,
     gamma_norm,
@@ -255,3 +259,66 @@ class TestGammaNormDispatch:
         kernel = random_kernel(rng, flavor=3)
         est = gamma_norm(kernel, n_samples=512, seed=23)
         assert est.stderr > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the two Monte Carlo root-mean estimates as written before they
+# shared one helper, kept verbatim.
+
+
+def old_gamma_norm_mc(kernel: GammaKernel, n_samples: int, seed: int) -> GammaEstimate:
+    if n_samples < 2:
+        raise ValueError("need at least two samples for a standard error")
+    if kernel.measure.total_mass == 0:
+        return GammaEstimate(0.0, 0.0, n_samples, seed)
+    w = kernel.weighted()  # (K, m, d)
+    rng = single_rng(seed, stream=7)
+    g = rng.standard_normal((n_samples, kernel.grid.n_cells, kernel.input_dim))
+    v = np.einsum("kmd,skd->sm", w, g)
+    sq = flavor_norm(v, kernel.flavor) ** 2
+    mean = float(np.mean(sq))
+    value = float(np.sqrt(mean))
+    se_sq = float(np.std(sq, ddof=1) / np.sqrt(n_samples))
+    stderr = se_sq / (2 * value) if value > 0 else 0.0
+    return GammaEstimate(value, stderr, n_samples, seed)
+
+
+def old_type2_cotype2_check(kernel: GammaKernel, n_samples: int = 4096, seed: int = 0) -> EmbeddingReport:
+    full = gamma_norm(kernel, n_samples, seed)
+    rng = single_rng(seed + 1, stream=13)
+    g = rng.standard_normal((n_samples, kernel.grid.n_cells, kernel.input_dim))
+    per_cell = np.einsum("kmd,skd->skm", kernel.matrices, g)
+    sq = flavor_norm(per_cell, kernel.flavor) ** 2  # (s, K)
+    agg = sq @ kernel.measure.increments  # (s,)
+    mean = float(np.mean(agg))
+    value = float(np.sqrt(mean))
+    se = float(np.std(agg, ddof=1) / np.sqrt(n_samples))
+    stderr = se / (2 * value) if value > 0 else 0.0
+    return EmbeddingReport(gamma_full=full, cellwise=value, cellwise_stderr=stderr)
+
+
+@st.composite
+def oracle_kernels(draw):
+    k = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    masses = rng.uniform(0, 1, k) * (rng.uniform(size=k) > draw(st.sampled_from([0.0, 0.5, 1.0])))
+    mats = rng.standard_normal((k, m, d)) * draw(st.sampled_from([0.0, 1e-3, 1.0, 50.0]))
+    flavor = draw(st.sampled_from(["hilbert", "euclidean", 2, 1, 1.5, 4]))
+    grid = TimeGrid.uniform(1.0, k)
+    return GammaKernel(grid, GridMeasure(grid, masses), mats, flavor)
+
+
+class TestRootMeanOracle:
+    @given(oracle_kernels(), st.integers(2, 300), st.integers(0, 2**16))
+    @settings(max_examples=120, deadline=None)
+    def test_gamma_norm_mc_matches_old(self, kernel, n_samples, seed):
+        assert gamma_norm_mc(kernel, n_samples, seed) == old_gamma_norm_mc(kernel, n_samples, seed)
+
+    @given(oracle_kernels(), st.integers(2, 300), st.integers(0, 2**16))
+    @settings(max_examples=120, deadline=None)
+    def test_type2_cotype2_matches_old(self, kernel, n_samples, seed):
+        new = type2_cotype2_check(kernel, n_samples, seed)
+        assert new == old_type2_cotype2_check(kernel, n_samples, seed)

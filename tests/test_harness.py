@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cylmart.cli import main
@@ -14,6 +15,8 @@ from cylmart.harness import (
     run,
     validate_config,
 )
+from cylmart.martingales import NoiseSpec, simulate
+from cylmart.measures import TimeGrid
 
 
 class TestConfig:
@@ -213,9 +216,56 @@ class TestCli:
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
-    def test_threads_env_only_affects_speed(self, tmp_path, monkeypatch):
-        cfg = make_config("kw", paths=100, instances=3)
-        base = run(cfg).metrics
-        monkeypatch.setenv("CYLMART_THREADS", "4")
-        threaded = run(cfg).metrics
-        assert base == threaded
+    def test_negative_seed_is_refused_before_simulation(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            simulate(NoiseSpec(1, 1, np.eye(1)), TimeGrid.uniform(1.0, 4), 3, -5)
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            make_config("kw", seed=-5, paths=100, instances=3)
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_bad_seed_flag_is_a_usage_error(self, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["kw", "--seed", seed, "--paths", "4", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "argument --seed" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "loaded, message",
+        [
+            ({"seed": -1}, "seed must be a non-negative integer"),
+            ({"params": {"paths": -5}}, "'paths' must be a positive integer"),
+            ({"params": {"grid": 0}}, "'grid' must be a positive integer"),
+        ],
+    )
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, loaded, message):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(loaded))
+        out = tmp_path / "runs"
+        code = main(["kw", "--config", str(cfg_file), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True, None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            validate_config({"experiment": "kw", "seed": seed})
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2**64 - 1])
+    def test_integer_seeds_accepted(self, seed):
+        cfg = validate_config({"experiment": "kw", "seed": seed})
+        assert cfg["seed"] == seed and type(cfg["seed"]) is int
+
+    @pytest.mark.parametrize("size", ["paths", "grid"])
+    @pytest.mark.parametrize("value", [0, -5, 2.5, "10", False])
+    def test_sizes_must_be_positive_integers(self, size, value):
+        with pytest.raises(ConfigError, match=f"'{size}' must be a positive integer"):
+            validate_config({"experiment": "ito", "params": {size: value}})

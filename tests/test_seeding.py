@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 import cylmart._util as util
 from cylmart._util import path_rngs
-from cylmart.bdg import BDGInstance, bdg_ratio_panel
-from cylmart.integration import IntegrandProcess
 from cylmart.martingales import NoiseSpec, simulate
 from cylmart.measures import TimeGrid
 from cylmart.operators import psd_sqrt
@@ -120,20 +118,3 @@ class TestSimulateDraws:
         with pytest.raises(ValueError, match="non-negative"):
             simulate(NoiseSpec(1, 1, np.eye(1)), TimeGrid.uniform(1.0, 4), 3, -5)
 
-
-def test_panel_reports_do_not_depend_on_threads(monkeypatch):
-    grid = TimeGrid.uniform(1.0, 8)
-    instances = [
-        BDGInstance(
-            f"i{j}",
-            NoiseSpec(2, 2, np.eye(2) * (1 + j)),
-            IntegrandProcess.constant(grid, np.ones((1, 2))),
-            grid,
-        )
-        for j in range(3)
-    ]
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("CYLMART_THREADS", threads)
-        runs.append(bdg_ratio_panel(instances, [1, 2], ["hilbert"], 50, seed=9, gamma_samples=64))
-    assert runs[0] == runs[1]

@@ -1,11 +1,20 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cylmart.gammanorm import GammaKernel, gamma_norm_exact_hilbert
-from cylmart.integration import IntegrandProcess
-from cylmart.martingales import NoiseSpec, qv_exact, simulate
+from cylmart.gammanorm import GammaKernel, gamma_norm_exact_hilbert, gamma_norm_mc
+from cylmart.integration import IntegrandProcess, integrate
+from cylmart.martingales import BracketPaths, MartEnsemble, NoiseSpec, qv_exact, simulate
 from cylmart.measures import GridMeasure, IncreasingPath, TimeGrid, measure_from_increasing
 from cylmart.timechange import (
+    SNAP_RTOL,
+    DdsReport,
+    TimeChangedEnsemble,
+    TransportPair,
+    _prefix_rows,
     apply_time_change,
     build_time_change,
     dds_integral_check,
@@ -231,3 +240,239 @@ class TestPlateau:
         grid = TimeGrid.uniform(1.0, 8)
         ens = simulate(NoiseSpec(1, 1, np.eye(1)), grid, 8, seed=13)
         assert plateau_constancy_check(ens).passed
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the clock-change code as it was before the right-continuous
+# inverse got one home, kept verbatim apart from the stored ``infinite`` field.
+
+
+@dataclass(frozen=True)
+class OldTimeChange:
+    grid: TimeGrid
+    prefix: np.ndarray
+    s_points: np.ndarray
+    tau_idx: np.ndarray
+    infinite: np.ndarray
+
+    @property
+    def n_paths(self) -> int:
+        return self.prefix.shape[0]
+
+    @property
+    def totals(self) -> np.ndarray:
+        return self.prefix[:, -1]
+
+    def tau_times(self) -> np.ndarray:
+        out = self.grid.points[self.tau_idx]
+        return np.where(self.infinite, np.inf, out)
+
+
+def old_build_time_change(qv) -> OldTimeChange:
+    grid, prefix = _prefix_rows(qv)
+    n, kp1 = prefix.shape
+    totals = prefix[:, -1]
+    s_points = np.linspace(np.zeros(n), totals, kp1, axis=1)
+    tau_idx = np.empty((n, kp1), dtype=int)
+    infinite = np.empty((n, kp1), dtype=bool)
+    for p in range(n):
+        snap = SNAP_RTOL * max(totals[p], 1.0)
+        raw = np.searchsorted(prefix[p], s_points[p] + snap, side="right")
+        infinite[p] = raw == kp1
+        tau_idx[p] = np.clip(raw - 1, 0, kp1 - 1)
+    return OldTimeChange(grid, prefix, s_points, tau_idx, infinite)
+
+
+def old_apply_time_change(ens: MartEnsemble, tc) -> TimeChangedEnsemble:
+    if tc.n_paths not in (1, ens.n_paths):
+        raise ValueError("time change and ensemble have incompatible path counts")
+    idx = tc.tau_idx
+    if tc.n_paths == 1 and ens.n_paths > 1:
+        idx = np.broadcast_to(idx, (ens.n_paths, idx.shape[1]))
+    rows = np.arange(ens.n_paths)[:, None]
+    values = ens.m_evals[rows, idx, :]
+    prefix = tc.prefix if tc.n_paths == ens.n_paths else np.broadcast_to(
+        tc.prefix, (ens.n_paths, tc.prefix.shape[1])
+    )
+    bracket_values = prefix[rows, idx]
+    return TimeChangedEnsemble(tc, values, bracket_values)
+
+
+def old_dds_integral_check(phi: IntegrandProcess, ens: MartEnsemble, tc) -> DdsReport:
+    if tc.n_paths not in (1, ens.n_paths):
+        raise ValueError("time change and ensemble have incompatible path counts")
+    source = integrate(phi, ens).values  # (n, K+1, m)
+    vec = ens.vector_paths()  # (n, K+1, dc)
+    k = ens.grid.n_cells
+    m = phi.target_dim
+    gaps = np.empty(ens.n_paths)
+    for p in range(ens.n_paths):
+        tp = 0 if tc.n_paths == 1 else p
+        prefix = tc.prefix[tp]
+        s_pts = tc.s_points[tp]
+        idx = tc.tau_idx[tp]
+        snap = SNAP_RTOL * max(prefix[-1], 1.0)
+        cells = np.clip(
+            np.searchsorted(prefix, s_pts[:-1] + snap, side="right") - 1, 0, k - 1
+        )
+        mats = phi.matrices if phi.matrices.ndim == 3 else phi.matrices[p]
+        psi = mats[cells]  # (K, m, dc)
+        dn = vec[p][idx[1:]] - vec[p][idx[:-1]]  # (K, dc)
+        transported = np.zeros((k + 1, m))
+        np.cumsum(np.einsum("kmc,kc->km", psi, dn), axis=0, out=transported[1:])
+        back = np.clip(
+            np.searchsorted(s_pts, prefix + snap, side="right") - 1, 0, k
+        )
+        gaps[p] = np.abs(source[p] - transported[back]).max()
+    max_mass = float(np.diff(tc.prefix, axis=1).max())
+    return DdsReport(gaps=gaps, max_cell_mass=max_mass)
+
+
+def old_gamma_timechange_check(kernel, n_samples: int = 4096, seed: int = 0) -> TransportPair:
+    qv = kernel.measure
+    grid = kernel.grid
+    k = grid.n_cells
+    total = qv.total_mass
+    prefix = qv.prefix()
+    snap = SNAP_RTOL * max(total, 1.0)
+    if total == 0:
+        return TransportPair(0.0, 0.0, 0.0, 0.0, 0.0)
+    s_pts = np.linspace(0.0, total, k + 1)
+    cells = np.clip(np.searchsorted(prefix, s_pts[:-1] + snap, side="right") - 1, 0, k - 1)
+    s_grid = TimeGrid(s_pts)
+    transported = GammaKernel(
+        grid=s_grid,
+        measure=GridMeasure(s_grid, np.diff(s_pts)),
+        matrices=kernel.matrices[cells],
+        flavor=kernel.flavor,
+    )
+    hs_cells = np.sum(kernel.matrices**2, axis=(1, 2))
+    support = qv.increments > 0
+    hs_sup = hs_cells[support]
+    tv = float(np.abs(np.diff(hs_sup)).sum()) + (float(hs_sup.max()) if hs_sup.size else 0.0)
+    rebin = (total / k) * tv
+    if kernel.flavor in ("hilbert", 2, 2.0):
+        lhs = gamma_norm_exact_hilbert(kernel)
+        rhs = gamma_norm_exact_hilbert(transported)
+        denom = max(lhs + rhs, 1e-300)
+        return TransportPair(lhs, rhs, 0.0, 0.0, rebin / denom)
+    est_l = gamma_norm_mc(kernel, n_samples, seed)
+    est_r = gamma_norm_mc(transported, n_samples, seed + 1)
+    denom = max(est_l.value + est_r.value, 1e-300)
+    return TransportPair(est_l.value, est_r.value, est_l.stderr, est_r.stderr, rebin / denom)
+
+
+# cell masses with plateaus, exact dyadic breakpoints, thirds, tiny cells, and
+# totals on both sides of 1 (where the snap switches from absolute to relative)
+cell_masses = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0 / 3.0, 2.0, 1e-13]),
+    st.floats(0.0, 5.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def clocks(draw):
+    """(grid, qv, n_paths): a shared GridMeasure or per-path BracketPaths."""
+    k = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 4))
+    grid = TimeGrid.uniform(draw(st.sampled_from([0.5, 1.0, 3.0])), k)
+    if draw(st.booleans()):
+        qv = GridMeasure(grid, np.array(draw(st.lists(cell_masses, min_size=k, max_size=k))))
+    else:
+        rows = draw(st.lists(st.lists(cell_masses, min_size=k, max_size=k), min_size=n, max_size=n))
+        qv = BracketPaths(grid, np.array(rows))
+    return grid, qv, n
+
+
+def ensemble_on(grid, n, seed):
+    sig = np.array([[1.0, 0.4], [0.0, 0.8]]) * np.ones((grid.n_cells, 1, 1))
+    sig[::3] = 0.0  # zero-mass plateaus in the driver as well
+    return simulate(NoiseSpec(2, 2, sig), grid, n, seed)
+
+
+class TestClockOracle:
+    @given(clocks())
+    @settings(max_examples=150, deadline=None)
+    def test_build_matches_old(self, case):
+        _, qv, _ = case
+        new, old = build_time_change(qv), old_build_time_change(qv)
+        assert np.array_equal(new.prefix, old.prefix)
+        assert np.array_equal(new.s_points, old.s_points)
+        assert np.array_equal(new.tau_idx, old.tau_idx)
+        assert new.tau_idx.dtype == old.tau_idx.dtype
+        assert np.array_equal(new.infinite, old.infinite)
+        assert np.array_equal(new.tau_times(), old.tau_times())
+
+    @given(clocks(), st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_apply_matches_old(self, case, seed):
+        grid, qv, n = case
+        ens = ensemble_on(grid, n, seed)
+        new = apply_time_change(ens, build_time_change(qv))
+        old = old_apply_time_change(ens, old_build_time_change(qv))
+        assert np.array_equal(new.values, old.values)
+        assert np.array_equal(new.bracket_values, old.bracket_values)
+        assert new.bracket_gap() == old.bracket_gap()
+
+    @given(clocks(), st.integers(0, 2**16), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_dds_matches_old(self, case, seed, per_path_phi):
+        grid, qv, n = case
+        ens = ensemble_on(grid, n, seed)
+        rng = np.random.default_rng(seed)
+        shape = (n, grid.n_cells, 2, 2) if per_path_phi else (grid.n_cells, 2, 2)
+        phi = IntegrandProcess(grid, rng.standard_normal(shape), adapted=per_path_phi)
+        new = dds_integral_check(phi, ens, build_time_change(qv))
+        old = old_dds_integral_check(phi, ens, old_build_time_change(qv))
+        assert np.array_equal(new.gaps, old.gaps)
+        assert new.max_cell_mass == old.max_cell_mass
+
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda k: st.tuples(st.lists(cell_masses, min_size=k, max_size=k), st.integers(1, 3))
+        ),
+        st.sampled_from(["hilbert", 2, 2.0, 1, 4]),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_gamma_transport_matches_old(self, masses_m, flavor, seed):
+        masses, m = masses_m
+        k = len(masses)
+        grid = TimeGrid.uniform(1.0, k)
+        mats = np.random.default_rng(seed).standard_normal((k, m, 2))
+        kernel = GammaKernel(grid, GridMeasure(grid, np.array(masses)), mats, flavor)
+        new = gamma_timechange_check(kernel, n_samples=64, seed=seed)
+        assert new == old_gamma_timechange_check(kernel, n_samples=64, seed=seed)
+
+    def test_zero_measure_shared_over_paths(self):
+        grid = TimeGrid.uniform(1.0, 5)
+        qv = GridMeasure(grid, np.zeros(5))
+        ens = ensemble_on(grid, 3, seed=1)
+        tc = build_time_change(qv)
+        assert tc.infinite.all()
+        old = old_apply_time_change(ens, old_build_time_change(qv))
+        assert np.array_equal(apply_time_change(ens, tc).values, old.values)
+
+    @pytest.mark.parametrize("check", [apply_time_change, dds_integral_check])
+    def test_path_count_mismatch_raises(self, check):
+        grid = TimeGrid.uniform(1.0, 4)
+        tc = build_time_change(BracketPaths(grid, np.ones((2, 4))))
+        ens = ensemble_on(grid, 3, seed=2)
+        args = (ens, tc) if check is apply_time_change else (
+            IntegrandProcess.constant(grid, np.eye(2)), ens, tc
+        )
+        with pytest.raises(ValueError, match="incompatible path counts"):
+            check(*args)
+
+
+def test_euclidean_flavor_is_exact_like_hilbert():
+    grid = TimeGrid.uniform(1.0, 16)
+    rng = np.random.default_rng(14)
+    measure = GridMeasure(grid, rng.uniform(0, 1, 16))
+    mats = rng.standard_normal((16, 3, 2))
+    pairs = [
+        gamma_timechange_check(GammaKernel(grid, measure, mats, flavor))
+        for flavor in ("euclidean", "hilbert")
+    ]
+    assert pairs[0] == pairs[1]
+    assert pairs[0].lhs_stderr == 0.0 and pairs[0].rhs_stderr == 0.0
