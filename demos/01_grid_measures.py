@@ -1,8 +1,8 @@
 """Grid measures: suprema of measure families and difference quotients.
 
 A measure on [0, T] lives on a grid as its vector of cell masses.  The least
-measure dominating a family is cell-wise computable, matches an exponential
-partition-enumeration oracle exactly, and integration against a base measure
+measure dominating a family is cell-wise computable, matches the
+partition-maximization oracle exactly, and integration against a base measure
 is inverted by backward difference quotients.
 """
 
@@ -32,7 +32,7 @@ sup = sup_measures([m1, m2], refine=2)
 print("sup of disjointly supported unit masses:", sup.increments)  # (1, 1)
 
 oracle = sup_measures_bruteforce([m1, m2], refine=2)
-print("partition-enumeration oracle agrees:", np.array_equal(sup.increments, oracle.increments))
+print("partition-maximization oracle agrees:", np.array_equal(sup.increments, oracle.increments))
 
 for n in (1, 2):
     print(f"partial sup over first {n}:", partial_sup([m1, m2], n).increments)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from ._util import config_hash, int_at_least
-from .experiments import EXPERIMENTS, Criterion, experiment_defaults
+from .experiments import EXPERIMENTS, PARAM_FLOORS, Criterion, experiment_defaults
 
 __all__ = [
     "ConfigError",
@@ -68,7 +68,8 @@ def make_config(
 def validate_config(cfg: dict) -> dict:
     """Schema check: exactly the known top-level keys, exactly the known
     params for the experiment; unknown fields are errors.  The seed must be a
-    non-negative integer and the ``paths``/``grid`` sizes positive integers."""
+    non-negative integer and every integer-valued param an integer no smaller
+    than its ``PARAM_FLOORS`` entry (1 when it has none)."""
     allowed_top = {"schema", "experiment", "seed", "out", "params"}
     unknown = set(cfg) - allowed_top
     if unknown:
@@ -95,9 +96,15 @@ def validate_config(cfg: dict) -> dict:
     seed = cfg.get("seed", 20240)
     if not int_at_least(seed, 0):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    for size in ("paths", "grid"):
-        if size in merged and not int_at_least(merged[size], 1):
-            raise ConfigError(f"param {size!r} must be a positive integer, got {merged[size]!r}")
+    for name, default in defaults.items():
+        if isinstance(default, bool) or not isinstance(default, int):
+            continue
+        least = PARAM_FLOORS.get(name, 1)
+        if not int_at_least(merged[name], least):
+            kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+                least, f"an integer >= {least}"
+            )
+            raise ConfigError(f"param {name!r} must be {kind}, got {merged[name]!r}")
     return {
         "schema": SCHEMA_VERSION,
         "experiment": experiment,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cylmart.cli import main
+from cylmart.experiments import EXPERIMENTS, PARAM_FLOORS, experiment_defaults
 from cylmart.harness import (
     ConfigError,
     ReplayMismatch,
@@ -239,13 +240,32 @@ class TestCli:
             ({"seed": -1}, "seed must be a non-negative integer"),
             ({"params": {"paths": -5}}, "'paths' must be a positive integer"),
             ({"params": {"grid": 0}}, "'grid' must be a positive integer"),
+            ({"params": {"instances": -1, "paths": 8}}, "'instances' must be a positive integer"),
+            (
+                {"experiment": "supmeas", "params": {"refine": -1}},
+                "'refine' must be a non-negative integer",
+            ),
+            (
+                {"experiment": "supmeas", "params": {"max_cells": 0}},
+                "'max_cells' must be a positive integer",
+            ),
+            (
+                {"experiment": "timechange", "params": {"ladder": 0}},
+                "'ladder' must be an integer >= 2",
+            ),
+            (
+                {"experiment": "timechange", "params": {"ladder": 1}},
+                "'ladder' must be an integer >= 2",
+            ),
+            ({"experiment": "ito", "params": {"ladder": 1}}, "'ladder' must be an integer >= 2"),
         ],
     )
     def test_bad_config_file_exits_2(self, tmp_path, capsys, loaded, message):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(loaded))
         out = tmp_path / "runs"
-        code = main(["kw", "--config", str(cfg_file), "--out", str(out)])
+        experiment = loaded.get("experiment", "kw")
+        code = main([experiment, "--config", str(cfg_file), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert message in err
@@ -269,3 +289,26 @@ class TestConfigRanges:
     def test_sizes_must_be_positive_integers(self, size, value):
         with pytest.raises(ConfigError, match=f"'{size}' must be a positive integer"):
             validate_config({"experiment": "ito", "params": {size: value}})
+
+    @pytest.mark.parametrize(
+        "experiment, name",
+        [
+            (experiment, name)
+            for experiment in sorted(EXPERIMENTS)
+            for name, default in experiment_defaults(experiment).items()
+            if isinstance(default, int)
+        ],
+    )
+    def test_integer_params_have_a_floor(self, experiment, name):
+        least = PARAM_FLOORS.get(name, 1)
+        cfg = validate_config({"experiment": experiment, "params": {name: least}})
+        assert cfg["params"][name] == least
+        for bad in (least - 1, least + 0.5, str(least), True):
+            with pytest.raises(ConfigError, match=f"param '{name}' must be"):
+                validate_config({"experiment": experiment, "params": {name: bad}})
+
+    def test_supmeas_with_nothing_checked_fails(self):
+        params = {**experiment_defaults("supmeas"), "max_cells": 0, "density_instances": 1}
+        crit = {c.name: c for c in EXPERIMENTS["supmeas"](params, 20240).criteria}
+        assert not crit["supmeas-oracle-exact"].passed
+        assert "(0 instances)" in crit["supmeas-oracle-exact"].target

@@ -1,12 +1,15 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylmart.measures import (
     GridMeasure,
     IncreasingPath,
     TimeGrid,
+    _best_partition_value,
     measure_from_increasing,
     partial_sup,
     radon_nikodym,
@@ -155,6 +158,80 @@ class TestSupMeasures:
         assert out.interval_mass(0, 3) + out.interval_mass(3, 6) == pytest.approx(
             out.total_mass, abs=0
         )
+
+
+def _enumerated_partition_value(atom_masses):
+    """The oracle as first written: every one of the 2^(n-1) consecutive-block
+    partitions, each summed left to right (verbatim copy)."""
+    n = atom_masses.shape[1]
+    best = -np.inf
+    for n_cuts in range(n):
+        for cuts in combinations(range(1, n), n_cuts):
+            bounds = (0, *cuts, n)
+            total = 0.0
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                total += float(np.max(np.sum(atom_masses[:, a:b], axis=1)))
+            best = max(best, total)
+    return best
+
+
+def _enumerated_sup_measures(measures, refine):
+    """``sup_measures_bruteforce`` on top of the enumeration (verbatim copy)."""
+    g = measures[0].grid
+    n_sub = 2**refine
+    stacked = np.stack([m.increments for m in measures])
+    atoms = np.repeat(stacked / n_sub, n_sub, axis=1)
+    out = np.empty(g.n_cells)
+    for c in range(g.n_cells):
+        block = atoms[:, c * n_sub : (c + 1) * n_sub]
+        out[c] = _enumerated_partition_value(block)
+    return out
+
+
+# finite non-negative masses from subnormal to 1e300, drawn from a small pool
+# so that blocks see ties and zeros as well as wildly mixed magnitudes
+_MASS = st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True)
+
+
+@st.composite
+def _atom_blocks(draw, max_atoms=10):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_atoms))
+    pool = draw(st.lists(_MASS, min_size=1, max_size=6)) + [0.0]
+    values = draw(st.lists(st.sampled_from(pool), min_size=m * n, max_size=m * n))
+    return np.array(values).reshape(m, n)
+
+
+class TestPartitionOracle:
+    """The prefix recursion against the enumeration of all partitions it
+    replaces: equal bit for bit, not only for dyadic masses."""
+
+    @given(block=_atom_blocks())
+    @settings(max_examples=300, deadline=None)
+    @example(block=np.array([[1e300, 5e-324, 1.0, 1e-8, 1e8, 0.1, 0.2, 0.3, 1e16, 1.0]]))
+    @example(block=np.array([[0.1] * 10, [0.2] * 10, [0.0] * 10]))
+    def test_equals_enumeration(self, block):
+        assert _best_partition_value(block) == _enumerated_partition_value(block)
+
+    @given(
+        data=st.data(),
+        k=st.integers(1, 3),
+        n_meas=st.integers(1, 3),
+        refine=st.integers(0, 2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bruteforce_equals_enumeration(self, data, k, n_meas, refine):
+        g = TimeGrid.uniform(1.0, k)
+        ms = [
+            GridMeasure(g, np.array(data.draw(st.lists(_MASS, min_size=k, max_size=k))))
+            for _ in range(n_meas)
+        ]
+        got = sup_measures_bruteforce(ms, refine=refine).increments
+        assert np.array_equal(got, _enumerated_sup_measures(ms, refine))
+
+    def test_empty_block_is_an_error(self):
+        with pytest.raises(ValueError, match="empty block"):
+            _best_partition_value(np.zeros((2, 0)))
 
 
 class TestPartialSup:
