@@ -163,8 +163,8 @@ def _panel_one(
     seed: int,
     gamma_samples: int,
 ) -> list[BDGReport]:
-    ens = simulate(inst.spec, inst.grid, n_paths, seed)
-    zeta = integrate(inst.phi, ens)
+    # the ensemble is integrate's argument alone, freed before the norm loop
+    zeta = integrate(inst.phi, simulate(inst.spec, inst.grid, n_paths, seed))
     reports = []
     for flavor in flavors:
         sups = flavor_norm(zeta.values, flavor).max(axis=1)

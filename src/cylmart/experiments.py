@@ -75,7 +75,15 @@ from .timechange import (
     substitute,
 )
 
-__all__ = ["Criterion", "ExperimentResult", "EXPERIMENTS", "PARAM_FLOORS", "experiment_defaults"]
+__all__ = [
+    "Criterion",
+    "ExperimentResult",
+    "EXPERIMENTS",
+    "PARAM_FLOORS",
+    "REAL_PARAMS",
+    "experiment_defaults",
+    "param_floor",
+]
 
 
 @dataclass(frozen=True)
@@ -597,8 +605,7 @@ def run_bdg(params: dict, seed: int) -> ExperimentResult:
         grid = TimeGrid.uniform(1.0, 24)
         spec = NoiseSpec(d, d, rng.standard_normal((d, d)))
         phi = IntegrandProcess.constant(grid, rng.standard_normal((m, d)))
-        ens = simulate(spec, grid, params["paths"], seed + 200 + i)
-        rep = ito_isometry(phi, ens)
+        rep = ito_isometry(phi, simulate(spec, grid, params["paths"], seed + 200 + i))
         worst_z = max(worst_z, abs(rep.z))
     res.add(
         "bdg-isometry-z3",
@@ -1035,10 +1042,15 @@ EXPERIMENTS = {
 }
 
 
-# Least admissible value of an integer-valued param; every integer-valued
-# param not named here must be at least 1.  A ladder fits a slope through its
-# levels, a Monte Carlo standard error needs two samples, and projsel draws
-# dimensions from 2..dim.  List-valued params are unchecked.
+# Least admissible value of an integer-valued param, or of each entry of an
+# integer list param; every one not named here must be at least 1.  A ladder
+# fits a slope through its levels, a Monte Carlo standard error needs two
+# samples, and projsel draws dimensions from 2..dim.  An (experiment, name)
+# key overrides the name's floor in that experiment alone: bdg's isometry and
+# see's variance test take standard errors over paths, as do ito's residuals
+# (its general instance at half the paths), timechange's dds ladder fits logs
+# of gaps that vanish on a one-cell grid, and see's contraction ladder needs
+# two cells in a quarter of the grid.
 PARAM_FLOORS = {
     "refine": 0,
     "depth": 0,
@@ -1046,7 +1058,20 @@ PARAM_FLOORS = {
     "samples": 2,
     "gamma_samples": 2,
     "dim": 2,
+    ("bdg", "paths"): 2,
+    ("ito", "paths"): 4,
+    ("see", "paths"): 2,
+    ("see", "grid"): 8,
+    ("timechange", "grid"): 2,
 }
+
+# Params that take finite reals > 0 instead of integers.
+REAL_PARAMS = frozenset({"tol", "p_list"})
+
+
+def param_floor(experiment: str, name: str) -> int:
+    """Least admissible value of integer param ``name`` in ``experiment``."""
+    return PARAM_FLOORS.get((experiment, name), PARAM_FLOORS.get(name, 1))
 
 
 def experiment_defaults(name: str) -> dict:

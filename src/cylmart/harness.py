@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import os
 import tempfile
 import time
@@ -19,7 +21,14 @@ from pathlib import Path
 
 from . import __version__
 from ._util import config_hash, int_at_least
-from .experiments import EXPERIMENTS, PARAM_FLOORS, Criterion, experiment_defaults
+from .experiments import (
+    EXPERIMENTS,
+    PARAM_FLOORS,
+    REAL_PARAMS,
+    Criterion,
+    experiment_defaults,
+    param_floor,
+)
 
 __all__ = [
     "ConfigError",
@@ -65,11 +74,23 @@ def make_config(
     return validate_config(cfg)
 
 
+def _finite_above_zero(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, finite and > 0."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
+
+
 def validate_config(cfg: dict) -> dict:
     """Schema check: exactly the known top-level keys, exactly the known
     params for the experiment; unknown fields are errors.  The seed must be a
-    non-negative integer and every integer-valued param an integer no smaller
-    than its ``PARAM_FLOORS`` entry (1 when it has none)."""
+    non-negative integer, every integer-valued param an integer no smaller
+    than its ``param_floor`` in the experiment, every ``REAL_PARAMS`` value a
+    finite real > 0, and a list-valued param a non-empty list of entries that
+    each pass the test of its name."""
     allowed_top = {"schema", "experiment", "seed", "out", "params"}
     unknown = set(cfg) - allowed_top
     if unknown:
@@ -97,14 +118,28 @@ def validate_config(cfg: dict) -> dict:
     if not int_at_least(seed, 0):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     for name, default in defaults.items():
-        if isinstance(default, bool) or not isinstance(default, int):
-            continue
-        least = PARAM_FLOORS.get(name, 1)
-        if not int_at_least(merged[name], least):
-            kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
-                least, f"an integer >= {least}"
+        value = merged[name]
+        listed = isinstance(default, list)
+        entries = value if listed and isinstance(value, list) else [value]
+        if name in REAL_PARAMS:
+            ok = all(_finite_above_zero(v) for v in entries)
+            kind = ("a finite number > 0", "finite numbers > 0")
+        else:
+            general = PARAM_FLOORS.get(name, 1)
+            least = param_floor(experiment, name)
+            ok = all(int_at_least(v, least) for v in entries)
+            kind = {
+                0: ("a non-negative integer", "non-negative integers"),
+                1: ("a positive integer", "positive integers"),
+            }.get(general, (f"an integer >= {general}", f"integers >= {general}"))
+            if least != general:
+                kind = tuple(f"{k}, at least {least} in {experiment!r}" for k in kind)
+        if listed and not (isinstance(value, list) and value and ok):
+            raise ConfigError(
+                f"param {name!r} must be a non-empty list of {kind[1]}, got {value!r}"
             )
-            raise ConfigError(f"param {name!r} must be {kind}, got {merged[name]!r}")
+        if not listed and not ok:
+            raise ConfigError(f"param {name!r} must be {kind[0]}, got {value!r}")
     return {
         "schema": SCHEMA_VERSION,
         "experiment": experiment,

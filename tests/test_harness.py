@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cylmart.cli import main
-from cylmart.experiments import EXPERIMENTS, PARAM_FLOORS, experiment_defaults
+from cylmart.experiments import EXPERIMENTS, experiment_defaults, param_floor
 from cylmart.harness import (
     ConfigError,
     ReplayMismatch,
@@ -258,6 +258,35 @@ class TestCli:
                 "'ladder' must be an integer >= 2",
             ),
             ({"experiment": "ito", "params": {"ladder": 1}}, "'ladder' must be an integer >= 2"),
+            (
+                {"experiment": "see", "params": {"paths": 1}},
+                "'paths' must be a positive integer, at least 2 in 'see'",
+            ),
+            (
+                {"experiment": "see", "params": {"grid": 1}},
+                "'grid' must be a positive integer, at least 8 in 'see'",
+            ),
+            (
+                {"experiment": "bdg", "params": {"paths": 1}},
+                "'paths' must be a positive integer, at least 2 in 'bdg'",
+            ),
+            (
+                {"experiment": "ito", "params": {"paths": 1}},
+                "'paths' must be a positive integer, at least 4 in 'ito'",
+            ),
+            (
+                {"experiment": "countex", "params": {"orders": []}},
+                "'orders' must be a non-empty list of positive integers",
+            ),
+            (
+                {"experiment": "bdg", "params": {"p_list": []}},
+                "'p_list' must be a non-empty list of finite numbers > 0",
+            ),
+            (
+                {"experiment": "bdg", "params": {"p_list": [-1]}},
+                "'p_list' must be a non-empty list of finite numbers > 0",
+            ),
+            ({"experiment": "see", "params": {"tol": "x"}}, "'tol' must be a finite number > 0"),
         ],
     )
     def test_bad_config_file_exits_2(self, tmp_path, capsys, loaded, message):
@@ -271,6 +300,26 @@ class TestCli:
         assert message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+# Sizes at which every experiment runs in well under a second.
+SMALL_SIZES = {
+    "bdg": {"paths": 200, "instances": 2, "iso_instances": 2, "gamma_samples": 256},
+    "supmeas": {
+        "max_cells": 4,
+        "max_measures": 2,
+        "instances_per_shape": 1,
+        "density_instances": 5,
+    },
+    "see": {"paths": 200, "grid": 32, "contraction_paths": 100, "loc_paths": 32},
+    "qv": {"paths": 50, "grid": 16, "sphere": 16, "instances": 5},
+    "countex": {"orders": [1, 4]},
+    "timechange": {"paths": 100, "grid": 16, "ladder": 2, "ladder_paths": 50},
+    "gamma": {"instances": 5, "ideal_instances": 5, "bound_instances": 5, "samples": 256},
+    "ito": {"paths": 200, "grid": 16, "ladder": 2},
+    "kw": {"paths": 100, "instances": 2, "grid": 8},
+    "projsel": {"instances": 10},
+}
 
 
 class TestConfigRanges:
@@ -300,12 +349,66 @@ class TestConfigRanges:
         ],
     )
     def test_integer_params_have_a_floor(self, experiment, name):
-        least = PARAM_FLOORS.get(name, 1)
+        least = param_floor(experiment, name)
         cfg = validate_config({"experiment": experiment, "params": {name: least}})
         assert cfg["params"][name] == least
         for bad in (least - 1, least + 0.5, str(least), True):
             with pytest.raises(ConfigError, match=f"param '{name}' must be"):
                 validate_config({"experiment": experiment, "params": {name: bad}})
+
+    @pytest.mark.parametrize(
+        "experiment, name, bad",
+        [
+            ("countex", "orders", [4, 0]),
+            ("countex", "orders", [4, 2.5]),
+            ("countex", "orders", 4),
+            ("bdg", "p_list", [1, float("inf")]),
+            ("bdg", "p_list", [1, True]),
+            ("bdg", "p_list", "1,2"),
+            ("see", "tol", 0.0),
+            ("see", "tol", -1e-8),
+            ("see", "tol", float("nan")),
+            ("see", "tol", None),
+        ],
+    )
+    def test_list_and_real_params_are_checked(self, experiment, name, bad):
+        with pytest.raises(ConfigError, match=f"param '{name}' must be"):
+            validate_config({"experiment": experiment, "params": {name: bad}})
+
+    @pytest.mark.parametrize(
+        "experiment, name, good",
+        [("countex", "orders", [1, 3]), ("bdg", "p_list", [0.5, 3]), ("see", "tol", 1)],
+    )
+    def test_list_and_real_params_accept_their_range(self, experiment, name, good):
+        cfg = validate_config({"experiment": experiment, "params": {name: good}})
+        assert cfg["params"][name] == good
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "experiment, name",
+        [
+            (experiment, name)
+            for experiment in sorted(EXPERIMENTS)
+            for name in [None] + sorted(
+                name
+                for name, default in experiment_defaults(experiment).items()
+                if isinstance(default, int)
+            )
+        ],
+    )
+    def test_every_floor_runs_to_a_verdict(self, experiment, name):
+        # name None puts every integer param at its floor at once
+        floors = {
+            n: param_floor(experiment, n)
+            for n, default in experiment_defaults(experiment).items()
+            if isinstance(default, int) and (name is None or n == name)
+        }
+        cfg = validate_config(
+            {"experiment": experiment, "params": {**SMALL_SIZES[experiment], **floors}}
+        )
+        res = EXPERIMENTS[experiment](cfg["params"], cfg["seed"])
+        assert res.criteria
+        assert all(isinstance(c.passed, bool) for c in res.criteria)
 
     def test_supmeas_with_nothing_checked_fails(self):
         params = {**experiment_defaults("supmeas"), "max_cells": 0, "density_instances": 1}

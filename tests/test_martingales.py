@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
+from cylmart.integration import IntegrandProcess, integrate
 from cylmart.martingales import (
-    BracketPaths,
-    MartEnsemble,
     NoiseSpec,
     _bracket_increments,
     _driven,
@@ -341,7 +340,8 @@ def _adapted_vol(i, t, w_prev):
     return (1.0 + 0.5 * np.tanh(s) ** 2)[..., None, None] * np.array([[1.0, -0.5], [0.3, 2.0]])
 
 
-# Reference copies of the ensemble tails that ``_assemble`` replaced.
+# Reference copies of the ensemble tails that ``_assemble`` replaced, with
+# every array computed eagerly; each returns the expected fields as a dict.
 def reference_simulate_tail(spec, grid, n_paths, seed, dw, test_panel=None):
     k = grid.n_cells
     sigma_vals = spec.sigma_along(grid, dw) if spec.adapted else spec.sigma_on_grid(grid)
@@ -362,15 +362,14 @@ def reference_simulate_tail(spec, grid, n_paths, seed, dw, test_panel=None):
     m_evals = np.zeros((n_paths, k + 1, test_panel.shape[0]))
     np.cumsum(m_inc, axis=1, out=m_evals[:, 1:, :])
 
-    return MartEnsemble(
-        spec=spec,
-        grid=grid,
+    return dict(
         n_paths=n_paths,
         seed=seed,
         driver_increments=dw,
         test_panel=test_panel,
+        driven=driven,
         m_evals=m_evals,
-        bracket=BracketPaths(grid, bracket_inc),
+        bracket=bracket_inc,
         sigma_path=sigma_vals,
     )
 
@@ -386,18 +385,17 @@ def reference_stop_ensemble(ens, tau_idx):
         sigma_vals = ens.sigma_path * keep[:, :, None, None]
     driven = _driven(sigma_vals, dw)
     m_inc = driven @ ens.test_panel.T
-    m_evals = np.zeros_like(ens.m_evals)
+    m_evals = np.zeros((ens.n_paths, k + 1, ens.test_panel.shape[0]))
     np.cumsum(m_inc, axis=1, out=m_evals[:, 1:, :])
     bracket_inc = _bracket_increments(ens.spec, ens.grid, sigma_vals)
-    return MartEnsemble(
-        spec=ens.spec,
-        grid=ens.grid,
+    return dict(
         n_paths=ens.n_paths,
         seed=ens.seed,
         driver_increments=dw,
         test_panel=ens.test_panel,
+        driven=driven,
         m_evals=m_evals,
-        bracket=BracketPaths(ens.grid, bracket_inc),
+        bracket=bracket_inc,
         sigma_path=sigma_vals,
     )
 
@@ -416,26 +414,36 @@ def reference_load_tail(spec, grid, manifest, dw):
     m_inc = driven @ panel.T
     m_evals = np.zeros((n_paths, grid.n_cells + 1, panel.shape[0]))
     np.cumsum(m_inc, axis=1, out=m_evals[:, 1:, :])
-    return MartEnsemble(
-        spec=spec,
-        grid=grid,
+    return dict(
         n_paths=n_paths,
         seed=manifest["seed"],
         driver_increments=dw,
         test_panel=panel,
+        driven=driven,
         m_evals=m_evals,
-        bracket=BracketPaths(grid, bracket_inc),
+        bracket=bracket_inc,
         sigma_path=sigma_vals,
     )
 
 
-def assert_same_ensemble(a, b):
-    assert a.n_paths == b.n_paths and a.seed == b.seed
-    for name in ("driver_increments", "test_panel", "m_evals", "sigma_path"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.shape == y.shape, name
-        np.testing.assert_array_equal(x, y, err_msg=name)
-    np.testing.assert_array_equal(a.bracket.increments, b.bracket.increments)
+def ensemble_arrays(ens):
+    """The fields the reference tails return, read off an ensemble."""
+    names = ("driver_increments", "test_panel", "driven", "m_evals", "sigma_path")
+    out = {name: getattr(ens, name) for name in names}
+    out.update(n_paths=ens.n_paths, seed=ens.seed, bracket=ens.bracket.increments)
+    return out
+
+
+def assert_same_ensemble(ens, expected):
+    got = ensemble_arrays(ens)
+    assert got.keys() == expected.keys()
+    for name, y in expected.items():
+        x = got[name]
+        if isinstance(y, np.ndarray):
+            assert x.shape == y.shape, name
+            np.testing.assert_array_equal(x, y, err_msg=name)
+        else:
+            assert x == y, name
 
 
 CORE_SPECS = {
@@ -480,11 +488,74 @@ class TestEnsembleCore:
         ens = simulate(spec, grid, 5, seed=33, test_panel=PANELS[panel])
         save_ensemble(ens, tmp_path / "b")
         back = load_ensemble(tmp_path / "b", spec=spec)
-        assert_same_ensemble(back, ens)
+        assert_same_ensemble(back, ensemble_arrays(ens))
         manifest = {"n_paths": 5, "seed": 33, "test_panel": ens.test_panel.tolist()}
         assert_same_ensemble(
             back, reference_load_tail(spec, grid, manifest, back.driver_increments)
         )
+
+
+# Copies of the evaluations as they were when every call recomputed sigma dW.
+def reference_integrate(phi, ens):
+    driven = _driven(ens.sigma_path, ens.driver_increments)
+    mats = phi.matrices
+    if mats.ndim == 3:
+        mats = np.broadcast_to(mats, (ens.n_paths,) + mats.shape)
+    inc = np.einsum("nkmc,nkc->nkm", mats, driven)
+    out = np.zeros((ens.n_paths, ens.grid.n_cells + 1, inc.shape[2]))
+    np.cumsum(inc, axis=1, out=out[:, 1:, :])
+    return out
+
+
+def reference_vector_paths(ens):
+    inc = _driven(ens.sigma_path, ens.driver_increments)
+    out = np.zeros((ens.n_paths, ens.grid.n_cells + 1, ens.spec.d_cyl))
+    np.cumsum(inc, axis=1, out=out[:, 1:, :])
+    return out
+
+
+def reference_m_eval(ens, h):
+    inc = _driven(ens.sigma_path, ens.driver_increments) @ h
+    out = np.zeros((ens.n_paths, ens.grid.n_cells + 1))
+    np.cumsum(inc, axis=1, out=out[:, 1:])
+    return out
+
+
+def _lean_ensembles(tmp_path, grid, kind):
+    spec = CORE_SPECS[kind](grid.n_cells)
+    ens = simulate(spec, grid, 6, seed=34, test_panel=PANELS["rotated"])
+    stopped = stop_ensemble(ens, np.array([0, 3, 8, 16, 16, 11]))
+    save_ensemble(ens, tmp_path / "b")
+    loaded = load_ensemble(tmp_path / "b", spec=spec)
+    return {"simulated": ens, "stopped": stopped, "loaded": loaded}
+
+
+class TestLeanEnsemble:
+    """sigma dW is stored once; every evaluation equals the old recompute."""
+
+    @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
+    def test_driven_is_read_only(self, tmp_path, grid, kind):
+        for ens in _lean_ensembles(tmp_path, grid, kind).values():
+            with pytest.raises(ValueError, match="read-only"):
+                ens.driven[0, 0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                ens.driven_increments()[...] = 0.0
+            assert ens.m_evals is ens.m_evals  # computed once, then kept
+
+    @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
+    def test_evaluations_match_recompute(self, tmp_path, grid, kind):
+        rng = np.random.default_rng(35)
+        h = np.array([0.3, -1.2])
+        for label, ens in _lean_ensembles(tmp_path, grid, kind).items():
+            shared = IntegrandProcess(grid, rng.standard_normal((grid.n_cells, 3, 2)))
+            per_path = IntegrandProcess(
+                grid, rng.standard_normal((ens.n_paths, grid.n_cells, 3, 2))
+            )
+            for phi in (shared, per_path):
+                got = integrate(phi, ens).values
+                assert np.array_equal(got, reference_integrate(phi, ens)), label
+            assert np.array_equal(ens.vector_paths(), reference_vector_paths(ens)), label
+            assert np.array_equal(ens.m_eval(h), reference_m_eval(ens, h)), label
 
 
 class TestNonFiniteInput:
