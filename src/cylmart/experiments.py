@@ -80,6 +80,7 @@ __all__ = [
     "ExperimentResult",
     "EXPERIMENTS",
     "PARAM_FLOORS",
+    "PARAM_MULTIPLES",
     "REAL_PARAMS",
     "experiment_defaults",
     "param_floor",
@@ -1064,6 +1065,11 @@ PARAM_FLOORS = {
     ("see", "grid"): 8,
     ("timechange", "grid"): 2,
 }
+
+# Integer params that must also be a multiple of a step in one experiment:
+# see's rho-stopping blocks start at quarters of the horizon, which are grid
+# points only when the grid is a multiple of 4.
+PARAM_MULTIPLES = {("see", "grid"): 4}
 
 # Params that take finite reals > 0 instead of integers.
 REAL_PARAMS = frozenset({"tol", "p_list"})

@@ -49,6 +49,8 @@ class GammaKernel:
         mats = np.asarray(self.matrices, dtype=float)
         if mats.ndim != 3 or mats.shape[0] != self.grid.n_cells:
             raise ValueError(f"kernel shape {mats.shape} does not fit the grid")
+        if not np.isfinite(mats).all():
+            raise ValueError("kernel matrices are not all finite")
         if self.measure.grid != self.grid:
             raise ValueError("measure lives on a different grid")
         object.__setattr__(self, "matrices", mats)

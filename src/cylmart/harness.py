@@ -24,6 +24,7 @@ from ._util import config_hash, int_at_least
 from .experiments import (
     EXPERIMENTS,
     PARAM_FLOORS,
+    PARAM_MULTIPLES,
     REAL_PARAMS,
     Criterion,
     experiment_defaults,
@@ -88,7 +89,8 @@ def validate_config(cfg: dict) -> dict:
     """Schema check: exactly the known top-level keys, exactly the known
     params for the experiment; unknown fields are errors.  The seed must be a
     non-negative integer, every integer-valued param an integer no smaller
-    than its ``param_floor`` in the experiment, every ``REAL_PARAMS`` value a
+    than its ``param_floor`` in the experiment (and a multiple of its
+    ``PARAM_MULTIPLES`` step where one is set), every ``REAL_PARAMS`` value a
     finite real > 0, and a list-valued param a non-empty list of entries that
     each pass the test of its name."""
     allowed_top = {"schema", "experiment", "seed", "out", "params"}
@@ -140,6 +142,11 @@ def validate_config(cfg: dict) -> dict:
             )
         if not listed and not ok:
             raise ConfigError(f"param {name!r} must be {kind[0]}, got {value!r}")
+        step = PARAM_MULTIPLES.get((experiment, name))
+        if step is not None and value % step:
+            raise ConfigError(
+                f"param {name!r} must be a multiple of {step} in {experiment!r}, got {value!r}"
+            )
     return {
         "schema": SCHEMA_VERSION,
         "experiment": experiment,

@@ -55,6 +55,8 @@ class IntegrandProcess:
         m = np.asarray(self.matrices, dtype=float)
         if m.ndim not in (3, 4) or m.shape[-3] != self.grid.n_cells:
             raise ValueError(f"integrand shape {m.shape} does not fit the grid")
+        if not np.isfinite(m).all():
+            raise ValueError("integrand matrices are not all finite")
         object.__setattr__(self, "matrices", m)
 
     @property

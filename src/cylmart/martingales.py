@@ -28,8 +28,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from ._util import canonical_json, config_hash, path_rngs
 from .measures import GridMeasure, IncreasingPath, TimeGrid, radon_nikodym
@@ -88,11 +86,13 @@ class NoiseSpec:
     name: str = ""
 
     def __post_init__(self):
+        if not self.adapted and not np.isfinite(np.asarray(self.sigma, dtype=float)).all():
+            raise ValueError("sigma values are not all finite")
         if self.q_drive is not None:
             q = np.asarray(self.q_drive, dtype=float)
             if q.shape != (self.d_drive, self.d_drive):
                 raise ValueError("q_drive shape does not match d_drive")
-            psd_sqrt(q)  # raises if not symmetric PSD
+            psd_sqrt(q)  # raises if not finite, symmetric and PSD
             object.__setattr__(self, "q_drive", q)
 
     @property
@@ -424,7 +424,11 @@ def sphere_panel(d: int, n_samples: int, seed: int) -> np.ndarray:
         return coords
     if d == 1:
         return coords
+    # scipy is imported here, its only use, so that importing cylmart stays cheap
     import warnings
+
+    from scipy.special import ndtri
+    from scipy.stats import qmc
 
     eng = qmc.Sobol(d, scramble=True, seed=seed)
     with warnings.catch_warnings():

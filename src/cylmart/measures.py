@@ -11,6 +11,7 @@ quotients that invert integration against a base measure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +65,10 @@ class TimeGrid:
     def n_cells(self) -> int:
         return self.points.size - 1
 
-    @property
+    @functools.cached_property
     def widths(self) -> np.ndarray:
-        return np.diff(self.points)
+        """Cell widths t_{i+1} - t_i, computed once and read-only."""
+        return _freeze(np.diff(self.points))
 
     @property
     def left(self) -> np.ndarray:

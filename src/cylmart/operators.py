@@ -23,6 +23,8 @@ def check_symmetric(b: np.ndarray, rtol: float = SYM_RTOL) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("matrix is not all finite")
     scale = max(np.abs(b).max(), 1.0)
     if np.abs(b - b.T).max() > rtol * scale:
         raise ValueError("matrix is not symmetric")

@@ -247,6 +247,14 @@ class TestTypeCotype:
 
 
 class TestGammaNormDispatch:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kernel_rejected(self, bad):
+        # gamma_norm used to return inf, or nan for flavor 4
+        matrix = np.eye(2)
+        matrix[0, 1] = bad
+        with pytest.raises(ValueError, match="kernel matrices are not all finite"):
+            unit_mass_kernel(matrix, flavor=4)
+
     def test_exact_for_hilbert(self):
         rng = np.random.default_rng(21)
         kernel = random_kernel(rng)

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylmart.cli import main
 from cylmart.experiments import EXPERIMENTS, experiment_defaults, param_floor
@@ -287,6 +289,14 @@ class TestCli:
                 "'p_list' must be a non-empty list of finite numbers > 0",
             ),
             ({"experiment": "see", "params": {"tol": "x"}}, "'tol' must be a finite number > 0"),
+            *[
+                (
+                    {"experiment": "see", "params": {"grid": grid}},
+                    "'grid' must be a positive integer, at least 8 in 'see'",
+                )
+                for grid in (5, 6, 7)
+            ],
+            ({"experiment": "see", "params": {"grid": 10}}, "'grid' must be a multiple of 4 in 'see'"),
         ],
     )
     def test_bad_config_file_exits_2(self, tmp_path, capsys, loaded, message):
@@ -320,6 +330,30 @@ SMALL_SIZES = {
     "kw": {"paths": 100, "instances": 2, "grid": 8},
     "projsel": {"instances": 10},
 }
+
+
+def _outcome(report: RunReport) -> str:
+    """Criteria, metrics and series of a report, floats spelled exactly."""
+    obj = report.to_json()
+    return json.dumps({k: obj[k] for k in ("criteria", "metrics", "series")}, sort_keys=True)
+
+
+@st.composite
+def small_configs(draw):
+    experiment = draw(st.sampled_from(sorted(SMALL_SIZES)))
+    params = dict(SMALL_SIZES[experiment])
+    if "paths" in params:
+        params["paths"] = draw(st.integers(param_floor(experiment, "paths"), params["paths"]))
+    return make_config(experiment, seed=draw(st.integers(0, 2**63)), **params)
+
+
+class TestReplayProperty:
+    @given(small_configs())
+    @settings(max_examples=12, deadline=None)
+    def test_rerun_is_bit_identical(self, cfg):
+        first, second = run(cfg), run(cfg)
+        assert _outcome(first) == _outcome(second)
+        assert first.criteria
 
 
 class TestConfigRanges:

@@ -124,6 +124,14 @@ class TestIntegrate:
         r2 = integrate(IntegrandProcess(grid, b * p2), wiener)
         np.testing.assert_allclose(lhs.values, r1.values + r2.values, atol=1e-14)
 
+    @pytest.mark.parametrize("per_path", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrices_rejected(self, grid, per_path, bad):
+        mats = np.ones((3,) * per_path + (grid.n_cells, 1, 2))
+        mats[..., 5, 0, 1] = bad
+        with pytest.raises(ValueError, match="integrand matrices are not all finite"):
+            IntegrandProcess(grid, mats, adapted=per_path)
+
     def test_shape_mismatch(self, grid, wiener):
         other = TimeGrid.uniform(1.0, 8)
         with pytest.raises(ValueError, match="grids differ"):

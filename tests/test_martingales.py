@@ -559,6 +559,22 @@ class TestLeanEnsemble:
 
 
 class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_q_drive_rejected(self, bad):
+        with pytest.raises(ValueError, match="matrix is not all finite"):
+            NoiseSpec(1, 1, np.eye(1), q_drive=[[bad]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_constant_sigma_rejected(self, bad):
+        with pytest.raises(ValueError, match="sigma values are not all finite"):
+            NoiseSpec(2, 2, np.array([[1.0, 0.0], [bad, 1.0]]))
+
+    def test_non_finite_per_cell_sigma_rejected(self, grid):
+        sigma = np.ones((grid.n_cells, 1, 1))
+        sigma[3] = np.nan
+        with pytest.raises(ValueError, match="sigma values are not all finite"):
+            NoiseSpec(1, 1, sigma)
+
     def test_nan_sigma_rejected(self, grid):
         with pytest.raises(ValueError, match="sigma values are not all finite"):
             simulate(NoiseSpec(1, 1, np.array([[np.nan]])), grid, 4, seed=1)

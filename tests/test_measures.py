@@ -43,6 +43,15 @@ class TestTimeGrid:
         assert r.n_cells == 8
         assert set(np.round(g.points, 12)).issubset(set(np.round(r.points, 12)))
 
+    def test_widths_computed_once_and_read_only(self):
+        g = grid(0.0, 0.25, 0.5, 1.0)
+        w = g.widths
+        assert w is g.widths
+        assert np.array_equal(w, np.diff(g.points))
+        assert not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 1.0
+
     def test_single_cell_grid_allowed(self):
         g = grid(0.0, 1.0)
         m = GridMeasure(g, np.array([0.7]))

@@ -86,6 +86,13 @@ class TestPsdSqrt:
         with pytest.raises(ValueError, match="not positive semidefinite"):
             psd_sqrt(np.diag([1.0, -1e-3]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn", [psd_sqrt, op_norm_sym])
+    def test_non_finite_rejected(self, fn, bad):
+        # NaN compares false, so it used to pass the symmetry test
+        with pytest.raises(ValueError, match="matrix is not all finite"):
+            fn(np.array([[1.0, 0.0], [0.0, bad]]))
+
 
 class TestProjectionSelection:
     def test_identity_coordinates(self):
