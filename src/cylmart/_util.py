@@ -120,12 +120,15 @@ def is_hilbert(flavor) -> bool:
 
 
 def flavor_norm(values: np.ndarray, flavor, axis: int = -1) -> np.ndarray:
-    """Norm along ``axis``: Euclidean for a Hilbert flavor, else p-norm."""
+    """Norm along ``axis``: Euclidean for a Hilbert flavor, else p-norm,
+    the largest absolute entry for p = inf."""
     if is_hilbert(flavor):
         return np.linalg.norm(values, axis=axis)
     p = float(flavor)
     if not p >= 1.0:
         raise ValueError(f"norm flavor must be 'hilbert' or p >= 1, got {flavor!r}")
+    if p == np.inf:
+        return np.max(np.abs(values), axis=axis, initial=0.0)
     return np.sum(np.abs(values) ** p, axis=axis) ** (1.0 / p)
 
 

@@ -240,10 +240,26 @@ def vp_norm(
         i1 = grid.n_cells if b is None else int(
             np.searchsorted(grid.points, b - 1e-12 * max(grid.horizon, 1.0))
         )
-    sq = np.sum(u[:, i0:i1, :] ** 2, axis=2)  # (n, cells)
-    l2 = np.sqrt(sq @ grid.widths[i0:i1])
-    gam = np.sqrt(np.sum(sq * ens.bracket.increments[:, i0:i1], axis=1))
+    return _window_norm(u[:, i0:i1, :] ** 2, ens, p, i0, i1)
+
+
+def _window_norm(squares: np.ndarray, ens: MartEnsemble, p: float, i0: int, i1: int) -> float:
+    """``vp_norm`` from squared path values given on the window alone:
+    ``squares`` is (n, i1 - i0, m), at the left endpoints of cells i0..i1-1."""
+    sq = np.sum(squares, axis=2)  # (n, cells)
+    l2 = np.sqrt(sq @ ens.grid.widths[i0:i1])
+    # sq is not read again: weigh it by the bracket in place
+    gam = np.sqrt(np.sum(np.multiply(sq, ens.bracket.increments[:, i0:i1], out=sq), axis=1))
     return float(np.mean(l2**p) ** (1.0 / p) + np.mean(gam**p) ** (1.0 / p))
+
+
+def _window_distance(
+    u: np.ndarray, v: np.ndarray, ens: MartEnsemble, p: float, i0: int, i1: int
+) -> float:
+    """``vp_norm(u - v, ens, p=p, i0=i0, i1=i1)``, with the difference formed
+    and squared on the window alone."""
+    gap = u[:, i0:i1] - v[:, i0:i1]
+    return _window_norm(np.square(gap, out=gap), ens, p, i0, i1)
 
 
 def rho_stopping_times(
@@ -383,7 +399,7 @@ def picard_solve(
         ratio = np.nan
         for it in range(max_iter):
             u_next = fixed_point_map(problem, ens, u, i0=i0, i1=i1, base=block_base)
-            dist = vp_norm(u_next - u, ens, p=p, i0=i0, i1=i1)
+            dist = _window_distance(u_next, u, ens, p, i0, i1)
             dists.append(dist)
             if len(dists) >= 2 and dists[-2] > 0:
                 ratio = dists[-1] / dists[-2]
@@ -428,7 +444,10 @@ def mild_residual(u: np.ndarray, problem: SEEProblem, ens: MartEnsemble) -> Resi
     rhs += det_convolution(problem, grid, u)
     rhs += stoch_convolution(problem, ens, u)
     rhs[:, 0, :] = base
-    gaps = np.linalg.norm(u - rhs, axis=2).max(axis=1)
+    # the gap u - rhs and np.linalg.norm's sum of squares, in place
+    np.subtract(u, rhs, out=rhs)
+    rhs *= rhs
+    gaps = np.sqrt(np.add.reduce(rhs, axis=2)).max(axis=1)
     return ResidualStats(sup_gaps=gaps)
 
 
@@ -447,8 +466,8 @@ def lipschitz_quotient(
     base = problem.initial_states(ens.n_paths)
     fa = fixed_point_map(problem, ens, u_a, i0=i0, i1=i1, base=base)
     fb = fixed_point_map(problem, ens, u_b, i0=i0, i1=i1, base=base)
-    num = vp_norm(fa - fb, ens, p=p, i0=i0, i1=i1)
-    den = vp_norm(u_a - u_b, ens, p=p, i0=i0, i1=i1)
+    num = _window_distance(fa, fb, ens, p, i0, i1)
+    den = _window_distance(u_a, u_b, ens, p, i0, i1)
     return num / den if den > 0 else np.nan
 
 

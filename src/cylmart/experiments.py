@@ -696,6 +696,7 @@ def run_ito(params: dict, seed: int) -> ExperimentResult:
         lin.max_abs,
         "linear functional leaves zero residual on every path",
     )
+    del ens, phi
 
     maxima = []
     dts = []
@@ -722,6 +723,7 @@ def run_ito(params: dict, seed: int) -> ExperimentResult:
         rows.append([float(kk), 1.0 / kk, rep.max_abs, rep.mean_terminal, rep.se_terminal])
         if lvl == 0:
             z_mid = abs(rep.z)
+        del e, ph  # the next level's ensemble is twice the size
     res.add(
         "ito-classical-z3",
         z_mid <= 3.0,

@@ -204,6 +204,8 @@ def _dual_ball_sample(m: int, flavor, n: int, seed: int, hint: np.ndarray | None
     pts = np.concatenate(pts, axis=0)
     if is_hilbert(flavor):
         q = 2.0
+    elif float(flavor) == np.inf:
+        q = 1.0
     else:
         p = float(flavor)
         q = p / (p - 1.0) if p > 1 else np.inf
@@ -273,7 +275,10 @@ def gamma_fubini_check(kernel: GammaKernel, n_samples: int = 4096, seed: int = 0
     else:
         p = float(kernel.flavor)
     row_sq = np.einsum("kmd,k->m", kernel.matrices**2, kernel.measure.increments)
-    lhs = float(np.sum(row_sq ** (p / 2.0)) ** (1.0 / p))
+    if p == np.inf:
+        lhs = float(np.sqrt(row_sq.max()))
+    else:
+        lhs = float(np.sum(row_sq ** (p / 2.0)) ** (1.0 / p))
     rhs = gamma_norm(kernel, n_samples, seed)
     return FubiniReport(lhs=lhs, rhs=rhs)
 

@@ -167,10 +167,15 @@ class OperatorProcess:
 
 @dataclass(frozen=True)
 class BracketPaths:
-    """Per-path bracket increments, one row per sample path."""
+    """Per-path bracket increments, one row per sample path.
+
+    When every path shares one bracket (deterministic sigma) ``increments``
+    is a read-only (n_paths, K) view of a single row, with stride 0 along
+    the path axis, and ``prefix()`` returns the same kind of view.
+    """
 
     grid: TimeGrid
-    increments: np.ndarray  # (n_paths, K)
+    increments: np.ndarray  # (n_paths, K), possibly a broadcast view
 
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=float)
@@ -183,8 +188,18 @@ class BracketPaths:
         return self.increments.shape[0]
 
     def prefix(self) -> np.ndarray:
+        """Bracket at the grid points, shape (n_paths, K+1), read-only.
+
+        A shared bracket is summed once and broadcast; cumsum adds left to
+        right, so the row equals each row of the per-path sum bit for bit.
+        """
+        if self.increments.strides[0] == 0:  # one row seen n_paths times
+            row = np.zeros(self.grid.n_cells + 1)
+            np.cumsum(self.increments[0], out=row[1:])
+            return np.broadcast_to(row, (self.n_paths, row.size))
         out = np.zeros((self.n_paths, self.grid.n_cells + 1))
         np.cumsum(self.increments, axis=1, out=out[:, 1:])
+        out.flags.writeable = False
         return out
 
     def measure(self, path: int = 0) -> GridMeasure:
@@ -196,9 +211,13 @@ class MartEnsemble:
     """Simulated paths of one truncation: driver increments, the driven
     increments sigma(t_i) dW_i, and the exact per-path bracket.
 
-    ``driven`` is computed once when the ensemble is built and is read-only;
-    the test-panel evaluations ``m_evals`` are prefix sums of it, computed on
-    first use and kept.
+    The ensemble owns two (n, K, d) arrays: ``driver_increments`` and
+    ``driven``, which is computed once when the ensemble is built and is
+    read-only.  With deterministic sigma, ``sigma_path`` is one (K, dc, dd)
+    array and ``bracket.increments`` a read-only stride-0 view of one row;
+    with adapted or stopped sigma both are stored per path.  The test-panel
+    evaluations ``m_evals`` are prefix sums of ``driven``, computed on first
+    use and kept.
     """
 
     spec: NoiseSpec
@@ -282,8 +301,9 @@ def _assemble(
 ) -> MartEnsemble:
     """The one place an ensemble is built from driver increments and sigma.
 
-    The bracket is exact per path (broadcast when sigma is shared) and
-    sigma dW is contracted once, here; panel evaluations derive from it.
+    The bracket is exact per path (a read-only broadcast view of one row
+    when sigma is shared) and sigma dW is contracted once, here; panel
+    evaluations derive from it.
     """
     if not np.isfinite(dw).all():
         raise ValueError("driver increments are not all finite")
@@ -293,7 +313,7 @@ def _assemble(
     test_panel = np.atleast_2d(np.asarray(test_panel, dtype=float))
     bracket_inc = _bracket_increments(spec, grid, sigma_vals)
     if sigma_vals.ndim == 3:
-        bracket_inc = np.broadcast_to(bracket_inc, (n_paths, k)).copy()
+        bracket_inc = np.broadcast_to(bracket_inc, (n_paths, k))
     driven = _driven(sigma_vals, dw)
     driven.flags.writeable = False
     return MartEnsemble(
@@ -446,7 +466,7 @@ class QvEstimate:
 
     grid: TimeGrid
     depths: tuple
-    values: np.ndarray  # (n_paths, n_depths, K+1)
+    values: np.ndarray  # (n_paths, n_depths, K+1); a read-only view if shared
     n_directions: int
 
     def path(self, path_idx: int, depth_idx: int) -> IncreasingPath:
@@ -498,7 +518,7 @@ def qv_partition_estimate(
                 cum = row[block[-1] + 1]
             # running block maxima are nondecreasing cell by cell already
     if ens.sigma_is_shared and ens.n_paths > 1:
-        values = np.broadcast_to(values, (ens.n_paths,) + values.shape[1:]).copy()
+        values = np.broadcast_to(values, (ens.n_paths,) + values.shape[1:])
     return QvEstimate(ens.grid, depths, values, dirs.shape[0])
 
 

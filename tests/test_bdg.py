@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from cylmart.bdg import (
     BDGInstance,
     IsometryReport,
+    ItoReport,
+    _kernel_matrices,
     bdg_ratio_panel,
     fit_bracket,
     integral_kernel,
@@ -16,7 +20,7 @@ from cylmart.bdg import (
 )
 from cylmart.gammanorm import gamma_norm_exact_hilbert
 from cylmart.integration import IntegrandProcess, integrate
-from cylmart.martingales import NoiseSpec, qv_exact, simulate
+from cylmart.martingales import NoiseSpec, qv_exact, simulate, stop_ensemble
 from cylmart.measures import TimeGrid
 
 
@@ -338,3 +342,190 @@ class TestItoResidual:
                 phi=IntegrandProcess.constant(grid, np.eye(1)),
                 ens=ens,
             )
+
+
+# ito_residual as it was when it stored zeta and the residual for every cell.
+def reference_ito_residual(
+    f, d1f, d2f, d22f, xi, psi, a_path, phi, ens, validate=True
+):
+    grid = ens.grid
+    k = grid.n_cells
+    n = ens.n_paths
+    m = phi.target_dim
+
+    xi = np.asarray(xi, dtype=float)
+    xi = np.broadcast_to(xi, (n, m))
+    driven = ens.driven_increments()
+    mats = phi.matrices
+    if mats.ndim == 3:
+        mats = np.broadcast_to(mats, (n,) + mats.shape)
+    stoch_inc = np.einsum("nkmc,nkc->nkm", mats, driven)  # (n, K, m)
+    driven_phi = np.zeros((n, k + 1, m))
+    np.cumsum(stoch_inc, axis=1, out=driven_phi[:, 1:, :])
+
+    if psi is None:
+        psi_vals = np.zeros((k, m))
+        da = np.zeros(k)
+    else:
+        psi_vals = np.asarray(psi, dtype=float)
+        if psi_vals.shape != (k, m):
+            raise ValueError("psi must supply one target vector per cell")
+        if a_path is None:
+            raise ValueError("psi needs its driving increasing path")
+        da = np.diff(a_path.values)
+    drift = np.zeros((k + 1, m))
+    np.cumsum(psi_vals * da[:, None], axis=0, out=drift[1:])
+
+    zeta = xi[:, None, :] + drift[None, :, :] + driven_phi  # (n, K+1, m)
+
+    if validate:
+        mid = k // 2
+        pts = [(grid.points[0], zeta[0, 0]), (grid.points[mid], zeta[0, mid])]
+        if n > 1:
+            pts.append((grid.points[-1], zeta[-1, -1]))
+        validate_derivatives(f, d1f, d2f, d22f, pts)
+
+    if ens.spec.adapted:
+        raise ValueError("residual checking needs a deterministic spec")
+    kernels = _kernel_matrices(phi, ens.spec, grid)  # (K, m, dc)
+    dqv = qv_exact(ens.spec, grid).increments
+
+    residual = np.empty((n, k + 1))
+    f0 = np.asarray(f(grid.points[0], zeta[:, 0, :]), dtype=float)
+    residual[:, 0] = 0.0
+    correction = np.zeros(n)
+    for i in range(k):
+        t = grid.points[i]
+        state = zeta[:, i, :]
+        grad = np.asarray(d2f(t, state), dtype=float)  # (n, m)
+        hess = np.asarray(d22f(t, state), dtype=float)  # (n, m, m)
+        tr = np.einsum("md,nmf,fd->n", kernels[i], hess, kernels[i])
+        correction = correction + (
+            np.asarray(d1f(t, state), dtype=float) * grid.widths[i]
+            + grad @ (psi_vals[i] * da[i])
+            + np.einsum("nm,nm->n", grad, stoch_inc[:, i, :])
+            + 0.5 * tr * dqv[i]
+        )
+        f_next = np.asarray(f(grid.points[i + 1], zeta[:, i + 1, :]), dtype=float)
+        residual[:, i + 1] = f_next - f0 - correction
+
+    terminal = residual[:, -1]
+    se = float(np.std(terminal, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return ItoReport(
+        mean_terminal=float(np.mean(terminal)),
+        se_terminal=se,
+        max_abs=float(np.abs(residual).max()),
+        n_paths=n,
+    )
+
+
+def _smooth_functional(a, b, c, nan_above=None):
+    """f = sin(x) . a + b |x|^2 + c t with exact derivatives; with
+    ``nan_above`` f is NaN on paths whose first coordinate exceeds it."""
+
+    def f(t, x):
+        out = np.sin(x) @ a + b * np.sum(x**2, axis=1) + c * t
+        if nan_above is not None:
+            out = np.where(x[:, 0] > nan_above, np.nan, out)
+        return out
+
+    def d22f(t, x):
+        n, m = x.shape
+        out = np.zeros((n, m, m))
+        idx = np.arange(m)
+        out[:, idx, idx] = -np.sin(x) * a + 2.0 * b
+        return out
+
+    return dict(
+        f=f,
+        d1f=lambda t, x: np.full(x.shape[0], c),
+        d2f=lambda t, x: np.cos(x) * a + 2.0 * b * x,
+        d22f=d22f,
+    )
+
+
+def _outcome(fn, kwargs):
+    try:
+        return fn(**kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestItoResidualOracle:
+    """The cell-by-cell reduction equals the stored-array form bit for bit."""
+
+    @given(
+        n=st.integers(2, 12),
+        k=st.integers(1, 10),
+        m=st.integers(1, 3),
+        d=st.integers(1, 3),
+        shared_xi=st.booleans(),
+        with_psi=st.booleans(),
+        stopped=st.booleans(),
+        nan_above=st.none() | st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_stored_arrays(
+        self, n, k, m, d, shared_xi, with_psi, stopped, nan_above, seed
+    ):
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(np.cumsum(np.r_[0.0, rng.uniform(0.05, 0.3, k)]))
+        spec = NoiseSpec(d, d, rng.standard_normal((k, d, d)))
+        ens = simulate(spec, grid, n, seed)
+        if stopped:  # per-path sigma and bracket, same deterministic spec
+            ens = stop_ensemble(ens, rng.integers(0, k + 1, n))
+        kwargs = dict(
+            _smooth_functional(
+                rng.uniform(-2, 2, m), rng.uniform(-1, 1), rng.uniform(-1, 1), nan_above
+            ),
+            xi=rng.standard_normal(m) if shared_xi else rng.standard_normal((n, m)),
+            psi=rng.standard_normal((k, m)) if with_psi else None,
+            a_path=qv_exact(spec, grid).to_increasing() if with_psi else None,
+            phi=IntegrandProcess(grid, rng.standard_normal((k, m, d))),
+            ens=ens,
+            validate=nan_above is None,
+        )
+        got, want = (_outcome(fn, kwargs) for fn in (ito_residual, reference_ito_residual))
+        if isinstance(want, str):  # a derivative check failed: it must fail alike
+            assert got == want
+            return
+        for field in ("mean_terminal", "se_terminal", "max_abs", "n_paths"):
+            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+
+    def test_nan_propagates_to_max_abs(self, grid):
+        ens = simulate(NoiseSpec(1, 1, np.eye(1)), grid, 20, seed=24)
+        funcs = _smooth_functional(np.ones(1), 0.5, 0.0, nan_above=0.0)
+        phi = IntegrandProcess.constant(grid, np.eye(1))
+        kwargs = dict(
+            funcs, xi=np.zeros(1), psi=None, a_path=None, phi=phi, ens=ens, validate=False
+        )
+        got = ito_residual(**kwargs)
+        assert np.isnan(got.max_abs)
+        assert np.isnan(reference_ito_residual(**kwargs).max_abs)
+
+    def test_one_call_holds_two_path_arrays(self):
+        # zeta and phi sigma dW are the only (n, K+1) arrays a call needs;
+        # with zeta built out of place and the residual stored it held five
+        n, k = 4000, 64
+        grid = TimeGrid.uniform(1.0, k)
+        ens = simulate(NoiseSpec(1, 1, np.eye(1)), grid, n, seed=25)
+        kwargs = dict(
+            f=lambda t, x: x[:, 0] ** 2,
+            d1f=lambda t, x: np.zeros(x.shape[0]),
+            d2f=lambda t, x: 2.0 * x,
+            d22f=lambda t, x: np.full((x.shape[0], 1, 1), 2.0),
+            xi=np.zeros(1),
+            psi=None,
+            a_path=None,
+            phi=IntegrandProcess.constant(grid, np.eye(1)),
+            ens=ens,
+        )
+        ito_residual(**kwargs)
+        tracemalloc.start()
+        try:
+            ito_residual(**kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * (k + 1) * 8

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -7,10 +8,14 @@ from hypothesis import strategies as st
 
 import cylmart.evolution as evolution
 from cylmart.evolution import (
+    PicardDiagnostics,
     PicardError,
     SEEProblem,
     Semigroup,
+    _default_blocks,
     _eval_noise,
+    _scan,
+    _validate_constants,
     det_convolution,
     fixed_point_map,
     lipschitz_quotient,
@@ -24,7 +29,7 @@ from cylmart.evolution import (
     vp_norm,
 )
 from cylmart.integration import IntegrandProcess, first_passage_time, integrate
-from cylmart.martingales import NoiseSpec, simulate
+from cylmart.martingales import BracketPaths, NoiseSpec, simulate, stop_ensemble
 from cylmart.measures import TimeGrid
 
 WIENER = NoiseSpec(1, 1, np.eye(1))
@@ -630,6 +635,182 @@ class TestScanOracle:
             with pytest.raises(Stop):
                 picard_solve(problem, ens, validate=False)
         np.testing.assert_array_equal(seen[0], reference_initial_flow(problem, ens))
+
+
+# vp_norm, picard_solve, lipschitz_quotient and mild_residual as they were
+# when every distance and gap was formed on the whole path array, kept
+# verbatim; they run on ensembles whose bracket is stored per path.
+def reference_vp_norm(u, ens, a=0.0, b=None, p=2.0, i0=None, i1=None):
+    grid = ens.grid
+    if i0 is None:
+        i0 = int(np.searchsorted(grid.points, a - 1e-12 * max(grid.horizon, 1.0)))
+    if i1 is None:
+        i1 = grid.n_cells if b is None else int(
+            np.searchsorted(grid.points, b - 1e-12 * max(grid.horizon, 1.0))
+        )
+    sq = np.sum(u[:, i0:i1, :] ** 2, axis=2)  # (n, cells)
+    l2 = np.sqrt(sq @ grid.widths[i0:i1])
+    gam = np.sqrt(np.sum(sq * ens.bracket.increments[:, i0:i1], axis=1))
+    return float(np.mean(l2**p) ** (1.0 / p) + np.mean(gam**p) ** (1.0 / p))
+
+
+def reference_picard_solve(
+    problem, ens, p=2.0, tol=1e-8, max_iter=60, blocks=None, validate=True, initial=None
+):
+    grid = ens.grid
+    if validate:
+        _validate_constants(problem, ens.seed)
+    if blocks is None:
+        blocks = _default_blocks(problem, ens)
+    diag = PicardDiagnostics(blocks=list(blocks))
+
+    n, m = ens.n_paths, problem.dim
+    base = problem.initial_states(n)
+    if initial is None:
+        u = np.zeros((n, grid.n_cells + 1, m))
+        u[:, 0, :] = base
+        _scan(Semigroup(problem.generator, m), grid, lambda j: 0.0, u, 0, grid.n_cells)
+    else:
+        u = initial.copy()
+        u[:, 0, :] = base
+
+    prefix = ens.bracket.prefix()
+    for i0, i1 in blocks:
+        diag.block_mass.append(float((prefix[:, i1] - prefix[:, i0]).max()))
+        block_base = u[:, i0, :].copy()
+        dists = []
+        ratio = np.nan
+        for it in range(max_iter):
+            u_next = fixed_point_map(problem, ens, u, i0=i0, i1=i1, base=block_base)
+            dist = reference_vp_norm(u_next - u, ens, p=p, i0=i0, i1=i1)
+            dists.append(dist)
+            if len(dists) >= 2 and dists[-2] > 0:
+                ratio = dists[-1] / dists[-2]
+            u = u_next
+            if dist < tol:
+                break
+        diag.distances.append(dists)
+        diag.contractions.append(ratio)
+        if dists[-1] >= tol:
+            diag.suggestion = (
+                "block did not contract below tol; halve the block length "
+                f"(measured contraction {ratio:.3g})"
+            )
+            raise PicardError(diag.suggestion, diag)
+    diag.converged = True
+    return u, diag
+
+
+def reference_lipschitz_quotient(problem, ens, u_a, u_b, p=2.0, i0=0, i1=None):
+    if i1 is None:
+        i1 = ens.grid.n_cells
+    base = problem.initial_states(ens.n_paths)
+    fa = fixed_point_map(problem, ens, u_a, i0=i0, i1=i1, base=base)
+    fb = fixed_point_map(problem, ens, u_b, i0=i0, i1=i1, base=base)
+    num = reference_vp_norm(fa - fb, ens, p=p, i0=i0, i1=i1)
+    den = reference_vp_norm(u_a - u_b, ens, p=p, i0=i0, i1=i1)
+    return num / den if den > 0 else np.nan
+
+
+def reference_mild_residual(u, problem, ens):
+    grid = ens.grid
+    n = ens.n_paths
+    sg = Semigroup(problem.generator, problem.dim)
+    base = problem.initial_states(n)
+    rhs = np.empty_like(u)
+    rhs[:, 0, :] = base
+    for j in range(grid.n_cells):
+        rhs[:, j + 1, :] = sg.apply(grid.points[j + 1], base)
+    rhs += det_convolution(problem, grid, u)
+    rhs += stoch_convolution(problem, ens, u)
+    rhs[:, 0, :] = base
+    gaps = np.linalg.norm(u - rhs, axis=2).max(axis=1)
+    return gaps
+
+
+def materialized(ens):
+    """The ensemble with its bracket stored per path, as it used to be."""
+    bracket = BracketPaths(ens.grid, np.array(ens.bracket.increments))
+    return dataclasses.replace(ens, bracket=bracket)
+
+
+def _picard_outcome(solve, *args, **kwargs):
+    try:
+        u, diag = solve(*args, **kwargs)
+    except PicardError as exc:
+        u, diag = str(exc), exc.diagnostics
+    return u, diag
+
+
+def assert_same_diagnostics(got, want):
+    assert got.blocks == want.blocks
+    assert len(got.distances) == len(want.distances)
+    for a, b in zip(got.distances, want.distances):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(got.contractions, want.contractions, equal_nan=True)
+    assert got.block_mass == want.block_mass
+    assert (got.converged, got.suggestion) == (want.converged, want.suggestion)
+
+
+def _maybe_stopped(ens, rng, stop):
+    """Optionally stop the ensemble at random times: a per-path bracket."""
+    return stop_ensemble(ens, rng.integers(0, ens.grid.n_cells + 1, ens.n_paths)) if stop else ens
+
+
+class TestWindowOracle:
+    """Distances on the block window and in-place gaps, bit for bit."""
+
+    @given(scan_cases(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_vp_norm(self, case, data):
+        problem, ens, u, rng = case
+        ens = _maybe_stopped(ens, rng, data.draw(st.booleans()))
+        k = ens.grid.n_cells
+        p = data.draw(st.sampled_from([1.0, 2.0, 3.5]))
+        i0 = data.draw(st.integers(0, k - 1))
+        i1 = data.draw(st.integers(i0 + 1, k))
+        ref = materialized(ens)
+        assert vp_norm(u, ens, p=p) == reference_vp_norm(u, ref, p=p)
+        assert vp_norm(u, ens, p=p, i0=i0, i1=i1) == reference_vp_norm(u, ref, p=p, i0=i0, i1=i1)
+        a, b = sorted(rng.uniform(0.0, ens.grid.horizon, 2))
+        assert vp_norm(u, ens, a=a, b=b, p=p) == reference_vp_norm(u, ref, a=a, b=b, p=p)
+
+    @given(scan_cases(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_picard_solve(self, case, data):
+        problem, ens, u, rng = case
+        ens = _maybe_stopped(ens, rng, data.draw(st.booleans()))
+        whole = [(0, ens.grid.n_cells)]  # one block: may fail to contract
+        kwargs = dict(
+            p=data.draw(st.sampled_from([2.0, 3.0])),
+            max_iter=data.draw(st.sampled_from([2, 60])),
+            blocks=data.draw(st.sampled_from([None, whole])),
+            initial=u if data.draw(st.booleans()) else None,
+            validate=False,
+        )
+        got_u, got = _picard_outcome(picard_solve, problem, ens, **kwargs)
+        want_u, want = _picard_outcome(reference_picard_solve, problem, materialized(ens), **kwargs)
+        assert type(got_u) is type(want_u)
+        assert np.array_equal(got_u, want_u) if isinstance(want_u, np.ndarray) else got_u == want_u
+        assert_same_diagnostics(got, want)
+
+    @given(scan_cases(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lipschitz_quotient_and_mild_residual(self, case, data):
+        problem, ens, u, rng = case
+        ens = _maybe_stopped(ens, rng, data.draw(st.booleans()))
+        k = ens.grid.n_cells
+        i0 = data.draw(st.integers(0, k - 1))
+        i1 = data.draw(st.integers(i0 + 1, k))
+        u_b = u + rng.standard_normal(u.shape)
+        ref = materialized(ens)
+        got = lipschitz_quotient(problem, ens, u, u_b, i0=i0, i1=i1)
+        want = reference_lipschitz_quotient(problem, ref, u, u_b, i0=i0, i1=i1)
+        assert np.array_equal(got, want, equal_nan=True)
+        if data.draw(st.booleans()):
+            u[rng.integers(0, u.shape[0]), rng.integers(0, k + 1), 0] = np.nan
+        got = mild_residual(u, problem, ens).sup_gaps
+        assert np.array_equal(got, reference_mild_residual(u, problem, ref), equal_nan=True)
 
 
 class TestSemigroupCache:

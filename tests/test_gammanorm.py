@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from cylmart._util import flavor_norm, single_rng
 from cylmart.gammanorm import (
     EmbeddingReport,
+    _dual_ball_sample,
     GammaEstimate,
     GammaKernel,
     gamma_fubini_check,
@@ -244,6 +247,45 @@ class TestTypeCotype:
             for i in range(10)
         ]
         assert min(ratios) >= 1.0 - 0.05
+
+
+class TestSupNormFlavor:
+    """flavor = inf is the largest absolute entry, not the limit 1 of
+    (sum |x|^p)^(1/p) taken at p = inf."""
+
+    def test_exact_values(self):
+        values = np.array([[3.0, -4.0, 1.0], [0.0, 0.0, 0.0], [-2.5, 2.5, -0.5], [1e-300, 0, 0]])
+        for flavor in (np.inf, float("inf"), "inf"):
+            np.testing.assert_array_equal(
+                flavor_norm(values, flavor), np.array([4.0, 0.0, 2.5, 1e-300])
+            )
+        np.testing.assert_array_equal(flavor_norm(values, np.inf, axis=0), [3.0, 4.0, 1.0])
+        assert np.isnan(flavor_norm(np.array([1.0, np.nan]), np.inf))
+
+    def test_all_ones_kernel(self):
+        grid = TimeGrid.uniform(1.0, 4)
+        kernel = GammaKernel(grid, GridMeasure(grid, grid.widths), np.ones((4, 2, 2)), np.inf)
+        # both target rows are the same N(0, 2) sum, so the norm is sqrt(2)
+        est = gamma_norm(kernel, 64, 0)
+        assert abs(est.value - np.sqrt(2.0)) <= 3 * est.stderr
+
+    def test_scalar_target_matches_exact_hilbert(self):
+        kernel = random_kernel(np.random.default_rng(21), k=10, m=1, d=3, flavor=np.inf)
+        exact = gamma_norm_exact_hilbert(dataclasses.replace(kernel, flavor="hilbert"))
+        est = gamma_norm_mc(kernel, 8192, seed=22)
+        assert est.stderr > 0
+        assert abs(est.value - exact) <= 3 * est.stderr
+
+    def test_dual_ball_of_sup_norm_is_l1_sphere(self):
+        duals = _dual_ball_sample(3, np.inf, 16, seed=23, hint=None)
+        np.testing.assert_allclose(np.abs(duals).sum(axis=1), 1.0, rtol=1e-14)
+
+    def test_fubini_rows_take_the_largest(self):
+        rng = np.random.default_rng(24)
+        kernel = random_kernel(rng, m=3, d=2, flavor=np.inf)
+        rep = gamma_fubini_check(kernel, n_samples=1024, seed=25)
+        rows = np.einsum("kmd,k->m", kernel.matrices**2, kernel.measure.increments)
+        assert rep.lhs == np.sqrt(rows.max())
 
 
 class TestGammaNormDispatch:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylmart.integration import (
     ElementaryIntegrand,
@@ -97,6 +99,52 @@ class TestElementary:
         za = elementary_integral(elem, wiener)
         zb = integrate(elem.as_process(wiener.n_paths), wiener)
         np.testing.assert_allclose(za.values, zb.values, atol=1e-13)
+
+
+@st.composite
+def simple_integrands(draw):
+    """An ensemble and a random simple integrand on its grid: up to three
+    slabs, each with an optional event mask and up to d_cyl rank-one terms
+    whose h vectors are scaled rows of a random orthogonal matrix."""
+    k = draw(st.integers(1, 12))
+    d_cyl = draw(st.integers(1, 3))
+    d_drive = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    per_cell_sigma = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = TimeGrid(np.cumsum(np.r_[0.0, rng.uniform(0.05, 0.5, k)]))
+    sig_shape = (k, d_cyl, d_drive) if per_cell_sigma else (d_cyl, d_drive)
+    spec = NoiseSpec(d_cyl, d_drive, rng.standard_normal(sig_shape))
+    ens = simulate(spec, grid, n, seed=int(rng.integers(0, 1000)))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        i0 = draw(st.integers(0, k - 1))
+        i1 = draw(st.integers(i0 + 1, k))
+        basis = np.linalg.qr(rng.standard_normal((d_cyl, d_cyl)))[0]
+        rows = draw(st.lists(st.integers(0, d_cyl - 1), min_size=1, max_size=d_cyl, unique=True))
+        terms = tuple((rng.uniform(0.2, 3.0) * basis[r], rng.standard_normal(m)) for r in rows)
+        mask = rng.random(n) < 0.5 if draw(st.booleans()) else None
+        pieces.append(ElementaryPiece(i0, i1, terms, mask))
+    return ens, ElementaryIntegrand(grid, tuple(pieces))
+
+
+class TestIntegrateProperty:
+    @given(simple_integrands())
+    @settings(max_examples=80, deadline=None)
+    def test_integrate_agrees_with_elementary_integral(self, case):
+        ens, elem = case
+        by_driver = integrate(elem.as_process(ens.n_paths), ens).values
+        by_definition = elementary_integral(elem, ens).values
+        # the defining form differences M-evaluations, so the two agree to
+        # round-off relative to the size of the evaluations it subtracts
+        m_size = np.abs(ens.vector_paths()).max(initial=0.0) * np.sqrt(ens.spec.d_cyl)
+        weight = sum(
+            np.linalg.norm(h) * np.abs(x).max() for piece in elem.pieces for h, x in piece.terms
+        )
+        tol = 16 * (ens.grid.n_cells + 1) * np.finfo(float).eps * m_size * weight
+        assert by_driver.shape == by_definition.shape
+        np.testing.assert_allclose(by_driver, by_definition, rtol=0, atol=tol)
 
 
 class TestIntegrate:

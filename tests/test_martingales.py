@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylmart.integration import IntegrandProcess, integrate
 from cylmart.martingales import (
+    BracketPaths,
     NoiseSpec,
     _bracket_increments,
     _driven,
@@ -556,6 +559,63 @@ class TestLeanEnsemble:
                 assert np.array_equal(got, reference_integrate(phi, ens)), label
             assert np.array_equal(ens.vector_paths(), reference_vector_paths(ens)), label
             assert np.array_equal(ens.m_eval(h), reference_m_eval(ens, h)), label
+
+
+# BracketPaths.prefix as it was when every bracket was stored per path.
+def reference_prefix(self):
+    out = np.zeros((self.n_paths, self.grid.n_cells + 1))
+    np.cumsum(self.increments, axis=1, out=out[:, 1:])
+    return out
+
+
+class TestLeanBracket:
+    """A shared bracket is one row seen n times; its prefix sums stay a view."""
+
+    @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
+    def test_layout(self, tmp_path, grid, kind):
+        for label, ens in _lean_ensembles(tmp_path, grid, kind).items():
+            inc = ens.bracket.increments
+            shared = kind != "adapted" and label != "stopped"
+            assert (inc.strides[0] == 0) == shared, label
+            assert inc.flags.writeable != shared, label
+            if shared:
+                with pytest.raises(ValueError, match="read-only"):
+                    inc[0, 0] = 1.0
+                assert np.shares_memory(inc[0], inc[-1])
+
+    @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
+    def test_prefix_matches_materialized_cumsum(self, tmp_path, grid, kind):
+        for label, ens in _lean_ensembles(tmp_path, grid, kind).items():
+            got = ens.bracket.prefix()
+            assert got.shape == (ens.n_paths, grid.n_cells + 1), label
+            assert np.array_equal(got, reference_prefix(ens.bracket)), label
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 1] = 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        k=st.integers(1, 12),
+        shared=st.booleans(),
+        data=st.data(),
+    )
+    def test_prefix_oracle(self, n, k, shared, data):
+        values = st.floats(-1e6, 1e6, allow_subnormal=True) | st.just(np.nan)
+        rows = 1 if shared else n
+        raw = np.array(data.draw(st.lists(values, min_size=rows * k, max_size=rows * k)))
+        inc = raw.reshape(rows, k)
+        if shared:
+            inc = np.broadcast_to(inc[0], (n, k))
+        bracket = BracketPaths(TimeGrid.uniform(1.0, k), inc)
+        got, want = bracket.prefix(), reference_prefix(bracket)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_shared_partition_estimate_is_a_view(self, grid):
+        spec = NoiseSpec(2, 2, np.array([[1.0, 0.4], [-0.2, 0.7]]))
+        ens = simulate(spec, grid, 5, seed=36)
+        est = qv_partition_estimate(ens, 8, [0, 2])
+        assert est.values.strides[0] == 0 and not est.values.flags.writeable
 
 
 class TestNonFiniteInput:
