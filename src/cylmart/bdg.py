@@ -338,11 +338,8 @@ def ito_residual(
     np.cumsum(psi_vals * da[:, None], axis=0, out=drift[1:])
 
     # zeta = (xi + drift) + int phi dM, added into the integral in place
-    if xi.strides[0] == 0:  # one initial state for every path
-        zeta += xi[0] + drift
-    else:
-        for j in range(k + 1):
-            zeta[:, j, :] += xi + drift[j]
+    for j in range(k + 1):
+        zeta[:, j, :] += xi + drift[j]
 
     if validate:
         mid = k // 2

@@ -204,15 +204,10 @@ def _dual_ball_sample(m: int, flavor, n: int, seed: int, hint: np.ndarray | None
     pts = np.concatenate(pts, axis=0)
     if is_hilbert(flavor):
         q = 2.0
-    elif float(flavor) == np.inf:
-        q = 1.0
     else:
         p = float(flavor)
-        q = p / (p - 1.0) if p > 1 else np.inf
-    if np.isinf(q):
-        norms = np.abs(pts).max(axis=1)
-    else:
-        norms = np.sum(np.abs(pts) ** q, axis=1) ** (1.0 / q)
+        q = np.inf if p == 1 else 1.0 if p == np.inf else p / (p - 1.0)
+    norms = flavor_norm(pts, q, axis=1)
     norms[norms == 0] = 1.0
     return pts / norms[:, None]
 

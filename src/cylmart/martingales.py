@@ -466,7 +466,7 @@ class QvEstimate:
 
     grid: TimeGrid
     depths: tuple
-    values: np.ndarray  # (n_paths, n_depths, K+1); a read-only view if shared
+    values: np.ndarray  # (n_paths, n_depths, K+1), read-only; a view if shared
     n_directions: int
 
     def path(self, path_idx: int, depth_idx: int) -> IncreasingPath:
@@ -519,6 +519,7 @@ def qv_partition_estimate(
             # running block maxima are nondecreasing cell by cell already
     if ens.sigma_is_shared and ens.n_paths > 1:
         values = np.broadcast_to(values, (ens.n_paths,) + values.shape[1:])
+    values.flags.writeable = False
     return QvEstimate(ens.grid, depths, values, dirs.shape[0])
 
 

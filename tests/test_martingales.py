@@ -617,6 +617,16 @@ class TestLeanBracket:
         est = qv_partition_estimate(ens, 8, [0, 2])
         assert est.values.strides[0] == 0 and not est.values.flags.writeable
 
+    def test_partition_estimate_is_always_read_only(self, grid):
+        shared = NoiseSpec(2, 2, np.array([[1.0, 0.4], [-0.2, 0.7]]))
+        for ens in (
+            simulate(shared, grid, 1, seed=36),
+            stop_ensemble(simulate(shared, grid, 5, seed=36), np.full(5, grid.n_cells // 2)),
+        ):
+            est = qv_partition_estimate(ens, 8, [0, 2])
+            with pytest.raises(ValueError, match="read-only"):
+                est.values[0, 0, 0] = 1.0
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
