@@ -13,6 +13,7 @@ __all__ = [
     "single_rng",
     "is_hilbert",
     "flavor_norm",
+    "prefix_sums",
     "canonical_json",
     "config_hash",
     "int_at_least",
@@ -130,6 +131,20 @@ def flavor_norm(values: np.ndarray, flavor, axis: int = -1) -> np.ndarray:
     if p == np.inf:
         return np.max(np.abs(values), axis=axis, initial=0.0)
     return np.sum(np.abs(values) ** p, axis=axis) ** (1.0 / p)
+
+
+def prefix_sums(inc: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Zero-led running sum along ``axis``: one more entry than ``inc``
+    there, out[0] = 0 and out[j] = inc[0] + ... + inc[j-1], added left to
+    right.  The result is a fresh writable array."""
+    inc = np.asarray(inc)
+    axis = axis % inc.ndim
+    shape = list(inc.shape)
+    shape[axis] += 1
+    out = np.zeros(shape)
+    tail = (slice(None),) * axis + (slice(1, None),)
+    np.cumsum(inc, axis=axis, out=out[tail])
+    return out
 
 
 def canonical_json(obj) -> str:

@@ -16,9 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import flavor_norm
+from ._util import flavor_norm, prefix_sums
 from .gammanorm import GammaKernel, gamma_norm
-from .integration import IntegrandProcess, integrate
+from .integration import IntegrandProcess, integrand_increments, integrate
 from .martingales import MartEnsemble, NoiseSpec, qm_operator, qv_exact, simulate
 from .measures import IncreasingPath, TimeGrid
 from .operators import psd_sqrt
@@ -100,11 +100,7 @@ def ito_isometry(phi: IntegrandProcess, ens: MartEnsemble) -> IsometryReport:
         # a contiguous (n, K) copy: a broadcast view takes another BLAS path
         energy = np.broadcast_to(energy, (ens.n_paths, energy.size)).copy()
     else:
-        sig = ens.sigma_for_paths()  # (n, K, dc, dd)
-        if mats.ndim == 3:
-            rows = np.einsum("kmc,nkcd->nkmd", mats, sig)
-        else:
-            rows = np.einsum("nkmc,nkcd->nkmd", mats, sig)
+        rows = np.einsum("nkmc,nkcd->nkmd", phi.for_paths(ens.n_paths), ens.sigma_for_paths())
         energy = np.einsum("nkmd,de,nkme->nk", rows, q, rows)
     rhs_paths = energy @ ens.grid.widths
 
@@ -313,16 +309,14 @@ def ito_residual(
     k = grid.n_cells
     n = ens.n_paths
     m = phi.target_dim
+    if ens.spec.adapted:
+        raise ValueError("residual checking needs a deterministic spec")
+    stoch_inc = integrand_increments(phi, ens, ens.driven_increments())  # (n, K, m)
+    kernels = _kernel_matrices(phi, ens.spec, grid)  # (K, m, dc); rejects a per-path phi
+    dqv = qv_exact(ens.spec, grid).increments
 
-    xi = np.asarray(xi, dtype=float)
-    xi = np.broadcast_to(xi, (n, m))
-    driven = ens.driven_increments()
-    mats = phi.matrices
-    if mats.ndim == 3:
-        mats = np.broadcast_to(mats, (n,) + mats.shape)
-    stoch_inc = np.einsum("nkmc,nkc->nkm", mats, driven)  # (n, K, m)
-    zeta = np.zeros((n, k + 1, m))
-    np.cumsum(stoch_inc, axis=1, out=zeta[:, 1:, :])
+    xi = np.broadcast_to(np.asarray(xi, dtype=float), (n, m))
+    zeta = prefix_sums(stoch_inc, axis=1)
 
     if psi is None:
         psi_vals = np.zeros((k, m))
@@ -334,8 +328,7 @@ def ito_residual(
         if a_path is None:
             raise ValueError("psi needs its driving increasing path")
         da = np.diff(a_path.values)
-    drift = np.zeros((k + 1, m))
-    np.cumsum(psi_vals * da[:, None], axis=0, out=drift[1:])
+    drift = prefix_sums(psi_vals * da[:, None])
 
     # zeta = (xi + drift) + int phi dM, added into the integral in place
     for j in range(k + 1):
@@ -347,11 +340,6 @@ def ito_residual(
         if n > 1:
             pts.append((grid.points[-1], zeta[-1, -1]))
         validate_derivatives(f, d1f, d2f, d22f, pts)
-
-    if ens.spec.adapted:
-        raise ValueError("residual checking needs a deterministic spec")
-    kernels = _kernel_matrices(phi, ens.spec, grid)  # (K, m, dc)
-    dqv = qv_exact(ens.spec, grid).increments
 
     # the residual is reduced cell by cell: a running max |r| per path
     # (np.maximum keeps a NaN) and the last cell's values

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ._util import single_rng
-from .martingales import BracketPaths, MartEnsemble, NoiseSpec, stop_ensemble
+from .martingales import BracketPaths, MartEnsemble, NoiseSpec, grid_stop_indices, stop_ensemble
 from .measures import TimeGrid
 
 __all__ = [
@@ -144,7 +144,7 @@ def _scan(
     i0 <= j < i1.
 
     With the identity semigroup the sums run left to right, bit for bit as
-    ``np.cumsum`` adds them.
+    ``_util.prefix_sums`` adds them.
     """
     acc = out[:, i0, :]
     for j in range(i0, i1):
@@ -503,7 +503,7 @@ def localization_consistency(
     stop_gaps = None
     event_gaps = None
     if tau_idx is not None:
-        tau_idx = np.broadcast_to(np.asarray(tau_idx, dtype=int), (ens.n_paths,))
+        tau_idx = grid_stop_indices(tau_idx, ens.n_paths, ens.grid.n_cells)
         stopped = stop_ensemble(ens, tau_idx)
         u_stop, _ = picard_solve(problem, stopped, p=p, tol=tol, validate=False)
         diffs = np.linalg.norm(u_full - u_stop, axis=2)  # (n, K+1)

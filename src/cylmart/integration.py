@@ -13,8 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import flavor_norm
-from .martingales import MartEnsemble, NoiseSpec, OperatorProcess, stop_ensemble
+from ._util import flavor_norm, prefix_sums
+from .martingales import (
+    MartEnsemble,
+    NoiseSpec,
+    OperatorProcess,
+    grid_stop_indices,
+    operator_rate,
+    stop_ensemble,
+)
 from .measures import GridMeasure, TimeGrid
 
 __all__ = [
@@ -23,6 +30,7 @@ __all__ = [
     "ElementaryPiece",
     "ElementaryIntegrand",
     "elementary_integral",
+    "integrand_increments",
     "integrate",
     "integrate_black_box",
     "bracket_of_integral",
@@ -68,6 +76,15 @@ class IntegrandProcess:
         matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         return cls(grid, np.broadcast_to(matrix, (grid.n_cells,) + matrix.shape).copy())
 
+    def for_paths(self, n: int) -> np.ndarray:
+        """(n, K, m, d_cyl) matrices for an n-path ensemble: a deterministic
+        integrand as a read-only broadcast view, a per-path one as stored."""
+        if self.matrices.ndim == 3:
+            return np.broadcast_to(self.matrices, (n,) + self.matrices.shape)
+        if self.matrices.shape[0] != n:
+            raise ValueError("per-path integrand does not match path count")
+        return self.matrices
+
 
 @dataclass(frozen=True)
 class IntegralPaths:
@@ -93,12 +110,21 @@ class IntegralPaths:
         return self.values[:, -1, :]
 
 
-def integrate(phi: IntegrandProcess, ens: MartEnsemble, flavor="hilbert") -> IntegralPaths:
-    """Left-point integral: zeta(t_j) = sum_{i<j} phi(t_i) sigma(t_i) dW_{i+1}."""
+def integrand_increments(
+    phi: IntegrandProcess, ens: MartEnsemble, driven: np.ndarray
+) -> np.ndarray:
+    """phi(t_i) dM_i per path and cell, shape (n, K, m), from increments
+    ``driven`` (n, K, d_cyl) of M on the ensemble's grid."""
     if phi.grid != ens.grid:
         raise ValueError("integrand and ensemble grids differ")
-    driven = ens.driven_increments()  # (n, K, d_cyl)
-    return _contract_and_accumulate(phi, driven, ens, flavor)
+    # single contraction spelling; see martingales._driven for why
+    return np.einsum("nkmc,nkc->nkm", phi.for_paths(ens.n_paths), driven)
+
+
+def integrate(phi: IntegrandProcess, ens: MartEnsemble, flavor="hilbert") -> IntegralPaths:
+    """Left-point integral: zeta(t_j) = sum_{i<j} phi(t_i) sigma(t_i) dW_{i+1}."""
+    inc = integrand_increments(phi, ens, ens.driven_increments())
+    return IntegralPaths(ens.grid, prefix_sums(inc, axis=1), flavor)
 
 
 def integrate_black_box(
@@ -111,23 +137,8 @@ def integrate_black_box(
     treat it as the O(sqrt(dt))-noisy route when evaluations themselves came
     from a coarser source.
     """
-    if phi.grid != ens.grid:
-        raise ValueError("integrand and ensemble grids differ")
-    driven = np.diff(ens.vector_paths(), axis=1)
-    return _contract_and_accumulate(phi, driven, ens, flavor)
-
-
-def _contract_and_accumulate(phi, driven, ens, flavor) -> IntegralPaths:
-    mats = phi.matrices
-    if mats.ndim == 3:
-        mats = np.broadcast_to(mats, (ens.n_paths,) + mats.shape)
-    elif mats.shape[0] != ens.n_paths:
-        raise ValueError("per-path integrand does not match path count")
-    # single contraction spelling; see martingales._driven for why
-    inc = np.einsum("nkmc,nkc->nkm", mats, driven)
-    out = np.zeros((ens.n_paths, ens.grid.n_cells + 1, inc.shape[2]))
-    np.cumsum(inc, axis=1, out=out[:, 1:, :])
-    return IntegralPaths(ens.grid, out, flavor)
+    inc = integrand_increments(phi, ens, np.diff(ens.vector_paths(), axis=1))
+    return IntegralPaths(ens.grid, prefix_sums(inc, axis=1), flavor)
 
 
 @dataclass(frozen=True)
@@ -260,22 +271,15 @@ def covariation_operator(
     q1, q2 = spec1.q(), spec2.q()
     if not np.array_equal(q1, q2):
         raise ValueError("shared driver requires equal covariances")
-    s1 = spec1.sigma_on_grid(grid)
-    s2 = spec2.sigma_on_grid(grid)
-    rate = np.einsum("kyd,de,kxe->kyx", s2, q1, s1)
-    inc = rate * grid.widths[:, None, None]
-    out = np.zeros((grid.n_cells + 1, spec2.d_cyl, spec1.d_cyl))
-    np.cumsum(inc, axis=0, out=out[1:])
-    return OperatorProcess(grid, out)
+    rate = operator_rate(spec2.sigma_on_grid(grid), q1, spec1.sigma_on_grid(grid))
+    return OperatorProcess(grid, prefix_sums(rate * grid.widths[:, None, None]))
 
 
 def covariation_norm_increments(
     spec1: NoiseSpec, spec2: NoiseSpec, grid: TimeGrid
 ) -> np.ndarray:
     """Per-cell increments of the scalar covariation ||dA_{12}|| (matrix 2-norm)."""
-    s1 = spec1.sigma_on_grid(grid)
-    s2 = spec2.sigma_on_grid(grid)
-    rate = np.einsum("kyd,de,kxe->kyx", s2, spec1.q(), s1)
+    rate = operator_rate(spec2.sigma_on_grid(grid), spec1.q(), spec1.sigma_on_grid(grid))
     norms = np.linalg.svd(rate, compute_uv=False)[..., 0]
     return norms * grid.widths
 
@@ -379,8 +383,8 @@ def stop_integral(
     frozen ensemble agree bit-exactly because all three accumulate the same
     per-cell products, zeroed beyond the stop.
     """
-    tau_idx = np.broadcast_to(np.asarray(tau_idx, dtype=int), (ens.n_paths,))
     k = ens.grid.n_cells
+    tau_idx = grid_stop_indices(tau_idx, ens.n_paths, k)
 
     full = integrate(phi, ens)
     clamp = np.minimum(np.arange(k + 1)[None, :], tau_idx[:, None])
@@ -389,10 +393,7 @@ def stop_integral(
     )
 
     keep = np.arange(k)[None, :] < tau_idx[:, None]
-    mats = phi.matrices
-    if mats.ndim == 3:
-        mats = np.broadcast_to(mats, (ens.n_paths,) + mats.shape)
-    cut = mats * keep[:, :, None, None]
+    cut = phi.for_paths(ens.n_paths) * keep[:, :, None, None]
     indicator = integrate(IntegrandProcess(ens.grid, cut, adapted=True), ens)
 
     frozen = integrate(phi, stop_ensemble(ens, tau_idx))
@@ -409,12 +410,7 @@ def local_property_check(
     there.
     """
     event_mask = np.asarray(event_mask, dtype=bool)
-    mats = phi.matrices
-    if mats.ndim == 3:
-        vanished = not np.any(mats) if event_mask.any() else True
-    else:
-        vanished = not np.any(mats[event_mask])
-    if not vanished:
+    if np.any(phi.for_paths(ens.n_paths)[event_mask]):
         raise ValueError("integrand does not vanish on the given event")
     zeta = integrate(phi, ens)
     worst = float(np.abs(zeta.values[event_mask]).max()) if event_mask.any() else 0.0

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import canonical_json, config_hash, path_rngs
+from ._util import canonical_json, config_hash, path_rngs, prefix_sums
 from .measures import GridMeasure, IncreasingPath, TimeGrid, radon_nikodym
 from .operators import op_norm_sym, psd_sqrt
 
@@ -43,6 +43,7 @@ __all__ = [
     "am_operator",
     "qm_operator",
     "qm_empirical",
+    "operator_rate",
     "qv_partition_estimate",
     "sphere_panel",
     "countex_spec",
@@ -65,6 +66,24 @@ def _driven(sigma_vals: np.ndarray, dw: np.ndarray) -> np.ndarray:
     if sigma_vals.ndim == 3:
         sigma_vals = np.broadcast_to(sigma_vals, dw.shape[:1] + sigma_vals.shape)
     return np.einsum("nkcd,nkd->nkc", sigma_vals, dw)
+
+
+def operator_rate(sig_a: np.ndarray, q: np.ndarray, sig_b: np.ndarray) -> np.ndarray:
+    """sigma_a Q sigma_b^T per cell, batched over leading axes: the operator
+    density of the truncation (sigma_a = sigma_b) or a covariation rate.
+
+    The one spelling of this contraction, so that every density, bracket and
+    covariation built from it shares its bits.
+    """
+    return np.einsum("...cd,de,...fe->...cf", sig_a, q, sig_b)
+
+
+def grid_stop_indices(tau_idx, n_paths: int, k: int) -> np.ndarray:
+    """Grid stopping indices as an (n_paths,) int array, each in [0, K]."""
+    tau = np.asarray(tau_idx)
+    if not np.issubdtype(tau.dtype, np.integer) or np.any((tau < 0) | (tau > k)):
+        raise ValueError(f"stopping indices must be integers in [0, {k}]")
+    return np.broadcast_to(tau.astype(int), (n_paths,))
 
 
 @dataclass(frozen=True)
@@ -194,11 +213,9 @@ class BracketPaths:
         right, so the row equals each row of the per-path sum bit for bit.
         """
         if self.increments.strides[0] == 0:  # one row seen n_paths times
-            row = np.zeros(self.grid.n_cells + 1)
-            np.cumsum(self.increments[0], out=row[1:])
+            row = prefix_sums(self.increments[0])
             return np.broadcast_to(row, (self.n_paths, row.size))
-        out = np.zeros((self.n_paths, self.grid.n_cells + 1))
-        np.cumsum(self.increments, axis=1, out=out[:, 1:])
+        out = prefix_sums(self.increments, axis=1)
         out.flags.writeable = False
         return out
 
@@ -250,22 +267,15 @@ class MartEnsemble:
     def m_evals(self) -> np.ndarray:
         """Evaluations M_t h on the grid for each test direction h, shape
         (n, K+1, n_h)."""
-        out = np.zeros((self.n_paths, self.grid.n_cells + 1, self.test_panel.shape[0]))
-        np.cumsum(self.driven @ self.test_panel.T, axis=1, out=out[:, 1:, :])
-        return out
+        return prefix_sums(self.driven @ self.test_panel.T, axis=1)
 
     def m_eval(self, h: np.ndarray) -> np.ndarray:
         """Cylindrical evaluation M_t h on the grid, shape (n, K+1)."""
-        h = np.asarray(h, dtype=float)
-        out = np.zeros((self.n_paths, self.grid.n_cells + 1))
-        np.cumsum(self.driven @ h, axis=1, out=out[:, 1:])
-        return out
+        return prefix_sums(self.driven @ np.asarray(h, dtype=float), axis=1)
 
     def vector_paths(self) -> np.ndarray:
         """Coordinate martingale paths (M_t e_c)_c, shape (n, K+1, d_cyl)."""
-        out = np.zeros((self.n_paths, self.grid.n_cells + 1, self.spec.d_cyl))
-        np.cumsum(self.driven, axis=1, out=out[:, 1:, :])
-        return out
+        return prefix_sums(self.driven, axis=1)
 
     def direction_bracket_increments(self, directions: np.ndarray) -> np.ndarray:
         """Exact per-direction bracket increments <sigma Q sigma^T x, x> dt.
@@ -273,20 +283,15 @@ class MartEnsemble:
         ``directions`` is (n_x, d_cyl); the result is (n_x, K) when sigma is
         shared and (n, n_x, K) otherwise.
         """
-        q = self.spec.q()
-        dt = self.grid.widths
-        if self.sigma_is_shared:
-            a = np.einsum("kcd,de,kfe->kcf", self.sigma_path, q, self.sigma_path)
-            return np.einsum("xc,kcf,xf->xk", directions, a, directions) * dt
-        a = np.einsum("nkcd,de,nkfe->nkcf", self.sigma_path, q, self.sigma_path)
-        return np.einsum("xc,nkcf,xf->nxk", directions, a, directions) * dt
+        a = operator_rate(self.sigma_path, self.spec.q(), self.sigma_path)
+        return np.einsum("xc,...kcf,xf->...xk", directions, a, directions) * self.grid.widths
 
 
 def _bracket_increments(spec: NoiseSpec, grid: TimeGrid, sigma_vals: np.ndarray) -> np.ndarray:
     """||sigma Qn sigma^T|| dNu per cell; batched over leading axes."""
     qn = spec.q_polar()
     rate = spec.driver_qv_rate()
-    a = np.einsum("...cd,de,...fe->...cf", sigma_vals, qn, sigma_vals)
+    a = operator_rate(sigma_vals, qn, sigma_vals)
     norms = np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
     return norms * grid.widths * rate
 
@@ -391,12 +396,8 @@ def am_operator(
     """Cumulative operator bracket: A(t_j) = sum_{i<j} sigma Q sigma^T dt."""
     if sigma_values is None:
         sigma_values = spec.sigma_on_grid(grid)
-    q = spec.q()
-    a_rate = np.einsum("kcd,de,kfe->kcf", sigma_values, q, sigma_values)
-    inc = a_rate * grid.widths[:, None, None]
-    out = np.zeros((grid.n_cells + 1, spec.d_cyl, spec.d_cyl))
-    np.cumsum(inc, axis=0, out=out[1:])
-    return OperatorProcess(grid, out)
+    a_rate = operator_rate(sigma_values, spec.q(), sigma_values)
+    return OperatorProcess(grid, prefix_sums(a_rate * grid.widths[:, None, None]))
 
 
 def qm_operator(
@@ -409,8 +410,7 @@ def qm_operator(
     """
     if sigma_values is None:
         sigma_values = spec.sigma_on_grid(grid)
-    q = spec.q()
-    a = np.einsum("kcd,de,kfe->kcf", sigma_values, q, sigma_values)
+    a = operator_rate(sigma_values, spec.q(), sigma_values)
     norms = np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
     safe = np.where(norms > 0, norms, 1.0)
     out = a / safe[:, None, None]
@@ -572,7 +572,7 @@ def stacked_spec(spec1: NoiseSpec, spec2: NoiseSpec) -> NoiseSpec:
 def stopped_spec(spec: NoiseSpec, grid: TimeGrid, stop_idx: int) -> NoiseSpec:
     """Spec with sigma zeroed on cells at and beyond grid point ``stop_idx``."""
     sig = spec.sigma_on_grid(grid).copy()
-    sig[stop_idx:] = 0.0
+    sig[grid_stop_indices(stop_idx, 1, grid.n_cells)[0] :] = 0.0
     return NoiseSpec(spec.d_cyl, spec.d_drive, sig, spec.q_drive, name=spec.name + "-stopped")
 
 
@@ -583,14 +583,11 @@ def stop_ensemble(ens: MartEnsemble, tau_idx: np.ndarray) -> MartEnsemble:
     the stop are zeroed, everything downstream (evaluations, bracket) is
     rebuilt from the same frozen values.
     """
-    tau_idx = np.broadcast_to(np.asarray(tau_idx, dtype=int), (ens.n_paths,))
     k = ens.grid.n_cells
+    tau_idx = grid_stop_indices(tau_idx, ens.n_paths, k)
     keep = (np.arange(k)[None, :] < tau_idx[:, None]).astype(float)
     dw = ens.driver_increments * keep[:, :, None]
-    if ens.sigma_is_shared:
-        sigma_vals = ens.sigma_path[None, :, :, :] * keep[:, :, None, None]
-    else:
-        sigma_vals = ens.sigma_path * keep[:, :, None, None]
+    sigma_vals = ens.sigma_for_paths() * keep[:, :, None, None]
     return _assemble(ens.spec, ens.grid, ens.seed, dw, sigma_vals, ens.test_panel)
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import prefix_sums
+
 __all__ = [
     "TimeGrid",
     "GridMeasure",
@@ -132,9 +134,7 @@ class GridMeasure:
 
     def prefix(self) -> np.ndarray:
         """Cumulative mass at every grid point, starting from 0."""
-        out = np.zeros(self.grid.n_cells + 1)
-        np.cumsum(self.increments, out=out[1:])
-        return out
+        return prefix_sums(self.increments)
 
     def to_increasing(self) -> "IncreasingPath":
         return IncreasingPath(self.grid, self.prefix())
@@ -323,7 +323,7 @@ def radon_nikodym(nu: GridMeasure, mu: GridMeasure, eps_window: int = 1) -> np.n
 
 
 def _window_sums(inc: np.ndarray, w: int) -> np.ndarray:
-    pref = np.concatenate([[0.0], np.cumsum(inc)])
+    pref = prefix_sums(inc)
     idx = np.arange(1, inc.size + 1)
     lo = np.maximum(idx - w, 0)
     return pref[idx] - pref[lo]

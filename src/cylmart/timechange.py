@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import is_hilbert
-from .integration import IntegrandProcess, integrate
+from ._util import is_hilbert, prefix_sums
+from .gammanorm import GammaKernel, gamma_norm_exact_hilbert, gamma_norm_mc
+from .integration import CheckReport, IntegrandProcess, integrate
 from .martingales import BracketPaths, MartEnsemble
 from .measures import GridMeasure, TimeGrid
 
@@ -197,19 +198,17 @@ def dds_integral_check(phi: IntegrandProcess, ens: MartEnsemble, tc: TimeChange)
     clock = tc.for_paths(ens.n_paths)
     source = integrate(phi, ens).values  # (n, K+1, m)
     vec = ens.vector_paths()  # (n, K+1, dc)
+    mats = phi.for_paths(ens.n_paths)
     k = ens.grid.n_cells
-    m = phi.target_dim
     gaps = np.empty(ens.n_paths)
     for p in range(ens.n_paths):
         prefix = clock.prefix[p]
         s_pts = clock.s_points[p]
         idx = clock.tau_idx[p]
         cells = np.minimum(idx[:-1], k - 1)  # source cell of each s-cell
-        mats = phi.matrices if phi.matrices.ndim == 3 else phi.matrices[p]
-        psi = mats[cells]  # (K, m, dc)
+        psi = mats[p][cells]  # (K, m, dc)
         dn = vec[p][idx[1:]] - vec[p][idx[:-1]]  # (K, dc)
-        transported = np.zeros((k + 1, m))
-        np.cumsum(np.einsum("kmc,kc->km", psi, dn), axis=0, out=transported[1:])
+        transported = prefix_sums(np.einsum("kmc,kc->km", psi, dn))
         back = _last_at_or_below(s_pts, prefix, prefix[-1], k)
         gaps[p] = np.abs(source[p] - transported[back]).max()
     max_mass = float(np.diff(tc.prefix, axis=1).max())
@@ -242,8 +241,6 @@ def gamma_timechange_check(kernel, n_samples: int = 4096, seed: int = 0) -> Tran
     bound, the left-point error of a piecewise-constant integrand); p-norm
     flavors compare Monte-Carlo estimates.
     """
-    from .gammanorm import GammaKernel, gamma_norm_exact_hilbert, gamma_norm_mc
-
     if not isinstance(kernel, GammaKernel):
         raise TypeError("expected a GammaKernel")
     qv = kernel.measure
@@ -287,8 +284,6 @@ def plateau_constancy_check(ens: MartEnsemble, rel_threshold: float = PLATEAU_RT
     sigma is exactly zero (the simulable way plateaus arise) and asserts the
     per-cell evaluation increments are exactly zero there.
     """
-    from .integration import CheckReport
-
     totals = ens.bracket.prefix()[:, -1]
     thresh = rel_threshold * np.maximum(totals, 1e-300)
     plateau = ens.bracket.increments <= thresh[:, None]  # (n, K)

@@ -253,6 +253,40 @@ class TestDerivativeValidation:
 
 
 class TestItoResidual:
+    @pytest.mark.parametrize("case", ["adapted sigma", "per-path phi", "other grid"])
+    def test_rejects_before_calling_f(self, grid, case):
+        calls = []
+
+        def counted(value):
+            def fn(t, x):
+                calls.append(t)
+                return value(x)
+
+            return fn
+
+        spec = NoiseSpec(1, 1, np.eye(1))
+        phi = IntegrandProcess.constant(grid, np.eye(1))
+        if case == "adapted sigma":
+            spec = NoiseSpec(1, 1, lambda i, t, w: np.ones(w.shape[:-2] + (1, 1)))
+        ens = simulate(spec, grid, 4, seed=23)
+        if case == "per-path phi":
+            phi = IntegrandProcess(grid, np.ones((4, grid.n_cells, 1, 1)), adapted=True)
+        if case == "other grid":
+            phi = IntegrandProcess.constant(TimeGrid.uniform(2.0, grid.n_cells), np.eye(1))
+        with pytest.raises(ValueError, match="deterministic|grids differ"):
+            ito_residual(
+                f=counted(lambda x: x[:, 0]),
+                d1f=counted(lambda x: np.zeros(x.shape[0])),
+                d2f=counted(np.ones_like),
+                d22f=counted(lambda x: np.zeros((x.shape[0], 1, 1))),
+                xi=np.zeros(1),
+                psi=None,
+                a_path=None,
+                phi=phi,
+                ens=ens,
+            )
+        assert calls == []
+
     def test_scalar_identity_exactly_zero(self, grid):
         ens = simulate(NoiseSpec(1, 1, np.eye(1)), grid, 200, seed=17)
         rep = ito_residual(
@@ -463,15 +497,22 @@ class TestItoResidualOracle:
         with_psi=st.booleans(),
         stopped=st.booleans(),
         nan_above=st.none() | st.floats(-1.0, 1.0),
+        shared_sigma=st.booleans(),
+        q_layout=st.sampled_from([None, "C", "F"]),
         seed=st.integers(0, 2**32),
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_stored_arrays(
-        self, n, k, m, d, shared_xi, with_psi, stopped, nan_above, seed
+        self, n, k, m, d, shared_xi, with_psi, stopped, nan_above, shared_sigma, q_layout, seed
     ):
         rng = np.random.default_rng(seed)
         grid = TimeGrid(np.cumsum(np.r_[0.0, rng.uniform(0.05, 0.3, k)]))
-        spec = NoiseSpec(d, d, rng.standard_normal((k, d, d)))
+        q = None
+        if q_layout is not None:
+            a = rng.standard_normal((d, d))
+            q = np.asarray(a @ a.T, order=q_layout)
+        sigma = rng.standard_normal((d, d) if shared_sigma else (k, d, d))
+        spec = NoiseSpec(d, d, sigma, q_drive=q)
         ens = simulate(spec, grid, n, seed)
         if stopped:  # per-path sigma and bracket, same deterministic spec
             ens = stop_ensemble(ens, rng.integers(0, k + 1, n))

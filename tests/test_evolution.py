@@ -381,6 +381,15 @@ class TestLocalization:
         )
         assert rep.max_stop_gap() == 0.0
 
+    def test_out_of_range_stop_rejected(self):
+        grid = TimeGrid.uniform(1.0, 8)
+        ens = simulate(WIENER, grid, 4, seed=25)
+        for bad in (-1, 9):
+            with pytest.raises(ValueError, match=r"stopping indices must be integers in \[0, 8\]"):
+                localization_consistency(
+                    self._problem(WIENER), ens, tau_idx=np.array([0, 8, bad, 3]), tol=1e-10
+                )
+
     def test_first_passage_stop(self):
         def vol(i, t, w_prev):
             s = w_prev.sum(axis=(-2, -1)) if w_prev.shape[-2] else np.zeros(w_prev.shape[:-2])

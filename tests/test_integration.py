@@ -336,6 +336,14 @@ class TestStopping:
         assert res.bit_identical()
         assert np.abs(res.stopped_path.values).max() == 0.0
 
+    @pytest.mark.parametrize("bad", [-1, 17])
+    def test_out_of_range_rejected(self, grid, wiener, bad):
+        phi = IntegrandProcess.constant(grid, np.eye(2))
+        tau = np.full(wiener.n_paths, 8)
+        tau[0] = bad
+        with pytest.raises(ValueError, match=r"stopping indices must be integers in \[0, 16\]"):
+            stop_integral(phi, wiener, tau)
+
     def test_first_passage_three_way(self, grid):
         rng = np.random.default_rng(9)
         spec = NoiseSpec(2, 2, rng.standard_normal((2, 2)))
@@ -372,6 +380,11 @@ class TestLocalProperty:
         phi = IntegrandProcess(grid, mats, adapted=True)
         rep = local_property_check(phi, wiener, event)
         assert rep.passed and rep.worst_slack == 0.0
+
+    def test_wrong_path_count_is_named(self, grid, wiener):
+        phi = IntegrandProcess(grid, np.zeros((wiener.n_paths - 1, 16, 2, 2)), adapted=True)
+        with pytest.raises(ValueError, match="does not match path count"):
+            local_property_check(phi, wiener, np.ones(wiener.n_paths, bool))
 
     def test_claim_checked(self, grid, wiener):
         phi = IntegrandProcess.constant(grid, np.eye(2))

@@ -665,3 +665,29 @@ class TestNonFiniteInput:
         path_file.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="driver increments are not all finite"):
             load_ensemble(tmp_path / "b")
+
+
+class TestStopIndices:
+    """Grid stopping indices are integers in [0, K]; anything else is named."""
+
+    @pytest.mark.parametrize("bad", [-1, 17])
+    def test_out_of_range_rejected(self, grid, bad):
+        spec = NoiseSpec(2, 2, np.eye(2))
+        ens = simulate(spec, grid, 3, seed=40)
+        with pytest.raises(ValueError, match=r"stopping indices must be integers in \[0, 16\]"):
+            stop_ensemble(ens, np.array([3, bad, 5]))
+        with pytest.raises(ValueError, match=r"stopping indices must be integers in \[0, 16\]"):
+            stopped_spec(spec, grid, bad)
+
+    def test_non_integer_rejected(self, grid):
+        ens = simulate(NoiseSpec(2, 2, np.eye(2)), grid, 3, seed=41)
+        with pytest.raises(ValueError, match="stopping indices must be integers"):
+            stop_ensemble(ens, np.array([3.5, 2.0, 1.0]))
+
+    def test_end_points_accepted(self, grid):
+        spec = NoiseSpec(2, 2, np.eye(2))
+        ens = simulate(spec, grid, 3, seed=42)
+        assert not stop_ensemble(ens, 0).driven.any()
+        assert np.array_equal(stop_ensemble(ens, 16).driven, ens.driven)
+        assert not stopped_spec(spec, grid, 0).sigma.any()
+        assert np.array_equal(stopped_spec(spec, grid, 16).sigma, spec.sigma_on_grid(grid))
