@@ -316,7 +316,6 @@ def ito_residual(
     dqv = qv_exact(ens.spec, grid).increments
 
     xi = np.broadcast_to(np.asarray(xi, dtype=float), (n, m))
-    zeta = prefix_sums(stoch_inc, axis=1)
 
     if psi is None:
         psi_vals = np.zeros((k, m))
@@ -330,26 +329,22 @@ def ito_residual(
         da = np.diff(a_path.values)
     drift = prefix_sums(psi_vals * da[:, None])
 
-    # zeta = (xi + drift) + int phi dM, added into the integral in place
-    for j in range(k + 1):
-        zeta[:, j, :] += xi + drift[j]
-
     if validate:
-        mid = k // 2
-        pts = [(grid.points[0], zeta[0, 0]), (grid.points[mid], zeta[0, mid])]
-        if n > 1:
-            pts.append((grid.points[-1], zeta[-1, -1]))
+        cells = [(0, 0), (0, k // 2)] + ([(n - 1, k)] if n > 1 else [])
+        pts = [(grid.points[j], prefix_sums(stoch_inc[p])[j] + (xi[p] + drift[j])) for p, j in cells]
         validate_derivatives(f, d1f, d2f, d22f, pts)
 
-    # the residual is reduced cell by cell: a running max |r| per path
-    # (np.maximum keeps a NaN) and the last cell's values
-    f0 = np.asarray(f(grid.points[0], zeta[:, 0, :]), dtype=float)
+    # zeta_j = run_j + (xi + drift_j) a cell at a time, run summing phi dM from
+    # a copy of cell 0 as cumsum does (a -0.0 keeps its sign); the residual is
+    # a running max |r| per path (np.maximum keeps a NaN) and the last values
+    run = np.zeros((n, m))
+    state = run + (xi + drift[0])
+    f0 = np.asarray(f(grid.points[0], state), dtype=float)
     residual = np.zeros(n)
     max_abs = np.zeros(n)
     correction = np.zeros(n)
     for i in range(k):
         t = grid.points[i]
-        state = zeta[:, i, :]
         grad = np.asarray(d2f(t, state), dtype=float)  # (n, m)
         hess = np.asarray(d22f(t, state), dtype=float)  # (n, m, m)
         tr = np.einsum("md,nmf,fd->n", kernels[i], hess, kernels[i])
@@ -359,7 +354,12 @@ def ito_residual(
             + np.einsum("nm,nm->n", grad, stoch_inc[:, i, :])
             + 0.5 * tr * dqv[i]
         )
-        f_next = np.asarray(f(grid.points[i + 1], zeta[:, i + 1, :]), dtype=float)
+        if i == 0:
+            run[...] = stoch_inc[:, 0, :]
+        else:
+            run += stoch_inc[:, i, :]
+        state = run + (xi + drift[i + 1])
+        f_next = np.asarray(f(grid.points[i + 1], state), dtype=float)
         residual = f_next - f0 - correction
         np.maximum(max_abs, np.abs(residual), out=max_abs)
 

@@ -410,6 +410,8 @@ def local_property_check(
     there.
     """
     event_mask = np.asarray(event_mask, dtype=bool)
+    if event_mask.shape != (ens.n_paths,):
+        raise ValueError(f"event mask needs one entry per path, {ens.n_paths} in all")
     if np.any(phi.for_paths(ens.n_paths)[event_mask]):
         raise ValueError("integrand does not vanish on the given event")
     zeta = integrate(phi, ens)

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import canonical_json, config_hash, path_rngs, prefix_sums
+from ._util import canonical_json, config_hash, path_rngs, prefix_sums, single_rng
 from .measures import GridMeasure, IncreasingPath, TimeGrid, radon_nikodym
 from .operators import op_norm_sym, psd_sqrt
 
@@ -79,8 +79,11 @@ def operator_rate(sig_a: np.ndarray, q: np.ndarray, sig_b: np.ndarray) -> np.nda
 
 
 def grid_stop_indices(tau_idx, n_paths: int, k: int) -> np.ndarray:
-    """Grid stopping indices as an (n_paths,) int array, each in [0, K]."""
+    """Grid stopping indices, one per path or a scalar for all, as an
+    (n_paths,) int array in [0, K]."""
     tau = np.asarray(tau_idx)
+    if tau.ndim and tau.shape != (n_paths,):
+        raise ValueError(f"expected one stopping index per path, {n_paths} in all")
     if not np.issubdtype(tau.dtype, np.integer) or np.any((tau < 0) | (tau > k)):
         raise ValueError(f"stopping indices must be integers in [0, {k}]")
     return np.broadcast_to(tau.astype(int), (n_paths,))
@@ -438,24 +441,12 @@ def qm_empirical(am: OperatorProcess, qv: GridMeasure, window: int = 1) -> Opera
 
 
 def sphere_panel(d: int, n_samples: int, seed: int) -> np.ndarray:
-    """Unit directions: +-coordinates plus a low-discrepancy sphere sample."""
+    """Unit directions: +-coordinates plus seeded Gaussian directions, drawn
+    row by row, so a smaller panel is the head of a larger one (same seed)."""
     coords = np.vstack([np.eye(d), -np.eye(d)])
-    if n_samples <= 0:
+    if n_samples <= 0 or d == 1:
         return coords
-    if d == 1:
-        return coords
-    # scipy is imported here, its only use, so that importing cylmart stays cheap
-    import warnings
-
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    eng = qmc.Sobol(d, scramble=True, seed=seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # non-dyadic sample counts
-        u = eng.random(n_samples)
-    # inverse-normal map sends the low-discrepancy cube sample to the sphere
-    z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    z = single_rng(seed, stream=61).standard_normal((n_samples, d))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return np.vstack([coords, z])
 

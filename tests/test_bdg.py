@@ -570,3 +570,26 @@ class TestItoResidualOracle:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * n * (k + 1) * 8
+
+    def test_zeta_is_streamed(self):
+        # phi sigma dW is the one (n, K) array a call holds: zeta is formed a
+        # cell at a time from a running sum, never as an (n, K+1) array
+        n, k = 4000, 64
+        grid = TimeGrid.uniform(1.0, k)
+        ens = simulate(NoiseSpec(1, 1, np.eye(1)), grid, n, seed=26)
+        kwargs = dict(
+            _smooth_functional(np.ones(1), 0.5, 0.0, None),
+            xi=np.zeros(1),
+            psi=None,
+            a_path=None,
+            phi=IntegrandProcess.constant(grid, np.eye(1)),
+            ens=ens,
+        )
+        ito_residual(**kwargs)
+        tracemalloc.start()
+        try:
+            ito_residual(**kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * (k + 1) * 8

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -343,6 +344,30 @@ class TestMildResidual:
         u = np.zeros((4, 9, 1))
         assert mild_residual(u, prob, ens).max == 0.0
 
+    def test_peak_below_three_path_arrays(self):
+        # the right-hand side and one buffer for both convolutions are the
+        # only path arrays a call holds
+        n, k = 2000, 64
+        grid = TimeGrid.uniform(1.0, k)
+        ens = simulate(WIENER, grid, n, seed=24)
+        prob = make_problem(
+            generator=np.array([[-1.0]]),
+            drift=lambda t, x: -0.2 * x,
+            lip_f=0.2,
+            noise=lambda t, x: 0.3 * x[:, :, None],
+            lip_g=0.3,
+            u0=np.array([1.0]),
+        )
+        u = np.ones((n, k + 1, 1))
+        mild_residual(u, prob, ens)
+        tracemalloc.start()
+        try:
+            mild_residual(u, prob, ens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * u.nbytes
+
 
 class TestContractionScaling:
     def test_quotient_scales_like_sqrt_block(self):
@@ -372,6 +397,14 @@ class TestLocalization:
             u0=np.array([0.3]),
             spec=spec,
         )
+
+    def test_wrong_length_stop_rejected(self):
+        grid = TimeGrid.uniform(1.0, 8)
+        ens = simulate(WIENER, grid, 5, seed=25)
+        with pytest.raises(ValueError, match=r"one stopping index per path, 5 in all"):
+            localization_consistency(
+                self._problem(WIENER), ens, tau_idx=np.array([0, 8]), tol=1e-10
+            )
 
     def test_full_horizon_stop_is_identity(self):
         grid = TimeGrid.uniform(1.0, 32)

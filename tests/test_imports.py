@@ -1,36 +1,46 @@
-"""The import graph: scipy is loaded only where a sphere panel is drawn.
+"""The import graph: cylmart needs numpy alone, scipy is never loaded.
 
-Each check runs in a fresh interpreter, because the test process may already
-hold scipy from other tests.
+The import checks run in a fresh interpreter, because the test process may
+already hold scipy from other packages.
 """
 
 import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
+
+from cylmart.martingales import sphere_panel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-HEAVY = ("scipy.stats", "scipy.special", "scipy.linalg")
-
-PRELUDE = f"""
+PRELUDE = """
 import json, sys
 import cylmart, cylmart.cli, cylmart.harness, cylmart.experiments
-def heavy():
-    return sorted(m for m in {HEAVY!r} if m in sys.modules)
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+"""
+
+# a meta-path finder that makes every scipy import fail, as on a machine
+# where only numpy is installed
+BLOCK_SCIPY = """
+import sys
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+sys.meta_path.insert(0, _NoScipy())
 """
 
 
-def run_fresh(body: str) -> dict:
+def run_fresh(body: str, block_scipy: bool = False) -> dict:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = (BLOCK_SCIPY if block_scipy else "") + PRELUDE + body
     proc = subprocess.run(
-        [sys.executable, "-c", PRELUDE + body],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
@@ -41,25 +51,50 @@ def run_fresh(body: str) -> dict:
 
 
 def test_import_loads_no_scipy_submodule():
-    out = run_fresh("print(json.dumps({'heavy': heavy(), 'numpy': 'numpy' in sys.modules}))")
-    assert out == {"heavy": [], "numpy": True}
-
-
-def test_sphere_panel_imports_scipy_on_first_use():
     out = run_fresh(
-        "before = heavy()\n"
-        "panel = cylmart.sphere_panel(3, 16, seed=0)\n"
-        "print(json.dumps({'before': before, 'after': heavy(), 'panel': panel.tolist()}))"
+        "print(json.dumps({'scipy': scipy_loaded(), 'numpy': 'numpy' in sys.modules}))"
     )
-    assert out["before"] == []
-    assert {"scipy.stats", "scipy.special"} <= set(out["after"])
-    panel = np.array(out["panel"])
-    # the pinned expectation: +-coordinates, then scrambled Sobol points
-    # sent to the sphere by the inverse normal map, bit for bit
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        u = qmc.Sobol(3, scramble=True, seed=0).random(16)
-    z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    assert out == {"scipy": [], "numpy": True}
+
+
+def test_sphere_panel_matches_seeded_gaussian_reference():
+    # the pinned construction: +-coordinates, then standard normal rows of
+    # PCG64(SeedSequence((seed, 61))) scaled to unit length, bit for bit
+    seed, d, n = 0, 3, 16
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 61))))
+    z = rng.standard_normal((n, d))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
+    panel = sphere_panel(d, n, seed=seed)
     assert panel.shape == (22, 3)
     assert np.array_equal(panel, np.vstack([np.eye(3), -np.eye(3), z]))
+
+
+def test_sphere_panels_are_nested():
+    # for one seed, a smaller panel is the head of every larger one
+    for d in (2, 3, 5):
+        big = sphere_panel(d, 64, seed=77)
+        for n in (0, 1, 4, 17, 63):
+            small = sphere_panel(d, n, seed=77)
+            assert np.array_equal(small, big[: 2 * d + n])
+    assert not np.array_equal(sphere_panel(3, 8, seed=1), sphere_panel(3, 8, seed=2))
+
+
+def test_runs_with_scipy_blocked():
+    out = run_fresh(
+        "try:\n"
+        "    import scipy.special\n"
+        "    blocked = False\n"
+        "except ImportError:\n"
+        "    blocked = True\n"
+        "panel = cylmart.sphere_panel(3, 16, seed=0)\n"
+        "cfg = cylmart.harness.make_config(\n"
+        "    'qv', seed=5, paths=50, grid=16, sphere=16, instances=5)\n"
+        "rep = cylmart.harness.run(cfg)\n"
+        "print(json.dumps({'blocked': blocked, 'scipy': scipy_loaded(), 'rows': len(panel),\n"
+        "                  'criteria': len(rep.criteria), 'passed': rep.passed}))",
+        block_scipy=True,
+    )
+    assert out["blocked"]
+    assert out["scipy"] == []
+    assert out["rows"] == 22
+    assert out["criteria"] > 0 and out["passed"]

@@ -344,6 +344,11 @@ class TestStopping:
         with pytest.raises(ValueError, match=r"stopping indices must be integers in \[0, 16\]"):
             stop_integral(phi, wiener, tau)
 
+    def test_wrong_length_rejected(self, grid, wiener):
+        phi = IntegrandProcess.constant(grid, np.eye(2))
+        with pytest.raises(ValueError, match=rf"one stopping index per path, {wiener.n_paths} in all"):
+            stop_integral(phi, wiener, np.array([4, 8]))
+
     def test_first_passage_three_way(self, grid):
         rng = np.random.default_rng(9)
         spec = NoiseSpec(2, 2, rng.standard_normal((2, 2)))
@@ -385,6 +390,12 @@ class TestLocalProperty:
         phi = IntegrandProcess(grid, np.zeros((wiener.n_paths - 1, 16, 2, 2)), adapted=True)
         with pytest.raises(ValueError, match="does not match path count"):
             local_property_check(phi, wiener, np.ones(wiener.n_paths, bool))
+
+    def test_wrong_mask_length_is_named(self, grid):
+        ens = simulate(NoiseSpec(2, 2, np.eye(2)), grid, 5, seed=13)
+        phi = IntegrandProcess.constant(grid, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"event mask needs one entry per path, 5 in all"):
+            local_property_check(phi, ens, np.ones(3, bool))
 
     def test_claim_checked(self, grid, wiener):
         phi = IntegrandProcess.constant(grid, np.eye(2))

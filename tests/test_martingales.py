@@ -679,6 +679,12 @@ class TestStopIndices:
         with pytest.raises(ValueError, match=r"stopping indices must be integers in \[0, 16\]"):
             stopped_spec(spec, grid, bad)
 
+    def test_wrong_length_rejected(self, grid):
+        ens = simulate(NoiseSpec(2, 2, np.eye(2)), grid, 5, seed=43)
+        for bad in (np.array([3, 4]), np.full(6, 3), np.full((5, 1), 3)):
+            with pytest.raises(ValueError, match=r"one stopping index per path, 5 in all"):
+                stop_ensemble(ens, bad)
+
     def test_non_integer_rejected(self, grid):
         ens = simulate(NoiseSpec(2, 2, np.eye(2)), grid, 3, seed=41)
         with pytest.raises(ValueError, match="stopping indices must be integers"):
