@@ -441,11 +441,8 @@ def mild_residual(u: np.ndarray, problem: SEEProblem, ens: MartEnsemble) -> Resi
     rhs[:, 0, :] = base
     for j in range(grid.n_cells):
         rhs[:, j + 1, :] = sg.apply(grid.points[j + 1], base)
-    # one buffer for both scans (column 0 stays zero), freed before the row sums
-    conv = np.zeros_like(u)
-    rhs += _scan(sg, grid, _drift_step(problem, grid, u), conv, 0, grid.n_cells)
-    rhs += _scan(sg, grid, _noise_step(problem, ens, u), conv, 0, grid.n_cells)
-    del conv
+    rhs += det_convolution(problem, grid, u)
+    rhs += stoch_convolution(problem, ens, u)
     rhs[:, 0, :] = base
     # the gap u - rhs and np.linalg.norm's sum of squares, in place
     np.subtract(u, rhs, out=rhs)

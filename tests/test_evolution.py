@@ -345,8 +345,8 @@ class TestMildResidual:
         assert mild_residual(u, prob, ens).max == 0.0
 
     def test_peak_below_three_path_arrays(self):
-        # the right-hand side and one buffer for both convolutions are the
-        # only path arrays a call holds
+        # the right-hand side and one convolution at a time are the only
+        # path arrays a call holds (the row maxima come before the sqrt)
         n, k = 2000, 64
         grid = TimeGrid.uniform(1.0, k)
         ens = simulate(WIENER, grid, n, seed=24)

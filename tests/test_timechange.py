@@ -441,16 +441,8 @@ class TestClockOracle:
         grid = TimeGrid.uniform(1.0, k)
         mats = np.random.default_rng(seed).standard_normal((k, m, 2))
         kernel = GammaKernel(grid, GridMeasure(grid, np.array(masses)), mats, flavor)
-
-        def outcome(check):
-            # a subnormal total (masses [0, 5e-324]) has no strictly
-            # increasing clock grid: both versions must then raise alike
-            try:
-                return check(kernel, n_samples=64, seed=seed)
-            except ValueError as err:
-                return f"ValueError: {err}"
-
-        assert outcome(gamma_timechange_check) == outcome(old_gamma_timechange_check)
+        new = gamma_timechange_check(kernel, n_samples=64, seed=seed)
+        assert new == old_gamma_timechange_check(kernel, n_samples=64, seed=seed)
 
     def test_zero_measure_shared_over_paths(self):
         grid = TimeGrid.uniform(1.0, 5)
