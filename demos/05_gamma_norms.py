@@ -24,14 +24,14 @@ grid = TimeGrid.uniform(1.0, 16)
 measure = GridMeasure(grid, rng.uniform(0.0, 1.0, 16))
 
 # --- exact vs Monte Carlo ------------------------------------------------------
-kernel = GammaKernel(grid, measure, rng.standard_normal((16, 3, 2)))
+kernel = GammaKernel(measure, rng.standard_normal((16, 3, 2)))
 exact = gamma_norm_exact_hilbert(kernel)
 est = gamma_norm_mc(kernel, n_samples=8192, seed=1)
 print(f"exact {exact:.4f} vs MC {est.value:.4f} +- {est.stderr:.4f}")
 
 # --- p-norm flavors --------------------------------------------------------------
 for p in (1, 4):
-    kp = GammaKernel(grid, measure, kernel.matrices, flavor=p)
+    kp = GammaKernel(measure, kernel.matrices, flavor=p)
     ep = gamma_norm_mc(kp, n_samples=8192, seed=2)
     print(f"l{p} target: {ep.value:.4f} +- {ep.stderr:.4f}")
 
@@ -50,6 +50,6 @@ print(f"prefix-kernel norm {bound.lhs.value:.4f} <= bound {bound.rhs:.4f}")
 
 # --- index-space swap ----------------------------------------------------------------
 for p in (2, 4):
-    kp = GammaKernel(grid, measure, rng.standard_normal((16, 4, 3)), flavor=p)
+    kp = GammaKernel(measure, rng.standard_normal((16, 4, 3)), flavor=p)
     fub = gamma_fubini_check(kp, n_samples=8192, seed=3)
     print(f"p={p}: swap ratio {fub.ratio:.4f}")

@@ -13,9 +13,11 @@ from cylmart import BDGInstance, IntegrandProcess, NoiseSpec, TimeGrid, bdg_rati
 rng = np.random.default_rng(0)
 grid = TimeGrid.uniform(1.0, 32)
 
+# an instance is a truncation and an integrand; paths are simulated on the
+# integrand's grid
 instances = [
     BDGInstance("scalar-bm", NoiseSpec(1, 1, np.eye(1)),
-                IntegrandProcess.constant(grid, np.eye(1)), grid),
+                IntegrandProcess.constant(grid, np.eye(1))),
 ]
 for i in range(5):
     d, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
@@ -24,7 +26,6 @@ for i in range(5):
             f"random-{i}",
             NoiseSpec(d, d, rng.standard_normal((d, d))),
             IntegrandProcess.constant(grid, rng.standard_normal((m, d))),
-            grid,
         )
     )
 

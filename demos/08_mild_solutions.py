@@ -3,7 +3,9 @@
 du = (Au + F(t,u)) dt + G(t,u) dM with a symmetric negative-semidefinite
 generator.  The solver iterates the variation-of-constants map over dyadic
 blocks sized so the map contracts; diagnostics expose the measured
-contraction, which scales like the square root of the block length.
+contraction, which scales like the square root of the block length.  A
+problem carries no driver and no grid: each solver call reads both from the
+ensemble it is given.
 """
 
 import numpy as np
@@ -23,8 +25,6 @@ ou = SEEProblem(
     noise_map=lambda t, x: np.ones((x.shape[0], 1, 1)),
     lip_noise=0.0,
     u0=np.array([0.0]),
-    noise=wiener,
-    horizon=1.0,
     name="ou",
 )
 ens = simulate(wiener, grid, n_paths=20_000, seed=1)
@@ -43,8 +43,6 @@ nonlinear = SEEProblem(
     noise_map=lambda t, x: 0.5 * x[:, :, None],
     lip_noise=0.5,
     u0=np.array([1.0]),
-    noise=wiener,
-    horizon=1.0,
 )
 u2, diag2 = picard_solve(nonlinear, ens, tol=1e-9)
 print("\nblocks:", diag2.blocks)
@@ -61,8 +59,6 @@ mult = SEEProblem(
     noise_map=lambda t, x: x[:, :, None],
     lip_noise=1.0,
     u0=np.array([1.0]),
-    noise=wiener,
-    horizon=1.0,
 )
 probe = simulate(wiener, grid, n_paths=2000, seed=2)
 print("\nblock length -> measured Lipschitz quotient of the mild map")

@@ -20,7 +20,7 @@ from ._util import flavor_norm, prefix_sums
 from .gammanorm import GammaKernel, gamma_norm
 from .integration import IntegrandProcess, integrand_increments, integrate
 from .martingales import MartEnsemble, NoiseSpec, qm_operator, qv_exact, simulate
-from .measures import IncreasingPath, TimeGrid
+from .measures import IncreasingPath
 from .operators import psd_sqrt
 
 __all__ = [
@@ -49,18 +49,19 @@ class IsometryReport:
         return abs(self.z) <= z_max
 
 
-def _kernel_matrices(phi: IntegrandProcess, spec: NoiseSpec, grid: TimeGrid) -> np.ndarray:
-    """phi * (operator density)^{1/2} per cell, shape (K, m, dc)."""
+def _kernel_matrices(phi: IntegrandProcess, spec: NoiseSpec) -> np.ndarray:
+    """phi * (operator density)^{1/2} per cell of phi's grid, shape (K, m, dc)."""
     if phi.matrices.ndim != 3:
         raise ValueError("kernel construction needs a deterministic integrand")
-    roots = np.stack([psd_sqrt(q) for q in qm_operator(spec, grid).matrices])
+    roots = np.stack([psd_sqrt(q) for q in qm_operator(spec, phi.grid).matrices])
     return np.einsum("kmc,kcd->kmd", phi.matrices, roots)
 
 
-def integral_kernel(phi: IntegrandProcess, spec: NoiseSpec, grid: TimeGrid, flavor="hilbert") -> GammaKernel:
-    """Kernel phi * (operator density)^{1/2} against the bracket measure."""
-    mats = _kernel_matrices(phi, spec, grid)
-    return GammaKernel(grid, qv_exact(spec, grid), mats, flavor)
+def integral_kernel(phi: IntegrandProcess, spec: NoiseSpec, flavor="hilbert") -> GammaKernel:
+    """Kernel phi * (operator density)^{1/2} against the bracket measure, on
+    phi's grid."""
+    mats = _kernel_matrices(phi, spec)
+    return GammaKernel(qv_exact(spec, phi.grid), mats, flavor)
 
 
 def _shared_cell_energy(mats: np.ndarray, sig: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -117,10 +118,12 @@ def ito_isometry(phi: IntegrandProcess, ens: MartEnsemble) -> IsometryReport:
 
 @dataclass(frozen=True)
 class BDGInstance:
+    """One panel entry: the truncation and a deterministic integrand; the
+    ensemble is simulated on the integrand's grid."""
+
     name: str
     spec: NoiseSpec
     phi: IntegrandProcess
-    grid: TimeGrid
 
 
 @dataclass(frozen=True)
@@ -160,11 +163,11 @@ def _panel_one(
     gamma_samples: int,
 ) -> list[BDGReport]:
     # the ensemble is integrate's argument alone, freed before the norm loop
-    zeta = integrate(inst.phi, simulate(inst.spec, inst.grid, n_paths, seed))
+    zeta = integrate(inst.phi, simulate(inst.spec, inst.phi.grid, n_paths, seed))
     reports = []
     for flavor in flavors:
         sups = flavor_norm(zeta.values, flavor).max(axis=1)
-        kernel = integral_kernel(inst.phi, inst.spec, inst.grid, flavor)
+        kernel = integral_kernel(inst.phi, inst.spec, flavor)
         est = gamma_norm(kernel, n_samples=gamma_samples, seed=seed + 101)
         degenerate = est.value <= 1e-12
         for p in p_list:
@@ -312,7 +315,7 @@ def ito_residual(
     if ens.spec.adapted:
         raise ValueError("residual checking needs a deterministic spec")
     stoch_inc = integrand_increments(phi, ens, ens.driven_increments())  # (n, K, m)
-    kernels = _kernel_matrices(phi, ens.spec, grid)  # (K, m, dc); rejects a per-path phi
+    kernels = _kernel_matrices(phi, ens.spec)  # (K, m, dc); rejects a per-path phi
     dqv = qv_exact(ens.spec, grid).increments
 
     xi = np.broadcast_to(np.asarray(xi, dtype=float), (n, m))

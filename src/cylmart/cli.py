@@ -67,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _assemble_config(args) -> dict:
-    cfg = {"schema": 1, "experiment": args.command, "seed": 20240, "out": args.out, "params": {}}
+    # validate_config fills in the schema version and the default seed
+    cfg = {"experiment": args.command, "out": args.out, "params": {}}
     if args.config is not None:
         loaded = json.loads(Path(args.config).read_text())
         if "experiment" in loaded and loaded["experiment"] != args.command:

@@ -14,7 +14,7 @@ drivers pathwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -56,6 +56,8 @@ class SEEProblem:
     ``drift`` maps (t, states (n, m)) -> (n, m); ``noise_map`` maps
     (t, states) -> (n, m, d_cyl) (a constant (m, d_cyl) return broadcasts).
     Declared constants are validated by two-point sampling before solving.
+    The driver M and the time grid are not problem data: every solver
+    function reads both from the ensemble it is given.
     """
 
     generator: np.ndarray | None
@@ -65,8 +67,6 @@ class SEEProblem:
     noise_map: Callable
     lip_noise: float
     u0: np.ndarray
-    noise: NoiseSpec
-    horizon: float
     name: str = ""
 
     @property
@@ -262,20 +262,18 @@ def _window_distance(
     return _window_norm(np.square(gap, out=gap), ens, p, i0, i1)
 
 
-def rho_stopping_times(
-    bracket: BracketPaths, horizon: float, n: int
-) -> np.ndarray:
+def rho_stopping_times(bracket: BracketPaths, n: int) -> np.ndarray:
     """Per dyadic block, the first grid time its bracket mass exceeds T/2^n.
 
-    The search stays inside the block: a block whose own mass never exceeds
-    the cap reports inf.  Stopped at these times, each block carries at most
-    T/2^n plus one cell of mass.
+    T is the horizon of the bracket's grid.  The search stays inside the
+    block: a block whose own mass never exceeds the cap reports inf.  Stopped
+    at these times, each block carries at most T/2^n plus one cell of mass.
     """
     grid = bracket.grid
     prefix = bracket.prefix()
     n_blocks = 2**n
-    cap = horizon / n_blocks
-    snap = 1e-9 * max(horizon, 1.0)
+    cap = grid.horizon / n_blocks
+    snap = 1e-9 * max(grid.horizon, 1.0)
     out = np.full((prefix.shape[0], n_blocks), np.inf)
     for k in range(n_blocks):
         start = k * cap
@@ -328,12 +326,14 @@ def _default_blocks(problem: SEEProblem, ens: MartEnsemble) -> list[tuple[int, i
     return bounds
 
 
-def _validate_constants(problem: SEEProblem, seed: int, n_pairs: int = 1000) -> None:
-    rng = single_rng(seed, stream=17)
+def _validate_constants(problem: SEEProblem, ens: MartEnsemble, n_pairs: int = 1000) -> None:
+    """Two-point checks of the declared constants, at states and times drawn
+    from the ensemble's seed over its horizon."""
+    rng = single_rng(ens.seed, stream=17)
     m = problem.dim
     xs = rng.standard_normal((n_pairs, m)) * 3.0
     ys = rng.standard_normal((n_pairs, m)) * 3.0
-    ts = rng.uniform(0.0, problem.horizon, n_pairs)
+    ts = rng.uniform(0.0, ens.grid.horizon, n_pairs)
     for t in np.unique(np.round(ts[:5], 3)):
         fx = np.asarray(problem.drift(t, xs), dtype=float)
         fy = np.asarray(problem.drift(t, ys), dtype=float)
@@ -374,7 +374,7 @@ def picard_solve(
     """
     grid = ens.grid
     if validate:
-        _validate_constants(problem, ens.seed)
+        _validate_constants(problem, ens)
     if blocks is None:
         blocks = _default_blocks(problem, ens)
     diag = PicardDiagnostics(blocks=list(blocks))
@@ -512,18 +512,7 @@ def localization_consistency(
     if u0_alt is not None:
         if agree_mask is None:
             raise ValueError("u0_alt needs the mask of agreeing paths")
-        alt = SEEProblem(
-            generator=problem.generator,
-            drift=problem.drift,
-            lip_drift=problem.lip_drift,
-            growth_drift=problem.growth_drift,
-            noise_map=problem.noise_map,
-            lip_noise=problem.lip_noise,
-            u0=u0_alt,
-            noise=problem.noise,
-            horizon=problem.horizon,
-            name=problem.name + "-alt",
-        )
+        alt = replace(problem, u0=u0_alt, name=problem.name + "-alt")
         u_alt, _ = picard_solve(alt, ens, p=p, tol=tol, validate=False)
         diffs = np.linalg.norm(u_full - u_alt, axis=2).max(axis=1)
         event_gaps = diffs[np.asarray(agree_mask, dtype=bool)]
@@ -609,11 +598,11 @@ NOISE_MAP_REGISTRY = {
 }
 
 
-def problem_from_config(cfg: dict) -> tuple[SEEProblem, TimeGrid]:
-    """Build a problem from a JSON-style dict (generator spectrum, registry
-    nonlinearities, noise spec, horizon, grid)."""
-    horizon = float(cfg["horizon"])
-    grid = TimeGrid.uniform(horizon, int(cfg["grid"]))
+def problem_from_config(cfg: dict) -> tuple[SEEProblem, NoiseSpec, TimeGrid]:
+    """Build a problem, its noise spec and its grid from a JSON-style dict
+    (generator spectrum, registry nonlinearities, noise spec, horizon, grid);
+    ``simulate(spec, grid, ...)`` gives the ensemble to solve against."""
+    grid = TimeGrid.uniform(float(cfg["horizon"]), int(cfg["grid"]))
     u0 = np.asarray(cfg["u0"], dtype=float)
     m = u0.shape[-1]
 
@@ -653,8 +642,6 @@ def problem_from_config(cfg: dict) -> tuple[SEEProblem, TimeGrid]:
         noise_map=noise_map,
         lip_noise=lip_g,
         u0=u0,
-        noise=spec,
-        horizon=horizon,
         name=cfg.get("name", ""),
     )
-    return problem, grid
+    return problem, spec, grid

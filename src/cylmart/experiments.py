@@ -417,7 +417,6 @@ def run_timechange(params: dict, seed: int) -> ExperimentResult:
 
     rng = single_rng(seed, stream=41)
     kernel = GammaKernel(
-        grid,
         GridMeasure(grid, 2.0 * grid.widths),
         rng.standard_normal((k, 2, 2)),
         flavor="hilbert",
@@ -448,7 +447,7 @@ def run_gamma(params: dict, seed: int) -> ExperimentResult:
         d = int(rng.integers(1, 7))
         grid = TimeGrid.uniform(float(rng.uniform(0.5, 2.0)), k)
         measure = GridMeasure(grid, rng.uniform(0.0, 1.0, size=k))
-        kernel = GammaKernel(grid, measure, rng.standard_normal((k, m, d)))
+        kernel = GammaKernel(measure, rng.standard_normal((k, m, d)))
         exact = gamma_norm_exact_hilbert(kernel)
         est = gamma_norm_mc(kernel, params["samples"], seed + 100 + i)
         z = abs(est.value - exact) / est.stderr if est.stderr > 0 else 0.0
@@ -471,8 +470,7 @@ def run_gamma(params: dict, seed: int) -> ExperimentResult:
         d = int(rng.integers(1, 5))
         grid = TimeGrid.uniform(1.0, k)
         kernel = GammaKernel(
-            grid, GridMeasure(grid, rng.uniform(0.0, 1.0, size=k)),
-            rng.standard_normal((k, m, d)),
+            GridMeasure(grid, rng.uniform(0.0, 1.0, size=k)), rng.standard_normal((k, m, d))
         )
         q = int(rng.integers(1, 5))
         g = int(rng.integers(1, 5))
@@ -508,7 +506,7 @@ def run_gamma(params: dict, seed: int) -> ExperimentResult:
 
     grid = TimeGrid.uniform(1.0, 8)
     kernel2 = GammaKernel(
-        grid, GridMeasure(grid, grid.widths), rng.standard_normal((8, 4, 3)), flavor=2
+        GridMeasure(grid, grid.widths), rng.standard_normal((8, 4, 3)), flavor=2
     )
     fub2 = gamma_fubini_check(kernel2, n_samples=params["samples"], seed=seed + 5)
     z = abs(fub2.rhs.value - fub2.lhs) / fub2.rhs.stderr if fub2.rhs.stderr else 0.0
@@ -521,7 +519,6 @@ def run_gamma(params: dict, seed: int) -> ExperimentResult:
     ratios = []
     for i in range(8):
         kern4 = GammaKernel(
-            grid,
             GridMeasure(grid, rng.uniform(0.0, 1.0, size=8)),
             rng.standard_normal((8, 4, 3)),
             flavor=4,
@@ -549,7 +546,6 @@ def _panel_instances(rng, count: int, grid_choices=(16, 32, 48)) -> list[BDGInst
             "scalar-bm",
             NoiseSpec(1, 1, np.eye(1)),
             IntegrandProcess.constant(g0, np.eye(1)),
-            g0,
         )
     )
     while len(out) < count:
@@ -566,7 +562,6 @@ def _panel_instances(rng, count: int, grid_choices=(16, 32, 48)) -> list[BDGInst
                 f"const-{i}",
                 NoiseSpec(d, d, sig),
                 IntegrandProcess.constant(grid, phi),
-                grid,
             )
         elif kind == 1:
             base = rng.standard_normal((d, d))
@@ -579,7 +574,6 @@ def _panel_instances(rng, count: int, grid_choices=(16, 32, 48)) -> list[BDGInst
                 f"timevar-{i}",
                 NoiseSpec(d, d, sig),
                 IntegrandProcess(grid, phi),
-                grid,
             )
         else:
             sig = rng.standard_normal((d, d))
@@ -589,7 +583,6 @@ def _panel_instances(rng, count: int, grid_choices=(16, 32, 48)) -> list[BDGInst
                 f"rankdef-{i}",
                 NoiseSpec(d, d, sig),
                 IntegrandProcess.constant(grid, phi),
-                grid,
             )
         out.append(inst)
     return out
@@ -834,8 +827,6 @@ def run_see(params: dict, seed: int) -> ExperimentResult:
         noise_map=lambda t, x: np.zeros((x.shape[0], 2, 1)),
         lip_noise=0.0,
         u0=np.array([1.0, -0.5]),
-        noise=wiener,
-        horizon=1.0,
         name="flow",
     )
     ens_a = simulate(wiener, grid, 4, seed)
@@ -859,8 +850,6 @@ def run_see(params: dict, seed: int) -> ExperimentResult:
         noise_map=lambda t, x: np.zeros((x.shape[0], 1, 1)),
         lip_noise=0.0,
         u0=np.array([1.0]),
-        noise=wiener,
-        horizon=1.0,
         name="decay",
     )
     ens_b = simulate(wiener, grid, 2, seed + 1)
@@ -882,8 +871,6 @@ def run_see(params: dict, seed: int) -> ExperimentResult:
         noise_map=lambda t, x: np.ones((x.shape[0], 1, 1)),
         lip_noise=0.0,
         u0=np.array([0.0]),
-        noise=wiener,
-        horizon=1.0,
         name="ou",
     )
     ens_c = simulate(wiener, grid, params["paths"], seed + 2)
@@ -922,8 +909,6 @@ def run_see(params: dict, seed: int) -> ExperimentResult:
         noise_map=lambda t, x: x[:, :, None],
         lip_noise=1.0,
         u0=np.array([1.0]),
-        noise=wiener,
-        horizon=1.0,
         name="mult",
     )
     ens_d = simulate(wiener, grid, params["contraction_paths"], seed + 3)
@@ -960,8 +945,6 @@ def run_see(params: dict, seed: int) -> ExperimentResult:
         noise_map=lambda t, x: np.ones((x.shape[0], 1, 1)),
         lip_noise=0.0,
         u0=np.array([0.2]),
-        noise=aspec,
-        horizon=1.0,
         name="loc",
     )
     ens_e = simulate(aspec, grid, params["loc_paths"], seed + 4)
@@ -981,7 +964,7 @@ def run_see(params: dict, seed: int) -> ExperimentResult:
         "stopped-driver and agreeing-initial-value gaps within 2 tol + 5 dt",
     )
 
-    rho = rho_stopping_times(ens_e.bracket, 1.0, n=2)
+    rho = rho_stopping_times(ens_e.bracket, n=2)
     prefix = ens_e.bracket.prefix()
     cap = 1.0 / 4.0
     worst_block = 0.0

@@ -38,9 +38,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GammaKernel:
-    """Kernel matrices (K, m, d) against a weight measure on the grid."""
+    """Kernel matrices (K, m, d), one per cell of the weight measure's grid."""
 
-    grid: TimeGrid
     measure: GridMeasure
     matrices: np.ndarray
     flavor: object = "hilbert"
@@ -51,9 +50,11 @@ class GammaKernel:
             raise ValueError(f"kernel shape {mats.shape} does not fit the grid")
         if not np.isfinite(mats).all():
             raise ValueError("kernel matrices are not all finite")
-        if self.measure.grid != self.grid:
-            raise ValueError("measure lives on a different grid")
         object.__setattr__(self, "matrices", mats)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.measure.grid
 
     @property
     def target_dim(self) -> int:
@@ -62,16 +63,6 @@ class GammaKernel:
     @property
     def input_dim(self) -> int:
         return self.matrices.shape[2]
-
-    @classmethod
-    def constant(
-        cls, grid: TimeGrid, matrix: np.ndarray, measure: GridMeasure | None = None, flavor="hilbert"
-    ) -> "GammaKernel":
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        if measure is None:
-            measure = GridMeasure(grid, grid.widths)
-        mats = np.broadcast_to(matrix, (grid.n_cells,) + matrix.shape).copy()
-        return cls(grid, measure, mats, flavor)
 
     def weighted(self) -> np.ndarray:
         """Matrices scaled by sqrt(cell mass): the discretized operator."""
@@ -176,7 +167,7 @@ def ideal_check(
     t_mat = np.atleast_2d(np.asarray(t_mat, dtype=float))
     s_mat = np.atleast_2d(np.asarray(s_mat, dtype=float))
     new_mats = np.einsum("qm,kmd,dg->kqg", t_mat, kernel.matrices, s_mat)
-    new_kernel = GammaKernel(kernel.grid, kernel.measure, new_mats, kernel.flavor)
+    new_kernel = GammaKernel(kernel.measure, new_mats, kernel.flavor)
     base = gamma_norm(kernel, n_samples, seed)
     lhs = gamma_norm(new_kernel, n_samples, seed + 1)
     t_norm = float(np.linalg.svd(t_mat, compute_uv=False)[0]) if t_mat.size else 0.0
@@ -231,7 +222,7 @@ def primitive_gamma_bound_check(
     if psi.shape[0] != grid.n_cells:
         raise ValueError("psi must supply one value per cell")
     prefix = np.cumsum(psi * grid.widths[:, None], axis=0)  # value at right endpoints
-    kernel = GammaKernel(grid, mu, prefix[:, :, None], flavor)
+    kernel = GammaKernel(mu, prefix[:, :, None], flavor)
     lhs = gamma_norm(kernel, n_samples, seed)
 
     weighted = psi * np.sqrt(grid.widths)[:, None]  # (K, m)

@@ -32,6 +32,8 @@ from .experiments import (
 )
 
 __all__ = [
+    "SCHEMA_VERSION",
+    "DEFAULT_SEED",
     "ConfigError",
     "ReplayMismatch",
     "make_config",
@@ -43,6 +45,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# the acceptance seed: every statistical gate is calibrated at it
+DEFAULT_SEED = 20240
 
 
 class ConfigError(ValueError):
@@ -55,7 +59,7 @@ class ReplayMismatch(RuntimeError):
 
 def make_config(
     experiment: str,
-    seed: int = 20240,
+    seed: int = DEFAULT_SEED,
     out: str | None = None,
     **overrides,
 ) -> dict:
@@ -116,7 +120,7 @@ def validate_config(cfg: dict) -> dict:
             f"(allowed: {sorted(defaults)})"
         )
     merged = {**defaults, **params}
-    seed = cfg.get("seed", 20240)
+    seed = cfg.get("seed", DEFAULT_SEED)
     if not int_at_least(seed, 0):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     for name, default in defaults.items():

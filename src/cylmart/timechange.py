@@ -85,8 +85,13 @@ class TimeChange:
         there does tau reach the last grid point, as no prefix exceeds it."""
         return self.tau_idx == self.grid.n_cells
 
-    def for_paths(self, n: int) -> "TimeChange":
-        """This clock for an n-path ensemble; a one-path clock is shared."""
+    def for_ensemble(self, ens: MartEnsemble) -> "TimeChange":
+        """This clock for ``ens``, checked: it must live on the ensemble's grid
+        and carry one path per ensemble path, or a single path, which every
+        path then shares."""
+        if self.grid != ens.grid:
+            raise ValueError("time change and ensemble live on different grids")
+        n = ens.n_paths
         if self.n_paths == n:
             return self
         if self.n_paths != 1:
@@ -150,7 +155,7 @@ def apply_time_change(ens: MartEnsemble, tc: TimeChange) -> TimeChangedEnsemble:
     values.  The transported bracket satisfies bracket(s) = min(s, total)
     within one source-cell mass.
     """
-    clock = tc.for_paths(ens.n_paths)
+    clock = tc.for_ensemble(ens)
     rows = np.arange(ens.n_paths)[:, None]
     values = ens.m_evals[rows, clock.tau_idx, :]
     bracket_values = clock.prefix[rows, clock.tau_idx]
@@ -195,7 +200,7 @@ def dds_integral_check(phi: IntegrandProcess, ens: MartEnsemble, tc: TimeChange)
     the report carries the per-path sup gap, which is bounded by a multiple
     of sqrt(max cell mass) and vanishes to round-off when the clocks align.
     """
-    clock = tc.for_paths(ens.n_paths)
+    clock = tc.for_ensemble(ens)
     source = integrate(phi, ens).values  # (n, K+1, m)
     vec = ens.vector_paths()  # (n, K+1, dc)
     mats = phi.for_paths(ens.n_paths)
@@ -239,22 +244,23 @@ def gamma_timechange_check(kernel, n_samples: int = 4096, seed: int = 0) -> Tran
     total mass, with cell values pulled back through tau.  Euclidean flavor
     compares weighted Hilbert-Schmidt sums exactly (up to the re-binning
     bound, the left-point error of a piecewise-constant integrand); p-norm
-    flavors compare Monte-Carlo estimates.
+    flavors compare Monte-Carlo estimates.  A total mass too small for k
+    positive clock cells (zero, or a few subnormals such as masses
+    [0, 5e-324]) counts as zero mass: every field of the pair is 0.
     """
     if not isinstance(kernel, GammaKernel):
         raise TypeError("expected a GammaKernel")
     qv = kernel.measure
-    grid = kernel.grid
-    k = grid.n_cells
+    k = kernel.grid.n_cells
     total = qv.total_mass
-    if total == 0:
-        return TransportPair(0.0, 0.0, 0.0, 0.0, 0.0)
     s_pts = np.linspace(0.0, total, k + 1)
+    if np.isfinite(total) and not np.all(np.diff(s_pts) > 0):
+        # zero or subnormal mass; an overflowing total still fails in TimeGrid
+        return TransportPair(0.0, 0.0, 0.0, 0.0, 0.0)
     # the clock of build_time_change, but against the pairwise total mass
     cells = _last_at_or_below(qv.prefix(), s_pts[:-1], total, k - 1)
     s_grid = TimeGrid(s_pts)
     transported = GammaKernel(
-        grid=s_grid,
         measure=GridMeasure(s_grid, np.diff(s_pts)),
         matrices=kernel.matrices[cells],
         flavor=kernel.flavor,

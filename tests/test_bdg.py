@@ -83,7 +83,7 @@ class TestIsometry:
         phi = IntegrandProcess.constant(grid, rng.standard_normal((2, 3)))
         ens = simulate(spec, grid, 100, seed=6)
         rep = ito_isometry(phi, ens)
-        kernel = integral_kernel(phi, spec, grid)
+        kernel = integral_kernel(phi, spec)
         assert rep.rhs == pytest.approx(gamma_norm_exact_hilbert(kernel) ** 2, rel=1e-10)
 
     def test_single_path_raises(self):
@@ -131,13 +131,12 @@ class TestPanel:
         rng = np.random.default_rng(7)
         instances = [
             BDGInstance(
-                "a", NoiseSpec(1, 1, np.eye(1)), IntegrandProcess.constant(grid, np.eye(1)), grid
+                "a", NoiseSpec(1, 1, np.eye(1)), IntegrandProcess.constant(grid, np.eye(1))
             ),
             BDGInstance(
                 "b",
                 NoiseSpec(2, 2, rng.standard_normal((2, 2))),
                 IntegrandProcess.constant(grid, rng.standard_normal((3, 2))),
-                grid,
             ),
         ]
         reports = bdg_ratio_panel(instances, [1, 2], ["hilbert", 4], 2000, seed=8)
@@ -154,7 +153,6 @@ class TestPanel:
             "c",
             NoiseSpec(2, 2, rng.standard_normal((2, 2))),
             IntegrandProcess.constant(grid, rng.standard_normal((2, 2))),
-            grid,
         )
         reports = bdg_ratio_panel([inst], [2, 4], ["hilbert"], 4000, seed=10)
         for rep in reports:
@@ -163,7 +161,7 @@ class TestPanel:
     def test_degenerate_instances_flagged(self, grid):
         inst = BDGInstance(
             "zero", NoiseSpec(1, 1, np.zeros((1, 1))),
-            IntegrandProcess.constant(grid, np.eye(1)), grid,
+            IntegrandProcess.constant(grid, np.eye(1)),
         )
         reports = bdg_ratio_panel([inst], [2], ["hilbert"], 100, seed=11)
         assert all(r.degenerate for r in reports)
@@ -178,7 +176,7 @@ class TestPanel:
         for horizon in (1.0, 3.0):
             g = TimeGrid.uniform(horizon, 32)
             inst = BDGInstance(
-                f"h{horizon}", NoiseSpec(2, 2, sig), IntegrandProcess.constant(g, phi), g
+                f"h{horizon}", NoiseSpec(2, 2, sig), IntegrandProcess.constant(g, phi)
             )
             rep = bdg_ratio_panel([inst], [2], ["hilbert"], 20_000, seed=13)[0]
             out.append(rep.ratio)
@@ -186,14 +184,14 @@ class TestPanel:
 
     def test_single_path_raises(self, grid):
         inst = BDGInstance(
-            "one", NoiseSpec(1, 1, np.eye(1)), IntegrandProcess.constant(grid, np.eye(1)), grid
+            "one", NoiseSpec(1, 1, np.eye(1)), IntegrandProcess.constant(grid, np.eye(1))
         )
         with pytest.raises(ValueError, match="n_paths >= 2"):
             bdg_ratio_panel([inst], [2], ["hilbert"], 1, seed=15)
 
     def test_csv_row_format(self, grid):
         inst = BDGInstance(
-            "r", NoiseSpec(1, 1, np.eye(1)), IntegrandProcess.constant(grid, np.eye(1)), grid
+            "r", NoiseSpec(1, 1, np.eye(1)), IntegrandProcess.constant(grid, np.eye(1))
         )
         rep = bdg_ratio_panel([inst], [1], ["hilbert"], 100, seed=14)[0]
         row = rep.to_csv_row()
@@ -421,7 +419,7 @@ def reference_ito_residual(
 
     if ens.spec.adapted:
         raise ValueError("residual checking needs a deterministic spec")
-    kernels = _kernel_matrices(phi, ens.spec, grid)  # (K, m, dc)
+    kernels = _kernel_matrices(phi, ens.spec)  # (K, m, dc)
     dqv = qv_exact(ens.spec, grid).increments
 
     residual = np.empty((n, k + 1))

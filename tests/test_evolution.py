@@ -30,7 +30,13 @@ from cylmart.evolution import (
     vp_norm,
 )
 from cylmart.integration import IntegrandProcess, first_passage_time, integrate
-from cylmart.martingales import BracketPaths, NoiseSpec, simulate, stop_ensemble
+from cylmart.martingales import (
+    BracketPaths,
+    NoiseSpec,
+    grid_stop_indices,
+    simulate,
+    stop_ensemble,
+)
 from cylmart.measures import TimeGrid
 
 WIENER = NoiseSpec(1, 1, np.eye(1))
@@ -40,18 +46,16 @@ def zero_drift(t, x):
     return np.zeros_like(x)
 
 
-def make_problem(generator=None, drift=None, lip_f=0.0, noise=None, lip_g=0.0,
-                 u0=None, spec=WIENER, horizon=1.0, m=1):
+def make_problem(generator=None, drift=None, lip_f=0.0, noise_map=None, lip_g=0.0,
+                 u0=None, m=1):
     return SEEProblem(
         generator=generator,
         drift=drift or zero_drift,
         lip_drift=lip_f,
         growth_drift=lip_f if drift else 0.0,
-        noise_map=noise or (lambda t, x: np.zeros((x.shape[0], m, spec.d_cyl))),
+        noise_map=noise_map or (lambda t, x: np.zeros((x.shape[0], m, 1))),
         lip_noise=lip_g,
         u0=np.zeros(m) if u0 is None else u0,
-        noise=spec,
-        horizon=horizon,
     )
 
 
@@ -132,7 +136,7 @@ class TestConvolutions:
         grid = TimeGrid.uniform(1.0, 16)
         ens = simulate(WIENER, grid, 32, seed=2)
         g_mat = np.array([[0.7]])
-        prob = make_problem(noise=lambda t, x: np.broadcast_to(g_mat, (x.shape[0], 1, 1)))
+        prob = make_problem(noise_map=lambda t, x: np.broadcast_to(g_mat, (x.shape[0], 1, 1)))
         out = stoch_convolution(prob, ens, np.zeros((32, 17, 1)))
         ref = integrate(IntegrandProcess.constant(grid, g_mat), ens)
         np.testing.assert_array_equal(out, ref.values)
@@ -142,7 +146,7 @@ class TestConvolutions:
         ens = simulate(WIENER, grid, 10_000, seed=3)
         prob = make_problem(
             generator=np.array([[-1.0]]),
-            noise=lambda t, x: np.ones((x.shape[0], 1, 1)),
+            noise_map=lambda t, x: np.ones((x.shape[0], 1, 1)),
         )
         out = stoch_convolution(prob, ens, np.zeros((ens.n_paths, 257, 1)))
         var = out[:, -1, 0].var(ddof=1)
@@ -184,14 +188,14 @@ class TestRhoStoppingTimes:
     def test_unit_rate_never_crosses(self):
         grid = TimeGrid.uniform(1.0, 16)
         ens = simulate(WIENER, grid, 3, seed=9)
-        rho = rho_stopping_times(ens.bracket, 1.0, 2)
+        rho = rho_stopping_times(ens.bracket, 2)
         assert np.isinf(rho).all()
 
     def test_double_rate_crosses_midblock(self):
         grid = TimeGrid.uniform(1.0, 32)
         spec = NoiseSpec(1, 1, np.array([[np.sqrt(2.0)]]))
         ens = simulate(spec, grid, 2, seed=10)
-        rho = rho_stopping_times(ens.bracket, 1.0, 1)
+        rho = rho_stopping_times(ens.bracket, 1)
         # blocks [0, 1/2], [1/2, 1]; bracket rate 2 crosses cap T/2 near the
         # middle of each block, up to one grid cell
         assert abs(rho[0, 0] - 0.25) <= grid.widths[0] + 1e-12
@@ -200,7 +204,7 @@ class TestRhoStoppingTimes:
     def test_zero_bracket_all_infinite(self):
         grid = TimeGrid.uniform(1.0, 8)
         ens = simulate(NoiseSpec(1, 1, np.zeros((1, 1))), grid, 2, seed=11)
-        assert np.isinf(rho_stopping_times(ens.bracket, 1.0, 3)).all()
+        assert np.isinf(rho_stopping_times(ens.bracket, 3)).all()
 
     def test_stopped_block_mass_bounded(self):
         def vol(i, t, w_prev):
@@ -210,7 +214,7 @@ class TestRhoStoppingTimes:
         grid = TimeGrid.uniform(1.0, 64)
         ens = simulate(NoiseSpec(1, 1, vol), grid, 100, seed=12)
         n = 2
-        rho = rho_stopping_times(ens.bracket, 1.0, n)
+        rho = rho_stopping_times(ens.bracket, n)
         prefix = ens.bracket.prefix()
         cap = 1.0 / 2**n
         cell = ens.bracket.increments.max()
@@ -226,7 +230,7 @@ class TestRhoStoppingTimes:
         grid = TimeGrid(np.array([0.0, 0.3, 1.0]))
         ens = simulate(WIENER, grid, 1, seed=13)
         with pytest.raises(ValueError, match="not a grid point"):
-            rho_stopping_times(ens.bracket, 1.0, 1)
+            rho_stopping_times(ens.bracket, 1)
 
 
 class TestPicard:
@@ -254,7 +258,7 @@ class TestPicard:
         grid = TimeGrid.uniform(1.0, 32)
         ens = simulate(WIENER, grid, 50, seed=16)
         prob = make_problem(
-            noise=lambda t, x: np.ones((x.shape[0], 1, 1)), u0=np.array([2.0])
+            noise_map=lambda t, x: np.ones((x.shape[0], 1, 1)), u0=np.array([2.0])
         )
         u, diag = picard_solve(prob, ens, tol=1e-12)
         # constant-in-state map: the second iterate already repeats
@@ -282,7 +286,7 @@ class TestPicard:
         prob = make_problem(
             drift=lambda t, x: -0.5 * x,
             lip_f=0.5,
-            noise=lambda t, x: 0.5 * x[:, :, None],
+            noise_map=lambda t, x: 0.5 * x[:, :, None],
             lip_g=0.5,
             u0=np.array([1.0]),
         )
@@ -300,7 +304,7 @@ class TestPicard:
             prob = make_problem(
                 drift=lambda t, x: -0.3 * x,
                 lip_f=0.3,
-                noise=lambda t, x: 0.4 * x[:, :, None],
+                noise_map=lambda t, x: 0.4 * x[:, :, None],
                 lip_g=0.4,
                 u0=np.array([scale]),
             )
@@ -316,7 +320,7 @@ class TestMildResidual:
             generator=np.array([[-1.0]]),
             drift=lambda t, x: -0.2 * x,
             lip_f=0.2,
-            noise=lambda t, x: 0.3 * x[:, :, None],
+            noise_map=lambda t, x: 0.3 * x[:, :, None],
             lip_g=0.3,
             u0=np.array([1.0]),
         )
@@ -354,7 +358,7 @@ class TestMildResidual:
             generator=np.array([[-1.0]]),
             drift=lambda t, x: -0.2 * x,
             lip_f=0.2,
-            noise=lambda t, x: 0.3 * x[:, :, None],
+            noise_map=lambda t, x: 0.3 * x[:, :, None],
             lip_g=0.3,
             u0=np.array([1.0]),
         )
@@ -374,7 +378,7 @@ class TestContractionScaling:
         grid = TimeGrid.uniform(1.0, 64)
         ens = simulate(WIENER, grid, 2000, seed=24)
         prob = make_problem(
-            noise=lambda t, x: x[:, :, None], lip_g=1.0, u0=np.array([1.0])
+            noise_map=lambda t, x: x[:, :, None], lip_g=1.0, u0=np.array([1.0])
         )
         lengths, quotients = [], []
         for frac in (1, 2, 4):
@@ -388,14 +392,13 @@ class TestContractionScaling:
 
 
 class TestLocalization:
-    def _problem(self, spec):
+    def _problem(self):
         return make_problem(
             generator=np.array([[-0.5]]),
             drift=lambda t, x: -0.5 * x,
             lip_f=0.5,
-            noise=lambda t, x: np.ones((x.shape[0], 1, 1)),
+            noise_map=lambda t, x: np.ones((x.shape[0], 1, 1)),
             u0=np.array([0.3]),
-            spec=spec,
         )
 
     def test_wrong_length_stop_rejected(self):
@@ -403,14 +406,14 @@ class TestLocalization:
         ens = simulate(WIENER, grid, 5, seed=25)
         with pytest.raises(ValueError, match=r"one stopping index per path, 5 in all"):
             localization_consistency(
-                self._problem(WIENER), ens, tau_idx=np.array([0, 8]), tol=1e-10
+                self._problem(), ens, tau_idx=np.array([0, 8]), tol=1e-10
             )
 
     def test_full_horizon_stop_is_identity(self):
         grid = TimeGrid.uniform(1.0, 32)
         ens = simulate(WIENER, grid, 16, seed=25)
         rep = localization_consistency(
-            self._problem(WIENER), ens, tau_idx=np.full(16, 32), tol=1e-10
+            self._problem(), ens, tau_idx=np.full(16, 32), tol=1e-10
         )
         assert rep.max_stop_gap() == 0.0
 
@@ -420,7 +423,7 @@ class TestLocalization:
         for bad in (-1, 9):
             with pytest.raises(ValueError, match=r"stopping indices must be integers in \[0, 8\]"):
                 localization_consistency(
-                    self._problem(WIENER), ens, tau_idx=np.array([0, 8, bad, 3]), tol=1e-10
+                    self._problem(), ens, tau_idx=np.array([0, 8, bad, 3]), tol=1e-10
                 )
 
     def test_first_passage_stop(self):
@@ -433,13 +436,13 @@ class TestLocalization:
         ens = simulate(spec, grid, 64, seed=26)
         tau = first_passage_time(ens, 0.5)
         tol = 1e-9
-        rep = localization_consistency(self._problem(spec), ens, tau_idx=tau, tol=tol)
+        rep = localization_consistency(self._problem(), ens, tau_idx=tau, tol=tol)
         assert rep.max_stop_gap() <= 2 * tol + 5.0 / 64
 
     def test_agreeing_initial_values(self):
         grid = TimeGrid.uniform(1.0, 32)
         ens = simulate(WIENER, grid, 32, seed=27)
-        prob = self._problem(WIENER)
+        prob = self._problem()
         alt = np.full((32, 1), 0.3)
         agree = np.arange(32) % 2 == 0
         alt[~agree] = 5.0
@@ -461,9 +464,9 @@ class TestProblemConfig:
             "noise_map": {"name": "constant", "matrix": [[0.5]]},
             "noise": {"d_cyl": 1, "d_drive": 1, "sigma": [[1.0]]},
         }
-        prob, grid = problem_from_config(cfg)
+        prob, spec, grid = problem_from_config(cfg)
         assert prob.lip_drift == 0.5
-        ens = simulate(prob.noise, grid, 16, seed=28)
+        ens = simulate(spec, grid, 16, seed=28)
         u, diag = picard_solve(prob, ens, tol=1e-8)
         assert diag.converged
 
@@ -486,7 +489,7 @@ class TestProblemConfig:
             "noise_map": {"name": "state_diag", "scale": 0.3},
             "noise": {"d_cyl": 2, "d_drive": 2, "sigma": [[1.0, 0.0], [0.0, 1.0]]},
         }
-        prob, grid = problem_from_config(cfg)
+        prob, _, _ = problem_from_config(cfg)
         g = prob.noise_map(0.0, np.array([[1.0, 2.0]]))
         np.testing.assert_allclose(g[0], np.diag([0.3, 0.6]))
 
@@ -621,8 +624,6 @@ def scan_cases(draw):
         noise_map=noise,
         lip_noise=1.0,
         u0=u0,
-        noise=spec,
-        horizon=grid.horizon,
     )
     ens = simulate(spec, grid, n, seed=int(rng.integers(0, 1000)))
     u = rng.standard_normal((n, k + 1, m))
@@ -701,7 +702,7 @@ def reference_picard_solve(
 ):
     grid = ens.grid
     if validate:
-        _validate_constants(problem, ens.seed)
+        _validate_constants(problem, ens)
     if blocks is None:
         blocks = _default_blocks(problem, ens)
     diag = PicardDiagnostics(blocks=list(blocks))
@@ -876,3 +877,130 @@ class TestSemigroupCache:
         sg = Semigroup(None, 3)
         np.testing.assert_array_equal(sg.matrix(0.5), np.eye(3))
         assert not sg.matrix(0.5).flags.writeable
+
+
+# rho_stopping_times and localization_consistency as they were when the
+# horizon and the noise spec were stated twice, kept verbatim; only the two
+# SEEProblem fields that no longer exist (noise, horizon) are dropped from the
+# copy of the alternative problem.  The old rho copy is called with the
+# horizon of the bracket's grid, the value the new one reads.
+def old_rho_stopping_times(bracket, horizon, n):
+    grid = bracket.grid
+    prefix = bracket.prefix()
+    n_blocks = 2**n
+    cap = horizon / n_blocks
+    snap = 1e-9 * max(horizon, 1.0)
+    out = np.full((prefix.shape[0], n_blocks), np.inf)
+    for k in range(n_blocks):
+        start = k * cap
+        j0 = int(np.searchsorted(grid.points, start - snap))
+        if abs(grid.points[j0] - start) > snap:
+            raise ValueError(f"block start {start} is not a grid point")
+        j1 = int(np.searchsorted(grid.points, start + cap - snap))
+        excess = prefix[:, j0 + 1 : j1 + 1] - prefix[:, [j0]] > cap
+        hit = excess.any(axis=1)
+        first = np.argmax(excess, axis=1) + j0 + 1
+        out[hit, k] = grid.points[first[hit]]
+    return out
+
+
+def old_localization_consistency(
+    problem, ens, tau_idx=None, u0_alt=None, agree_mask=None, tol=1e-8, p=2.0
+):
+    u_full, _ = picard_solve(problem, ens, p=p, tol=tol, validate=False)
+    stop_gaps = None
+    event_gaps = None
+    if tau_idx is not None:
+        tau_idx = grid_stop_indices(tau_idx, ens.n_paths, ens.grid.n_cells)
+        stopped = stop_ensemble(ens, tau_idx)
+        u_stop, _ = picard_solve(problem, stopped, p=p, tol=tol, validate=False)
+        diffs = np.linalg.norm(u_full - u_stop, axis=2)  # (n, K+1)
+        mask = np.arange(ens.grid.n_cells + 1)[None, :] <= tau_idx[:, None]
+        stop_gaps = np.where(mask, diffs, 0.0).max(axis=1)
+    if u0_alt is not None:
+        if agree_mask is None:
+            raise ValueError("u0_alt needs the mask of agreeing paths")
+        alt = SEEProblem(
+            generator=problem.generator,
+            drift=problem.drift,
+            lip_drift=problem.lip_drift,
+            growth_drift=problem.growth_drift,
+            noise_map=problem.noise_map,
+            lip_noise=problem.lip_noise,
+            u0=u0_alt,
+            name=problem.name + "-alt",
+        )
+        u_alt, _ = picard_solve(alt, ens, p=p, tol=tol, validate=False)
+        diffs = np.linalg.norm(u_full - u_alt, axis=2).max(axis=1)
+        event_gaps = diffs[np.asarray(agree_mask, dtype=bool)]
+    return stop_gaps, event_gaps
+
+
+@st.composite
+def dyadic_brackets(draw):
+    """(bracket, n): per-path brackets with plateaus on uniform grids,
+    non-uniform grids whose dyadic block starts are grid points, and
+    non-uniform grids whose block starts mostly are not."""
+    n = draw(st.integers(0, 3))
+    per_block = draw(st.integers(1, 4))
+    horizon = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    layout = draw(st.sampled_from(["uniform", "aligned", "free"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = 2**n * per_block
+    if layout == "uniform":
+        grid = TimeGrid.uniform(horizon, k)
+    elif layout == "aligned":
+        cap = horizon / 2**n
+        inner = [b * cap + np.sort(rng.uniform(0.0, cap, per_block - 1)) for b in range(2**n)]
+        starts = [b * cap for b in range(2**n)]
+        pts = np.concatenate([np.r_[s, x] for s, x in zip(starts, inner)] + [[horizon]])
+        grid = TimeGrid(pts)
+    else:
+        grid = TimeGrid(np.r_[0.0, np.cumsum(rng.uniform(0.01, 1.0, k))])
+    paths = draw(st.integers(1, 4))
+    plateau = draw(st.sampled_from([0.0, 0.5]))
+    rates = rng.uniform(0.0, 3.0, (paths, k)) * (rng.uniform(size=(paths, k)) >= plateau)
+    return BracketPaths(grid, rates * grid.widths), n
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, PicardError) as exc:
+        return type(exc), str(exc)
+
+
+class TestRestatedInputsOracle:
+    """The grid's horizon and the ensemble's driver, read once, bit for bit."""
+
+    @given(dyadic_brackets())
+    @settings(max_examples=150, deadline=None)
+    def test_rho_stopping_times(self, case):
+        bracket, n = case
+        new = _outcome(rho_stopping_times, bracket, n)
+        old = _outcome(old_rho_stopping_times, bracket, bracket.grid.horizon, n)
+        if isinstance(old, tuple):
+            assert new == old
+        else:
+            assert np.array_equal(new, old)
+
+    @given(scan_cases(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_localization_consistency(self, case, data):
+        problem, ens, _, rng = case
+        n, k, m = ens.n_paths, ens.grid.n_cells, problem.dim
+        kwargs = dict(tol=data.draw(st.sampled_from([1e-8, 1e-3])))
+        if data.draw(st.booleans()):
+            kwargs["tau_idx"] = rng.integers(0, k + 1, n)
+        if data.draw(st.booleans()):
+            kwargs["u0_alt"] = rng.standard_normal((n, m))
+            kwargs["agree_mask"] = rng.uniform(size=n) < 0.5
+        new = _outcome(localization_consistency, problem, ens, **kwargs)
+        old = _outcome(old_localization_consistency, problem, ens, **kwargs)
+        if isinstance(old, tuple) and isinstance(old[0], type):
+            assert new == old
+            return
+        for got, want in zip((new.stop_gaps, new.event_gaps), old):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want, equal_nan=True)

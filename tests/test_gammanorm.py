@@ -25,13 +25,13 @@ from cylmart.measures import GridMeasure, TimeGrid
 
 def unit_mass_kernel(matrix, flavor="hilbert"):
     grid = TimeGrid.uniform(1.0, 1)
-    return GammaKernel(grid, GridMeasure(grid, np.ones(1)), matrix[None], flavor)
+    return GammaKernel(GridMeasure(grid, np.ones(1)), matrix[None], flavor)
 
 
 def random_kernel(rng, k=8, m=3, d=2, flavor="hilbert"):
     grid = TimeGrid.uniform(1.0, k)
     return GammaKernel(
-        grid, GridMeasure(grid, rng.uniform(0, 1, k)), rng.standard_normal((k, m, d)), flavor
+        GridMeasure(grid, rng.uniform(0, 1, k)), rng.standard_normal((k, m, d)), flavor
     )
 
 
@@ -47,7 +47,7 @@ class TestExactHilbert:
     def test_weighted_sum(self):
         grid = TimeGrid.uniform(1.0, 2)
         mats = np.stack([np.eye(2), 2.0 * np.eye(2)])
-        kernel = GammaKernel(grid, GridMeasure(grid, np.array([0.5, 0.25])), mats)
+        kernel = GammaKernel(GridMeasure(grid, np.array([0.5, 0.25])), mats)
         assert gamma_norm_exact_hilbert(kernel) == pytest.approx(np.sqrt(1.0 + 2.0))
 
     def test_rejects_pnorm_flavor(self):
@@ -85,7 +85,7 @@ class TestMonteCarlo:
 
     def test_zero_mass_exactly_zero(self):
         grid = TimeGrid.uniform(1.0, 3)
-        kernel = GammaKernel(grid, GridMeasure(grid, np.zeros(3)), np.ones((3, 2, 2)))
+        kernel = GammaKernel(GridMeasure(grid, np.zeros(3)), np.ones((3, 2, 2)))
         est = gamma_norm_mc(kernel, 100, seed=3)
         assert est.value == 0.0 and est.stderr == 0.0
 
@@ -99,7 +99,7 @@ class TestMonteCarlo:
     def test_homogeneity(self):
         rng = np.random.default_rng(5)
         kernel = random_kernel(rng, flavor=4)
-        scaled = GammaKernel(kernel.grid, kernel.measure, 3.0 * kernel.matrices, 4)
+        scaled = GammaKernel(kernel.measure, 3.0 * kernel.matrices, 4)
         a = gamma_norm_mc(kernel, 4096, seed=8)
         b = gamma_norm_mc(scaled, 4096, seed=8)
         assert b.value == pytest.approx(3.0 * a.value, rel=1e-12)
@@ -109,7 +109,7 @@ class TestMonteCarlo:
         kernel = random_kernel(rng, d=3, flavor=4)
         q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         rotated = GammaKernel(
-            kernel.grid, kernel.measure, kernel.matrices @ q, kernel.flavor
+            kernel.measure, kernel.matrices @ q, kernel.flavor
         )
         a = gamma_norm_mc(kernel, 16_384, seed=9)
         b = gamma_norm_mc(rotated, 16_384, seed=10)
@@ -264,7 +264,7 @@ class TestSupNormFlavor:
 
     def test_all_ones_kernel(self):
         grid = TimeGrid.uniform(1.0, 4)
-        kernel = GammaKernel(grid, GridMeasure(grid, grid.widths), np.ones((4, 2, 2)), np.inf)
+        kernel = GammaKernel(GridMeasure(grid, grid.widths), np.ones((4, 2, 2)), np.inf)
         # both target rows are the same N(0, 2) sum, so the norm is sqrt(2)
         est = gamma_norm(kernel, 64, 0)
         assert abs(est.value - np.sqrt(2.0)) <= 3 * est.stderr
@@ -358,7 +358,7 @@ def oracle_kernels(draw):
     mats = rng.standard_normal((k, m, d)) * draw(st.sampled_from([0.0, 1e-3, 1.0, 50.0]))
     flavor = draw(st.sampled_from(["hilbert", "euclidean", 2, 1, 1.5, 4]))
     grid = TimeGrid.uniform(1.0, k)
-    return GammaKernel(grid, GridMeasure(grid, masses), mats, flavor)
+    return GammaKernel(GridMeasure(grid, masses), mats, flavor)
 
 
 class TestRootMeanOracle:

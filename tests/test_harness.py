@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from cylmart.cli import main
 from cylmart.experiments import EXPERIMENTS, experiment_defaults, param_floor
 from cylmart.harness import (
+    DEFAULT_SEED,
+    SCHEMA_VERSION,
     ConfigError,
     ReplayMismatch,
     RunReport,
@@ -172,6 +174,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "[PASS] countex/countex-bracket-linear" in out
+
+    def test_default_config_is_make_configs(self, tmp_path, capsys):
+        # one default seed and schema version: the CLI and make_config agree,
+        # so both name the same run directory
+        main(["countex", "--out", str(tmp_path)])
+        report = json.loads((next(Path(tmp_path).iterdir()) / "report.json").read_text())
+        assert report["config"] == make_config("countex", out=str(tmp_path))
+        assert report["config"]["seed"] == DEFAULT_SEED
+        assert report["config"]["schema"] == SCHEMA_VERSION
 
     def test_replay_subcommand(self, tmp_path, capsys):
         main(["countex", "--out", str(tmp_path)])

@@ -183,7 +183,7 @@ def ref_stop_sigma(ens, tau_idx) -> np.ndarray:
 
 
 def ref_dds_integral_check(phi, ens, tc) -> DdsReport:
-    clock = tc.for_paths(ens.n_paths)
+    clock = tc.for_ensemble(ens)
     source = integrate(phi, ens).values  # (n, K+1, m)
     vec = ens.vector_paths()  # (n, K+1, dc)
     k = ens.grid.n_cells
