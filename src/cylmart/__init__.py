@@ -55,7 +55,6 @@ from .integration import (
     elementary_integral,
     first_passage_time,
     integrate,
-    integrate_black_box,
     kunita_watanabe_check,
     local_property_check,
     stop_integral,
@@ -101,7 +100,6 @@ from .evolution import (
     picard_solve,
     problem_from_config,
     rho_stopping_times,
-    semigroup_apply,
     stoch_convolution,
     vp_norm,
 )

@@ -12,6 +12,7 @@ __all__ = [
     "path_rngs",
     "single_rng",
     "is_hilbert",
+    "flavor_p",
     "flavor_norm",
     "prefix_sums",
     "canonical_json",
@@ -120,14 +121,25 @@ def is_hilbert(flavor) -> bool:
     return flavor in ("hilbert", "euclidean", 2, 2.0)
 
 
+def flavor_p(flavor) -> float:
+    """The exponent a norm flavor names: 2 for a Hilbert flavor, else p >= 1."""
+    if is_hilbert(flavor):
+        return 2.0
+    try:
+        p = float(flavor)
+    except (TypeError, ValueError):
+        p = np.nan
+    if not p >= 1.0:
+        raise ValueError(f"norm flavor must be 'hilbert' or p >= 1, got {flavor!r}")
+    return p
+
+
 def flavor_norm(values: np.ndarray, flavor, axis: int = -1) -> np.ndarray:
     """Norm along ``axis``: Euclidean for a Hilbert flavor, else p-norm,
     the largest absolute entry for p = inf."""
     if is_hilbert(flavor):
         return np.linalg.norm(values, axis=axis)
-    p = float(flavor)
-    if not p >= 1.0:
-        raise ValueError(f"norm flavor must be 'hilbert' or p >= 1, got {flavor!r}")
+    p = flavor_p(flavor)
     if p == np.inf:
         return np.max(np.abs(values), axis=axis, initial=0.0)
     return np.sum(np.abs(values) ** p, axis=axis) ** (1.0 / p)

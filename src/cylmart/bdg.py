@@ -45,8 +45,8 @@ class IsometryReport:
     z: float
     n_paths: int
 
-    def passed(self, z_max: float = 3.0) -> bool:
-        return abs(self.z) <= z_max
+    def passed(self) -> bool:
+        return abs(self.z) <= 3.0
 
 
 def _kernel_matrices(phi: IntegrandProcess, spec: NoiseSpec) -> np.ndarray:
@@ -249,11 +249,10 @@ def validate_derivatives(
     d2f: Callable,
     d22f: Callable,
     points: Sequence[tuple[float, np.ndarray]],
-    step: float = 1e-5,
-    rtol: float = 1e-4,
 ) -> None:
-    """Cross-check supplied derivatives by central differences; raises on
-    disagreement beyond ``rtol`` relative to the local scale."""
+    """Cross-check supplied derivatives by central differences of step 1e-5;
+    raises on disagreement beyond 1e-4 relative to the local scale."""
+    step, rtol = 1e-5, 1e-4
     for t, x in points:
         x = np.asarray(x, dtype=float)[None, :]
         m = x.shape[1]

@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed_int, default=None)
         p.add_argument("--paths", type=_positive_int, default=None)
         p.add_argument("--grid", type=_positive_int, default=None)
-        p.add_argument("--out", type=str, default="runs")
+        p.add_argument("--out", type=str, default=None)
         p.add_argument("--force", action="store_true", help="reuse an existing run dir")
 
     pr = sub.add_parser("replay", help="re-run a stored report and compare bit-exactly")
@@ -67,16 +67,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _assemble_config(args) -> dict:
-    # validate_config fills in the schema version and the default seed
-    cfg = {"experiment": args.command, "out": args.out, "params": {}}
+    # validate_config fills in the schema version and the default seed; the
+    # run directory's parent is --out, else the config file's out, else runs
+    cfg = {"experiment": args.command, "out": "runs", "params": {}}
     if args.config is not None:
         loaded = json.loads(Path(args.config).read_text())
         if "experiment" in loaded and loaded["experiment"] != args.command:
             raise ConfigError(
                 f"config file is for {loaded['experiment']!r}, not {args.command!r}"
             )
-        loaded.setdefault("experiment", args.command)
-        loaded.setdefault("out", args.out)
         cfg = {**cfg, **loaded}
         cfg["params"] = dict(loaded.get("params") or {})
     if args.seed is not None:

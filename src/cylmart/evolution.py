@@ -26,7 +26,6 @@ from .measures import TimeGrid
 __all__ = [
     "SEEProblem",
     "Semigroup",
-    "semigroup_apply",
     "det_convolution",
     "stoch_convolution",
     "fixed_point_map",
@@ -122,11 +121,6 @@ class Semigroup:
     def apply(self, t: float, x: np.ndarray) -> np.ndarray:
         """exp(tA) x along the last axis; contraction for t >= 0."""
         return x if self.identity else x @ self.matrix(t).T
-
-
-def semigroup_apply(generator: np.ndarray | None, t: float, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return Semigroup(generator, x.shape[-1]).apply(t, x)
 
 
 def _eval_noise(problem: SEEProblem, t: float, states: np.ndarray) -> np.ndarray:
@@ -269,6 +263,8 @@ def rho_stopping_times(bracket: BracketPaths, n: int) -> np.ndarray:
     block: a block whose own mass never exceeds the cap reports inf.  Stopped
     at these times, each block carries at most T/2^n plus one cell of mass.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     grid = bracket.grid
     prefix = bracket.prefix()
     n_blocks = 2**n
@@ -326,14 +322,14 @@ def _default_blocks(problem: SEEProblem, ens: MartEnsemble) -> list[tuple[int, i
     return bounds
 
 
-def _validate_constants(problem: SEEProblem, ens: MartEnsemble, n_pairs: int = 1000) -> None:
-    """Two-point checks of the declared constants, at states and times drawn
-    from the ensemble's seed over its horizon."""
+def _validate_constants(problem: SEEProblem, ens: MartEnsemble) -> None:
+    """Two-point checks of the declared constants, at 1000 pairs of states
+    and times drawn from the ensemble's seed over its horizon."""
     rng = single_rng(ens.seed, stream=17)
     m = problem.dim
-    xs = rng.standard_normal((n_pairs, m)) * 3.0
-    ys = rng.standard_normal((n_pairs, m)) * 3.0
-    ts = rng.uniform(0.0, ens.grid.horizon, n_pairs)
+    xs = rng.standard_normal((1000, m)) * 3.0
+    ys = rng.standard_normal((1000, m)) * 3.0
+    ts = rng.uniform(0.0, ens.grid.horizon, 1000)
     for t in np.unique(np.round(ts[:5], 3)):
         fx = np.asarray(problem.drift(t, xs), dtype=float)
         fy = np.asarray(problem.drift(t, ys), dtype=float)
@@ -456,18 +452,17 @@ def lipschitz_quotient(
     ens: MartEnsemble,
     u_a: np.ndarray,
     u_b: np.ndarray,
-    p: float = 2.0,
     i0: int = 0,
     i1: int | None = None,
 ) -> float:
-    """Measured V-norm quotient of the mild map between two probe inputs."""
+    """Measured V-norm quotient (p = 2) of the mild map between two probe inputs."""
     if i1 is None:
         i1 = ens.grid.n_cells
     base = problem.initial_states(ens.n_paths)
     fa = fixed_point_map(problem, ens, u_a, i0=i0, i1=i1, base=base)
     fb = fixed_point_map(problem, ens, u_b, i0=i0, i1=i1, base=base)
-    num = _window_distance(fa, fb, ens, p, i0, i1)
-    den = _window_distance(u_a, u_b, ens, p, i0, i1)
+    num = _window_distance(fa, fb, ens, 2.0, i0, i1)
+    den = _window_distance(u_a, u_b, ens, 2.0, i0, i1)
     return num / den if den > 0 else np.nan
 
 
@@ -490,7 +485,6 @@ def localization_consistency(
     u0_alt: np.ndarray | None = None,
     agree_mask: np.ndarray | None = None,
     tol: float = 1e-8,
-    p: float = 2.0,
 ) -> LocalizationReport:
     """Stopped-driver and agreeing-initial-value consistency of the solver.
 
@@ -499,13 +493,13 @@ def localization_consistency(
     solutions from initial values that coincide on the masked paths coincide
     there for all times.
     """
-    u_full, _ = picard_solve(problem, ens, p=p, tol=tol, validate=False)
+    u_full, _ = picard_solve(problem, ens, tol=tol, validate=False)
     stop_gaps = None
     event_gaps = None
     if tau_idx is not None:
         tau_idx = grid_stop_indices(tau_idx, ens.n_paths, ens.grid.n_cells)
         stopped = stop_ensemble(ens, tau_idx)
-        u_stop, _ = picard_solve(problem, stopped, p=p, tol=tol, validate=False)
+        u_stop, _ = picard_solve(problem, stopped, tol=tol, validate=False)
         diffs = np.linalg.norm(u_full - u_stop, axis=2)  # (n, K+1)
         mask = np.arange(ens.grid.n_cells + 1)[None, :] <= tau_idx[:, None]
         stop_gaps = np.where(mask, diffs, 0.0).max(axis=1)
@@ -513,7 +507,7 @@ def localization_consistency(
         if agree_mask is None:
             raise ValueError("u0_alt needs the mask of agreeing paths")
         alt = replace(problem, u0=u0_alt, name=problem.name + "-alt")
-        u_alt, _ = picard_solve(alt, ens, p=p, tol=tol, validate=False)
+        u_alt, _ = picard_solve(alt, ens, tol=tol, validate=False)
         diffs = np.linalg.norm(u_full - u_alt, axis=2).max(axis=1)
         event_gaps = diffs[np.asarray(agree_mask, dtype=bool)]
     return LocalizationReport(stop_gaps=stop_gaps, event_gaps=event_gaps)

@@ -537,7 +537,7 @@ def run_gamma(params: dict, seed: int) -> ExperimentResult:
 # bdg: isometry and two-sided moment panel
 
 
-def _panel_instances(rng, count: int, grid_choices=(16, 32, 48)) -> list[BDGInstance]:
+def _panel_instances(rng, count: int) -> list[BDGInstance]:
     out = []
     # a scalar driver instance anchors the low-dimensional end of the panel
     g0 = TimeGrid.uniform(1.0, 32)
@@ -550,7 +550,7 @@ def _panel_instances(rng, count: int, grid_choices=(16, 32, 48)) -> list[BDGInst
     )
     while len(out) < count:
         i = len(out)
-        k = int(rng.choice(grid_choices))
+        k = int(rng.choice((16, 32, 48)))
         d = int(rng.integers(1, 7))
         m = int(rng.integers(1, 7))
         grid = TimeGrid.uniform(float(rng.uniform(0.5, 2.0)), k)

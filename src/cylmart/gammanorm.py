@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import flavor_norm, is_hilbert, single_rng
+from ._util import flavor_norm, flavor_p, is_hilbert, single_rng
 from .measures import GridMeasure, TimeGrid
 
 __all__ = [
@@ -45,6 +45,7 @@ class GammaKernel:
     flavor: object = "hilbert"
 
     def __post_init__(self):
+        flavor_p(self.flavor)
         mats = np.asarray(self.matrices, dtype=float)
         if mats.ndim != 3 or mats.shape[0] != self.grid.n_cells:
             raise ValueError(f"kernel shape {mats.shape} does not fit the grid")
@@ -147,8 +148,8 @@ class IdealReport:
     def slack(self) -> float:
         return self.rhs - self.lhs.value
 
-    def passed(self, n_sigma: float = 3.0) -> bool:
-        tol = n_sigma * (self.lhs.stderr + self.rhs_stderr) + 1e-12 * (1 + abs(self.rhs))
+    def passed(self) -> bool:
+        tol = 3.0 * (self.lhs.stderr + self.rhs_stderr) + 1e-12 * (1 + abs(self.rhs))
         return self.slack >= -tol
 
 
@@ -181,8 +182,8 @@ class PrimitiveBoundReport:
     lhs: GammaEstimate
     rhs: float
 
-    def passed(self, n_sigma: float = 3.0) -> bool:
-        tol = n_sigma * self.lhs.stderr + 1e-9 * (1 + abs(self.rhs))
+    def passed(self) -> bool:
+        tol = 3.0 * self.lhs.stderr + 1e-9 * (1 + abs(self.rhs))
         return self.lhs.value <= self.rhs + tol
 
 
@@ -193,11 +194,8 @@ def _dual_ball_sample(m: int, flavor, n: int, seed: int, hint: np.ndarray | None
     if hint is not None:
         pts.append(np.atleast_2d(hint))
     pts = np.concatenate(pts, axis=0)
-    if is_hilbert(flavor):
-        q = 2.0
-    else:
-        p = float(flavor)
-        q = np.inf if p == 1 else 1.0 if p == np.inf else p / (p - 1.0)
+    p = flavor_p(flavor)
+    q = np.inf if p == 1 else 1.0 if p == np.inf else p / (p - 1.0)
     norms = flavor_norm(pts, q, axis=1)
     norms[norms == 0] = 1.0
     return pts / norms[:, None]
@@ -207,7 +205,6 @@ def primitive_gamma_bound_check(
     psi: np.ndarray,
     mu: GridMeasure,
     flavor="hilbert",
-    dual_samples: int = 256,
     n_samples: int = 4096,
     seed: int = 0,
 ) -> PrimitiveBoundReport:
@@ -215,7 +212,8 @@ def primitive_gamma_bound_check(
 
     Left side: the Gaussian-series norm of t -> int_0^t psi (a rank-one
     kernel) against mu.  Right side: the best dual-pairing energy of psi in
-    L2 of time, times the square root of int t dmu (right-endpoint sums).
+    L2 of time, times the square root of int t dmu (right-endpoint sums);
+    the dual pairing is maximized over 256 random unit vectors and a hint.
     """
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
     grid = mu.grid
@@ -229,7 +227,7 @@ def primitive_gamma_bound_check(
     # the Euclidean maximizer seeds the dual sample for p-norm flavors too
     _, _, vt = np.linalg.svd(weighted, full_matrices=False)
     hint = vt[0]
-    duals = _dual_ball_sample(psi.shape[1], flavor, dual_samples, seed, hint)
+    duals = _dual_ball_sample(psi.shape[1], flavor, 256, seed, hint)
     energies = np.linalg.norm(weighted @ duals.T, axis=0)
     c_psi = float(energies.max())
     t_weight = float(grid.right @ mu.increments)
@@ -256,10 +254,7 @@ def gamma_fubini_check(kernel: GammaKernel, n_samples: int = 4096, seed: int = 0
     (equal for p = 2 and for a single row), which the caller records as an
     empirical bracket.
     """
-    if is_hilbert(kernel.flavor):
-        p = 2.0
-    else:
-        p = float(kernel.flavor)
+    p = flavor_p(kernel.flavor)
     row_sq = np.einsum("kmd,k->m", kernel.matrices**2, kernel.measure.increments)
     if p == np.inf:
         lhs = float(np.sqrt(row_sq.max()))

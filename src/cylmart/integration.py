@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import flavor_norm, prefix_sums
+from ._util import prefix_sums
 from .martingales import (
     MartEnsemble,
     NoiseSpec,
@@ -32,7 +32,6 @@ __all__ = [
     "elementary_integral",
     "integrand_increments",
     "integrate",
-    "integrate_black_box",
     "bracket_of_integral",
     "realized_bracket",
     "covariation_operator",
@@ -57,7 +56,6 @@ class IntegrandProcess:
 
     grid: TimeGrid
     matrices: np.ndarray
-    adapted: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.matrices, dtype=float)
@@ -92,19 +90,12 @@ class IntegralPaths:
 
     grid: TimeGrid
     values: np.ndarray  # (n, K+1, m)
-    flavor: object = "hilbert"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 3 or v.shape[1] != self.grid.n_cells + 1:
             raise ValueError(f"path array shape {v.shape} does not fit the grid")
         object.__setattr__(self, "values", v)
-
-    def norms(self) -> np.ndarray:
-        return flavor_norm(self.values, self.flavor)
-
-    def sup_norms(self) -> np.ndarray:
-        return self.norms().max(axis=1)
 
     def terminal(self) -> np.ndarray:
         return self.values[:, -1, :]
@@ -121,24 +112,18 @@ def integrand_increments(
     return np.einsum("nkmc,nkc->nkm", phi.for_paths(ens.n_paths), driven)
 
 
-def integrate(phi: IntegrandProcess, ens: MartEnsemble, flavor="hilbert") -> IntegralPaths:
+def integrate(phi: IntegrandProcess, ens: MartEnsemble) -> IntegralPaths:
     """Left-point integral: zeta(t_j) = sum_{i<j} phi(t_i) sigma(t_i) dW_{i+1}."""
     inc = integrand_increments(phi, ens, ens.driven_increments())
-    return IntegralPaths(ens.grid, prefix_sums(inc, axis=1), flavor)
+    return IntegralPaths(ens.grid, prefix_sums(inc, axis=1))
 
 
-def integrate_black_box(
-    phi: IntegrandProcess, ens: MartEnsemble, flavor="hilbert"
-) -> IntegralPaths:
-    """Integral from finite differences of the coordinate evaluations.
-
-    For ensembles where only evaluations are available (no driver).  On
-    simulated ensembles this agrees with :func:`integrate` up to round-off;
-    treat it as the O(sqrt(dt))-noisy route when evaluations themselves came
-    from a coarser source.
-    """
-    inc = integrand_increments(phi, ens, np.diff(ens.vector_paths(), axis=1))
-    return IntegralPaths(ens.grid, prefix_sums(inc, axis=1), flavor)
+def _event_mask(mask, n_paths: int) -> np.ndarray:
+    """``mask`` as n_paths bools, one per path."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (n_paths,):
+        raise ValueError(f"event mask needs one entry per path, {n_paths} in all")
+    return mask
 
 
 @dataclass(frozen=True)
@@ -196,15 +181,13 @@ class ElementaryIntegrand:
             )
             if per_path:
                 sel = np.ones(n_paths, bool) if piece.mask is None else piece.mask
-                mats[sel, piece.i0 : piece.i1] += block
+                mats[_event_mask(sel, n_paths), piece.i0 : piece.i1] += block
             else:
                 mats[piece.i0 : piece.i1] += block
-        return IntegrandProcess(self.grid, mats, adapted=per_path)
+        return IntegrandProcess(self.grid, mats)
 
 
-def elementary_integral(
-    elem: ElementaryIntegrand, ens: MartEnsemble, flavor="hilbert"
-) -> IntegralPaths:
+def elementary_integral(elem: ElementaryIntegrand, ens: MartEnsemble) -> IntegralPaths:
     """Evaluate a simple integrand from differences of M-evaluations.
 
     This is the defining formula: per slab and event, each rank-one term
@@ -221,11 +204,12 @@ def elementary_integral(
         lo = np.minimum(idx, piece.i0)
         hi = np.minimum(idx, piece.i1)
         sel = np.ones(ens.n_paths, bool) if piece.mask is None else piece.mask
+        sel = _event_mask(sel, ens.n_paths)
         for h, x in piece.terms:
             evals = ens.m_eval(np.asarray(h, dtype=float))  # (n, K+1)
             contrib = evals[:, hi] - evals[:, lo]
             out[sel] += contrib[sel, :, None] * np.asarray(x, dtype=float)
-    return IntegralPaths(ens.grid, out, flavor)
+    return IntegralPaths(ens.grid, out)
 
 
 def bracket_of_integral(
@@ -313,7 +297,6 @@ def kunita_watanabe_check(
     spec1: NoiseSpec,
     spec2: NoiseSpec,
     grid: TimeGrid,
-    tol_scale: float = 1e-9,
 ) -> CheckReport:
     """Bilinear Cauchy-Schwarz for covariation integrals.
 
@@ -345,7 +328,7 @@ def kunita_watanabe_check(
         check="kunita-watanabe",
         n_paths=f.shape[0],
         worst_slack=worst / scale,
-        tolerance=tol_scale,
+        tolerance=1e-9,
     )
 
 
@@ -389,12 +372,12 @@ def stop_integral(
     full = integrate(phi, ens)
     clamp = np.minimum(np.arange(k + 1)[None, :], tau_idx[:, None])
     stopped_path = IntegralPaths(
-        ens.grid, np.take_along_axis(full.values, clamp[:, :, None], axis=1), full.flavor
+        ens.grid, np.take_along_axis(full.values, clamp[:, :, None], axis=1)
     )
 
     keep = np.arange(k)[None, :] < tau_idx[:, None]
     cut = phi.for_paths(ens.n_paths) * keep[:, :, None, None]
-    indicator = integrate(IntegrandProcess(ens.grid, cut, adapted=True), ens)
+    indicator = integrate(IntegrandProcess(ens.grid, cut), ens)
 
     frozen = integrate(phi, stop_ensemble(ens, tau_idx))
     return StoppedIntegral(stopped_path, indicator, frozen)
@@ -409,9 +392,7 @@ def local_property_check(
     check first verifies the claim, then asserts the integral is exactly zero
     there.
     """
-    event_mask = np.asarray(event_mask, dtype=bool)
-    if event_mask.shape != (ens.n_paths,):
-        raise ValueError(f"event mask needs one entry per path, {ens.n_paths} in all")
+    event_mask = _event_mask(event_mask, ens.n_paths)
     if np.any(phi.for_paths(ens.n_paths)[event_mask]):
         raise ValueError("integrand does not vanish on the given event")
     zeta = integrate(phi, ens)

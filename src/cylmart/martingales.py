@@ -378,19 +378,12 @@ def simulate(
     return _assemble(spec, grid, seed, dw, spec.sigma_along(grid, dw), test_panel)
 
 
-def qv_exact(
-    spec: NoiseSpec, grid: TimeGrid, sigma_values: np.ndarray | None = None
-) -> GridMeasure:
+def qv_exact(spec: NoiseSpec, grid: TimeGrid) -> GridMeasure:
     """Exact bracket measure ||sigma Qn sigma^T|| dNu for deterministic sigma.
 
-    For adapted sigma pass the realized ``sigma_values`` of one path, or use
-    the per-path brackets stored on the ensemble.
+    For adapted sigma use the per-path brackets stored on the ensemble.
     """
-    if sigma_values is None:
-        sigma_values = spec.sigma_on_grid(grid)
-    if sigma_values.ndim != 3:
-        raise ValueError("qv_exact expects a single path of sigma values")
-    return GridMeasure(grid, _bracket_increments(spec, grid, sigma_values))
+    return GridMeasure(grid, _bracket_increments(spec, grid, spec.sigma_on_grid(grid)))
 
 
 def am_operator(
@@ -421,9 +414,9 @@ def qm_operator(
     return OperatorProcess(grid, out)
 
 
-def qm_empirical(am: OperatorProcess, qv: GridMeasure, window: int = 1) -> OperatorProcess:
-    """Recover the operator density from A and the bracket by difference
-    quotients, entry-wise through :func:`radon_nikodym`."""
+def qm_empirical(am: OperatorProcess, qv: GridMeasure) -> OperatorProcess:
+    """Recover the operator density from A and the bracket by one-cell
+    difference quotients, entry-wise through :func:`radon_nikodym`."""
     if am.per_cell:
         raise ValueError("am must be a per-point cumulative process")
     diffs = np.diff(am.matrices, axis=0)  # (K, d, d)
@@ -434,9 +427,7 @@ def qm_empirical(am: OperatorProcess, qv: GridMeasure, window: int = 1) -> Opera
             col = diffs[:, r, c]
             nu_pos = GridMeasure(qv.grid, np.clip(col, 0.0, None))
             nu_neg = GridMeasure(qv.grid, np.clip(-col, 0.0, None))
-            out[:, r, c] = radon_nikodym(nu_pos, qv, window) - radon_nikodym(
-                nu_neg, qv, window
-            )
+            out[:, r, c] = radon_nikodym(nu_pos, qv) - radon_nikodym(nu_neg, qv)
     return OperatorProcess(qv.grid, out)
 
 
@@ -514,7 +505,7 @@ def qv_partition_estimate(
     return QvEstimate(ens.grid, depths, values, dirs.shape[0])
 
 
-def countex_spec(n: int, cells_per_block: int = 1) -> tuple[NoiseSpec, TimeGrid]:
+def countex_spec(n: int) -> tuple[NoiseSpec, TimeGrid]:
     """Scalar-driven truncation spreading n orthonormal directions over n
     equal sub-intervals of [0, 1]; its bracket at time 1 equals n while every
     unit direction's own bracket stays at one.
@@ -525,12 +516,10 @@ def countex_spec(n: int, cells_per_block: int = 1) -> tuple[NoiseSpec, TimeGrid]
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = n * cells_per_block
-    grid = TimeGrid.uniform(1.0, k)
-    sig = np.zeros((k, n, 1))
-    for j in range(k):
-        block = j // cells_per_block
-        sig[j, block, 0] = 1.0
+    grid = TimeGrid.uniform(1.0, n)
+    sig = np.zeros((n, n, 1))
+    for j in range(n):
+        sig[j, j, 0] = 1.0
     q = np.array([[float(n)]])
     return NoiseSpec(d_cyl=n, d_drive=1, sigma=sig, q_drive=q, name=f"countex-{n}"), grid
 

@@ -235,6 +235,8 @@ def sup_measures_bruteforce(measures: list[GridMeasure], refine: int = 0) -> Gri
     if not measures:
         raise ValueError("need at least one measure")
     grid = _same_grid(*measures)
+    if refine < 0:
+        raise ValueError("refine must be >= 0")
     n_sub = 2**refine
     stacked = np.stack([m.increments for m in measures])
     atoms = np.repeat(stacked / n_sub, n_sub, axis=1)
@@ -291,11 +293,11 @@ def sup_density_measures(densities: list, base: GridMeasure) -> GridMeasure:
     return GridMeasure(base.grid, top * base.increments)
 
 
-def partial_sup(measures: list[GridMeasure], n: int, refine: int = 0) -> GridMeasure:
+def partial_sup(measures: list[GridMeasure], n: int) -> GridMeasure:
     """Least dominating measure of the first ``n`` inputs (1-based count)."""
     if not 1 <= n <= len(measures):
         raise ValueError(f"n must be in 1..{len(measures)}, got {n}")
-    return sup_measures(measures[:n], refine=refine)
+    return sup_measures(measures[:n])
 
 
 def radon_nikodym(nu: GridMeasure, mu: GridMeasure, eps_window: int = 1) -> np.ndarray:

@@ -19,14 +19,14 @@ PSD_CLAMP_RTOL = 1e-8
 RANK_CUTOFF_RTOL = 1e-10
 
 
-def check_symmetric(b: np.ndarray, rtol: float = SYM_RTOL) -> np.ndarray:
+def check_symmetric(b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("matrix is not all finite")
     scale = max(np.abs(b).max(), 1.0)
-    if np.abs(b - b.T).max() > rtol * scale:
+    if np.abs(b - b.T).max() > SYM_RTOL * scale:
         raise ValueError("matrix is not symmetric")
     return b
 
@@ -60,9 +60,9 @@ def psd_sqrt(b: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def _pinv_sym(b: np.ndarray, rcond: float = RANK_CUTOFF_RTOL) -> np.ndarray:
+def _pinv_sym(b: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(b)
-    cutoff = rcond * max(np.abs(vals).max(), 0.0) if vals.size else 0.0
+    cutoff = RANK_CUTOFF_RTOL * max(np.abs(vals).max(), 0.0) if vals.size else 0.0
     inv = np.where(np.abs(vals) > cutoff, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
     return (vecs * inv) @ vecs.T
 

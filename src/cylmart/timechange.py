@@ -230,8 +230,8 @@ class TransportPair:
     rhs_stderr: float
     rebin_bound: float
 
-    def agree(self, n_sigma: float = 3.0) -> bool:
-        tol = self.rebin_bound + n_sigma * (self.lhs_stderr + self.rhs_stderr) + 1e-12 * (
+    def agree(self) -> bool:
+        tol = self.rebin_bound + 3.0 * (self.lhs_stderr + self.rhs_stderr) + 1e-12 * (
             1.0 + abs(self.lhs)
         )
         return abs(self.lhs - self.rhs) <= tol
@@ -282,16 +282,16 @@ def gamma_timechange_check(kernel, n_samples: int = 4096, seed: int = 0) -> Tran
     return TransportPair(est_l.value, est_r.value, est_l.stderr, est_r.stderr, rebin / denom)
 
 
-def plateau_constancy_check(ens: MartEnsemble, rel_threshold: float = PLATEAU_RTOL):
+def plateau_constancy_check(ens: MartEnsemble):
     """On cells where sigma vanishes identically, evaluations are constant.
 
-    Plateau cells are those with bracket increment below ``rel_threshold``
+    Plateau cells are those with bracket increment below ``PLATEAU_RTOL``
     times the total; among them the check restricts to cells whose realized
     sigma is exactly zero (the simulable way plateaus arise) and asserts the
     per-cell evaluation increments are exactly zero there.
     """
     totals = ens.bracket.prefix()[:, -1]
-    thresh = rel_threshold * np.maximum(totals, 1e-300)
+    thresh = PLATEAU_RTOL * np.maximum(totals, 1e-300)
     plateau = ens.bracket.increments <= thresh[:, None]  # (n, K)
     sig = ens.sigma_for_paths()
     sigma_zero = np.all(sig == 0.0, axis=(-2, -1))  # (n, K)

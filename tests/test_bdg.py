@@ -74,7 +74,7 @@ class TestIsometry:
         ens = simulate(spec, grid, 8000, seed=4)
         w = ens.vector_paths()[:, :-1, :]  # values at left endpoints
         mats = np.tanh(w)[:, :, :, None]  # (n, K, 1, 1)
-        rep = ito_isometry(IntegrandProcess(grid, mats, adapted=True), ens)
+        rep = ito_isometry(IntegrandProcess(grid, mats), ens)
         assert rep.passed()
 
     def test_kernel_energy_matches_gamma_norm(self, grid):
@@ -268,7 +268,7 @@ class TestItoResidual:
             spec = NoiseSpec(1, 1, lambda i, t, w: np.ones(w.shape[:-2] + (1, 1)))
         ens = simulate(spec, grid, 4, seed=23)
         if case == "per-path phi":
-            phi = IntegrandProcess(grid, np.ones((4, grid.n_cells, 1, 1)), adapted=True)
+            phi = IntegrandProcess(grid, np.ones((4, grid.n_cells, 1, 1)))
         if case == "other grid":
             phi = IntegrandProcess.constant(TimeGrid.uniform(2.0, grid.n_cells), np.eye(1))
         with pytest.raises(ValueError, match="deterministic|grids differ"):

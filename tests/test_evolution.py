@@ -25,7 +25,6 @@ from cylmart.evolution import (
     picard_solve,
     problem_from_config,
     rho_stopping_times,
-    semigroup_apply,
     stoch_convolution,
     vp_norm,
 )
@@ -63,10 +62,10 @@ class TestSemigroup:
     def test_time_zero_is_identity(self):
         a = np.array([[-1.0, 0.2], [0.2, -2.0]])
         x = np.array([1.0, 2.0])
-        np.testing.assert_allclose(semigroup_apply(a, 0.0, x), x, atol=1e-15)
+        np.testing.assert_allclose(Semigroup(a, 2).apply(0.0, x), x, atol=1e-15)
 
     def test_scalar_decay(self):
-        out = semigroup_apply(np.array([[-1.0]]), 1.0, np.array([2.0]))
+        out = Semigroup(np.array([[-1.0]]), 1).apply(1.0, np.array([2.0]))
         assert out[0] == pytest.approx(2.0 * np.exp(-1.0))
 
     def test_semigroup_property(self):
@@ -225,6 +224,11 @@ class TestRhoStoppingTimes:
             js = np.clip(np.searchsorted(grid.points, stop - 1e-12), j0, j1)
             mass = prefix[np.arange(100), js] - prefix[:, j0]
             assert mass.max() <= cap + cell + 1e-12
+
+    def test_negative_level_rejected(self):
+        ens = simulate(WIENER, TimeGrid.uniform(1.0, 8), 1, seed=13)
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            rho_stopping_times(ens.bracket, -1)
 
     def test_unaligned_block_start_rejected(self):
         grid = TimeGrid(np.array([0.0, 0.3, 1.0]))

@@ -288,6 +288,16 @@ class TestSupNormFlavor:
         assert rep.lhs == np.sqrt(rows.max())
 
 
+class TestFlavorNames:
+    @pytest.mark.parametrize("flavor", ["Hilbert", "l4", 0.5])
+    def test_unreadable_flavor_is_named(self, flavor):
+        msg = "norm flavor must be 'hilbert' or p >= 1"
+        with pytest.raises(ValueError, match=msg):
+            flavor_norm(np.ones((2, 3)), flavor)
+        with pytest.raises(ValueError, match=msg):
+            unit_mass_kernel(np.eye(2), flavor)
+
+
 class TestGammaNormDispatch:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_kernel_rejected(self, bad):

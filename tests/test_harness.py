@@ -209,6 +209,20 @@ class TestCli:
         assert report["config"]["params"]["instances"] == 2
         assert report["config"]["seed"] == 5
 
+    def test_out_precedence(self, tmp_path, capsys, monkeypatch):
+        # the --out flag, then the config file's out, then runs/
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"out": str(tmp_path / "from-file")}))
+        assert main(["countex", "--config", str(cfg_file)]) == 0
+        assert len(list((tmp_path / "from-file").glob("countex-*"))) == 1
+        assert not (tmp_path / "runs").exists()
+        flag = tmp_path / "from-flag"
+        assert main(["countex", "--config", str(cfg_file), "--out", str(flag)]) == 0
+        assert len(list(flag.glob("countex-*"))) == 1
+        assert main(["countex"]) == 0
+        assert len(list((tmp_path / "runs").glob("countex-*"))) == 1
+
     def test_plotdata_subcommand(self, tmp_path, capsys):
         main(["countex", "--out", str(tmp_path)])
         run_dir = next(Path(tmp_path).iterdir())

@@ -24,7 +24,6 @@ from cylmart.integration import (
     covariation_operator,
     integrand_increments,
     integrate,
-    integrate_black_box,
     stop_integral,
 )
 from cylmart.martingales import (
@@ -48,7 +47,7 @@ from cylmart.timechange import (
 # Verbatim copies of the replaced spellings (``self`` where they were methods)
 
 
-def ref_contract_and_accumulate(phi, driven, ens, flavor) -> IntegralPaths:
+def ref_contract_and_accumulate(phi, driven, ens) -> IntegralPaths:
     mats = phi.matrices
     if mats.ndim == 3:
         mats = np.broadcast_to(mats, (ens.n_paths,) + mats.shape)
@@ -58,7 +57,7 @@ def ref_contract_and_accumulate(phi, driven, ens, flavor) -> IntegralPaths:
     inc = np.einsum("nkmc,nkc->nkm", mats, driven)
     out = np.zeros((ens.n_paths, ens.grid.n_cells + 1, inc.shape[2]))
     np.cumsum(inc, axis=1, out=out[:, 1:, :])
-    return IntegralPaths(ens.grid, out, flavor)
+    return IntegralPaths(ens.grid, out)
 
 
 def ref_direction_bracket_increments(self, directions: np.ndarray) -> np.ndarray:
@@ -156,7 +155,7 @@ def ref_stop_integral(phi, ens, tau_idx) -> StoppedIntegral:
     full = integrate(phi, ens)
     clamp = np.minimum(np.arange(k + 1)[None, :], tau_idx[:, None])
     stopped_path = IntegralPaths(
-        ens.grid, np.take_along_axis(full.values, clamp[:, :, None], axis=1), full.flavor
+        ens.grid, np.take_along_axis(full.values, clamp[:, :, None], axis=1)
     )
 
     keep = np.arange(k)[None, :] < tau_idx[:, None]
@@ -164,7 +163,7 @@ def ref_stop_integral(phi, ens, tau_idx) -> StoppedIntegral:
     if mats.ndim == 3:
         mats = np.broadcast_to(mats, (ens.n_paths,) + mats.shape)
     cut = mats * keep[:, :, None, None]
-    indicator = integrate(IntegrandProcess(ens.grid, cut, adapted=True), ens)
+    indicator = integrate(IntegrandProcess(ens.grid, cut), ens)
 
     frozen = integrate(phi, stop_ensemble(ens, tau_idx))
     return StoppedIntegral(stopped_path, indicator, frozen)
@@ -308,15 +307,10 @@ class TestPrefixSums:
 class TestIntegrand:
     @ORACLE
     @given(cases())
-    def test_integrate_and_black_box(self, case):
+    def test_integrate(self, case):
         phi, ens = case.phi, case.ens
-        want = ref_contract_and_accumulate(phi, ens.driven_increments(), ens, "hilbert")
+        want = ref_contract_and_accumulate(phi, ens.driven_increments(), ens)
         assert_same(integrate(phi, ens).values, want.values, "integrate")
-        driven = np.diff(ens.vector_paths(), axis=1)
-        want = ref_contract_and_accumulate(phi, driven, ens, 3.0)
-        got = integrate_black_box(phi, ens, 3.0)
-        assert_same(got.values, want.values, "black box")
-        assert got.flavor == 3.0
 
     @ORACLE
     @given(cases())

@@ -285,11 +285,6 @@ class TestCountex:
         per_dir = ens.direction_bracket_increments(np.eye(8)).sum(axis=-1)
         np.testing.assert_allclose(per_dir, 1.0, atol=1e-12)
 
-    def test_finer_cells(self):
-        spec, grid = countex_spec(4, cells_per_block=4)
-        assert grid.n_cells == 16
-        assert qv_exact(spec, grid).total_mass == 4.0
-
 
 class TestAdaptedSigma:
     @staticmethod

@@ -124,6 +124,12 @@ class TestSupMeasures:
         with pytest.raises(ValueError, match="at least one"):
             sup_measures([])
 
+    @pytest.mark.parametrize("sup", [sup_measures, sup_measures_bruteforce])
+    def test_negative_refine_rejected(self, sup):
+        m = GridMeasure(TimeGrid.uniform(1.0, 2), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="refine must be >= 0"):
+            sup([m], refine=-1)
+
     def test_matches_bruteforce_exactly(self):
         rng = np.random.default_rng(0)
         for _ in range(25):

@@ -439,7 +439,7 @@ class TestClockOracle:
         ens = ensemble_on(grid, n, seed)
         rng = np.random.default_rng(seed)
         shape = (n, grid.n_cells, 2, 2) if per_path_phi else (grid.n_cells, 2, 2)
-        phi = IntegrandProcess(grid, rng.standard_normal(shape), adapted=per_path_phi)
+        phi = IntegrandProcess(grid, rng.standard_normal(shape))
         new = dds_integral_check(phi, ens, build_time_change(qv))
         old = old_dds_integral_check(phi, ens, old_build_time_change(qv))
         assert np.array_equal(new.gaps, old.gaps)
