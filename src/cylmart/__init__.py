@@ -32,12 +32,10 @@ from .martingales import (
     OperatorProcess,
     am_operator,
     countex_spec,
-    load_ensemble,
     qm_empirical,
     qm_operator,
     qv_exact,
     qv_partition_estimate,
-    save_ensemble,
     simulate,
     sphere_panel,
     stacked_spec,
@@ -98,7 +96,6 @@ from .evolution import (
     localization_consistency,
     mild_residual,
     picard_solve,
-    problem_from_config,
     rho_stopping_times,
     stoch_convolution,
     vp_norm,

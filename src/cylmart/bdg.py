@@ -146,13 +146,6 @@ class BDGReport:
         "instance,p,flavor,n_paths,lhs,lhs_stderr,rhs,rhs_stderr,ratio,degenerate"
     )
 
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.instance},{self.p},{self.flavor},{self.n_paths},"
-            f"{self.lhs!r},{self.lhs_stderr!r},{self.rhs!r},{self.rhs_stderr!r},"
-            f"{self.ratio!r},{int(self.degenerate)}"
-        )
-
 
 def _panel_one(
     inst: BDGInstance,

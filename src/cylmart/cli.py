@@ -7,8 +7,8 @@ Usage::
     cylmart replay <report.json or run directory>
     cylmart plotdata <report.json> [--out DIR]
 
-Exit code 0 means every criterion of the run passed; a bad flag or config
-file exits 2 with a message.
+Exit code 0 means every criterion of the run passed; a bad flag, or a config
+file or report that cannot be read or is not valid, exits 2 with a message.
 """
 
 from __future__ import annotations
@@ -20,7 +20,15 @@ from pathlib import Path
 
 from ._util import int_at_least
 from .experiments import EXPERIMENTS, experiment_defaults
-from .harness import ConfigError, ReplayMismatch, RunReport, emit_plotdata, replay, run, validate_config
+from .harness import (
+    ConfigError,
+    ReplayMismatch,
+    emit_plotdata,
+    load_report,
+    replay,
+    run,
+    validate_config,
+)
 
 
 def _int_type(least: int, what: str):
@@ -69,24 +77,29 @@ def _build_parser() -> argparse.ArgumentParser:
 def _assemble_config(args) -> dict:
     # validate_config fills in the schema version and the default seed; the
     # run directory's parent is --out, else the config file's out, else runs
-    cfg = {"experiment": args.command, "out": "runs", "params": {}}
+    cfg = {"experiment": args.command, "out": "runs"}
     if args.config is not None:
-        loaded = json.loads(Path(args.config).read_text())
-        if "experiment" in loaded and loaded["experiment"] != args.command:
+        try:
+            loaded = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {args.config} does not hold a JSON object")
+        if loaded.get("experiment", args.command) != args.command:
             raise ConfigError(
                 f"config file is for {loaded['experiment']!r}, not {args.command!r}"
             )
-        cfg = {**cfg, **loaded}
-        cfg["params"] = dict(loaded.get("params") or {})
+        cfg.update(loaded)
     if args.seed is not None:
         cfg["seed"] = args.seed
     defaults = experiment_defaults(args.command)
-    for short in ("paths", "grid"):
-        val = getattr(args, short)
-        if val is not None:
-            if short not in defaults:
-                raise ConfigError(f"experiment {args.command!r} takes no --{short}")
-            cfg["params"][short] = val
+    flags = {s: getattr(args, s) for s in ("paths", "grid") if getattr(args, s) is not None}
+    for short in flags:
+        if short not in defaults:
+            raise ConfigError(f"experiment {args.command!r} takes no --{short}")
+    params = cfg.get("params", {})
+    if flags and isinstance(params, dict):  # validate_config names any other params
+        cfg["params"] = {**params, **flags}
     if args.out is not None:
         cfg["out"] = args.out
     return validate_config(cfg)
@@ -102,8 +115,7 @@ def main(argv=None) -> int:
                 print(line)
             return 0 if report.passed else 1
         if args.command == "plotdata":
-            stored = RunReport.from_json(json.loads(Path(args.report).read_text()))
-            paths = emit_plotdata(stored, args.out)
+            paths = emit_plotdata(load_report(args.report), args.out)
             for p in paths:
                 print(p)
             return 0

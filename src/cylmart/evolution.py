@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ._util import single_rng
-from .martingales import BracketPaths, MartEnsemble, NoiseSpec, grid_stop_indices, stop_ensemble
+from .martingales import BracketPaths, MartEnsemble, grid_stop_indices, stop_ensemble
 from .measures import TimeGrid
 
 __all__ = [
@@ -39,9 +39,6 @@ __all__ = [
     "lipschitz_quotient",
     "localization_consistency",
     "LocalizationReport",
-    "DRIFT_REGISTRY",
-    "NOISE_MAP_REGISTRY",
-    "problem_from_config",
 ]
 
 GENERATOR_EIG_RTOL = 1e-10
@@ -511,131 +508,3 @@ def localization_consistency(
         diffs = np.linalg.norm(u_full - u_alt, axis=2).max(axis=1)
         event_gaps = diffs[np.asarray(agree_mask, dtype=bool)]
     return LocalizationReport(stop_gaps=stop_gaps, event_gaps=event_gaps)
-
-
-def _drift_zero(t, x):
-    return np.zeros_like(x)
-
-
-def _make_linear_drift(scale: float):
-    def drift(t, x):
-        return scale * x
-
-    return drift
-
-
-def _make_affine_drift(scale: float, offset: np.ndarray):
-    offset = np.asarray(offset, dtype=float)
-
-    def drift(t, x):
-        return scale * x + offset
-
-    return drift
-
-
-DRIFT_REGISTRY = {
-    "zero": lambda params, m: (_drift_zero, 0.0, 0.0),
-    "linear": lambda params, m: (
-        _make_linear_drift(params["scale"]),
-        abs(params["scale"]),
-        abs(params["scale"]),
-    ),
-    "affine": lambda params, m: (
-        _make_affine_drift(params["scale"], params["offset"]),
-        abs(params["scale"]),
-        abs(params["scale"]) + float(np.linalg.norm(params["offset"])),
-    ),
-}
-
-
-def _make_constant_noise(matrix: np.ndarray):
-    matrix = np.asarray(matrix, dtype=float)
-
-    def noise(t, x):
-        return matrix
-
-    return noise
-
-
-def _make_state_scalar_noise(scale: float):
-    def noise(t, x):
-        return scale * x[:, :, None]
-
-    return noise
-
-
-def _make_state_diag_noise(scale: float):
-    def noise(t, x):
-        n, m = x.shape
-        out = np.zeros((n, m, m))
-        idx = np.arange(m)
-        out[:, idx, idx] = scale * x
-        return out
-
-    return noise
-
-
-NOISE_MAP_REGISTRY = {
-    "zero": lambda params, m, dc: (_make_constant_noise(np.zeros((m, dc))), 0.0),
-    "constant": lambda params, m, dc: (
-        _make_constant_noise(params["matrix"]),
-        0.0,
-    ),
-    "state_scalar": lambda params, m, dc: (
-        _make_state_scalar_noise(params["scale"]),
-        abs(params["scale"]),
-    ),
-    "state_diag": lambda params, m, dc: (
-        _make_state_diag_noise(params["scale"]),
-        abs(params["scale"]),
-    ),
-}
-
-
-def problem_from_config(cfg: dict) -> tuple[SEEProblem, NoiseSpec, TimeGrid]:
-    """Build a problem, its noise spec and its grid from a JSON-style dict
-    (generator spectrum, registry nonlinearities, noise spec, horizon, grid);
-    ``simulate(spec, grid, ...)`` gives the ensemble to solve against."""
-    grid = TimeGrid.uniform(float(cfg["horizon"]), int(cfg["grid"]))
-    u0 = np.asarray(cfg["u0"], dtype=float)
-    m = u0.shape[-1]
-
-    gen_cfg = cfg.get("generator")
-    if gen_cfg is None:
-        generator = None
-    elif "spectrum" in gen_cfg:
-        generator = np.diag(np.asarray(gen_cfg["spectrum"], dtype=float))
-    else:
-        generator = np.asarray(gen_cfg["matrix"], dtype=float)
-
-    noise_cfg = cfg["noise"]
-    spec = NoiseSpec(
-        d_cyl=int(noise_cfg["d_cyl"]),
-        d_drive=int(noise_cfg["d_drive"]),
-        sigma=np.asarray(noise_cfg["sigma"], dtype=float),
-        q_drive=None
-        if noise_cfg.get("q_drive") is None
-        else np.asarray(noise_cfg["q_drive"], dtype=float),
-    )
-
-    drift_cfg = cfg.get("drift", {"name": "zero"})
-    if drift_cfg["name"] not in DRIFT_REGISTRY:
-        raise ValueError(f"unknown drift {drift_cfg['name']!r}")
-    drift, lip_f, growth_f = DRIFT_REGISTRY[drift_cfg["name"]](drift_cfg, m)
-
-    nm_cfg = cfg.get("noise_map", {"name": "zero"})
-    if nm_cfg["name"] not in NOISE_MAP_REGISTRY:
-        raise ValueError(f"unknown noise map {nm_cfg['name']!r}")
-    noise_map, lip_g = NOISE_MAP_REGISTRY[nm_cfg["name"]](nm_cfg, m, spec.d_cyl)
-
-    problem = SEEProblem(
-        generator=generator,
-        drift=drift,
-        lip_drift=lip_f,
-        growth_drift=growth_f,
-        noise_map=noise_map,
-        lip_noise=lip_g,
-        u0=u0,
-        name=cfg.get("name", ""),
-    )
-    return problem, spec, grid

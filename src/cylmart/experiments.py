@@ -161,7 +161,8 @@ def run_qv(params: dict, seed: int) -> ExperimentResult:
         "qv-partition-2pct",
         max(rel_errs) <= 0.02,
         max(rel_errs),
-        "terminal estimate within 2% of exact at depth 4, 64 sphere samples",
+        f"terminal estimate within 2% of exact at depth {params['depth']}, "
+        f"{params['sphere']} sphere samples",
     )
     res.series["qv_depth_ladder"] = {
         "columns": ["depth"] + list(terminals),
@@ -459,7 +460,7 @@ def run_gamma(params: dict, seed: int) -> ExperimentResult:
         "gamma-mc-matches-exact",
         fails == 0,
         worst_z,
-        "Monte-Carlo estimate within 3 sigma of the exact value, 50 instances",
+        f"Monte-Carlo estimate within 3 sigma of the exact value, {params['instances']} instances",
     )
 
     violations = 0
@@ -485,7 +486,7 @@ def run_gamma(params: dict, seed: int) -> ExperimentResult:
         "gamma-ideal-property",
         violations == 0,
         worst_slack,
-        "no sandwich-bound violations across 100 contraction instances",
+        f"no sandwich-bound violations across {params['ideal_instances']} contraction instances",
     )
 
     bound_fails = 0
@@ -501,7 +502,7 @@ def run_gamma(params: dict, seed: int) -> ExperimentResult:
         "gamma-primitive-bound",
         bound_fails == 0,
         float(bound_fails),
-        "running-integral bound holds on 50 instances",
+        f"running-integral bound holds on {params['bound_instances']} instances",
     )
 
     grid = TimeGrid.uniform(1.0, 8)
@@ -605,7 +606,8 @@ def run_bdg(params: dict, seed: int) -> ExperimentResult:
         "bdg-isometry-z3",
         worst_z <= 3.0,
         worst_z,
-        "second-moment identity |z| <= 3 at 1e4 paths, 20 instances",
+        f"second-moment identity |z| <= 3 at {params['paths']} paths, "
+        f"{params['iso_instances']} instances",
     )
 
     instances = _panel_instances(rng, params["instances"])
@@ -890,7 +892,7 @@ def run_see(params: dict, seed: int) -> ExperimentResult:
         "see-ou-variance",
         z <= 3.0,
         z,
-        "terminal variance within 3 SE of (1 - e^{-2T})/2 at 1e4 paths",
+        f"terminal variance within 3 SE of (1 - e^{{-2T}})/2 at {params['paths']} paths",
     )
     resid_c = mild_residual(u_c, prob_c, ens_c)
     res.add(
@@ -1009,7 +1011,8 @@ def run_projsel(params: dict, seed: int) -> ExperimentResult:
         "projsel-identities",
         worst <= 1.0,
         worst,
-        "intertwine/left-inverse/idempotence within 1e-8 (1 + ||F||^2), 200 draws",
+        f"intertwine/left-inverse/idempotence within 1e-8 (1 + ||F||^2), "
+        f"{params['instances']} draws",
     )
     return res
 

@@ -82,16 +82,6 @@ def gamma_norm_exact_hilbert(kernel: GammaKernel) -> float:
 class GammaEstimate:
     value: float
     stderr: float
-    n_samples: int
-    seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
 
 
 def _root_mean(sq: np.ndarray) -> tuple[float, float]:
@@ -112,19 +102,19 @@ def gamma_norm_mc(kernel: GammaKernel, n_samples: int, seed: int) -> GammaEstima
     if n_samples < 2:
         raise ValueError("need at least two samples for a standard error")
     if kernel.measure.total_mass == 0:
-        return GammaEstimate(0.0, 0.0, n_samples, seed)
+        return GammaEstimate(0.0, 0.0)
     w = kernel.weighted()  # (K, m, d)
     rng = single_rng(seed, stream=7)
     g = rng.standard_normal((n_samples, kernel.grid.n_cells, kernel.input_dim))
     v = np.einsum("kmd,skd->sm", w, g)
     value, stderr = _root_mean(flavor_norm(v, kernel.flavor) ** 2)
-    return GammaEstimate(value, stderr, n_samples, seed)
+    return GammaEstimate(value, stderr)
 
 
 def gamma_norm(kernel: GammaKernel, n_samples: int = 4096, seed: int = 0) -> GammaEstimate:
     """Exact where available (Euclidean), Monte Carlo otherwise."""
     if is_hilbert(kernel.flavor):
-        return GammaEstimate(gamma_norm_exact_hilbert(kernel), 0.0, 0, seed)
+        return GammaEstimate(gamma_norm_exact_hilbert(kernel), 0.0)
     return gamma_norm_mc(kernel, n_samples, seed)
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "validate_config",
     "RunReport",
     "run",
+    "load_report",
     "replay",
     "emit_plotdata",
 ]
@@ -64,19 +65,9 @@ def make_config(
     **overrides,
 ) -> dict:
     """Assemble and validate a config; overrides patch the experiment params."""
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENTS)}"
-        )
-    params = experiment_defaults(experiment)
-    cfg = {
-        "schema": SCHEMA_VERSION,
-        "experiment": experiment,
-        "seed": seed,
-        "out": out,
-        "params": {**params, **overrides},
-    }
-    return validate_config(cfg)
+    return validate_config(
+        {"experiment": experiment, "seed": seed, "out": out, "params": overrides}
+    )
 
 
 def _finite_above_zero(value) -> bool:
@@ -96,7 +87,10 @@ def validate_config(cfg: dict) -> dict:
     than its ``param_floor`` in the experiment (and a multiple of its
     ``PARAM_MULTIPLES`` step where one is set), every ``REAL_PARAMS`` value a
     finite real > 0, and a list-valued param a non-empty list of entries that
-    each pass the test of its name."""
+    each pass the test of its name.  The config and its params must be
+    dicts (JSON objects)."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a config must be a JSON object, got {cfg!r}")
     allowed_top = {"schema", "experiment", "seed", "out", "params"}
     unknown = set(cfg) - allowed_top
     if unknown:
@@ -107,12 +101,14 @@ def validate_config(cfg: dict) -> dict:
     if cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {cfg.get('schema')!r}")
     experiment = cfg["experiment"]
-    if experiment not in EXPERIMENTS:
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENTS)}"
         )
     defaults = experiment_defaults(experiment)
-    params = dict(cfg.get("params") or {})
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"config params must be a JSON object, got {params!r}")
     bad = set(params) - set(defaults)
     if bad:
         raise ConfigError(
@@ -188,6 +184,8 @@ class RunReport:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunReport":
+        if not isinstance(obj, dict):
+            raise ReplayMismatch(f"report bundle is not a JSON object: {obj!r}")
         for key in ("experiment", "config", "criteria", "metrics"):
             if key not in obj:
                 raise ReplayMismatch(f"report bundle is missing field {key!r}")
@@ -265,21 +263,27 @@ def run(cfg: dict, force: bool = False) -> RunReport:
     return report
 
 
-def replay(report_path: str | Path) -> RunReport:
-    """Re-execute a stored report's config and demand identical metrics.
-
-    Metric floats must agree bit for bit: exact fields because the arithmetic
-    is deterministic, sampled fields because seeds fix every substream.
-    """
+def load_report(report_path: str | Path) -> RunReport:
+    """Read a stored report.json, or the one in a run directory; a missing
+    or unreadable report raises ``ReplayMismatch``."""
     report_path = Path(report_path)
     if report_path.is_dir():
         report_path = report_path / "report.json"
     if not report_path.exists():
         raise ReplayMismatch(f"no report found at {report_path}")
     try:
-        stored = RunReport.from_json(json.loads(report_path.read_text()))
-    except (json.JSONDecodeError, KeyError) as exc:
+        return RunReport.from_json(json.loads(report_path.read_text()))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ReplayMismatch(f"unreadable report bundle: {exc}") from exc
+
+
+def replay(report_path: str | Path) -> RunReport:
+    """Re-execute a stored report's config and demand identical metrics.
+
+    Metric floats must agree bit for bit: exact fields because the arithmetic
+    is deterministic, sampled fields because seeds fix every substream.
+    """
+    stored = load_report(report_path)
     cfg = validate_config(stored.config)
     fresh = _execute(cfg)
     if set(fresh.metrics) != set(stored.metrics):

@@ -270,25 +270,14 @@ def covariation_norm_increments(
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Slack-style verdict, serializable to the run bundle."""
+    """Slack-style verdict: passes when the worst slack is within tolerance."""
 
-    check: str
-    n_paths: int
     worst_slack: float
     tolerance: float
 
     @property
     def passed(self) -> bool:
         return self.worst_slack >= -self.tolerance
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "n_paths": self.n_paths,
-            "worst_slack": self.worst_slack,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
 
 
 def kunita_watanabe_check(
@@ -324,12 +313,7 @@ def kunita_watanabe_check(
     slack = r1 * r2 - lhs
     scale = max(float(np.max(r1 * r2)), 1e-300)
     worst = float(np.min(slack))
-    return CheckReport(
-        check="kunita-watanabe",
-        n_paths=f.shape[0],
-        worst_slack=worst / scale,
-        tolerance=1e-9,
-    )
+    return CheckReport(worst_slack=worst / scale, tolerance=1e-9)
 
 
 def first_passage_time(ens: MartEnsemble, level: float) -> np.ndarray:
@@ -397,9 +381,4 @@ def local_property_check(
         raise ValueError("integrand does not vanish on the given event")
     zeta = integrate(phi, ens)
     worst = float(np.abs(zeta.values[event_mask]).max()) if event_mask.any() else 0.0
-    return CheckReport(
-        check="local-property",
-        n_paths=int(event_mask.sum()),
-        worst_slack=-worst,
-        tolerance=0.0,
-    )
+    return CheckReport(worst_slack=-worst, tolerance=0.0)

@@ -20,16 +20,13 @@ partition suprema over a unit-sphere sample.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import canonical_json, config_hash, path_rngs, prefix_sums, single_rng
+from ._util import path_rngs, prefix_sums, single_rng
 from .measures import GridMeasure, IncreasingPath, TimeGrid, radon_nikodym
 from .operators import op_norm_sym, psd_sqrt
 
@@ -50,8 +47,6 @@ __all__ = [
     "stacked_spec",
     "stopped_spec",
     "stop_ensemble",
-    "save_ensemble",
-    "load_ensemble",
 ]
 
 SigmaLike = np.ndarray | Callable[..., np.ndarray]
@@ -153,20 +148,6 @@ class NoiseSpec:
         for i, t in enumerate(grid.left):
             out[..., i, :, :] = self.sigma(i, t, w_increments[..., :i, :])
         return out
-
-    def descriptor(self) -> dict:
-        sig = self.sigma
-        if callable(sig):
-            sig_desc = getattr(sig, "__name__", "adapted")
-        else:
-            sig_desc = np.asarray(sig).tolist()
-        return {
-            "d_cyl": self.d_cyl,
-            "d_drive": self.d_drive,
-            "sigma": sig_desc,
-            "q_drive": None if self.q_drive is None else self.q_drive.tolist(),
-            "name": self.name,
-        }
 
 
 @dataclass(frozen=True)
@@ -569,62 +550,3 @@ def stop_ensemble(ens: MartEnsemble, tau_idx: np.ndarray) -> MartEnsemble:
     dw = ens.driver_increments * keep[:, :, None]
     sigma_vals = ens.sigma_for_paths() * keep[:, :, None, None]
     return _assemble(ens.spec, ens.grid, ens.seed, dw, sigma_vals, ens.test_panel)
-
-
-def save_ensemble(ens: MartEnsemble, directory: str | Path) -> Path:
-    """Persist an ensemble as manifest JSON plus one CSV per path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    desc = ens.spec.descriptor()
-    manifest = {
-        "seed": ens.seed,
-        "n_paths": ens.n_paths,
-        "grid": ens.grid.points.tolist(),
-        "spec": desc,
-        "spec_hash": config_hash(desc),
-        "test_panel": ens.test_panel.tolist(),
-    }
-    (directory / "manifest.json").write_text(canonical_json(manifest))
-    for p in range(ens.n_paths):
-        with open(directory / f"path_{p:05d}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"dw_{d}" for d in range(ens.spec.d_drive)])
-            writer.writerows(ens.driver_increments[p].tolist())
-    return directory
-
-
-def load_ensemble(directory: str | Path, spec: NoiseSpec | None = None) -> MartEnsemble:
-    """Rebuild an ensemble from a saved bundle.
-
-    Adapted sigma callables are not serializable; pass the original ``spec``
-    to rehydrate such bundles.
-    """
-    directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no manifest.json under {directory}")
-    manifest = json.loads(manifest_path.read_text())
-    grid = TimeGrid(np.asarray(manifest["grid"]))
-    if spec is None:
-        desc = manifest["spec"]
-        if isinstance(desc["sigma"], str):
-            raise ValueError("bundle has adapted sigma; pass the spec explicitly")
-        spec = NoiseSpec(
-            d_cyl=desc["d_cyl"],
-            d_drive=desc["d_drive"],
-            sigma=np.asarray(desc["sigma"]),
-            q_drive=None if desc["q_drive"] is None else np.asarray(desc["q_drive"]),
-            name=desc["name"],
-        )
-    n_paths = manifest["n_paths"]
-    dw = np.empty((n_paths, grid.n_cells, spec.d_drive))
-    for p in range(n_paths):
-        path_file = directory / f"path_{p:05d}.csv"
-        if not path_file.exists():
-            raise FileNotFoundError(f"bundle is missing {path_file.name}")
-        dw[p] = np.loadtxt(path_file, delimiter=",", skiprows=1).reshape(
-            grid.n_cells, spec.d_drive
-        )
-    return _assemble(
-        spec, grid, manifest["seed"], dw, spec.sigma_along(grid, dw), manifest["test_panel"]
-    )

@@ -151,22 +151,6 @@ class GridMeasure:
         """Mass of (t_{i0}, t_{i1}]."""
         return float(np.sum(self.increments[i0:i1]))
 
-    def to_json(self) -> dict:
-        return {
-            "grid": self.grid.points.tolist(),
-            "increments": self.increments.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GridMeasure":
-        return cls(TimeGrid(np.asarray(obj["grid"])), np.asarray(obj["increments"]))
-
-    def to_csv_rows(self) -> list[tuple[float, float, float]]:
-        """(t_left, t_right, increment) per cell."""
-        return list(
-            zip(self.grid.left.tolist(), self.grid.right.tolist(), self.increments.tolist())
-        )
-
 
 @dataclass(frozen=True)
 class IncreasingPath:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import is_hilbert, prefix_sums
-from .gammanorm import GammaKernel, gamma_norm_exact_hilbert, gamma_norm_mc
+from ._util import prefix_sums
+from .gammanorm import GammaKernel, gamma_norm
 from .integration import CheckReport, IntegrandProcess, integrate
 from .martingales import BracketPaths, MartEnsemble
 from .measures import GridMeasure, TimeGrid
@@ -270,14 +270,9 @@ def gamma_timechange_check(kernel, n_samples: int = 4096, seed: int = 0) -> Tran
     hs_sup = hs_cells[support]
     tv = float(np.abs(np.diff(hs_sup)).sum()) + (float(hs_sup.max()) if hs_sup.size else 0.0)
     rebin = (total / k) * tv
-    if is_hilbert(kernel.flavor):
-        lhs = gamma_norm_exact_hilbert(kernel)
-        rhs = gamma_norm_exact_hilbert(transported)
-        # the bound controls squared norms; convert through the larger root
-        denom = max(lhs + rhs, 1e-300)
-        return TransportPair(lhs, rhs, 0.0, 0.0, rebin / denom)
-    est_l = gamma_norm_mc(kernel, n_samples, seed)
-    est_r = gamma_norm_mc(transported, n_samples, seed + 1)
+    est_l = gamma_norm(kernel, n_samples, seed)
+    est_r = gamma_norm(transported, n_samples, seed + 1)
+    # the bound controls squared norms; convert through the larger root
     denom = max(est_l.value + est_r.value, 1e-300)
     return TransportPair(est_l.value, est_r.value, est_l.stderr, est_r.stderr, rebin / denom)
 
@@ -298,9 +293,4 @@ def plateau_constancy_check(ens: MartEnsemble):
     target = plateau & sigma_zero
     m_inc = np.diff(ens.m_evals, axis=1)  # (n, K, n_h)
     worst = float(np.abs(m_inc[target]).max()) if target.any() else 0.0
-    return CheckReport(
-        check="plateau-constancy",
-        n_paths=ens.n_paths,
-        worst_slack=-worst,
-        tolerance=0.0,
-    )
+    return CheckReport(worst_slack=-worst, tolerance=0.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cylmart.bdg import (
     BDGInstance,
+    BDGReport,
     IsometryReport,
     ItoReport,
     _kernel_matrices,
@@ -18,6 +19,7 @@ from cylmart.bdg import (
     trace_term,
     validate_derivatives,
 )
+from cylmart.experiments import experiment_defaults, run_bdg
 from cylmart.gammanorm import gamma_norm_exact_hilbert
 from cylmart.integration import IntegrandProcess, integrate
 from cylmart.martingales import NoiseSpec, qv_exact, simulate, stop_ensemble
@@ -189,14 +191,13 @@ class TestPanel:
         with pytest.raises(ValueError, match="n_paths >= 2"):
             bdg_ratio_panel([inst], [2], ["hilbert"], 1, seed=15)
 
-    def test_csv_row_format(self, grid):
-        inst = BDGInstance(
-            "r", NoiseSpec(1, 1, np.eye(1)), IntegrandProcess.constant(grid, np.eye(1))
-        )
-        rep = bdg_ratio_panel([inst], [1], ["hilbert"], 100, seed=14)[0]
-        row = rep.to_csv_row()
-        assert row.startswith("r,1,hilbert,100,")
-        assert len(row.split(",")) == len(rep.CSV_HEADER.split(","))
+    def test_csv_row_format(self):
+        params = {**experiment_defaults("bdg"), "paths": 100, "instances": 1}
+        params.update(iso_instances=1, p_list=[1], gamma_samples=16)
+        panel = run_bdg(params, seed=14).series["bdg_panel"]
+        assert panel["columns"] == BDGReport.CSV_HEADER.split(",")
+        assert panel["rows"] and all(len(row) == len(panel["columns"]) for row in panel["rows"])
+        assert panel["rows"][0][1:4] == [1.0, "hilbert", 100.0]
 
 
 class TestTraceTerm:

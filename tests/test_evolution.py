@@ -23,7 +23,6 @@ from cylmart.evolution import (
     localization_consistency,
     mild_residual,
     picard_solve,
-    problem_from_config,
     rho_stopping_times,
     stoch_convolution,
     vp_norm,
@@ -455,47 +454,6 @@ class TestLocalization:
             prob, ens, u0_alt=alt, agree_mask=agree, tol=tol
         )
         assert rep.max_event_gap() <= 2 * tol
-
-
-class TestProblemConfig:
-    def test_roundtrip_and_solve(self):
-        cfg = {
-            "horizon": 1.0,
-            "grid": 32,
-            "u0": [1.0],
-            "generator": {"spectrum": [-1.0]},
-            "drift": {"name": "linear", "scale": -0.5},
-            "noise_map": {"name": "constant", "matrix": [[0.5]]},
-            "noise": {"d_cyl": 1, "d_drive": 1, "sigma": [[1.0]]},
-        }
-        prob, spec, grid = problem_from_config(cfg)
-        assert prob.lip_drift == 0.5
-        ens = simulate(spec, grid, 16, seed=28)
-        u, diag = picard_solve(prob, ens, tol=1e-8)
-        assert diag.converged
-
-    def test_unknown_registry_name(self):
-        cfg = {
-            "horizon": 1.0,
-            "grid": 4,
-            "u0": [0.0],
-            "drift": {"name": "mystery"},
-            "noise": {"d_cyl": 1, "d_drive": 1, "sigma": [[1.0]]},
-        }
-        with pytest.raises(ValueError, match="unknown drift"):
-            problem_from_config(cfg)
-
-    def test_state_diag_noise(self):
-        cfg = {
-            "horizon": 1.0,
-            "grid": 16,
-            "u0": [1.0, 2.0],
-            "noise_map": {"name": "state_diag", "scale": 0.3},
-            "noise": {"d_cyl": 2, "d_drive": 2, "sigma": [[1.0, 0.0], [0.0, 1.0]]},
-        }
-        prob, _, _ = problem_from_config(cfg)
-        g = prob.noise_map(0.0, np.array([[1.0, 2.0]]))
-        np.testing.assert_allclose(g[0], np.diag([0.3, 0.6]))
 
 
 # Reference copies of the semigroup and the four recursions that ``_scan``

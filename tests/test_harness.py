@@ -34,6 +34,8 @@ class TestConfig:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
             make_config("mystery")
+        with pytest.raises(ConfigError, match=r"unknown experiment \[1\]"):
+            validate_config({"experiment": [1]})
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown config fields"):
@@ -50,6 +52,19 @@ class TestConfig:
     def test_bad_schema_version(self):
         with pytest.raises(ConfigError, match="schema version"):
             validate_config({"experiment": "kw", "schema": 99})
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ([1], "a config must be a JSON object"),
+            ("kw", "a config must be a JSON object"),
+            ({"experiment": "kw", "params": [1]}, "config params must be a JSON object"),
+            ({"experiment": "kw", "params": None}, "config params must be a JSON object"),
+        ],
+    )
+    def test_config_and_params_must_be_objects(self, cfg, message):
+        with pytest.raises(ConfigError, match=message):
+            validate_config(cfg)
 
     def test_override_params(self):
         cfg = make_config("kw", paths=50, instances=2)
@@ -322,18 +337,42 @@ class TestCli:
                 for grid in (5, 6, 7)
             ],
             ({"experiment": "see", "params": {"grid": 10}}, "'grid' must be a multiple of 4 in 'see'"),
+            ([1], "does not hold a JSON object"),
+            (3, "does not hold a JSON object"),
+            ({"params": [1]}, "config params must be a JSON object, got [1]"),
         ],
     )
     def test_bad_config_file_exits_2(self, tmp_path, capsys, loaded, message):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(loaded))
         out = tmp_path / "runs"
-        experiment = loaded.get("experiment", "kw")
+        experiment = loaded.get("experiment", "kw") if isinstance(loaded, dict) else "kw"
         code = main([experiment, "--config", str(cfg_file), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text("paths = 8")
+        out = tmp_path / "runs"
+        assert main(["kw", "--config", str(cfg_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config file {cfg_file}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("not json", "unreadable report bundle"), ("[1]", "report bundle is not a JSON object")],
+    )
+    def test_unreadable_report_exits_2(self, tmp_path, capsys, text, message):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        out = tmp_path / "plots"
+        assert main(["plotdata", str(report), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -370,6 +409,25 @@ def small_configs(draw):
     if "paths" in params:
         params["paths"] = draw(st.integers(param_floor(experiment, "paths"), params["paths"]))
     return make_config(experiment, seed=draw(st.integers(0, 2**63)), **params)
+
+
+# Each criterion whose target states a size, and how the target spells it.
+SIZED_TARGETS = [
+    ("qv", "qv-partition-2pct", "depth {depth}, {sphere} sphere samples"),
+    ("gamma", "gamma-mc-matches-exact", ", {instances} instances"),
+    ("gamma", "gamma-ideal-property", "across {ideal_instances} contraction instances"),
+    ("gamma", "gamma-primitive-bound", "on {bound_instances} instances"),
+    ("bdg", "bdg-isometry-z3", "at {paths} paths, {iso_instances} instances"),
+    ("see", "see-ou-variance", "at {paths} paths"),
+    ("projsel", "projsel-identities", ", {instances} draws"),
+]
+
+
+@pytest.mark.parametrize("experiment, criterion, spelling", SIZED_TARGETS)
+def test_target_names_the_sizes_run(experiment, criterion, spelling):
+    cfg = make_config(experiment, **SMALL_SIZES[experiment])
+    (target,) = [c.target for c in run(cfg).criteria if c.name == criterion]
+    assert spelling.format(**cfg["params"]) in target
 
 
 class TestReplayProperty:

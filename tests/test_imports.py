@@ -4,14 +4,17 @@ The import checks run in a fresh interpreter, because the test process may
 already hold scipy from other packages.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import cylmart
 from cylmart.martingales import sphere_panel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -98,3 +101,11 @@ def test_runs_with_scipy_blocked():
     assert out["scipy"] == []
     assert out["rows"] == 22
     assert out["criteria"] > 0 and out["passed"]
+
+
+def test_every_export_resolves():
+    # a deletion must not leave a stale name in any module's __all__
+    for info in pkgutil.iter_modules(cylmart.__path__):
+        module = importlib.import_module(f"cylmart.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (info.name, missing)

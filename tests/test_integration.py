@@ -327,12 +327,6 @@ class TestKunitaWatanabe:
             rep = kunita_watanabe_check(f, g, s1, s2, grid)
             assert rep.passed, rep
 
-    def test_report_serializes(self, grid):
-        spec = NoiseSpec(1, 1, np.eye(1))
-        rep = kunita_watanabe_check(np.ones((16, 1)), np.ones((16, 1)), spec, spec, grid)
-        obj = rep.to_json()
-        assert set(obj) == {"check", "n_paths", "worst_slack", "tolerance", "pass"}
-
 
 class TestStopping:
     def test_full_horizon_is_identity(self, grid, wiener):

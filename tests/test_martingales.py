@@ -7,16 +7,15 @@ from cylmart.integration import IntegrandProcess, integrate
 from cylmart.martingales import (
     BracketPaths,
     NoiseSpec,
+    _assemble,
     _bracket_increments,
     _driven,
     am_operator,
     countex_spec,
-    load_ensemble,
     qm_empirical,
     qm_operator,
     qv_exact,
     qv_partition_estimate,
-    save_ensemble,
     simulate,
     sphere_panel,
     stacked_spec,
@@ -313,28 +312,6 @@ class TestAdaptedSigma:
         np.testing.assert_array_equal(other, ens.sigma_path)
 
 
-class TestBundle:
-    def test_roundtrip(self, tmp_path, grid):
-        rng = np.random.default_rng(8)
-        spec = NoiseSpec(2, 3, rng.standard_normal((2, 3)))
-        ens = simulate(spec, grid, 5, seed=21)
-        save_ensemble(ens, tmp_path / "bundle")
-        back = load_ensemble(tmp_path / "bundle")
-        np.testing.assert_allclose(back.driver_increments, ens.driver_increments)
-        np.testing.assert_allclose(back.m_evals, ens.m_evals)
-        np.testing.assert_allclose(back.bracket.increments, ens.bracket.increments)
-
-    def test_partial_bundle_errors(self, tmp_path, grid):
-        spec = NoiseSpec(1, 1, np.eye(1))
-        ens = simulate(spec, grid, 3, seed=22)
-        save_ensemble(ens, tmp_path / "b")
-        (tmp_path / "b" / "path_00001.csv").unlink()
-        with pytest.raises(FileNotFoundError, match="path_00001"):
-            load_ensemble(tmp_path / "b")
-        with pytest.raises(FileNotFoundError, match="manifest"):
-            load_ensemble(tmp_path / "nowhere")
-
-
 class TestScalarVsOperatorBracket:
     def test_bracket_below_trace_bracket(self):
         # the vector path's summed coordinate brackets (trace route) dominate
@@ -414,32 +391,6 @@ def reference_stop_ensemble(ens, tau_idx):
     )
 
 
-def reference_load_tail(spec, grid, manifest, dw):
-    n_paths = manifest["n_paths"]
-    sigma_vals = spec.sigma_along(grid, dw) if spec.adapted else spec.sigma_on_grid(grid)
-    panel = np.asarray(manifest["test_panel"], dtype=float)
-    driven = _driven(sigma_vals, dw)
-    if sigma_vals.ndim == 3:
-        bracket_inc = np.broadcast_to(
-            _bracket_increments(spec, grid, sigma_vals), (n_paths, grid.n_cells)
-        ).copy()
-    else:
-        bracket_inc = _bracket_increments(spec, grid, sigma_vals)
-    m_inc = driven @ panel.T
-    m_evals = np.zeros((n_paths, grid.n_cells + 1, panel.shape[0]))
-    np.cumsum(m_inc, axis=1, out=m_evals[:, 1:, :])
-    return dict(
-        n_paths=n_paths,
-        seed=manifest["seed"],
-        driver_increments=dw,
-        test_panel=panel,
-        driven=driven,
-        m_evals=m_evals,
-        bracket=bracket_inc,
-        sigma_path=sigma_vals,
-    )
-
-
 def ensemble_arrays(ens):
     """The fields the reference tails return, read off an ensemble."""
     names = ("driver_increments", "test_panel", "driven", "m_evals", "sigma_path")
@@ -475,7 +426,7 @@ PANELS = {
 
 
 class TestEnsembleCore:
-    """simulate/stop_ensemble/load_ensemble against the tails they replaced."""
+    """simulate/stop_ensemble against the tails they replaced."""
 
     @pytest.mark.parametrize("panel", sorted(PANELS))
     @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
@@ -494,19 +445,6 @@ class TestEnsembleCore:
         ens = simulate(spec, grid, 6, seed=32, test_panel=PANELS[panel])
         tau = np.array([0, 3, 8, 16, 16, 11])
         assert_same_ensemble(stop_ensemble(ens, tau), reference_stop_ensemble(ens, tau))
-
-    @pytest.mark.parametrize("panel", sorted(PANELS))
-    @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
-    def test_bundle_roundtrip_is_bit_exact(self, tmp_path, grid, kind, panel):
-        spec = CORE_SPECS[kind](grid.n_cells)
-        ens = simulate(spec, grid, 5, seed=33, test_panel=PANELS[panel])
-        save_ensemble(ens, tmp_path / "b")
-        back = load_ensemble(tmp_path / "b", spec=spec)
-        assert_same_ensemble(back, ensemble_arrays(ens))
-        manifest = {"n_paths": 5, "seed": 33, "test_panel": ens.test_panel.tolist()}
-        assert_same_ensemble(
-            back, reference_load_tail(spec, grid, manifest, back.driver_increments)
-        )
 
 
 # Copies of the evaluations as they were when every call recomputed sigma dW.
@@ -535,21 +473,19 @@ def reference_m_eval(ens, h):
     return out
 
 
-def _lean_ensembles(tmp_path, grid, kind):
+def _lean_ensembles(grid, kind):
     spec = CORE_SPECS[kind](grid.n_cells)
     ens = simulate(spec, grid, 6, seed=34, test_panel=PANELS["rotated"])
     stopped = stop_ensemble(ens, np.array([0, 3, 8, 16, 16, 11]))
-    save_ensemble(ens, tmp_path / "b")
-    loaded = load_ensemble(tmp_path / "b", spec=spec)
-    return {"simulated": ens, "stopped": stopped, "loaded": loaded}
+    return {"simulated": ens, "stopped": stopped}
 
 
 class TestLeanEnsemble:
     """sigma dW is stored once; every evaluation equals the old recompute."""
 
     @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
-    def test_driven_is_read_only(self, tmp_path, grid, kind):
-        for ens in _lean_ensembles(tmp_path, grid, kind).values():
+    def test_driven_is_read_only(self, grid, kind):
+        for ens in _lean_ensembles(grid, kind).values():
             with pytest.raises(ValueError, match="read-only"):
                 ens.driven[0, 0, 0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
@@ -557,10 +493,10 @@ class TestLeanEnsemble:
             assert ens.m_evals is ens.m_evals  # computed once, then kept
 
     @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
-    def test_evaluations_match_recompute(self, tmp_path, grid, kind):
+    def test_evaluations_match_recompute(self, grid, kind):
         rng = np.random.default_rng(35)
         h = np.array([0.3, -1.2])
-        for label, ens in _lean_ensembles(tmp_path, grid, kind).items():
+        for label, ens in _lean_ensembles(grid, kind).items():
             shared = IntegrandProcess(grid, rng.standard_normal((grid.n_cells, 3, 2)))
             per_path = IntegrandProcess(
                 grid, rng.standard_normal((ens.n_paths, grid.n_cells, 3, 2))
@@ -583,8 +519,8 @@ class TestLeanBracket:
     """A shared bracket is one row seen n times; its prefix sums stay a view."""
 
     @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
-    def test_layout(self, tmp_path, grid, kind):
-        for label, ens in _lean_ensembles(tmp_path, grid, kind).items():
+    def test_layout(self, grid, kind):
+        for label, ens in _lean_ensembles(grid, kind).items():
             inc = ens.bracket.increments
             shared = kind != "adapted" and label != "stopped"
             assert (inc.strides[0] == 0) == shared, label
@@ -595,8 +531,8 @@ class TestLeanBracket:
                 assert np.shares_memory(inc[0], inc[-1])
 
     @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
-    def test_prefix_matches_materialized_cumsum(self, tmp_path, grid, kind):
-        for label, ens in _lean_ensembles(tmp_path, grid, kind).items():
+    def test_prefix_matches_materialized_cumsum(self, grid, kind):
+        for label, ens in _lean_ensembles(grid, kind).items():
             got = ens.bracket.prefix()
             assert got.shape == (ens.n_paths, grid.n_cells + 1), label
             assert np.array_equal(got, reference_prefix(ens.bracket)), label
@@ -667,15 +603,12 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="sigma values are not all finite"):
             simulate(NoiseSpec(1, 1, vol), grid, 4, seed=1)
 
-    def test_corrupted_bundle_rejected(self, tmp_path, grid):
-        ens = simulate(NoiseSpec(2, 2, np.eye(2)), grid, 3, seed=2)
-        save_ensemble(ens, tmp_path / "b")
-        path_file = tmp_path / "b" / "path_00001.csv"
-        lines = path_file.read_text().splitlines()
-        lines[4] = "nan," + lines[4].split(",", 1)[1]
-        path_file.write_text("\n".join(lines) + "\n")
+    def test_non_finite_driver_increments_rejected(self, grid):
+        spec = NoiseSpec(2, 2, np.eye(2))
+        dw = simulate(spec, grid, 3, seed=2).driver_increments.copy()
+        dw[1, 3, 0] = np.nan
         with pytest.raises(ValueError, match="driver increments are not all finite"):
-            load_ensemble(tmp_path / "b")
+            _assemble(spec, grid, 2, dw, spec.sigma_on_grid(grid), np.eye(2))
 
 
 class TestStopIndices:

@@ -356,17 +356,3 @@ class TestRadonNikodym:
         nu = GridMeasure(g, np.array([0.1, 0.2, 0.1]))
         with pytest.raises(ValueError, match=r"cells \[1\]"):
             radon_nikodym(nu, mu)
-
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        g = TimeGrid.uniform(1.0, 3)
-        m = GridMeasure(g, np.array([0.25, 0.0, 0.75]))
-        back = GridMeasure.from_json(m.to_json())
-        assert back.grid == g
-        np.testing.assert_array_equal(back.increments, m.increments)
-
-    def test_csv_rows(self):
-        g = grid(0.0, 0.5, 1.0)
-        m = GridMeasure(g, np.array([0.25, 0.75]))
-        assert m.to_csv_rows() == [(0.0, 0.5, 0.25), (0.5, 1.0, 0.75)]
