@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -18,6 +20,7 @@ __all__ = [
     "canonical_json",
     "config_hash",
     "int_at_least",
+    "finite_above_zero",
 ]
 
 
@@ -174,3 +177,13 @@ def int_at_least(value, least: int) -> bool:
         return not isinstance(value, bool) and operator.index(value) >= least
     except TypeError:
         return False
+
+
+def finite_above_zero(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, finite and > 0."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )

@@ -9,12 +9,16 @@ Usage::
 
 Exit code 0 means every criterion of the run passed; a bad flag, or a config
 file or report that cannot be read or is not valid, exits 2 with a message.
+When standard output is closed early (``cylmart replay run | head -1``) the
+rest of the output is dropped and the exit code is 141, the status a shell
+gives a process stopped by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -29,6 +33,9 @@ from .harness import (
     run,
     validate_config,
 )
+
+# the status a shell reports for a process stopped by SIGPIPE (128 + 13)
+EXIT_BROKEN_PIPE = 141
 
 
 def _int_type(least: int, what: str):
@@ -107,6 +114,18 @@ def _assemble_config(args) -> dict:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered, and the
+        # interpreter's last flush, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _dispatch(args) -> int:
     try:
         if args.command == "replay":
             report = replay(args.report)

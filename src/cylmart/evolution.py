@@ -3,23 +3,27 @@
 The generator is a symmetric negative-semidefinite matrix (possibly zero), so
 the semigroup is contractive and self-adjoint and applies through a cached
 eigendecomposition, with exp(tA) built once per distinct t.  Every
-left-point convolution and the mild map itself run one scan,
-acc <- exp(dt A)(acc + increment), cell by cell.  Solutions are produced by
-fixed-point iteration of the variation-of-constants map on a dyadic block
-schedule, with distances measured in the V norm (L2-in-time moment plus
-bracket-weighted kernel moment).  Per-block stopping times cap the bracket
-mass a block can carry, and localization checks compare runs against stopped
-drivers pathwise.
+left-point convolution, the mild map and the mild residual run one scan,
+acc <- exp(dt A)(acc + increment), cell by cell, which hands each grid
+point's state to its caller once that point's increment has been taken.
+Solutions are produced by fixed-point iteration of the variation-of-constants
+map on a dyadic block schedule, with distances measured in the V norm
+(L2-in-time moment plus bracket-weighted kernel moment).  The iteration
+overwrites one iterate in place and keeps one (paths, cells) buffer of
+squared changes per block; the mild residual streams its gap point by point.
+Per-block stopping times cap the bracket mass a block can carry, and
+localization checks compare runs against stopped drivers pathwise.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from ._util import single_rng
+from ._util import finite_above_zero, int_at_least, single_rng
 from .martingales import BracketPaths, MartEnsemble, grid_stop_indices, stop_ensemble
 from .measures import TimeGrid
 
@@ -43,6 +47,10 @@ __all__ = [
 
 GENERATOR_EIG_RTOL = 1e-10
 LIPSCHITZ_SLACK = 1e-9
+# cells of squared changes gathered before one transposed write into a block's
+# (paths, cells) buffer: written a column at a time, its dyadic row strides
+# map every path to a few cache sets
+SQ_TILE = 16
 
 
 @dataclass(frozen=True)
@@ -120,6 +128,17 @@ class Semigroup:
         return x if self.identity else x @ self.matrix(t).T
 
 
+def _path_shape(
+    problem: SEEProblem, ens: MartEnsemble, u: np.ndarray | None = None, what: str = "u"
+) -> tuple[int, int, int]:
+    """(paths, grid points, dim), the shape of a solution; ``u``, if given,
+    must have it."""
+    shape = (ens.n_paths, ens.grid.n_cells + 1, problem.dim)
+    if u is not None and np.shape(u) != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {np.shape(u)}")
+    return shape
+
+
 def _eval_noise(problem: SEEProblem, t: float, states: np.ndarray) -> np.ndarray:
     g = np.asarray(problem.noise_map(t, states), dtype=float)
     if g.ndim == 2:
@@ -128,19 +147,27 @@ def _eval_noise(problem: SEEProblem, t: float, states: np.ndarray) -> np.ndarray
 
 
 def _scan(
-    sg: Semigroup, grid: TimeGrid, step: Callable, out: np.ndarray, i0: int, i1: int
-) -> np.ndarray:
-    """The left-point variation-of-constants recursion: from acc = out[:, i0],
-    acc <- exp(dt_j A)(acc + step(j)) is written to out[:, j + 1] for cells
-    i0 <= j < i1.
+    sg: Semigroup, grid: TimeGrid, step: Callable, acc: np.ndarray, i0: int, i1: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The left-point variation-of-constants recursion from ``acc``, the state
+    at t_{i0}: acc <- exp(dt_j A)(acc + step(j)) for cells i0 <= j < i1.
 
+    Yields (j, state at t_j) for i0 <= j <= i1, each once step(j) has been
+    taken, so a caller may overwrite point j of the path that ``step`` reads.
     With the identity semigroup the sums run left to right, bit for bit as
     ``_util.prefix_sums`` adds them.
     """
-    acc = out[:, i0, :]
     for j in range(i0, i1):
-        acc = sg.apply(grid.widths[j], acc + step(j))
-        out[:, j + 1, :] = acc
+        nxt = sg.apply(grid.widths[j], acc + step(j))
+        yield j, acc
+        acc = nxt
+    yield i1, acc
+
+
+def _fill(out: np.ndarray, states: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Write each state a scan yields to its grid point of ``out``."""
+    for j, state in states:
+        out[:, j, :] = state
     return out
 
 
@@ -166,7 +193,9 @@ def det_convolution(problem: SEEProblem, grid: TimeGrid, u: np.ndarray) -> np.nd
     exact left-point sum thanks to the semigroup property.
     """
     sg = Semigroup(problem.generator, problem.dim)
-    return _scan(sg, grid, _drift_step(problem, grid, u), np.zeros_like(u), 0, u.shape[1] - 1)
+    step = _drift_step(problem, grid, u)
+    out = np.zeros_like(u)
+    return _fill(out, _scan(sg, grid, step, out[:, 0], 0, u.shape[1] - 1))
 
 
 def stoch_convolution(
@@ -179,7 +208,42 @@ def stoch_convolution(
     """
     sg = Semigroup(problem.generator, u.shape[-1])
     step = _noise_step(problem, ens, u)
-    return _scan(sg, ens.grid, step, np.zeros_like(u), 0, u.shape[1] - 1)
+    out = np.zeros_like(u)
+    return _fill(out, _scan(sg, ens.grid, step, out[:, 0], 0, u.shape[1] - 1))
+
+
+def _mild_map(
+    problem: SEEProblem,
+    ens: MartEnsemble,
+    u: np.ndarray,
+    i0: int,
+    i1: int,
+    base: np.ndarray,
+    sq: np.ndarray | None = None,
+) -> np.ndarray:
+    """Overwrite ``u`` on [t_{i0}, t_{i1}] with its image under the mild map
+    started from ``base`` at t_{i0}.
+
+    Drift and noise read each point of ``u`` before it is overwritten.  Given
+    ``sq`` of shape (n, i1 - i0), the change of each point i0 <= j < i1,
+    sum over m of (new - old)^2, is written to column j - i0.
+    """
+    n, _, m = u.shape
+    drift = _drift_step(problem, ens.grid, u)
+    noise = _noise_step(problem, ens, u)
+    sg = Semigroup(problem.generator, m)
+    gap = np.empty((n, m))
+    tile = np.empty((min(SQ_TILE, i1 - i0), n))
+    for j, new in _scan(sg, ens.grid, lambda j: drift(j) + noise(j), base, i0, i1):
+        c = j - i0
+        if sq is not None and j < i1:
+            np.subtract(new, u[:, j, :], out=gap)
+            np.add.reduce(np.square(gap, out=gap), axis=1, out=tile[c % len(tile)])
+            if c % len(tile) == len(tile) - 1 or j == i1 - 1:
+                lo = c - c % len(tile)
+                sq[:, lo : c + 1] = tile[: c + 1 - lo].T
+        u[:, j, :] = new
+    return u
 
 
 def fixed_point_map(
@@ -196,17 +260,12 @@ def fixed_point_map(
     states); grid points outside the window are returned untouched from
     ``u``.
     """
-    n, kp1, m = u.shape
+    n, kp1, _ = _path_shape(problem, ens, u)
     if i1 is None:
         i1 = kp1 - 1
     if base is None:
         base = problem.initial_states(n)
-    drift = _drift_step(problem, ens.grid, u)
-    noise = _noise_step(problem, ens, u)
-    out = u.copy()
-    out[:, i0, :] = base
-    sg = Semigroup(problem.generator, m)
-    return _scan(sg, ens.grid, lambda j: drift(j) + noise(j), out, i0, i1)
+    return _mild_map(problem, ens, u.copy(), i0, i1, base)
 
 
 def vp_norm(
@@ -231,13 +290,12 @@ def vp_norm(
         i1 = grid.n_cells if b is None else int(
             np.searchsorted(grid.points, b - 1e-12 * max(grid.horizon, 1.0))
         )
-    return _window_norm(u[:, i0:i1, :] ** 2, ens, p, i0, i1)
+    return _window_norm(np.sum(u[:, i0:i1, :] ** 2, axis=2), ens, p, i0, i1)
 
 
-def _window_norm(squares: np.ndarray, ens: MartEnsemble, p: float, i0: int, i1: int) -> float:
-    """``vp_norm`` from squared path values given on the window alone:
-    ``squares`` is (n, i1 - i0, m), at the left endpoints of cells i0..i1-1."""
-    sq = np.sum(squares, axis=2)  # (n, cells)
+def _window_norm(sq: np.ndarray, ens: MartEnsemble, p: float, i0: int, i1: int) -> float:
+    """``vp_norm`` from the squared path norms on the window alone: ``sq`` is
+    (n, i1 - i0), at the left endpoints of cells i0..i1-1, and is overwritten."""
     l2 = np.sqrt(sq @ ens.grid.widths[i0:i1])
     # sq is not read again: weigh it by the bracket in place
     gam = np.sqrt(np.sum(np.multiply(sq, ens.bracket.increments[:, i0:i1], out=sq), axis=1))
@@ -250,7 +308,7 @@ def _window_distance(
     """``vp_norm(u - v, ens, p=p, i0=i0, i1=i1)``, with the difference formed
     and squared on the window alone."""
     gap = u[:, i0:i1] - v[:, i0:i1]
-    return _window_norm(np.square(gap, out=gap), ens, p, i0, i1)
+    return _window_norm(np.sum(np.square(gap, out=gap), axis=2), ens, p, i0, i1)
 
 
 def rho_stopping_times(bracket: BracketPaths, n: int) -> np.ndarray:
@@ -319,6 +377,20 @@ def _default_blocks(problem: SEEProblem, ens: MartEnsemble) -> list[tuple[int, i
     return bounds
 
 
+def _tiles(blocks, n_cells: int) -> bool:
+    """Whether ``blocks`` are integer pairs (i0, i1), i0 < i1, each starting
+    where the last ended, from 0 to ``n_cells``."""
+    edge = 0
+    for block in blocks:
+        if np.shape(block) != (2,):
+            return False
+        i0, i1 = block
+        if not (int_at_least(i0, edge) and i0 == edge and int_at_least(i1, edge + 1)):
+            return False
+        edge = i1
+    return edge == n_cells
+
+
 def _validate_constants(problem: SEEProblem, ens: MartEnsemble) -> None:
     """Two-point checks of the declared constants, at 1000 pairs of states
     and times drawn from the ensemble's seed over its horizon."""
@@ -363,40 +435,53 @@ def picard_solve(
     Starting from the frozen continuation exp(tA) u0 (or ``initial``), each
     block iterates until the successive V-distance drops below ``tol``.  A
     block that fails to contract raises :class:`PicardError` carrying the
-    measured contraction and the advice to halve the block length.
+    measured contraction and the advice to halve the block length.  The
+    solve overwrites one iterate of its own in place (``initial`` is copied);
+    ``blocks``, if given, must tile the grid's cells in order.
     """
     grid = ens.grid
+    if not finite_above_zero(p) or p < 1:
+        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
+    if not finite_above_zero(tol):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    if not int_at_least(max_iter, 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    if blocks is not None and not _tiles(blocks, grid.n_cells):
+        raise ValueError(
+            f"blocks must be an increasing, contiguous cover of [0, {grid.n_cells}] "
+            f"by (i0, i1) pairs with i0 < i1, got {blocks!r}"
+        )
+    shape = _path_shape(problem, ens, initial, "initial")
     if validate:
         _validate_constants(problem, ens)
     if blocks is None:
         blocks = _default_blocks(problem, ens)
     diag = PicardDiagnostics(blocks=list(blocks))
 
-    n, m = ens.n_paths, problem.dim
+    n, _, m = shape
     base = problem.initial_states(n)
     if initial is None:
         # the scan with a zero step, so a drift- and noise-free problem is an
         # exact fixed point of the discrete map
-        u = np.zeros((n, grid.n_cells + 1, m))
-        u[:, 0, :] = base
-        _scan(Semigroup(problem.generator, m), grid, lambda j: 0.0, u, 0, grid.n_cells)
+        sg = Semigroup(problem.generator, m)
+        u = _fill(np.zeros(shape), _scan(sg, grid, lambda j: 0.0, base, 0, grid.n_cells))
     else:
-        u = initial.copy()
+        u = np.array(initial, dtype=float, order="C")
         u[:, 0, :] = base  # iterates may start anywhere; the anchor may not
 
     prefix = ens.bracket.prefix()
     for i0, i1 in blocks:
         diag.block_mass.append(float((prefix[:, i1] - prefix[:, i0]).max()))
         block_base = u[:, i0, :].copy()
+        sq = np.empty((n, i1 - i0))
         dists = []
         ratio = np.nan
         for it in range(max_iter):
-            u_next = fixed_point_map(problem, ens, u, i0=i0, i1=i1, base=block_base)
-            dist = _window_distance(u_next, u, ens, p, i0, i1)
+            _mild_map(problem, ens, u, i0, i1, block_base, sq)
+            dist = _window_norm(sq, ens, p, i0, i1)
             dists.append(dist)
             if len(dists) >= 2 and dists[-2] > 0:
                 ratio = dists[-1] / dists[-2]
-            u = u_next
             if dist < tol:
                 break
         diag.distances.append(dists)
@@ -425,23 +510,30 @@ class ResidualStats:
 
 
 def mild_residual(u: np.ndarray, problem: SEEProblem, ens: MartEnsemble) -> ResidualStats:
-    """Pathwise sup distance between u and its variation-of-constants image."""
+    """Pathwise sup distance between u and its variation-of-constants image.
+
+    The image (flow + deterministic convolution) + stochastic convolution is
+    formed a grid point at a time, both convolutions streamed from their
+    scans, and each path keeps a running maximum of its squared gap.
+    """
+    _path_shape(problem, ens, u)
     grid = ens.grid
-    n = ens.n_paths
     sg = Semigroup(problem.generator, problem.dim)
-    base = problem.initial_states(n)
-    rhs = np.empty_like(u)
-    rhs[:, 0, :] = base
-    for j in range(grid.n_cells):
-        rhs[:, j + 1, :] = sg.apply(grid.points[j + 1], base)
-    rhs += det_convolution(problem, grid, u)
-    rhs += stoch_convolution(problem, ens, u)
-    rhs[:, 0, :] = base
-    # the gap u - rhs and np.linalg.norm's sum of squares, in place
-    np.subtract(u, rhs, out=rhs)
-    rhs *= rhs
-    gaps = np.sqrt(np.add.reduce(rhs, axis=2).max(axis=1))  # sqrt is monotone
-    return ResidualStats(sup_gaps=gaps)
+    base = problem.initial_states(ens.n_paths)
+    # at t_0 the image is the initial state itself
+    gap = np.subtract(u[:, 0, :], base)
+    sup = np.add.reduce(np.square(gap, out=gap), axis=1)
+    row = np.empty_like(sup)
+    zero = np.zeros_like(base)
+    det = _scan(sg, grid, _drift_step(problem, grid, u), zero, 0, grid.n_cells)
+    stoch = _scan(sg, grid, _noise_step(problem, ens, u), zero, 0, grid.n_cells)
+    for (j, d), (_, s) in itertools.islice(zip(det, stoch), 1, None):
+        np.add(sg.apply(grid.points[j], base), d, out=gap)
+        gap += s
+        np.subtract(u[:, j, :], gap, out=gap)
+        np.add.reduce(np.square(gap, out=gap), axis=1, out=row)
+        np.maximum(sup, row, out=sup)  # propagates NaN, as max does
+    return ResidualStats(sup_gaps=np.sqrt(sup, out=sup))  # sqrt is monotone
 
 
 def lipschitz_quotient(

@@ -901,6 +901,7 @@ def run_see(params: dict, seed: int) -> ExperimentResult:
         resid_c.max,
         "converged solutions satisfy the variation-of-constants identity",
     )
+    del ens_c, u_c, term  # term is a view of u_c
 
     # (d) contraction scaling across a block ladder
     prob_d = SEEProblem(

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import numbers
 import os
 import tempfile
 import time
@@ -20,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from ._util import config_hash, int_at_least
+from ._util import config_hash, finite_above_zero, int_at_least
 from .experiments import (
     EXPERIMENTS,
     PARAM_FLOORS,
@@ -70,16 +68,6 @@ def make_config(
     )
 
 
-def _finite_above_zero(value) -> bool:
-    """Whether ``value`` is a real number, not a bool, finite and > 0."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value > 0
-    )
-
-
 def validate_config(cfg: dict) -> dict:
     """Schema check: exactly the known top-level keys, exactly the known
     params for the experiment; unknown fields are errors.  The seed must be a
@@ -124,7 +112,7 @@ def validate_config(cfg: dict) -> dict:
         listed = isinstance(default, list)
         entries = value if listed and isinstance(value, list) else [value]
         if name in REAL_PARAMS:
-            ok = all(_finite_above_zero(v) for v in entries)
+            ok = all(finite_above_zero(v) for v in entries)
             kind = ("a finite number > 0", "finite numbers > 0")
         else:
             general = PARAM_FLOORS.get(name, 1)

@@ -15,7 +15,6 @@ from cylmart.evolution import (
     Semigroup,
     _default_blocks,
     _eval_noise,
-    _scan,
     _validate_constants,
     det_convolution,
     fixed_point_map,
@@ -314,6 +313,74 @@ class TestPicard:
             u, _ = picard_solve(prob, ens, tol=1e-9)
             assert vp_norm(u, ens) <= 4.0 * (1.0 + scale)
 
+    def test_peak_one_iterate_and_block_buffers(self):
+        # the iterate is overwritten in place; next to it a call holds one
+        # (paths, cells) buffer of squared changes per block (eight blocks here)
+        n, k = 4000, 64
+        grid = TimeGrid.uniform(1.0, k)
+        ens = simulate(WIENER, grid, n, seed=25)
+        prob = make_problem(
+            generator=np.array([[-1.0]]),
+            drift=lambda t, x: -0.5 * x,
+            lip_f=0.5,
+            noise_map=lambda t, x: 0.5 * x[:, :, None],
+            lip_g=0.5,
+            u0=np.array([1.0]),
+        )
+        u, diag = picard_solve(prob, ens, tol=1e-9)
+        assert len(diag.blocks) == 8
+        tracemalloc.start()
+        try:
+            picard_solve(prob, ens, tol=1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * u.nbytes
+
+
+def _untouchable(t, x):
+    raise AssertionError("picard_solve evaluated the drift of a rejected call")
+
+
+class TestPicardInputs:
+    """Bad arguments raise a named ValueError before any work is done."""
+
+    @staticmethod
+    def solve(**kwargs):
+        grid = TimeGrid.uniform(1.0, 8)
+        ens = simulate(WIENER, grid, 2, seed=26)
+        prob = make_problem(drift=_untouchable, lip_f=1.0, u0=np.array([1.0]))
+        return picard_solve(prob, ens, **kwargs)
+
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.0, True])
+    def test_bad_max_iter(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            self.solve(max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-8, np.inf])
+    def test_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            self.solve(tol=tol)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, 0.5, np.nan, np.inf])
+    def test_bad_p(self, p):
+        with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+            self.solve(p=p)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [[(0, 9)], [(3, 2)], [(0, 4)], [], [(0, 4), (5, 8)], [(0, 4), (3, 8)],
+         [(0, 0), (0, 8)], [(0, 4.0), (4.0, 8)], [(0, 4, 8)], [8]],
+    )
+    def test_bad_blocks(self, blocks):
+        with pytest.raises(ValueError, match=r"contiguous cover of \[0, 8\]"):
+            self.solve(blocks=blocks)
+
+    @pytest.mark.parametrize("shape", [(2, 12, 1), (2, 5, 1), (3, 9, 1), (2, 9, 2), (2, 9)])
+    def test_bad_initial_shape(self, shape):
+        with pytest.raises(ValueError, match=r"initial must have shape \(2, 9, 1\)"):
+            self.solve(initial=np.zeros(shape))
+
 
 class TestMildResidual:
     def test_converged_solution_satisfies_identity(self):
@@ -351,9 +418,20 @@ class TestMildResidual:
         u = np.zeros((4, 9, 1))
         assert mild_residual(u, prob, ens).max == 0.0
 
+    @pytest.mark.parametrize("shape", [(4, 12, 1), (4, 5, 1), (3, 9, 1), (4, 9, 2)])
+    def test_wrong_shape_rejected(self, shape):
+        # a longer u is not compared on its first K + 1 points alone
+        grid = TimeGrid.uniform(1.0, 8)
+        ens = simulate(WIENER, grid, 4, seed=23)
+        prob = make_problem()
+        with pytest.raises(ValueError, match=r"u must have shape \(4, 9, 1\)"):
+            mild_residual(np.zeros(shape), prob, ens)
+        with pytest.raises(ValueError, match=r"u must have shape \(4, 9, 1\)"):
+            fixed_point_map(prob, ens, np.zeros(shape))
+
     def test_peak_below_three_path_arrays(self):
-        # the right-hand side and one convolution at a time are the only
-        # path arrays a call holds (the row maxima come before the sqrt)
+        # the gap is streamed a grid point at a time: a call holds rows of
+        # (paths, m) and per-path maxima, no path array
         n, k = 2000, 64
         grid = TimeGrid.uniform(1.0, k)
         ens = simulate(WIENER, grid, n, seed=24)
@@ -373,7 +451,7 @@ class TestMildResidual:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * u.nbytes
+        assert peak <= 1.0 * u.nbytes
 
 
 class TestContractionScaling:
@@ -626,17 +704,18 @@ class TestScanOracle:
     @given(scan_cases())
     @settings(max_examples=40, deadline=None)
     def test_picard_initial_iterate(self, case):
+        # the first application of the mild map is handed the initial iterate
         problem, ens, _, _ = case
         seen = []
 
         class Stop(Exception):
             pass
 
-        def first_call(problem, ens, u, **kwargs):
+        def first_call(problem, ens, u, *args):
             seen.append(u.copy())
             raise Stop
 
-        with mock.patch.object(evolution, "fixed_point_map", first_call):
+        with mock.patch.object(evolution, "_mild_map", first_call):
             with pytest.raises(Stop):
                 picard_solve(problem, ens, validate=False)
         np.testing.assert_array_equal(seen[0], reference_initial_flow(problem, ens))
@@ -662,19 +741,15 @@ def reference_vp_norm(u, ens, a=0.0, b=None, p=2.0, i0=None, i1=None):
 def reference_picard_solve(
     problem, ens, p=2.0, tol=1e-8, max_iter=60, blocks=None, validate=True, initial=None
 ):
-    grid = ens.grid
     if validate:
         _validate_constants(problem, ens)
     if blocks is None:
         blocks = _default_blocks(problem, ens)
     diag = PicardDiagnostics(blocks=list(blocks))
 
-    n, m = ens.n_paths, problem.dim
-    base = problem.initial_states(n)
+    base = problem.initial_states(ens.n_paths)
     if initial is None:
-        u = np.zeros((n, grid.n_cells + 1, m))
-        u[:, 0, :] = base
-        _scan(Semigroup(problem.generator, m), grid, lambda j: 0.0, u, 0, grid.n_cells)
+        u = reference_initial_flow(problem, ens)
     else:
         u = initial.copy()
         u[:, 0, :] = base
@@ -757,6 +832,14 @@ def assert_same_diagnostics(got, want):
     assert (got.converged, got.suggestion) == (want.converged, want.suggestion)
 
 
+@st.composite
+def block_covers(draw, k):
+    """An increasing, contiguous cover of the cells [0, k] by 1 to k blocks."""
+    cuts = sorted(draw(st.sets(st.integers(1, k - 1), max_size=k - 1))) if k > 1 else []
+    edges = [0, *cuts, k]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _maybe_stopped(ens, rng, stop):
     """Optionally stop the ensemble at random times: a per-path bracket."""
     return stop_ensemble(ens, rng.integers(0, ens.grid.n_cells + 1, ens.n_paths)) if stop else ens
@@ -785,15 +868,20 @@ class TestWindowOracle:
     def test_picard_solve(self, case, data):
         problem, ens, u, rng = case
         ens = _maybe_stopped(ens, rng, data.draw(st.booleans()))
-        whole = [(0, ens.grid.n_cells)]  # one block: may fail to contract
+        # one block or a few long ones may fail to contract
+        k = ens.grid.n_cells
         kwargs = dict(
             p=data.draw(st.sampled_from([2.0, 3.0])),
             max_iter=data.draw(st.sampled_from([2, 60])),
-            blocks=data.draw(st.sampled_from([None, whole])),
+            blocks=data.draw(st.one_of(st.none(), st.just([(0, k)]), block_covers(k))),
             initial=u if data.draw(st.booleans()) else None,
             validate=False,
         )
-        got_u, got = _picard_outcome(picard_solve, problem, ens, **kwargs)
+        # a block's squared changes reach its buffer a tile of cells at a
+        # time: small tiles put the tile edges inside these short grids
+        tile = data.draw(st.sampled_from([1, 2, 3, evolution.SQ_TILE]))
+        with mock.patch.object(evolution, "SQ_TILE", tile):
+            got_u, got = _picard_outcome(picard_solve, problem, ens, **kwargs)
         want_u, want = _picard_outcome(reference_picard_solve, problem, materialized(ens), **kwargs)
         assert type(got_u) is type(want_u)
         assert np.array_equal(got_u, want_u) if isinstance(want_u, np.ndarray) else got_u == want_u

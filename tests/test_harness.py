@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylmart.cli import main
+import cylmart
+from cylmart.cli import EXIT_BROKEN_PIPE, main
 from cylmart.experiments import EXPERIMENTS, experiment_defaults, param_floor
 from cylmart.harness import (
     DEFAULT_SEED,
@@ -205,6 +209,24 @@ class TestCli:
         code = main(["replay", str(run_dir)])
         assert code == 0
         assert "metrics identical" in capsys.readouterr().out
+
+    def test_replay_into_closed_pipe_exits_quietly(self, tmp_path, capsys):
+        # as in `cylmart replay run | head -1`: the reader is gone before the
+        # first line, so every write to standard output fails
+        main(["countex", "--out", str(tmp_path)])
+        run_dir = next(Path(tmp_path).iterdir())
+        src = str(Path(cylmart.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cylmart.cli", "replay", str(run_dir)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+        assert err == b""
 
     def test_unknown_flag_param(self, tmp_path, capsys):
         code = main(["countex", "--paths", "10", "--out", str(tmp_path)])
