@@ -306,7 +306,7 @@ def ito_residual(
     m = phi.target_dim
     if ens.spec.adapted:
         raise ValueError("residual checking needs a deterministic spec")
-    stoch_inc = integrand_increments(phi, ens, ens.driven_increments())  # (n, K, m)
+    stoch_inc = integrand_increments(phi, ens)  # (n, K, m)
     kernels = _kernel_matrices(phi, ens.spec)  # (K, m, dc); rejects a per-path phi
     dqv = qv_exact(ens.spec, grid).increments
 

@@ -1,11 +1,13 @@
 """Mild-solution solver for du = (Au + F(t,u)) dt + G(t,u) dM.
 
 The generator is a symmetric negative-semidefinite matrix (possibly zero), so
-the semigroup is contractive and self-adjoint and applies through a cached
-eigendecomposition, with exp(tA) built once per distinct t.  Every
-left-point convolution, the mild map and the mild residual run one scan,
-acc <- exp(dt A)(acc + increment), cell by cell, which hands each grid
-point's state to its caller once that point's increment has been taken.
+the semigroup is contractive and self-adjoint.  Each problem validates its
+generator and builds its semigroup once, when it is made; the semigroup
+applies through a cached eigendecomposition, with exp(tA) built once per
+distinct t.  Every left-point convolution, the mild map and the mild
+residual run one scan, acc <- exp(dt A)(acc + increment), cell by cell,
+which hands each grid point's state to its caller once that point's
+increment has been taken.
 Solutions are produced by fixed-point iteration of the variation-of-constants
 map on a dyadic block schedule, with distances measured in the V norm
 (L2-in-time moment plus bracket-weighted kernel moment).  The iteration
@@ -60,8 +62,11 @@ class SEEProblem:
     ``drift`` maps (t, states (n, m)) -> (n, m); ``noise_map`` maps
     (t, states) -> (n, m, d_cyl) (a constant (m, d_cyl) return broadcasts).
     Declared constants are validated by two-point sampling before solving.
-    The driver M and the time grid are not problem data: every solver
-    function reads both from the ensemble it is given.
+    The generator (``None`` for A = 0) is validated when the problem is made,
+    which builds ``semigroup`` once; every solver function applies that one
+    semigroup, so exp(dt A) stays cached across calls.  The driver M and the
+    time grid are not problem data: every solver function reads both from
+    the ensemble it is given.
     """
 
     generator: np.ndarray | None
@@ -72,6 +77,10 @@ class SEEProblem:
     lip_noise: float
     u0: np.ndarray
     name: str = ""
+    semigroup: Semigroup = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "semigroup", Semigroup(self.generator, self.dim))
 
     @property
     def dim(self) -> int:
@@ -190,12 +199,16 @@ def det_convolution(problem: SEEProblem, grid: TimeGrid, u: np.ndarray) -> np.nd
     """Left-point quadrature of int_0^t exp((t-s)A) F(s, u(s)) ds.
 
     Runs the stable recursion c_{j+1} = exp(dt A)(c_j + F_j dt), which is the
-    exact left-point sum thanks to the semigroup property.
+    exact left-point sum thanks to the semigroup property.  ``u`` is
+    (paths, K+1, dim) on ``grid``.
     """
-    sg = Semigroup(problem.generator, problem.dim)
+    if np.ndim(u) != 3 or np.shape(u)[1:] != (grid.n_cells + 1, problem.dim):
+        raise ValueError(
+            f"u must have shape (paths, {grid.n_cells + 1}, {problem.dim}), got {np.shape(u)}"
+        )
     step = _drift_step(problem, grid, u)
     out = np.zeros_like(u)
-    return _fill(out, _scan(sg, grid, step, out[:, 0], 0, u.shape[1] - 1))
+    return _fill(out, _scan(problem.semigroup, grid, step, out[:, 0], 0, grid.n_cells))
 
 
 def stoch_convolution(
@@ -206,10 +219,10 @@ def stoch_convolution(
     With a zero generator this reduces to plain accumulation of G sigma dW,
     bit-identical to the integral of the same integrand.
     """
-    sg = Semigroup(problem.generator, u.shape[-1])
+    _path_shape(problem, ens, u)
     step = _noise_step(problem, ens, u)
     out = np.zeros_like(u)
-    return _fill(out, _scan(sg, ens.grid, step, out[:, 0], 0, u.shape[1] - 1))
+    return _fill(out, _scan(problem.semigroup, ens.grid, step, out[:, 0], 0, ens.grid.n_cells))
 
 
 def _mild_map(
@@ -231,7 +244,7 @@ def _mild_map(
     n, _, m = u.shape
     drift = _drift_step(problem, ens.grid, u)
     noise = _noise_step(problem, ens, u)
-    sg = Semigroup(problem.generator, m)
+    sg = problem.semigroup
     gap = np.empty((n, m))
     tile = np.empty((min(SQ_TILE, i1 - i0), n))
     for j, new in _scan(sg, ens.grid, lambda j: drift(j) + noise(j), base, i0, i1):
@@ -274,8 +287,6 @@ def vp_norm(
     a: float = 0.0,
     b: float | None = None,
     p: float = 2.0,
-    i0: int | None = None,
-    i1: int | None = None,
 ) -> float:
     """Moment norm: (E ||u||_{L2(a,b)}^p)^{1/p} + (E ||u||_{bracket}^p)^{1/p}.
 
@@ -284,12 +295,10 @@ def vp_norm(
     values at left endpoints.
     """
     grid = ens.grid
-    if i0 is None:
-        i0 = int(np.searchsorted(grid.points, a - 1e-12 * max(grid.horizon, 1.0)))
-    if i1 is None:
-        i1 = grid.n_cells if b is None else int(
-            np.searchsorted(grid.points, b - 1e-12 * max(grid.horizon, 1.0))
-        )
+    i0 = int(np.searchsorted(grid.points, a - 1e-12 * max(grid.horizon, 1.0)))
+    i1 = grid.n_cells if b is None else int(
+        np.searchsorted(grid.points, b - 1e-12 * max(grid.horizon, 1.0))
+    )
     return _window_norm(np.sum(u[:, i0:i1, :] ** 2, axis=2), ens, p, i0, i1)
 
 
@@ -305,8 +314,8 @@ def _window_norm(sq: np.ndarray, ens: MartEnsemble, p: float, i0: int, i1: int) 
 def _window_distance(
     u: np.ndarray, v: np.ndarray, ens: MartEnsemble, p: float, i0: int, i1: int
 ) -> float:
-    """``vp_norm(u - v, ens, p=p, i0=i0, i1=i1)``, with the difference formed
-    and squared on the window alone."""
+    """``vp_norm`` of u - v on cells i0..i1-1, with the difference formed and
+    squared on the window alone."""
     gap = u[:, i0:i1] - v[:, i0:i1]
     return _window_norm(np.sum(np.square(gap, out=gap), axis=2), ens, p, i0, i1)
 
@@ -345,8 +354,6 @@ class PicardDiagnostics:
     distances: list = field(default_factory=list)  # per block: list of V distances
     contractions: list = field(default_factory=list)  # per block: measured ratio
     block_mass: list = field(default_factory=list)  # per block: worst path mass
-    converged: bool = False
-    suggestion: str = ""
 
     def worst_contraction(self) -> float:
         vals = [c for c in self.contractions if np.isfinite(c)]
@@ -458,12 +465,12 @@ def picard_solve(
         blocks = _default_blocks(problem, ens)
     diag = PicardDiagnostics(blocks=list(blocks))
 
-    n, _, m = shape
+    n = shape[0]
     base = problem.initial_states(n)
     if initial is None:
         # the scan with a zero step, so a drift- and noise-free problem is an
         # exact fixed point of the discrete map
-        sg = Semigroup(problem.generator, m)
+        sg = problem.semigroup
         u = _fill(np.zeros(shape), _scan(sg, grid, lambda j: 0.0, base, 0, grid.n_cells))
     else:
         u = np.array(initial, dtype=float, order="C")
@@ -487,12 +494,11 @@ def picard_solve(
         diag.distances.append(dists)
         diag.contractions.append(ratio)
         if dists[-1] >= tol:
-            diag.suggestion = (
+            raise PicardError(
                 "block did not contract below tol; halve the block length "
-                f"(measured contraction {ratio:.3g})"
+                f"(measured contraction {ratio:.3g})",
+                diag,
             )
-            raise PicardError(diag.suggestion, diag)
-    diag.converged = True
     return u, diag
 
 
@@ -504,10 +510,6 @@ class ResidualStats:
     def max(self) -> float:
         return float(self.sup_gaps.max())
 
-    @property
-    def mean(self) -> float:
-        return float(self.sup_gaps.mean())
-
 
 def mild_residual(u: np.ndarray, problem: SEEProblem, ens: MartEnsemble) -> ResidualStats:
     """Pathwise sup distance between u and its variation-of-constants image.
@@ -518,7 +520,7 @@ def mild_residual(u: np.ndarray, problem: SEEProblem, ens: MartEnsemble) -> Resi
     """
     _path_shape(problem, ens, u)
     grid = ens.grid
-    sg = Semigroup(problem.generator, problem.dim)
+    sg = problem.semigroup
     base = problem.initial_states(ens.n_paths)
     # at t_0 the image is the initial state itself
     gap = np.subtract(u[:, 0, :], base)

@@ -23,7 +23,6 @@ from .bdg import (
 )
 from .evolution import (
     SEEProblem,
-    Semigroup,
     lipschitz_quotient,
     localization_consistency,
     mild_residual,
@@ -648,12 +647,15 @@ def run_bdg(params: dict, seed: int) -> ExperimentResult:
         worst_drift,
         "fitted C reproduced within 10% under a different master seed",
     )
+    # a ratio with rhs = 0 is not finite; JSON and CSV have no NaN, so it is
+    # written as None (JSON null, an empty CSV cell)
     res.series["bdg_panel"] = {
         "columns": BDGReport.CSV_HEADER.split(","),
         "rows": [
             [
                 r.instance, float(r.p), str(r.flavor), float(r.n_paths), r.lhs,
-                r.lhs_stderr, r.rhs, r.rhs_stderr, float(r.ratio), float(r.degenerate),
+                r.lhs_stderr, r.rhs, r.rhs_stderr,
+                float(r.ratio) if np.isfinite(r.ratio) else None, float(r.degenerate),
             ]
             for r in reports
         ],
@@ -833,7 +835,7 @@ def run_see(params: dict, seed: int) -> ExperimentResult:
     )
     ens_a = simulate(wiener, grid, 4, seed)
     u_a, diag_a = picard_solve(prob_a, ens_a, tol=tol)
-    sg = Semigroup(prob_a.generator, 2)
+    sg = prob_a.semigroup
     exact = np.stack([sg.apply(t, prob_a.initial_states(4)) for t in grid.points], axis=1)
     gap_a = float(np.abs(u_a - exact).max())
     res.add(

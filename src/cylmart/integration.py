@@ -101,20 +101,18 @@ class IntegralPaths:
         return self.values[:, -1, :]
 
 
-def integrand_increments(
-    phi: IntegrandProcess, ens: MartEnsemble, driven: np.ndarray
-) -> np.ndarray:
-    """phi(t_i) dM_i per path and cell, shape (n, K, m), from increments
-    ``driven`` (n, K, d_cyl) of M on the ensemble's grid."""
+def integrand_increments(phi: IntegrandProcess, ens: MartEnsemble) -> np.ndarray:
+    """phi(t_i) dM_i per path and cell, shape (n, K, m), from the ensemble's
+    increments sigma(t_i) dW_i."""
     if phi.grid != ens.grid:
         raise ValueError("integrand and ensemble grids differ")
     # single contraction spelling; see martingales._driven for why
-    return np.einsum("nkmc,nkc->nkm", phi.for_paths(ens.n_paths), driven)
+    return np.einsum("nkmc,nkc->nkm", phi.for_paths(ens.n_paths), ens.driven_increments())
 
 
 def integrate(phi: IntegrandProcess, ens: MartEnsemble) -> IntegralPaths:
     """Left-point integral: zeta(t_j) = sum_{i<j} phi(t_i) sigma(t_i) dW_{i+1}."""
-    inc = integrand_increments(phi, ens, ens.driven_increments())
+    inc = integrand_increments(phi, ens)
     return IntegralPaths(ens.grid, prefix_sums(inc, axis=1))
 
 

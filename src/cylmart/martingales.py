@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._util import path_rngs, prefix_sums, single_rng
-from .measures import GridMeasure, IncreasingPath, TimeGrid, radon_nikodym
+from .measures import GridMeasure, TimeGrid, radon_nikodym
 from .operators import op_norm_sym, psd_sqrt
 
 __all__ = [
@@ -203,9 +203,6 @@ class BracketPaths:
         out.flags.writeable = False
         return out
 
-    def measure(self, path: int = 0) -> GridMeasure:
-        return GridMeasure(self.grid, self.increments[path])
-
 
 @dataclass(frozen=True)
 class MartEnsemble:
@@ -214,22 +211,28 @@ class MartEnsemble:
 
     The ensemble owns two (n, K, d) arrays: ``driver_increments`` and
     ``driven``, which is computed once when the ensemble is built and is
-    read-only.  With deterministic sigma, ``sigma_path`` is one (K, dc, dd)
-    array and ``bracket.increments`` a read-only stride-0 view of one row;
-    with adapted or stopped sigma both are stored per path.  The test-panel
-    evaluations ``m_evals`` are prefix sums of ``driven``, computed on first
-    use and kept.
+    read-only.  Its path count and grid are read from these.  With
+    deterministic sigma, ``sigma_path`` is one (K, dc, dd) array and
+    ``bracket.increments`` a read-only stride-0 view of one row; with adapted
+    or stopped sigma both are stored per path.  The coordinate evaluations
+    ``m_evals`` are prefix sums of ``driven``, computed on first use, kept
+    and read-only; ``m_eval(h)`` evaluates any other direction.
     """
 
     spec: NoiseSpec
-    grid: TimeGrid
-    n_paths: int
     seed: int
     driver_increments: np.ndarray  # (n, K, d_drive)
-    test_panel: np.ndarray  # (n_h, d_cyl)
     driven: np.ndarray  # (n, K, d_cyl), read-only
     bracket: BracketPaths
     sigma_path: np.ndarray  # (K, dc, dd) deterministic or (n, K, dc, dd)
+
+    @property
+    def n_paths(self) -> int:
+        return self.driver_increments.shape[0]
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.bracket.grid
 
     @property
     def sigma_is_shared(self) -> bool:
@@ -249,17 +252,15 @@ class MartEnsemble:
 
     @functools.cached_property
     def m_evals(self) -> np.ndarray:
-        """Evaluations M_t h on the grid for each test direction h, shape
-        (n, K+1, n_h)."""
-        return prefix_sums(self.driven @ self.test_panel.T, axis=1)
+        """Coordinate evaluations (M_t e_c)_c on the grid, shape
+        (n, K+1, d_cyl), read-only."""
+        out = prefix_sums(self.driven, axis=1)
+        out.flags.writeable = False
+        return out
 
     def m_eval(self, h: np.ndarray) -> np.ndarray:
         """Cylindrical evaluation M_t h on the grid, shape (n, K+1)."""
         return prefix_sums(self.driven @ np.asarray(h, dtype=float), axis=1)
-
-    def vector_paths(self) -> np.ndarray:
-        """Coordinate martingale paths (M_t e_c)_c, shape (n, K+1, d_cyl)."""
-        return prefix_sums(self.driven, axis=1)
 
     def direction_bracket_increments(self, directions: np.ndarray) -> np.ndarray:
         """Exact per-direction bracket increments <sigma Q sigma^T x, x> dt.
@@ -286,20 +287,18 @@ def _assemble(
     seed: int,
     dw: np.ndarray,
     sigma_vals: np.ndarray,
-    test_panel: np.ndarray,
 ) -> MartEnsemble:
     """The one place an ensemble is built from driver increments and sigma.
 
     The bracket is exact per path (a read-only broadcast view of one row
-    when sigma is shared) and sigma dW is contracted once, here; panel
-    evaluations derive from it.
+    when sigma is shared) and sigma dW is contracted once, here; evaluations
+    derive from it.
     """
     if not np.isfinite(dw).all():
         raise ValueError("driver increments are not all finite")
     if not np.isfinite(sigma_vals).all():
         raise ValueError("sigma values are not all finite")
     n_paths, k = dw.shape[:2]
-    test_panel = np.atleast_2d(np.asarray(test_panel, dtype=float))
     bracket_inc = _bracket_increments(spec, grid, sigma_vals)
     if sigma_vals.ndim == 3:
         bracket_inc = np.broadcast_to(bracket_inc, (n_paths, k))
@@ -307,11 +306,8 @@ def _assemble(
     driven.flags.writeable = False
     return MartEnsemble(
         spec=spec,
-        grid=grid,
-        n_paths=n_paths,
         seed=seed,
         driver_increments=dw,
-        test_panel=test_panel,
         driven=driven,
         bracket=BracketPaths(grid, bracket_inc),
         sigma_path=sigma_vals,
@@ -323,7 +319,6 @@ def simulate(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    test_panel: np.ndarray | None = None,
 ) -> MartEnsemble:
     """Draw ``n_paths`` truncation paths by left-point accumulation.
 
@@ -354,9 +349,7 @@ def simulate(
     np.matmul(dw, root_q.T, out=dw)
     dw *= scale
 
-    if test_panel is None:
-        test_panel = np.eye(spec.d_cyl)
-    return _assemble(spec, grid, seed, dw, spec.sigma_along(grid, dw), test_panel)
+    return _assemble(spec, grid, seed, dw, spec.sigma_along(grid, dw))
 
 
 def qv_exact(spec: NoiseSpec, grid: TimeGrid) -> GridMeasure:
@@ -428,12 +421,7 @@ class QvEstimate:
     """Partition-supremum bracket estimates, one increasing path per depth."""
 
     grid: TimeGrid
-    depths: tuple
     values: np.ndarray  # (n_paths, n_depths, K+1), read-only; a view if shared
-    n_directions: int
-
-    def path(self, path_idx: int, depth_idx: int) -> IncreasingPath:
-        return IncreasingPath(self.grid, self.values[path_idx, depth_idx])
 
     def terminal(self) -> np.ndarray:
         return self.values[:, :, -1]
@@ -483,7 +471,7 @@ def qv_partition_estimate(
     if ens.sigma_is_shared and ens.n_paths > 1:
         values = np.broadcast_to(values, (ens.n_paths,) + values.shape[1:])
     values.flags.writeable = False
-    return QvEstimate(ens.grid, depths, values, dirs.shape[0])
+    return QvEstimate(ens.grid, values)
 
 
 def countex_spec(n: int) -> tuple[NoiseSpec, TimeGrid]:
@@ -549,4 +537,4 @@ def stop_ensemble(ens: MartEnsemble, tau_idx: np.ndarray) -> MartEnsemble:
     keep = (np.arange(k)[None, :] < tau_idx[:, None]).astype(float)
     dw = ens.driver_increments * keep[:, :, None]
     sigma_vals = ens.sigma_for_paths() * keep[:, :, None, None]
-    return _assemble(ens.spec, ens.grid, ens.seed, dw, sigma_vals, ens.test_panel)
+    return _assemble(ens.spec, ens.grid, ens.seed, dw, sigma_vals)

@@ -139,14 +139,6 @@ class GridMeasure:
     def to_increasing(self) -> "IncreasingPath":
         return IncreasingPath(self.grid, self.prefix())
 
-    def refined(self, depth: int) -> "GridMeasure":
-        """Same measure on the dyadically refined grid (uniform within cells)."""
-        if depth == 0:
-            return self
-        n_sub = 2**depth
-        inc = np.repeat(self.increments / n_sub, n_sub)
-        return GridMeasure(self.grid.refined(depth), inc)
-
     def interval_mass(self, i0: int, i1: int) -> float:
         """Mass of (t_{i0}, t_{i1}]."""
         return float(np.sum(self.increments[i0:i1]))

@@ -202,7 +202,7 @@ def dds_integral_check(phi: IntegrandProcess, ens: MartEnsemble, tc: TimeChange)
     """
     clock = tc.for_ensemble(ens)
     source = integrate(phi, ens).values  # (n, K+1, m)
-    vec = ens.vector_paths()  # (n, K+1, dc)
+    vec = ens.m_evals  # (n, K+1, dc)
     mats = phi.for_paths(ens.n_paths)
     k = ens.grid.n_cells
     gaps = np.empty(ens.n_paths)

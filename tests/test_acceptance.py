@@ -6,7 +6,9 @@ size and tolerance; criterion 14 replays each experiment and demands
 bit-identical metrics.
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +156,14 @@ def test_criterion_14_determinism(runs):
         assert fresh.metrics == report.metrics
     print(f"ACCEPTANCE 14 [PASS] replay of every experiment is bit-identical "
           f"(slowest {worst:.1f}s)")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+def test_reports_are_standard_json(runs):
+    # JSON has no NaN or Infinity: strict parsers reject the bare tokens
+    for name, (report, _) in runs.items():
+        text = (Path(report.run_dir) / "report.json").read_text()
+        json.loads(text, parse_constant=_reject_constant)

@@ -74,7 +74,7 @@ class TestIsometry:
         # per-path integrand reading the past keeps the identity exact
         spec = NoiseSpec(1, 1, np.eye(1))
         ens = simulate(spec, grid, 8000, seed=4)
-        w = ens.vector_paths()[:, :-1, :]  # values at left endpoints
+        w = ens.m_evals[:, :-1, :]  # values at left endpoints
         mats = np.tanh(w)[:, :, :, None]  # (n, K, 1, 1)
         rep = ito_isometry(IntegrandProcess(grid, mats), ens)
         assert rep.passed()

@@ -150,7 +150,7 @@ class TestIntegrateProperty:
         by_definition = elementary_integral(elem, ens).values
         # the defining form differences M-evaluations, so the two agree to
         # round-off relative to the size of the evaluations it subtracts
-        m_size = np.abs(ens.vector_paths()).max(initial=0.0) * np.sqrt(ens.spec.d_cyl)
+        m_size = np.abs(ens.m_evals).max(initial=0.0) * np.sqrt(ens.spec.d_cyl)
         weight = sum(
             np.linalg.norm(h) * np.abs(x).max() for piece in elem.pieces for h, x in piece.terms
         )
@@ -162,7 +162,7 @@ class TestIntegrateProperty:
 class TestIntegrate:
     def test_identity_recovers_coordinates(self, grid, wiener):
         zeta = integrate(IntegrandProcess.constant(grid, np.eye(2)), wiener)
-        np.testing.assert_array_equal(zeta.values, wiener.vector_paths())
+        np.testing.assert_array_equal(zeta.values, wiener.m_evals)
 
     def test_scalar_isometry(self, grid):
         spec = NoiseSpec(1, 1, np.array([[1.3]]))

@@ -130,8 +130,8 @@ def ref_window_sums(inc: np.ndarray, w: int) -> np.ndarray:
 
 
 def ref_m_evals(self) -> np.ndarray:
-    out = np.zeros((self.n_paths, self.grid.n_cells + 1, self.test_panel.shape[0]))
-    np.cumsum(self.driven @ self.test_panel.T, axis=1, out=out[:, 1:, :])
+    out = np.zeros((self.n_paths, self.grid.n_cells + 1, self.spec.d_cyl))
+    np.cumsum(self.driven, axis=1, out=out[:, 1:, :])
     return out
 
 
@@ -139,12 +139,6 @@ def ref_m_eval(self, h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     out = np.zeros((self.n_paths, self.grid.n_cells + 1))
     np.cumsum(self.driven @ h, axis=1, out=out[:, 1:])
-    return out
-
-
-def ref_vector_paths(self) -> np.ndarray:
-    out = np.zeros((self.n_paths, self.grid.n_cells + 1, self.spec.d_cyl))
-    np.cumsum(self.driven, axis=1, out=out[:, 1:, :])
     return out
 
 
@@ -184,7 +178,7 @@ def ref_stop_sigma(ens, tau_idx) -> np.ndarray:
 def ref_dds_integral_check(phi, ens, tc) -> DdsReport:
     clock = tc.for_ensemble(ens)
     source = integrate(phi, ens).values  # (n, K+1, m)
-    vec = ens.vector_paths()  # (n, K+1, dc)
+    vec = ens.m_evals  # (n, K+1, dc)
     k = ens.grid.n_cells
     m = phi.target_dim
     gaps = np.empty(ens.n_paths)
@@ -253,7 +247,7 @@ def cases(draw):
     else:
         sigma = _adapted(rng.standard_normal((dc, dd)))
     spec = NoiseSpec(dc, dd, sigma, q_drive=q)
-    ens = simulate(spec, grid, n, seed, test_panel=rng.standard_normal((2, dc)))
+    ens = simulate(spec, grid, n, seed)
     if stopped:
         ens = stop_ensemble(ens, rng.integers(0, k + 1, n))
     if phi_kind == "constant":
@@ -299,9 +293,9 @@ class TestPrefixSums:
     def test_evaluations(self, case):
         ens = case.ens
         assert_same(ens.m_evals, ref_m_evals(ens), "m_evals")
+        assert not ens.m_evals.flags.writeable
         h = case.rng.standard_normal(ens.spec.d_cyl)
         assert_same(ens.m_eval(h), ref_m_eval(ens, h), "m_eval")
-        assert_same(ens.vector_paths(), ref_vector_paths(ens), "vector_paths")
 
 
 class TestIntegrand:
@@ -352,10 +346,10 @@ class TestIntegrand:
         ens = simulate(NoiseSpec(3, 2, np.ones((3, 2))), grid, 5, seed=1)
         other = IntegrandProcess.constant(TimeGrid.uniform(2.0, 4), np.ones((2, 3)))
         with pytest.raises(ValueError, match="grids differ"):
-            integrand_increments(other, ens, ens.driven_increments())
+            integrand_increments(other, ens)
         wrong = IntegrandProcess(grid, np.ones((4, 4, 2, 3)))
         with pytest.raises(ValueError, match="does not match path count"):
-            integrand_increments(wrong, ens, ens.driven_increments())
+            integrand_increments(wrong, ens)
 
 
 class TestOperatorRate:

@@ -333,13 +333,9 @@ def _adapted_vol(i, t, w_prev):
 
 # Reference copies of the ensemble tails that ``_assemble`` replaced, with
 # every array computed eagerly; each returns the expected fields as a dict.
-def reference_simulate_tail(spec, grid, n_paths, seed, dw, test_panel=None):
+def reference_simulate_tail(spec, grid, n_paths, seed, dw):
     k = grid.n_cells
     sigma_vals = spec.sigma_along(grid, dw) if spec.adapted else spec.sigma_on_grid(grid)
-
-    if test_panel is None:
-        test_panel = np.eye(spec.d_cyl)
-    test_panel = np.atleast_2d(np.asarray(test_panel, dtype=float))
 
     driven = _driven(sigma_vals, dw)
     if sigma_vals.ndim == 3:
@@ -349,15 +345,13 @@ def reference_simulate_tail(spec, grid, n_paths, seed, dw, test_panel=None):
     else:
         bracket_inc = _bracket_increments(spec, grid, sigma_vals)
 
-    m_inc = driven @ test_panel.T  # (n, K, n_h)
-    m_evals = np.zeros((n_paths, k + 1, test_panel.shape[0]))
-    np.cumsum(m_inc, axis=1, out=m_evals[:, 1:, :])
+    m_evals = np.zeros((n_paths, k + 1, spec.d_cyl))
+    np.cumsum(driven, axis=1, out=m_evals[:, 1:, :])
 
     return dict(
         n_paths=n_paths,
         seed=seed,
         driver_increments=dw,
-        test_panel=test_panel,
         driven=driven,
         m_evals=m_evals,
         bracket=bracket_inc,
@@ -375,15 +369,13 @@ def reference_stop_ensemble(ens, tau_idx):
     else:
         sigma_vals = ens.sigma_path * keep[:, :, None, None]
     driven = _driven(sigma_vals, dw)
-    m_inc = driven @ ens.test_panel.T
-    m_evals = np.zeros((ens.n_paths, k + 1, ens.test_panel.shape[0]))
-    np.cumsum(m_inc, axis=1, out=m_evals[:, 1:, :])
+    m_evals = np.zeros((ens.n_paths, k + 1, ens.spec.d_cyl))
+    np.cumsum(driven, axis=1, out=m_evals[:, 1:, :])
     bracket_inc = _bracket_increments(ens.spec, ens.grid, sigma_vals)
     return dict(
         n_paths=ens.n_paths,
         seed=ens.seed,
         driver_increments=dw,
-        test_panel=ens.test_panel,
         driven=driven,
         m_evals=m_evals,
         bracket=bracket_inc,
@@ -393,7 +385,7 @@ def reference_stop_ensemble(ens, tau_idx):
 
 def ensemble_arrays(ens):
     """The fields the reference tails return, read off an ensemble."""
-    names = ("driver_increments", "test_panel", "driven", "m_evals", "sigma_path")
+    names = ("driver_increments", "driven", "m_evals", "sigma_path")
     out = {name: getattr(ens, name) for name in names}
     out.update(n_paths=ens.n_paths, seed=ens.seed, bracket=ens.bracket.increments)
     return out
@@ -419,10 +411,18 @@ CORE_SPECS = {
     ),
     "adapted": lambda k: NoiseSpec(2, 2, _adapted_vol),
 }
+# directions evaluated through ``m_eval`` on top of the coordinate ``m_evals``
 PANELS = {
-    "default": None,
+    "default": np.eye(2),
     "rotated": np.array([[0.6, 0.8], [-0.8, 0.6], [1.0, 1.0]]),
 }
+
+
+def assert_panel_evaluations(ens, expected, panel):
+    for h in PANELS[panel]:
+        want = np.zeros((ens.n_paths, ens.grid.n_cells + 1))
+        np.cumsum(expected["driven"] @ h, axis=1, out=want[:, 1:])
+        np.testing.assert_array_equal(ens.m_eval(h), want)
 
 
 class TestEnsembleCore:
@@ -432,19 +432,20 @@ class TestEnsembleCore:
     @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
     def test_simulate_matches_reference(self, grid, kind, panel):
         spec = CORE_SPECS[kind](grid.n_cells)
-        ens = simulate(spec, grid, 7, seed=31, test_panel=PANELS[panel])
-        ref = reference_simulate_tail(
-            spec, grid, 7, 31, ens.driver_increments, PANELS[panel]
-        )
+        ens = simulate(spec, grid, 7, seed=31)
+        ref = reference_simulate_tail(spec, grid, 7, 31, ens.driver_increments)
         assert_same_ensemble(ens, ref)
+        assert_panel_evaluations(ens, ref, panel)
 
     @pytest.mark.parametrize("panel", sorted(PANELS))
     @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
     def test_stop_matches_reference(self, grid, kind, panel):
         spec = CORE_SPECS[kind](grid.n_cells)
-        ens = simulate(spec, grid, 6, seed=32, test_panel=PANELS[panel])
+        ens = simulate(spec, grid, 6, seed=32)
         tau = np.array([0, 3, 8, 16, 16, 11])
-        assert_same_ensemble(stop_ensemble(ens, tau), reference_stop_ensemble(ens, tau))
+        stopped, ref = stop_ensemble(ens, tau), reference_stop_ensemble(ens, tau)
+        assert_same_ensemble(stopped, ref)
+        assert_panel_evaluations(stopped, ref, panel)
 
 
 # Copies of the evaluations as they were when every call recomputed sigma dW.
@@ -459,7 +460,7 @@ def reference_integrate(phi, ens):
     return out
 
 
-def reference_vector_paths(ens):
+def reference_m_evals(ens):
     inc = _driven(ens.sigma_path, ens.driver_increments)
     out = np.zeros((ens.n_paths, ens.grid.n_cells + 1, ens.spec.d_cyl))
     np.cumsum(inc, axis=1, out=out[:, 1:, :])
@@ -475,7 +476,7 @@ def reference_m_eval(ens, h):
 
 def _lean_ensembles(grid, kind):
     spec = CORE_SPECS[kind](grid.n_cells)
-    ens = simulate(spec, grid, 6, seed=34, test_panel=PANELS["rotated"])
+    ens = simulate(spec, grid, 6, seed=34)
     stopped = stop_ensemble(ens, np.array([0, 3, 8, 16, 16, 11]))
     return {"simulated": ens, "stopped": stopped}
 
@@ -491,6 +492,8 @@ class TestLeanEnsemble:
             with pytest.raises(ValueError, match="read-only"):
                 ens.driven_increments()[...] = 0.0
             assert ens.m_evals is ens.m_evals  # computed once, then kept
+            with pytest.raises(ValueError, match="read-only"):
+                ens.m_evals[0, 1, 0] = 1.0
 
     @pytest.mark.parametrize("kind", sorted(CORE_SPECS))
     def test_evaluations_match_recompute(self, grid, kind):
@@ -504,7 +507,7 @@ class TestLeanEnsemble:
             for phi in (shared, per_path):
                 got = integrate(phi, ens).values
                 assert np.array_equal(got, reference_integrate(phi, ens)), label
-            assert np.array_equal(ens.vector_paths(), reference_vector_paths(ens)), label
+            assert np.array_equal(ens.m_evals, reference_m_evals(ens)), label
             assert np.array_equal(ens.m_eval(h), reference_m_eval(ens, h)), label
 
 
@@ -608,7 +611,7 @@ class TestNonFiniteInput:
         dw = simulate(spec, grid, 3, seed=2).driver_increments.copy()
         dw[1, 3, 0] = np.nan
         with pytest.raises(ValueError, match="driver increments are not all finite"):
-            _assemble(spec, grid, 2, dw, spec.sigma_on_grid(grid), np.eye(2))
+            _assemble(spec, grid, 2, dw, spec.sigma_on_grid(grid))
 
 
 class TestStopIndices:

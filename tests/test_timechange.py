@@ -321,7 +321,7 @@ def old_dds_integral_check(phi: IntegrandProcess, ens: MartEnsemble, tc) -> DdsR
     if tc.n_paths not in (1, ens.n_paths):
         raise ValueError("time change and ensemble have incompatible path counts")
     source = integrate(phi, ens).values  # (n, K+1, m)
-    vec = ens.vector_paths()  # (n, K+1, dc)
+    vec = ens.m_evals  # (n, K+1, dc)
     k = ens.grid.n_cells
     m = phi.target_dim
     gaps = np.empty(ens.n_paths)
