@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from ._util import int_at_least
-from .experiments import EXPERIMENTS, experiment_defaults
+from .experiments import EXPERIMENTS, PARAMS
 from .harness import (
     ConfigError,
     ReplayMismatch,
@@ -99,10 +99,9 @@ def _assemble_config(args) -> dict:
         cfg.update(loaded)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    defaults = experiment_defaults(args.command)
     flags = {s: getattr(args, s) for s in ("paths", "grid") if getattr(args, s) is not None}
     for short in flags:
-        if short not in defaults:
+        if short not in PARAMS[args.command]:
             raise ConfigError(f"experiment {args.command!r} takes no --{short}")
     params = cfg.get("params", {})
     if flags and isinstance(params, dict):  # validate_config names any other params

@@ -98,8 +98,9 @@ class SEEProblem:
 class Semigroup:
     """exp(tA) for symmetric negative-semidefinite A, cached eigenbasis.
 
-    ``matrix(t)`` caches one read-only matrix per distinct t, so a uniform
-    grid builds exp(dt A) once.
+    ``matrix(t)`` and ``apply(t, x)`` cache one read-only matrix per distinct
+    t; the scans call them with cell widths only, so a uniform grid builds
+    exp(dt A) once.  ``flow(t, x)`` takes any t and caches nothing.
     """
 
     def __init__(self, generator: np.ndarray | None, dim: int):
@@ -121,13 +122,15 @@ class Semigroup:
         self.vals = np.minimum(vals, 0.0)
         self.vecs = vecs
 
+    def _exp(self, t: float) -> np.ndarray:
+        if self.identity:
+            return np.eye(self.dim)
+        return (self.vecs * np.exp(t * self.vals)) @ self.vecs.T
+
     def matrix(self, t: float) -> np.ndarray:
         mat = self._matrices.get(t)
         if mat is None:
-            if self.identity:
-                mat = np.eye(self.dim)
-            else:
-                mat = (self.vecs * np.exp(t * self.vals)) @ self.vecs.T
+            mat = self._exp(t)
             mat.setflags(write=False)
             self._matrices[t] = mat
         return mat
@@ -135,6 +138,10 @@ class Semigroup:
     def apply(self, t: float, x: np.ndarray) -> np.ndarray:
         """exp(tA) x along the last axis; contraction for t >= 0."""
         return x if self.identity else x @ self.matrix(t).T
+
+    def flow(self, t: float, x: np.ndarray) -> np.ndarray:
+        """``apply(t, x)`` without caching exp(tA), for one-off times t."""
+        return x if self.identity else x @ self._exp(t).T
 
 
 def _path_shape(
@@ -530,7 +537,7 @@ def mild_residual(u: np.ndarray, problem: SEEProblem, ens: MartEnsemble) -> Resi
     det = _scan(sg, grid, _drift_step(problem, grid, u), zero, 0, grid.n_cells)
     stoch = _scan(sg, grid, _noise_step(problem, ens, u), zero, 0, grid.n_cells)
     for (j, d), (_, s) in itertools.islice(zip(det, stoch), 1, None):
-        np.add(sg.apply(grid.points[j], base), d, out=gap)
+        np.add(sg.flow(grid.points[j], base), d, out=gap)
         gap += s
         np.subtract(u[:, j, :], gap, out=gap)
         np.add.reduce(np.square(gap, out=gap), axis=1, out=row)

@@ -19,15 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from ._util import config_hash, finite_above_zero, int_at_least
-from .experiments import (
-    EXPERIMENTS,
-    PARAM_FLOORS,
-    PARAM_MULTIPLES,
-    REAL_PARAMS,
-    Criterion,
-    experiment_defaults,
-    param_floor,
-)
+from .experiments import EXPERIMENTS, PARAMS, Criterion, Param
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -71,12 +63,10 @@ def make_config(
 def validate_config(cfg: dict) -> dict:
     """Schema check: exactly the known top-level keys, exactly the known
     params for the experiment; unknown fields are errors.  The seed must be a
-    non-negative integer, every integer-valued param an integer no smaller
-    than its ``param_floor`` in the experiment (and a multiple of its
-    ``PARAM_MULTIPLES`` step where one is set), every ``REAL_PARAMS`` value a
-    finite real > 0, and a list-valued param a non-empty list of entries that
-    each pass the test of its name.  The config and its params must be
-    dicts (JSON objects)."""
+    non-negative integer and each param within the range of its
+    ``experiments.PARAMS`` entry; a list-valued param must be a non-empty
+    list whose entries each are.  The config and its params must be dicts
+    (JSON objects)."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"a config must be a JSON object, got {cfg!r}")
     allowed_top = {"schema", "experiment", "seed", "out", "params"}
@@ -93,48 +83,45 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(
             f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENTS)}"
         )
-    defaults = experiment_defaults(experiment)
+    specs = {name: Param.of(entry) for name, entry in PARAMS[experiment].items()}
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"config params must be a JSON object, got {params!r}")
-    bad = set(params) - set(defaults)
+    bad = set(params) - set(specs)
     if bad:
         raise ConfigError(
             f"unknown params for {experiment!r}: {sorted(bad)} "
-            f"(allowed: {sorted(defaults)})"
+            f"(allowed: {sorted(specs)})"
         )
-    merged = {**defaults, **params}
     seed = cfg.get("seed", DEFAULT_SEED)
     if not int_at_least(seed, 0):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    for name, default in defaults.items():
-        value = merged[name]
-        listed = isinstance(default, list)
+    merged = {}
+    for name, spec in specs.items():
+        listed = isinstance(spec.default, tuple)
+        value = params.get(name, list(spec.default) if listed else spec.default)
         entries = value if listed and isinstance(value, list) else [value]
-        if name in REAL_PARAMS:
+        if spec.real:
             ok = all(finite_above_zero(v) for v in entries)
             kind = ("a finite number > 0", "finite numbers > 0")
         else:
-            general = PARAM_FLOORS.get(name, 1)
-            least = param_floor(experiment, name)
-            ok = all(int_at_least(v, least) for v in entries)
-            kind = {
-                0: ("a non-negative integer", "non-negative integers"),
-                1: ("a positive integer", "positive integers"),
-            }.get(general, (f"an integer >= {general}", f"integers >= {general}"))
-            if least != general:
-                kind = tuple(f"{k}, at least {least} in {experiment!r}" for k in kind)
+            ok = all(int_at_least(v, spec.least) for v in entries)
+            kind = ("a positive integer", "positive integers")
+            if spec.least == 0:
+                kind = ("a non-negative integer", "non-negative integers")
+            elif spec.least > 1:
+                kind = tuple(f"{k}, at least {spec.least} in {experiment!r}" for k in kind)
         if listed and not (isinstance(value, list) and value and ok):
             raise ConfigError(
                 f"param {name!r} must be a non-empty list of {kind[1]}, got {value!r}"
             )
         if not listed and not ok:
             raise ConfigError(f"param {name!r} must be {kind[0]}, got {value!r}")
-        step = PARAM_MULTIPLES.get((experiment, name))
-        if step is not None and value % step:
+        if spec.step > 1 and value % spec.step:
             raise ConfigError(
-                f"param {name!r} must be a multiple of {step} in {experiment!r}, got {value!r}"
+                f"param {name!r} must be a multiple of {spec.step} in {experiment!r}, got {value!r}"
             )
+        merged[name] = value
     return {
         "schema": SCHEMA_VERSION,
         "experiment": experiment,

@@ -81,17 +81,6 @@ class TimeGrid:
     def right(self) -> np.ndarray:
         return self.points[1:]
 
-    def refined(self, depth: int) -> "TimeGrid":
-        """Split every cell into 2**depth equal subcells."""
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        if depth == 0:
-            return self
-        n_sub = 2**depth
-        frac = np.arange(n_sub) / n_sub
-        pts = (self.points[:-1, None] + np.outer(self.widths, frac)).ravel()
-        return TimeGrid(np.append(pts, self.points[-1]))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TimeGrid) and np.array_equal(self.points, other.points)
 

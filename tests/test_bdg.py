@@ -19,8 +19,9 @@ from cylmart.bdg import (
     trace_term,
     validate_derivatives,
 )
-from cylmart.experiments import experiment_defaults, run_bdg
+from cylmart.experiments import run_bdg
 from cylmart.gammanorm import gamma_norm_exact_hilbert
+from cylmart.harness import make_config
 from cylmart.integration import IntegrandProcess, integrate
 from cylmart.martingales import NoiseSpec, qv_exact, simulate, stop_ensemble
 from cylmart.measures import TimeGrid
@@ -192,8 +193,9 @@ class TestPanel:
             bdg_ratio_panel([inst], [2], ["hilbert"], 1, seed=15)
 
     def test_csv_row_format(self):
-        params = {**experiment_defaults("bdg"), "paths": 100, "instances": 1}
-        params.update(iso_instances=1, p_list=[1], gamma_samples=16)
+        params = make_config(
+            "bdg", paths=100, instances=1, iso_instances=1, p_list=[1], gamma_samples=16
+        )["params"]
         panel = run_bdg(params, seed=14).series["bdg_panel"]
         assert panel["columns"] == BDGReport.CSV_HEADER.split(",")
         assert panel["rows"] and all(len(row) == len(panel["columns"]) for row in panel["rows"])

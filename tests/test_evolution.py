@@ -966,11 +966,30 @@ class TestSemigroupCache:
                 mat[0, 0] = 1.0
             x = rng.standard_normal((3, m))
             np.testing.assert_array_equal(sg.apply(t, x), ref.apply(t, x))
+            np.testing.assert_array_equal(sg.flow(t, x), ref.apply(t, x))
 
     def test_identity_matrix_read_only(self):
         sg = Semigroup(None, 3)
         np.testing.assert_array_equal(sg.matrix(0.5), np.eye(3))
         assert not sg.matrix(0.5).flags.writeable
+
+    def test_mild_residual_does_not_grow_the_cache(self):
+        grid = TimeGrid.uniform(1.0, 64)
+        ens = simulate(WIENER, grid, 4, seed=19)
+        prob = make_problem(
+            generator=np.array([[-1.0]]),
+            drift=lambda t, x: -0.5 * x,
+            lip_f=0.5,
+            noise_map=lambda t, x: x[:, :, None],
+            lip_g=1.0,
+            u0=np.array([1.0]),
+        )
+        u, _ = picard_solve(prob, ens)
+        cached = set(prob.semigroup._matrices)
+        assert cached == set(grid.widths.tolist())
+        for _ in range(3):
+            mild_residual(u, prob, ens)
+        assert set(prob.semigroup._matrices) == cached
 
 
 # rho_stopping_times and localization_consistency as they were when the

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cylmart
+import cylmart.experiments as experiments
 from cylmart.cli import EXIT_BROKEN_PIPE, main
-from cylmart.experiments import EXPERIMENTS, experiment_defaults, param_floor
+from cylmart.experiments import EXPERIMENTS, PARAMS, Param
+from cylmart.gammanorm import FubiniReport, GammaEstimate
 from cylmart.harness import (
     DEFAULT_SEED,
     SCHEMA_VERSION,
@@ -315,13 +318,16 @@ class TestCli:
             ),
             (
                 {"experiment": "timechange", "params": {"ladder": 0}},
-                "'ladder' must be an integer >= 2",
+                "'ladder' must be a positive integer, at least 2 in 'timechange'",
             ),
             (
                 {"experiment": "timechange", "params": {"ladder": 1}},
-                "'ladder' must be an integer >= 2",
+                "'ladder' must be a positive integer, at least 2 in 'timechange'",
             ),
-            ({"experiment": "ito", "params": {"ladder": 1}}, "'ladder' must be an integer >= 2"),
+            (
+                {"experiment": "ito", "params": {"ladder": 1}},
+                "'ladder' must be a positive integer, at least 2 in 'ito'",
+            ),
             (
                 {"experiment": "see", "params": {"paths": 1}},
                 "'paths' must be a positive integer, at least 2 in 'see'",
@@ -418,6 +424,13 @@ SMALL_SIZES = {
 }
 
 
+# The params of each experiment that take a single integer.
+INTEGER_PARAMS = {
+    experiment: [n for n, e in table.items() if isinstance(Param.of(e).default, int)]
+    for experiment, table in PARAMS.items()
+}
+
+
 def _outcome(report: RunReport) -> str:
     """Criteria, metrics and series of a report, floats spelled exactly."""
     obj = report.to_json()
@@ -429,7 +442,8 @@ def small_configs(draw):
     experiment = draw(st.sampled_from(sorted(SMALL_SIZES)))
     params = dict(SMALL_SIZES[experiment])
     if "paths" in params:
-        params["paths"] = draw(st.integers(param_floor(experiment, "paths"), params["paths"]))
+        least = Param.of(PARAMS[experiment]["paths"]).least
+        params["paths"] = draw(st.integers(least, params["paths"]))
     return make_config(experiment, seed=draw(st.integers(0, 2**63)), **params)
 
 
@@ -483,12 +497,11 @@ class TestConfigRanges:
         [
             (experiment, name)
             for experiment in sorted(EXPERIMENTS)
-            for name, default in experiment_defaults(experiment).items()
-            if isinstance(default, int)
+            for name in INTEGER_PARAMS[experiment]
         ],
     )
     def test_integer_params_have_a_floor(self, experiment, name):
-        least = param_floor(experiment, name)
+        least = Param.of(PARAMS[experiment][name]).least
         cfg = validate_config({"experiment": experiment, "params": {name: least}})
         assert cfg["params"][name] == least
         for bad in (least - 1, least + 0.5, str(least), True):
@@ -528,19 +541,15 @@ class TestConfigRanges:
         [
             (experiment, name)
             for experiment in sorted(EXPERIMENTS)
-            for name in [None] + sorted(
-                name
-                for name, default in experiment_defaults(experiment).items()
-                if isinstance(default, int)
-            )
+            for name in [None] + sorted(INTEGER_PARAMS[experiment])
         ],
     )
     def test_every_floor_runs_to_a_verdict(self, experiment, name):
         # name None puts every integer param at its floor at once
         floors = {
-            n: param_floor(experiment, n)
-            for n, default in experiment_defaults(experiment).items()
-            if isinstance(default, int) and (name is None or n == name)
+            n: Param.of(PARAMS[experiment][n]).least
+            for n in INTEGER_PARAMS[experiment]
+            if name is None or n == name
         }
         cfg = validate_config(
             {"experiment": experiment, "params": {**SMALL_SIZES[experiment], **floors}}
@@ -550,7 +559,37 @@ class TestConfigRanges:
         assert all(isinstance(c.passed, bool) for c in res.criteria)
 
     def test_supmeas_with_nothing_checked_fails(self):
-        params = {**experiment_defaults("supmeas"), "max_cells": 0, "density_instances": 1}
+        params = {**make_config("supmeas")["params"], "max_cells": 0, "density_instances": 1}
         crit = {c.name: c for c in EXPERIMENTS["supmeas"](params, 20240).criteria}
         assert not crit["supmeas-oracle-exact"].passed
         assert "(0 instances)" in crit["supmeas-oracle-exact"].target
+
+    def test_fubini_p2_gate_fails_off_one(self):
+        # both sides are exact at p = 2, so any gap in the ratio fails
+        def off_by_1e6(kernel, n_samples, seed):
+            return FubiniReport(lhs=1.0, rhs=GammaEstimate(1.0 + 1e-6, 0.0))
+
+        params = make_config("gamma", **SMALL_SIZES["gamma"])["params"]
+        with mock.patch.object(experiments, "gamma_fubini_check", off_by_1e6):
+            crit = {c.name: c for c in experiments.run_gamma(params, 20240).criteria}
+        assert crit["gamma-fubini-p2"].value == 1.0 + 1e-6
+        assert not crit["gamma-fubini-p2"].passed
+
+
+class _ReadRecorder(dict):
+    """A params mapping that records the keys read from it."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_every_declared_param_is_read(experiment):
+    params = _ReadRecorder(make_config(experiment, **SMALL_SIZES[experiment])["params"])
+    EXPERIMENTS[experiment](params, DEFAULT_SEED)
+    assert params.read == set(PARAMS[experiment])

@@ -37,12 +37,6 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="at least two"):
             grid(0.0)
 
-    def test_refined_is_nested(self):
-        g = grid(0.0, 0.5, 1.0)
-        r = g.refined(2)
-        assert r.n_cells == 8
-        assert set(np.round(g.points, 12)).issubset(set(np.round(r.points, 12)))
-
     def test_widths_computed_once_and_read_only(self):
         g = grid(0.0, 0.25, 0.5, 1.0)
         w = g.widths
