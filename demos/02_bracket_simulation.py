@@ -34,9 +34,8 @@ est = qv_partition_estimate(ens, sphere_samples=32, depth_schedule=[0, 1, 2, 3, 
 print("estimate vs depth:", est.terminal()[0], "| exact:", qv_exact(switching, grid).total_mass)
 
 # --- adapted volatility gives per-path brackets -------------------------------
-def vol(i, t, w_prev):
-    s = w_prev.sum(axis=(-2, -1)) if w_prev.shape[-2] else np.zeros(w_prev.shape[:-2])
-    return (0.6 + 0.4 * np.sin(3 * s) ** 2)[..., None, None]
+def vol(t, w):  # w = W(t_i), the driver before each cell
+    return (0.6 + 0.4 * np.sin(3 * w[..., 0]) ** 2)[..., None, None]
 
 adapted = simulate(NoiseSpec(1, 1, vol), grid, n_paths=4, seed=2)
 print("per-path terminal brackets:", adapted.bracket.prefix()[:, -1])

@@ -36,9 +36,8 @@ lhs, rhs = substitute(grid.right, quad)
 print(f"int t d(t^2) = {lhs:.6f} vs transported {rhs:.6f} (limit 2/3)")
 
 # --- transported brackets grow at unit rate -----------------------------------
-def vol(i, t, w_prev):
-    s = w_prev.sum(axis=(-2, -1)) if w_prev.shape[-2] else np.zeros(w_prev.shape[:-2])
-    return (0.6 + 0.4 * np.sin(3 * s) ** 2)[..., None, None]
+def vol(t, w):  # w = W(t_i), the driver before each cell
+    return (0.6 + 0.4 * np.sin(3 * w[..., 0]) ** 2)[..., None, None]
 
 ens = simulate(NoiseSpec(1, 1, vol), grid, n_paths=200, seed=4)
 moved = apply_time_change(ens, build_time_change(ens.bracket))

@@ -306,7 +306,9 @@ def ito_residual(
     m = phi.target_dim
     if ens.spec.adapted:
         raise ValueError("residual checking needs a deterministic spec")
-    stoch_inc = integrand_increments(phi, ens)  # (n, K, m)
+    # phi dM is contracted a cell (or a path) at a time, never held as an
+    # (n, K, m) array; cell 0 first, which checks the grids
+    stoch = integrand_increments(phi, ens, np.s_[:, :1])[:, 0]
     kernels = _kernel_matrices(phi, ens.spec)  # (K, m, dc); rejects a per-path phi
     dqv = qv_exact(ens.spec, grid).increments
 
@@ -326,7 +328,10 @@ def ito_residual(
 
     if validate:
         cells = [(0, 0), (0, k // 2)] + ([(n - 1, k)] if n > 1 else [])
-        pts = [(grid.points[j], prefix_sums(stoch_inc[p])[j] + (xi[p] + drift[j])) for p, j in cells]
+        pts = []
+        for p, j in cells:
+            run_p = prefix_sums(integrand_increments(phi, ens, np.s_[p : p + 1])[0])
+            pts.append((grid.points[j], run_p[j] + (xi[p] + drift[j])))
         validate_derivatives(f, d1f, d2f, d22f, pts)
 
     # zeta_j = run_j + (xi + drift_j) a cell at a time, run summing phi dM from
@@ -340,19 +345,21 @@ def ito_residual(
     correction = np.zeros(n)
     for i in range(k):
         t = grid.points[i]
+        if i:
+            stoch = integrand_increments(phi, ens, np.s_[:, i : i + 1])[:, 0]
         grad = np.asarray(d2f(t, state), dtype=float)  # (n, m)
         hess = np.asarray(d22f(t, state), dtype=float)  # (n, m, m)
         tr = np.einsum("md,nmf,fd->n", kernels[i], hess, kernels[i])
         correction = correction + (
             np.asarray(d1f(t, state), dtype=float) * grid.widths[i]
             + grad @ (psi_vals[i] * da[i])
-            + np.einsum("nm,nm->n", grad, stoch_inc[:, i, :])
+            + np.einsum("nm,nm->n", grad, stoch)
             + 0.5 * tr * dqv[i]
         )
         if i == 0:
-            run[...] = stoch_inc[:, 0, :]
+            run[...] = stoch
         else:
-            run += stoch_inc[:, i, :]
+            run += stoch
         state = run + (xi + drift[i + 1])
         f_next = np.asarray(f(grid.points[i + 1], state), dtype=float)
         residual = f_next - f0 - correction

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import single_rng
+from ._util import prefix_sums, single_rng
 from .bdg import (
     BDGInstance,
     BDGReport,
@@ -351,11 +351,9 @@ def run_countex(params: dict, seed: int) -> ExperimentResult:
 # timechange
 
 
-def _adapted_sigma(i, t, w_prev):
-    """Bounded driver-dependent volatility: 0.6 + 0.4 sin^2(3 * running sum)."""
-    s = w_prev.sum(axis=(-2, -1)) if w_prev.shape[-2] else np.zeros(w_prev.shape[:-2])
-    val = 0.6 + 0.4 * np.sin(3.0 * s) ** 2
-    return np.asarray(val)[..., None, None]
+def _adapted_sigma(t, w):
+    """Bounded driver-dependent volatility: 0.6 + 0.4 sin^2(3 W(t))."""
+    return (0.6 + 0.4 * np.sin(3.0 * w[..., 0]) ** 2)[..., None, None]
 
 
 def run_timechange(params: dict, seed: int) -> ExperimentResult:
@@ -814,7 +812,8 @@ def run_kw(params: dict, seed: int) -> ExperimentResult:
         spec1 = NoiseSpec(d1, dd, s1, q_drive=q)
         spec2 = NoiseSpec(d2, dd, s2, q_drive=q)
         ens = simulate(spec1, grid, params["paths"], seed + 300 + i)
-        w = ens.driver_increments.cumsum(axis=1)  # adapted path functionals
+        # adapted path functionals: cell i reads W(t_i), the driver before it
+        w = prefix_sums(ens.driver_increments, axis=1)[:, :-1]
         f = rng.standard_normal((1, k, d1)) + 0.3 * np.tanh(w[:, :, :1]) * np.ones(d1)
         g = rng.standard_normal((1, k, d2)) + 0.2 * np.cos(w[:, :, :1]) * np.ones(d2)
         rep = kunita_watanabe_check(f, g, spec1, spec2, grid)

@@ -5,6 +5,9 @@ A config fully determines a run; the report echoes it together with per
 criterion verdicts, flat metrics and CSV-able series.  ``replay`` re-executes
 from the echoed config and demands bit-identical metrics (seeds pin every
 Monte-Carlo substream, so exact and sampled fields alike must reproduce).
+Each report records the ``DETERMINISM`` version it was written under; a
+change that moves sampled or computed numbers raises the version, and replay
+refuses a report of another version.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .experiments import EXPERIMENTS, PARAMS, Criterion, Param
 
 __all__ = [
     "SCHEMA_VERSION",
+    "DETERMINISM",
     "DEFAULT_SEED",
     "ConfigError",
     "ReplayMismatch",
@@ -36,6 +40,9 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# version of the numbers a config produces, raised by any change that moves
+# one; a report without the field was written under version 1
+DETERMINISM = 2
 # the acceptance seed: every statistical gate is calibrated at it
 DEFAULT_SEED = 20240
 
@@ -140,6 +147,7 @@ class RunReport:
     series: dict = field(default_factory=dict)
     elapsed: float = 0.0
     version: str = __version__
+    determinism: int = DETERMINISM
     run_dir: str | None = None
 
     @property
@@ -155,6 +163,7 @@ class RunReport:
             "series": self.series,
             "elapsed": self.elapsed,
             "version": self.version,
+            "determinism": self.determinism,
         }
 
     @classmethod
@@ -176,6 +185,7 @@ class RunReport:
             series=obj.get("series", {}),
             elapsed=obj.get("elapsed", 0.0),
             version=obj.get("version", "unknown"),
+            determinism=obj.get("determinism", 1),
         )
 
     def summary_lines(self) -> list[str]:
@@ -256,9 +266,15 @@ def replay(report_path: str | Path) -> RunReport:
     """Re-execute a stored report's config and demand identical metrics.
 
     Metric floats must agree bit for bit: exact fields because the arithmetic
-    is deterministic, sampled fields because seeds fix every substream.
+    is deterministic, sampled fields because seeds fix every substream.  A
+    report of another determinism version is refused before anything runs.
     """
     stored = load_report(report_path)
+    if stored.determinism != DETERMINISM:
+        raise ReplayMismatch(
+            f"report was written under determinism version {stored.determinism!r}, "
+            f"this build is version {DETERMINISM}; its numbers cannot be replayed"
+        )
     cfg = validate_config(stored.config)
     fresh = _execute(cfg)
     if set(fresh.metrics) != set(stored.metrics):

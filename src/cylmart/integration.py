@@ -101,13 +101,18 @@ class IntegralPaths:
         return self.values[:, -1, :]
 
 
-def integrand_increments(phi: IntegrandProcess, ens: MartEnsemble) -> np.ndarray:
+def integrand_increments(
+    phi: IntegrandProcess, ens: MartEnsemble, at: tuple = np.s_[:, :]
+) -> np.ndarray:
     """phi(t_i) dM_i per path and cell, shape (n, K, m), from the ensemble's
-    increments sigma(t_i) dW_i."""
+    increments sigma(t_i) dW_i.  ``at`` slices the path and cell axes, so
+    that a block of paths or cells is contracted without the rest."""
     if phi.grid != ens.grid:
         raise ValueError("integrand and ensemble grids differ")
     # single contraction spelling; see martingales._driven for why
-    return np.einsum("nkmc,nkc->nkm", phi.for_paths(ens.n_paths), ens.driven_increments())
+    return np.einsum(
+        "nkmc,nkc->nkm", phi.for_paths(ens.n_paths)[at], ens.driven_increments()[at]
+    )
 
 
 def integrate(phi: IntegrandProcess, ens: MartEnsemble) -> IntegralPaths:

@@ -3,8 +3,9 @@
 The driver W is a d_drive-dimensional Brownian motion with PSD covariance Q
 (identity by default).  A truncation is described by a ``NoiseSpec`` whose
 ``sigma`` maps the driver into the d_cyl-dimensional cylinder space; sigma may
-be a constant matrix, a per-cell array, or an adapted callable reading the
-driver path strictly before the current cell.
+be a constant matrix, a per-cell array, or an adapted callable
+``sigma(t, w)`` of the cells' left endpoints and the running driver state
+W(t_i) before each cell, called once per ensemble.
 
 For this class the increasing bracket process, its operator version and the
 normalized operator density all have closed forms:
@@ -91,9 +92,10 @@ class NoiseSpec:
     ``sigma`` is one of
       * a (d_cyl, d_drive) constant matrix,
       * a (K, d_cyl, d_drive) array of per-cell values (left endpoints),
-      * a callable ``sigma(i, t_left, w_prev)`` returning (..., d_cyl, d_drive)
-        where ``w_prev`` holds the driver increments of cells < i with shape
-        (..., i, d_drive); this is the adapted case.
+      * a callable ``sigma(t, w)`` returning (..., K, d_cyl, d_drive), where
+        ``t`` is ``grid.left`` (K,) and ``w`` the driver before each cell,
+        W(t_i) = dW_0 + ... + dW_{i-1}, of shape (..., K, d_drive); this is
+        the adapted case.  sigma at cell i reads only cells < i.
     """
 
     d_cyl: int
@@ -140,13 +142,18 @@ class NoiseSpec:
         raise ValueError(f"sigma shape {sig.shape} does not fit grid/dimensions")
 
     def sigma_along(self, grid: TimeGrid, w_increments: np.ndarray) -> np.ndarray:
-        """Realized per-cell sigma values, batched over leading path axes."""
+        """Realized per-cell sigma values, batched over leading path axes.
+
+        An adapted sigma is called once, on the driver state before each
+        cell: the running sum W(t_i), added left to right.
+        """
         if not self.adapted:
             return self.sigma_on_grid(grid)
-        lead = w_increments.shape[:-2]
-        out = np.empty(lead + (grid.n_cells, self.d_cyl, self.d_drive))
-        for i, t in enumerate(grid.left):
-            out[..., i, :, :] = self.sigma(i, t, w_increments[..., :i, :])
+        w = prefix_sums(w_increments, axis=-2)[..., :-1, :]
+        out = np.asarray(self.sigma(grid.left, w), dtype=float)
+        want = w.shape[:-1] + (self.d_cyl, self.d_drive)
+        if out.shape != want:
+            raise ValueError(f"adapted sigma returned shape {out.shape}, expected {want}")
         return out
 
 
@@ -360,26 +367,20 @@ def qv_exact(spec: NoiseSpec, grid: TimeGrid) -> GridMeasure:
     return GridMeasure(grid, _bracket_increments(spec, grid, spec.sigma_on_grid(grid)))
 
 
-def am_operator(
-    spec: NoiseSpec, grid: TimeGrid, sigma_values: np.ndarray | None = None
-) -> OperatorProcess:
+def am_operator(spec: NoiseSpec, grid: TimeGrid) -> OperatorProcess:
     """Cumulative operator bracket: A(t_j) = sum_{i<j} sigma Q sigma^T dt."""
-    if sigma_values is None:
-        sigma_values = spec.sigma_on_grid(grid)
+    sigma_values = spec.sigma_on_grid(grid)
     a_rate = operator_rate(sigma_values, spec.q(), sigma_values)
     return OperatorProcess(grid, prefix_sums(a_rate * grid.widths[:, None, None]))
 
 
-def qm_operator(
-    spec: NoiseSpec, grid: TimeGrid, sigma_values: np.ndarray | None = None
-) -> OperatorProcess:
+def qm_operator(spec: NoiseSpec, grid: TimeGrid) -> OperatorProcess:
     """Normalized operator density sigma Q sigma^T / ||sigma Q sigma^T|| per cell.
 
     Cells where the numerator vanishes return the zero matrix (0/0 -> 0); on
     the bracket's support the result has operator norm one.
     """
-    if sigma_values is None:
-        sigma_values = spec.sigma_on_grid(grid)
+    sigma_values = spec.sigma_on_grid(grid)
     a = operator_rate(sigma_values, spec.q(), sigma_values)
     norms = np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
     safe = np.where(norms > 0, norms, 1.0)

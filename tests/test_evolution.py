@@ -250,9 +250,8 @@ class TestRhoStoppingTimes:
         assert np.isinf(rho_stopping_times(ens.bracket, 3)).all()
 
     def test_stopped_block_mass_bounded(self):
-        def vol(i, t, w_prev):
-            s = w_prev.sum(axis=(-2, -1)) if w_prev.shape[-2] else np.zeros(w_prev.shape[:-2])
-            return (1.0 + np.sin(4 * s) ** 2)[..., None, None]
+        def vol(t, w):
+            return (1.0 + np.sin(4 * w[..., 0]) ** 2)[..., None, None]
 
         grid = TimeGrid.uniform(1.0, 64)
         ens = simulate(NoiseSpec(1, 1, vol), grid, 100, seed=12)
@@ -553,9 +552,8 @@ class TestLocalization:
                 )
 
     def test_first_passage_stop(self):
-        def vol(i, t, w_prev):
-            s = w_prev.sum(axis=(-2, -1)) if w_prev.shape[-2] else np.zeros(w_prev.shape[:-2])
-            return (0.8 + 0.4 * np.tanh(s) ** 2)[..., None, None]
+        def vol(t, w):
+            return (0.8 + 0.4 * np.tanh(w[..., 0]) ** 2)[..., None, None]
 
         grid = TimeGrid.uniform(1.0, 64)
         spec = NoiseSpec(1, 1, vol)

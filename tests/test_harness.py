@@ -17,6 +17,7 @@ from cylmart.experiments import EXPERIMENTS, PARAMS, Param
 from cylmart.gammanorm import FubiniReport, GammaEstimate
 from cylmart.harness import (
     DEFAULT_SEED,
+    DETERMINISM,
     SCHEMA_VERSION,
     ConfigError,
     ReplayMismatch,
@@ -152,6 +153,31 @@ class TestReplay:
         with pytest.raises(ReplayMismatch, match="differs"):
             replay(path)
 
+    def test_report_records_determinism_version(self, tmp_path):
+        rep = run(make_config("countex", out=str(tmp_path)))
+        obj = json.loads((Path(rep.run_dir) / "report.json").read_text())
+        assert obj["determinism"] == DETERMINISM == 2
+
+    @pytest.mark.parametrize("version", [1, None], ids=["version-1", "no-field"])
+    def test_other_determinism_version_refused_before_running(
+        self, tmp_path, monkeypatch, version
+    ):
+        rep = run(make_config("countex", out=str(tmp_path)))
+        path = Path(rep.run_dir) / "report.json"
+        obj = json.loads(path.read_text())
+        if version is None:
+            del obj["determinism"]  # written before the field existed
+        else:
+            obj["determinism"] = version
+        path.write_text(json.dumps(obj))
+
+        def must_not_run(*args):
+            raise AssertionError("an experiment ran")
+
+        monkeypatch.setitem(EXPERIMENTS, "countex", must_not_run)
+        with pytest.raises(ReplayMismatch, match=r"version 1\b.*version 2\b"):
+            replay(path)
+
     def test_partial_bundle_structured_error(self, tmp_path):
         with pytest.raises(ReplayMismatch, match="no report found"):
             replay(tmp_path / "missing")
@@ -212,6 +238,19 @@ class TestCli:
         code = main(["replay", str(run_dir)])
         assert code == 0
         assert "metrics identical" in capsys.readouterr().out
+
+    def test_replay_of_other_determinism_version_exits_2(self, tmp_path, capsys):
+        main(["countex", "--out", str(tmp_path)])
+        run_dir = next(Path(tmp_path).iterdir())
+        obj = json.loads((run_dir / "report.json").read_text())
+        obj["determinism"] = 1
+        (run_dir / "report.json").write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["replay", str(run_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "determinism version 1" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_replay_into_closed_pipe_exits_quietly(self, tmp_path, capsys):
         # as in `cylmart replay run | head -1`: the reader is gone before the

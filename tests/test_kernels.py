@@ -70,9 +70,8 @@ def ref_direction_bracket_increments(self, directions: np.ndarray) -> np.ndarray
     return np.einsum("xc,nkcf,xf->nxk", directions, a, directions) * dt
 
 
-def ref_am_operator(spec, grid, sigma_values=None) -> OperatorProcess:
-    if sigma_values is None:
-        sigma_values = spec.sigma_on_grid(grid)
+def ref_am_operator(spec, grid) -> OperatorProcess:
+    sigma_values = spec.sigma_on_grid(grid)
     q = spec.q()
     a_rate = np.einsum("kcd,de,kfe->kcf", sigma_values, q, sigma_values)
     inc = a_rate * grid.widths[:, None, None]
@@ -81,9 +80,8 @@ def ref_am_operator(spec, grid, sigma_values=None) -> OperatorProcess:
     return OperatorProcess(grid, out)
 
 
-def ref_qm_operator(spec, grid, sigma_values=None) -> OperatorProcess:
-    if sigma_values is None:
-        sigma_values = spec.sigma_on_grid(grid)
+def ref_qm_operator(spec, grid) -> OperatorProcess:
+    sigma_values = spec.sigma_on_grid(grid)
     q = spec.q()
     a = np.einsum("kcd,de,kfe->kcf", sigma_values, q, sigma_values)
     norms = np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
@@ -203,8 +201,8 @@ def ref_dds_integral_check(phi, ens, tc) -> DdsReport:
 
 
 def _adapted(base: np.ndarray):
-    def sigma(i, t, w_prev):
-        s = np.tanh(w_prev.sum(axis=(-2, -1)))
+    def sigma(t, w):
+        s = np.tanh(w.sum(axis=-1))
         return base * (1.0 + 0.5 * s)[..., None, None]
 
     return sigma
@@ -341,6 +339,19 @@ class TestIntegrand:
         with pytest.raises(ValueError, match="does not match path count"):
             per_path.for_paths(4)
 
+    @ORACLE
+    @given(cases())
+    def test_increments_by_block(self, case):
+        # a block of cells or paths, contracted alone, equals that block of
+        # the whole contraction bit for bit (ito_residual reads it so)
+        whole = integrand_increments(case.phi, case.ens)
+        for i in range(case.grid.n_cells):
+            got = integrand_increments(case.phi, case.ens, np.s_[:, i : i + 1])
+            assert_same(got, whole[:, i : i + 1], f"cell {i}")
+        for p in range(case.ens.n_paths):
+            got = integrand_increments(case.phi, case.ens, np.s_[p : p + 1])
+            assert_same(got, whole[p : p + 1], f"path {p}")
+
     def test_increments_check_grid_and_paths(self):
         grid = TimeGrid.uniform(1.0, 4)
         ens = simulate(NoiseSpec(3, 2, np.ones((3, 2))), grid, 5, seed=1)
@@ -365,11 +376,13 @@ class TestOperatorRate:
     @given(cases())
     def test_operator_densities(self, case):
         spec, grid = case.spec, case.grid
-        # realized per-path values for adapted or stopped sigma, the spec's own
-        # values otherwise
-        sig = case.ens.sigma_for_paths()[-1] if case.stopped or spec.adapted else None
+        # one path's realized values, as a per-cell spec, for adapted or
+        # stopped sigma; the spec's own values otherwise
+        if case.stopped or spec.adapted:
+            sig = case.ens.sigma_for_paths()[-1]
+            spec = NoiseSpec(spec.d_cyl, spec.d_drive, sig, spec.q_drive)
         for fn, ref in ((am_operator, ref_am_operator), (qm_operator, ref_qm_operator)):
-            assert_same(fn(spec, grid, sig).matrices, ref(spec, grid, sig).matrices, fn.__name__)
+            assert_same(fn(spec, grid).matrices, ref(spec, grid).matrices, fn.__name__)
 
     @ORACLE
     @given(cases(), st.integers(1, 3))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylmart._util import prefix_sums
 from cylmart.integration import IntegrandProcess, integrate
 from cylmart.martingales import (
     BracketPaths,
@@ -287,9 +288,8 @@ class TestCountex:
 
 class TestAdaptedSigma:
     @staticmethod
-    def _vol(i, t, w_prev):
-        s = w_prev.sum(axis=(-2, -1)) if w_prev.shape[-2] else np.zeros(w_prev.shape[:-2])
-        return (1.0 + 0.5 * np.tanh(s) ** 2)[..., None, None]
+    def _vol(t, w):
+        return (1.0 + 0.5 * np.tanh(w[..., 0]) ** 2)[..., None, None]
 
     def test_per_path_bracket(self, grid):
         spec = NoiseSpec(1, 1, self._vol)
@@ -311,6 +311,46 @@ class TestAdaptedSigma:
         other = spec.sigma_along(grid, dw)
         np.testing.assert_array_equal(other, ens.sigma_path)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        k=st.integers(1, 10),
+        dd=st.integers(1, 3),
+        batch=st.sampled_from(["none", "paths", "two axes"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_cell_reads_the_driver_before_it(self, n, k, dd, batch, seed):
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(np.cumsum(np.r_[0.0, rng.uniform(0.05, 1.0, k)]))
+        base = rng.standard_normal((2, dd))
+
+        def sigma(t, w):
+            return base * np.tanh(w)[..., None, :] + t[:, None, None]
+
+        spec = NoiseSpec(2, dd, sigma)
+        lead = {"none": (), "paths": (n,), "two axes": (2, n)}[batch]
+        dw = rng.standard_normal(lead + (k, dd))
+        got = spec.sigma_along(grid, dw)
+        assert got.shape == lead + (k, 2, dd)
+        w = prefix_sums(dw, axis=-2)
+        for i in range(k):
+            # sigma at cell i is the callable at W(t_i) = dW_0 + ... + dW_{i-1}
+            want = sigma(grid.left[i : i + 1], w[..., i : i + 1, :])[..., 0, :, :]
+            assert np.array_equal(got[..., i, :, :], want), i
+            # and no increment at a cell >= i moves it
+            later = dw.copy()
+            later[..., i:, :] = rng.standard_normal(lead + (k - i, dd))
+            assert np.array_equal(spec.sigma_along(grid, later)[..., i, :, :], want), i
+
+    def test_mis_shaped_sigma_is_named(self, grid):
+        # a (1, 1) value used to broadcast over all paths, so every path got
+        # one sigma summed across paths
+        spec = NoiseSpec(1, 1, lambda t, w: np.full((1, 1), 1.0 + w.sum()))
+        with pytest.raises(
+            ValueError, match=r"returned shape \(1, 1\), expected \(4, 16, 1, 1\)"
+        ):
+            simulate(spec, grid, 4, seed=1)
+
 
 class TestScalarVsOperatorBracket:
     def test_bracket_below_trace_bracket(self):
@@ -326,8 +366,8 @@ class TestScalarVsOperatorBracket:
             assert qv_exact(spec, grid).total_mass <= trace_total + 1e-12
 
 
-def _adapted_vol(i, t, w_prev):
-    s = w_prev.sum(axis=(-2, -1)) if w_prev.shape[-2] else np.zeros(w_prev.shape[:-2])
+def _adapted_vol(t, w):
+    s = w.sum(axis=-1)
     return (1.0 + 0.5 * np.tanh(s) ** 2)[..., None, None] * np.array([[1.0, -0.5], [0.3, 2.0]])
 
 
@@ -600,8 +640,8 @@ class TestNonFiniteInput:
             simulate(NoiseSpec(1, 1, np.array([[np.nan]])), grid, 4, seed=1)
 
     def test_nan_adapted_sigma_rejected(self, grid):
-        def vol(i, t, w_prev):
-            return np.full(w_prev.shape[:-2] + (1, 1), np.nan if i == 5 else 1.0)
+        def vol(t, w):
+            return np.where(t == t[5], np.nan, np.ones_like(w[..., 0]))[..., None, None]
 
         with pytest.raises(ValueError, match="sigma values are not all finite"):
             simulate(NoiseSpec(1, 1, vol), grid, 4, seed=1)

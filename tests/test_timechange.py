@@ -89,9 +89,8 @@ class TestApplyTimeChange:
         assert moved.bracket_gap() <= moved.max_cell_mass() + 1e-12
 
     def test_per_path_bracket_law(self):
-        def vol(i, t, w_prev):
-            s = w_prev.sum(axis=(-2, -1)) if w_prev.shape[-2] else np.zeros(w_prev.shape[:-2])
-            return (0.5 + np.cos(2 * s) ** 2)[..., None, None]
+        def vol(t, w):
+            return (0.5 + np.cos(2 * w[..., 0]) ** 2)[..., None, None]
 
         grid = TimeGrid.uniform(1.0, 32)
         spec = NoiseSpec(1, 1, vol)
