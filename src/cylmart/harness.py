@@ -13,6 +13,7 @@ refuses a report of another version.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import tempfile
@@ -196,7 +197,31 @@ class RunReport:
         return lines
 
 
+@functools.cache
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds at the values its dynamic rule
+    ends at on 64-bit systems: 32 MiB and 64 MiB.
+
+    By default glibc starts at 128 KiB and raises both thresholds each time
+    a mapped block is freed, so whether an array of a few MiB gets its own
+    mapping or comes from the brk heap, and so a run's peak memory, depends
+    on which arrays were freed before it in the process.  Fixed, an array's
+    place depends on its size alone, and freed heap pages are reused without
+    new page faults.  Elsewhere than glibc this does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3  # from <malloc.h>
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
+
+
 def _execute(cfg: dict) -> RunReport:
+    _pin_malloc_thresholds()
     fn = EXPERIMENTS[cfg["experiment"]]
     t0 = time.perf_counter()
     result = fn(cfg["params"], cfg["seed"])

@@ -124,6 +124,47 @@ class TestRun:
         assert not list(run_dir.glob("*.tmp"))
         replay(run_dir)
 
+    def test_array_placement_does_not_depend_on_earlier_frees(self, tmp_path):
+        # with glibc's dynamic thresholds a fresh 10 MiB array gets its own
+        # mapping, but once a 20 MiB mapping is freed the next one comes
+        # from the brk heap
+        import ctypes
+
+        if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+            pytest.skip("needs glibc >= 2.33")
+        script = f"""
+import ctypes
+import numpy as np
+from cylmart.harness import make_config, run
+
+class Info(ctypes.Structure):
+    _fields_ = [(f, ctypes.c_size_t) for f in
+                "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Info
+
+def mapped_bytes(n):
+    before = libc.mallinfo2().hblkhd
+    a = np.ones(n)
+    return libc.mallinfo2().hblkhd - before
+
+run(make_config("countex", out={str(tmp_path)!r}))
+first = mapped_bytes(10 << 17)
+mapped_bytes(20 << 17)
+print(first, mapped_bytes(10 << 17))
+"""
+        src = str(Path(cylmart.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        first, after_free = map(int, out.split())
+        assert first == after_free
+
 
 class TestReplay:
     def test_bit_identical(self, tmp_path):
