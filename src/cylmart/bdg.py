@@ -64,17 +64,17 @@ def integral_kernel(phi: IntegrandProcess, spec: NoiseSpec, flavor="hilbert") ->
     return GammaKernel(qv_exact(spec, phi.grid), mats, flavor)
 
 
-def _shared_cell_energy(mats: np.ndarray, sig: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per-cell ||phi sigma Q^{1/2}||_HS^2 for shared sigma, shape (K,): the
-    per-path einsums of ``ito_isometry`` for one path, bit for bit."""
-    rows = np.einsum("kmc,kcd->kmd", mats, sig)
-    _, m, dd = rows.shape
-    energy = np.zeros(rows.shape[0])
-    for i in range(m):
-        for d in range(dd):
-            for e in range(dd):
-                energy = energy + rows[:, i, d] * q[d, e] * rows[:, i, e]
-    return energy
+def _path_energy(phi: IntegrandProcess, ens: MartEnsemble) -> np.ndarray:
+    """Each path's exact kernel energy, the sum over cells of
+    ||phi sigma Q^{1/2}||_HS^2 dt, shape (n,).
+
+    phi sigma broadcasts over whichever operand is per path, so a shared
+    ensemble computes one row for all paths; each path is summed alone, so
+    its energy does not depend on the ensemble's size.
+    """
+    rows = phi.matrices @ ens.sigma_path
+    energy = np.sum((rows @ ens.spec.q()) * rows, axis=(-2, -1))
+    return np.broadcast_to(np.sum(energy * ens.grid.widths, axis=-1), (ens.n_paths,))
 
 
 def ito_isometry(phi: IntegrandProcess, ens: MartEnsemble) -> IsometryReport:
@@ -89,22 +89,7 @@ def ito_isometry(phi: IntegrandProcess, ens: MartEnsemble) -> IsometryReport:
     zeta = integrate(phi, ens)
     lhs_paths = np.sum(zeta.terminal() ** 2, axis=1)
 
-    q = ens.spec.q()
-    mats = phi.matrices
-    # Shared sigma and deterministic phi give every path the same energy.
-    # With C-ordered inputs and more than two paths the per-path einsum
-    # below adds each output's terms one at a time in (m, d, e) order, as
-    # _shared_cell_energy does once; for two paths numpy groups them otherwise.
-    shared = mats.ndim == 3 and ens.sigma_is_shared and ens.n_paths > 2
-    if shared and all(a.flags.c_contiguous for a in (mats, ens.sigma_path, q)):
-        energy = _shared_cell_energy(mats, ens.sigma_path, q)
-        # a contiguous (n, K) copy: a broadcast view takes another BLAS path
-        energy = np.broadcast_to(energy, (ens.n_paths, energy.size)).copy()
-    else:
-        rows = np.einsum("nkmc,nkcd->nkmd", phi.for_paths(ens.n_paths), ens.sigma_for_paths())
-        energy = np.einsum("nkmd,de,nkme->nk", rows, q, rows)
-    rhs_paths = energy @ ens.grid.widths
-
+    rhs_paths = _path_energy(phi, ens)
     diff = lhs_paths - rhs_paths
     se = float(np.std(diff, ddof=1) / np.sqrt(ens.n_paths))
     z = float(np.mean(diff) / se) if se > 0 else 0.0

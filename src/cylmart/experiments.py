@@ -591,12 +591,14 @@ def _panel_instances(rng, count: int) -> list[BDGInstance]:
                 IntegrandProcess(grid, phi),
             )
         else:
-            sig = rng.standard_normal((d, d))
-            sig[:, : max(1, d // 2)] = 0.0  # rank-deficient driver map
+            # rank-deficient driver map: d + 1 drivers, the first (d + 1) // 2
+            # unused, so sigma is never zero, even at d = 1
+            sig = rng.standard_normal((d, d + 1))
+            sig[:, : (d + 1) // 2] = 0.0
             phi = rng.standard_normal((m, d))
             inst = BDGInstance(
                 f"rankdef-{i}",
-                NoiseSpec(d, d, sig),
+                NoiseSpec(d, d + 1, sig),
                 IntegrandProcess.constant(grid, phi),
             )
         out.append(inst)

@@ -329,27 +329,16 @@ def simulate(
 ) -> MartEnsemble:
     """Draw ``n_paths`` truncation paths by left-point accumulation.
 
-    Driver increments are sqrt(dt) Q^{1/2} z with z standard normal from a
-    per-path substream of ``seed``; the result is identical however path work
-    is scheduled.
+    Driver increments are sqrt(dt) Q^{1/2} z, where path i's z is the i-th
+    (K, d_drive) block of one standard normal stream of ``seed``
+    (``_util.path_rngs``): an ensemble is a prefix of any larger one at the
+    same seed.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    k = grid.n_cells
     root_q = psd_sqrt(spec.q())
     scale = np.sqrt(grid.widths)[:, None]
-    dw = np.empty((n_paths, k, spec.d_drive))
-    # one generator per call, set to each path's own stream in turn
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    for j, (state, inc) in enumerate(path_rngs(seed, n_paths)):
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        rng.standard_normal(out=dw[j])
+    dw = path_rngs(seed, n_paths, (grid.n_cells, spec.d_drive))
     # a stacked matmul gives each path's (K, d) @ (d, d) product bit for bit
     # as one path at a time; a flattened (n K, d) product was several times
     # slower (1e4 x 48 x 5: 0.20 s against 0.03 s)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cylmart import experiments
 from cylmart.bdg import (
     BDGInstance,
     BDGReport,
     IsometryReport,
     ItoReport,
     _kernel_matrices,
+    _path_energy,
     bdg_ratio_panel,
     fit_bracket,
     integral_kernel,
@@ -19,29 +22,13 @@ from cylmart.bdg import (
     trace_term,
     validate_derivatives,
 )
+from cylmart._util import canonical_json
 from cylmart.experiments import run_bdg
 from cylmart.gammanorm import gamma_norm_exact_hilbert
 from cylmart.harness import make_config
 from cylmart.integration import IntegrandProcess, integrate
 from cylmart.martingales import NoiseSpec, qv_exact, simulate, stop_ensemble
 from cylmart.measures import TimeGrid
-
-
-def _isometry_reference(phi, ens):
-    """ito_isometry with the per-path einsums for every ensemble."""
-    lhs_paths = np.sum(integrate(phi, ens).terminal() ** 2, axis=1)
-    sig = ens.sigma_for_paths()
-    q = ens.spec.q()
-    mats = phi.matrices
-    if mats.ndim == 3:
-        rows = np.einsum("kmc,nkcd->nkmd", mats, sig)
-    else:
-        rows = np.einsum("nkmc,nkcd->nkmd", mats, sig)
-    rhs_paths = np.einsum("nkmd,de,nkme->nk", rows, q, rows) @ ens.grid.widths
-    diff = lhs_paths - rhs_paths
-    se = float(np.std(diff, ddof=1) / np.sqrt(ens.n_paths))
-    z = float(np.mean(diff) / se) if se > 0 else 0.0
-    return IsometryReport(float(np.mean(lhs_paths)), float(np.mean(rhs_paths)), z, ens.n_paths)
 
 
 @pytest.fixture
@@ -99,19 +86,21 @@ class TestIsometry:
         d_drive=st.integers(1, 4),
         m=st.integers(1, 4),
         cells=st.integers(1, 10),
-        n=st.integers(2, 40),
+        n=st.integers(2, 12),
+        extra=st.integers(1, 8),
         per_cell_sigma=st.booleans(),
         per_cell_phi=st.booleans(),
         q_layout=st.sampled_from([None, "C", "F"]),
         seed=st.integers(0, 2**32),
     )
-    # two paths with one cell, m = d_cyl = 1 and d_drive = 2 is where numpy
-    # sums the per-path einsum in another order than for three paths
-    @example(1, 2, 1, 1, 2, False, False, "C", 12)
-    @example(1, 2, 1, 1, 3, False, False, "C", 1037)
+    # two paths with one cell, m = d_cyl = 1 and d_drive = 2 is where the
+    # earlier per-path einsum summed in another order than for three paths
+    @example(1, 2, 1, 1, 2, 1, False, False, "C", 12)
+    @example(1, 2, 1, 1, 3, 2, False, False, "F", 1037)
+    @example(2, 3, 2, 4, 5, 3, True, True, "F", 7)
     @settings(max_examples=80, deadline=None)
-    def test_shared_sigma_fast_path_is_bit_exact(
-        self, d_cyl, d_drive, m, cells, n, per_cell_sigma, per_cell_phi, q_layout, seed
+    def test_shared_operands_match_per_path_bit_for_bit(
+        self, d_cyl, d_drive, m, cells, n, extra, per_cell_sigma, per_cell_phi, q_layout, seed
     ):
         rng = np.random.default_rng(seed)
         grid = TimeGrid(np.cumsum(np.r_[0.0, rng.uniform(0.1, 1.0, cells)]))
@@ -123,10 +112,21 @@ class TestIsometry:
         spec = NoiseSpec(d_cyl, d_drive, rng.standard_normal(sig_shape), q_drive=q)
         mats = rng.standard_normal((cells, m, d_cyl) if per_cell_phi else (m, d_cyl))
         phi = IntegrandProcess(grid, mats) if per_cell_phi else IntegrandProcess.constant(grid, mats)
-        ens = simulate(spec, grid, n, seed)
-        fast, reference = ito_isometry(phi, ens), _isometry_reference(phi, ens)
+
+        def materialized(ens):
+            # the same ensemble and integrand with sigma and phi stored per path
+            per_path = dataclasses.replace(ens, sigma_path=ens.sigma_for_paths().copy())
+            return IntegrandProcess(grid, phi.for_paths(ens.n_paths).copy()), per_path
+
+        ens, large = simulate(spec, grid, n, seed), simulate(spec, grid, n + extra, seed)
+        shared, per_path = ito_isometry(phi, ens), ito_isometry(*materialized(ens))
         for field in ("lhs", "rhs", "z"):
-            assert np.array_equal(getattr(fast, field), getattr(reference, field)), field
+            assert np.array_equal(getattr(shared, field), getattr(per_path, field)), field
+        energy = _path_energy(phi, ens)
+        assert np.array_equal(_path_energy(*materialized(ens)), energy)
+        # a path's energy does not depend on how many paths the ensemble has
+        assert np.array_equal(_path_energy(phi, large)[:n], energy)
+        assert np.array_equal(_path_energy(*materialized(large))[:n], energy)
 
 
 class TestPanel:
@@ -200,6 +200,32 @@ class TestPanel:
         assert panel["columns"] == BDGReport.CSV_HEADER.split(",")
         assert panel["rows"] and all(len(row) == len(panel["columns"]) for row in panel["rows"])
         assert panel["rows"][0][1:4] == [1.0, "hilbert", 100.0]
+
+    def test_zero_sigma_row_written_as_null(self, grid, monkeypatch):
+        # M = 0 has no finite ratio: its rows carry None (JSON null) and the
+        # degenerate flag, and the fitted brackets skip them
+        zero = BDGInstance(
+            "zero", NoiseSpec(1, 1, np.zeros((1, 1))), IntegrandProcess.constant(grid, np.eye(1))
+        )
+        unit = BDGInstance(
+            "unit", NoiseSpec(1, 1, np.eye(1)), IntegrandProcess.constant(grid, np.eye(1))
+        )
+        monkeypatch.setattr(experiments, "_panel_instances", lambda rng, count: [zero, unit])
+        params = make_config(
+            "bdg", paths=100, instances=2, iso_instances=1, p_list=[2], gamma_samples=16
+        )["params"]
+        res = run_bdg(params, seed=14)
+        rows = {row[0]: row for row in res.series["bdg_panel"]["rows"]}
+        assert rows["zero"][8:] == [None, 1.0]
+        assert rows["unit"][8] is not None and rows["unit"][9] == 0.0
+        canonical_json(res.series)  # no NaN reaches the report
+        assert "bracket_C[p=2,hilbert]" in res.metrics
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_panel_instances_are_not_zero(self, seed):
+        # a rank-deficient instance keeps half its drivers even at d = 1
+        for inst in experiments._panel_instances(np.random.default_rng(seed), 30):
+            assert np.any(np.asarray(inst.spec.sigma) != 0), inst.name
 
 
 class TestTraceTerm:

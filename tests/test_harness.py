@@ -197,9 +197,11 @@ class TestReplay:
     def test_report_records_determinism_version(self, tmp_path):
         rep = run(make_config("countex", out=str(tmp_path)))
         obj = json.loads((Path(rep.run_dir) / "report.json").read_text())
-        assert obj["determinism"] == DETERMINISM == 2
+        assert obj["determinism"] == DETERMINISM == 3
 
-    @pytest.mark.parametrize("version", [1, None], ids=["version-1", "no-field"])
+    @pytest.mark.parametrize(
+        "version", [1, 2, None], ids=["version-1", "version-2", "no-field"]
+    )
     def test_other_determinism_version_refused_before_running(
         self, tmp_path, monkeypatch, version
     ):
@@ -211,12 +213,13 @@ class TestReplay:
         else:
             obj["determinism"] = version
         path.write_text(json.dumps(obj))
+        stored = 1 if version is None else version
 
         def must_not_run(*args):
             raise AssertionError("an experiment ran")
 
         monkeypatch.setitem(EXPERIMENTS, "countex", must_not_run)
-        with pytest.raises(ReplayMismatch, match=r"version 1\b.*version 2\b"):
+        with pytest.raises(ReplayMismatch, match=rf"version {stored}\b.*version 3\b"):
             replay(path)
 
     def test_partial_bundle_structured_error(self, tmp_path):

@@ -1,8 +1,9 @@
-"""Path seeding against numpy's own per-path SeedSequence -> PCG64 streams.
+"""Path seeding against numpy's own generator.
 
-The reference is the per-path loop that ``path_rngs`` and ``simulate``
-replace: one ``Generator(PCG64(SeedSequence((seed, stream, i))))`` per path.
-The vectorized seeding must reproduce it bit for bit.
+Every ensemble draws its standard normals from one stream,
+``Generator(PCG64(SeedSequence((seed, 0))))``, path-major: path ``i`` is the
+``i``-th (K, d_drive) block.  The reference draws those blocks one path at a
+time from numpy's generator; ``simulate`` must reproduce it bit for bit.
 """
 
 import numpy as np
@@ -10,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cylmart._util as util
-from cylmart._util import path_rngs
+from cylmart._util import path_rngs, single_rng
 from cylmart.martingales import NoiseSpec, simulate
 from cylmart.measures import TimeGrid
 from cylmart.operators import psd_sqrt
 
-# seeds and streams across [0, 2**64): one- and two-word SeedSequence entropy
+# seeds across [0, 2**64): one- and two-word SeedSequence entropy
 words = st.one_of(
     st.integers(0, 2**32 - 1),
     st.integers(2**32, 2**64 - 1),
@@ -24,64 +24,70 @@ words = st.one_of(
 )
 
 
-def reference_rngs(seed, n, stream=0):
-    return [
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream, i))))
-        for i in range(n)
-    ]
+def numpy_stream(seed):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
 
 
 def reference_draws(spec, grid, n_paths, seed):
     root_q = psd_sqrt(spec.q())
     scale = np.sqrt(grid.widths)[:, None]
+    rng = numpy_stream(seed)
     return np.stack(
         [
             (rng.standard_normal((grid.n_cells, spec.d_drive)) @ root_q.T) * scale
-            for rng in reference_rngs(seed, n_paths)
+            for _ in range(n_paths)
         ]
     )
 
 
-def pcg64_pair(rng):
-    state = rng.bit_generator.state["state"]
-    return state["state"], state["inc"]
+SPEC = NoiseSpec(3, 2, np.arange(6.0).reshape(3, 2) / 5.0)
+GRID = TimeGrid.uniform(1.0, 6)
 
 
 class TestPathRngs:
-    @given(seed=words, stream=words, n=st.integers(1, 40))
-    @settings(max_examples=60, deadline=None)
-    def test_states_match_numpy(self, seed, stream, n):
-        expected = [pcg64_pair(rng) for rng in reference_rngs(seed, n, stream)]
-        assert path_rngs(seed, n, stream) == expected
-
-    def test_many_word_entropy(self):
-        # more than four entropy words exercises SeedSequence's overflow mixing
-        seed, stream = 2**200 + 12345, 2**70 + 1
-        expected = [pcg64_pair(rng) for rng in reference_rngs(seed, 5, stream)]
-        assert path_rngs(seed, 5, stream) == expected
+    @given(seed=words, n=st.integers(1, 10), extra=st.integers(1, 10))
+    @settings(max_examples=30, deadline=None)
+    def test_chunks_match_one_shot_draw(self, seed, n, extra):
+        # consecutive chunks from the one generator are the one-shot draw
+        rng = numpy_stream(seed)
+        chunks = np.concatenate(
+            [rng.standard_normal((n, 4, 3)), rng.standard_normal((extra, 4, 3))]
+        )
+        np.testing.assert_array_equal(path_rngs(seed, n + extra, (4, 3)), chunks)
+        np.testing.assert_array_equal(
+            chunks, numpy_stream(seed).standard_normal((n + extra, 4, 3))
+        )
 
     def test_numpy_integer_seeds(self):
-        expected = [pcg64_pair(rng) for rng in reference_rngs(7, 3, 2**63)]
-        assert path_rngs(np.int64(7), 3, np.uint64(2**63)) == expected
+        expected = simulate(SPEC, GRID, 3, 7).driver_increments
+        for seed in (np.int64(7), np.uint64(7)):
+            np.testing.assert_array_equal(simulate(SPEC, GRID, 3, seed).driver_increments, expected)
+        np.testing.assert_array_equal(expected, reference_draws(SPEC, GRID, 3, 7))
 
     def test_length_and_empty(self):
-        assert len(path_rngs(3, 17)) == 17
-        assert path_rngs(3, 0) == []
+        # one block per path, so the benchmark's stream count is the path count
+        assert len(path_rngs(3, 17, (4, 2))) == 17
+        assert path_rngs(3, 0, (4, 2)).shape == (0, 4, 2)
+        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+            simulate(SPEC, GRID, 0, 3)
 
     @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (-(2**40), 0)])
     def test_negative_seed_raises(self, seed, stream):
+        # numpy's SeedSequence refuses a negative seed or stream word
         with pytest.raises(ValueError, match="non-negative"):
-            path_rngs(seed, 4, stream)
+            single_rng(seed, stream)
+        if stream == 0:
+            with pytest.raises(ValueError, match="non-negative"):
+                path_rngs(seed, 4, (2,))
+            with pytest.raises(ValueError, match="non-negative"):
+                simulate(SPEC, GRID, 3, seed)
 
     @pytest.mark.parametrize("seed", [1.5, "3", None])
     def test_non_integer_seed_raises(self, seed):
         with pytest.raises(TypeError):
-            path_rngs(seed, 4)
-
-    def test_guard_catches_a_wrong_hash(self, monkeypatch):
-        monkeypatch.setattr(util, "_PCG64_MULT", util._PCG64_MULT + 2)
-        with pytest.raises(RuntimeError, match="disagrees with numpy"):
-            path_rngs(5, 3)
+            path_rngs(seed, 4, (2,))
+        with pytest.raises(TypeError):
+            simulate(SPEC, GRID, 4, seed)
 
 
 class TestSimulateDraws:
@@ -106,10 +112,8 @@ class TestSimulateDraws:
     @given(seed=words, n=st.integers(1, 10), extra=st.integers(1, 10))
     @settings(max_examples=30, deadline=None)
     def test_prefix_rule(self, seed, n, extra):
-        grid = TimeGrid.uniform(1.0, 6)
-        spec = NoiseSpec(3, 2, np.arange(6.0).reshape(3, 2) / 5.0)
-        small = simulate(spec, grid, n, seed)
-        large = simulate(spec, grid, n + extra, seed)
+        small = simulate(SPEC, GRID, n, seed)
+        large = simulate(SPEC, GRID, n + extra, seed)
         np.testing.assert_array_equal(small.driver_increments, large.driver_increments[:n])
         np.testing.assert_array_equal(small.m_evals, large.m_evals[:n])
         np.testing.assert_array_equal(small.bracket.increments, large.bracket.increments[:n])
@@ -117,4 +121,3 @@ class TestSimulateDraws:
     def test_negative_seed_raises(self):
         with pytest.raises(ValueError, match="non-negative"):
             simulate(NoiseSpec(1, 1, np.eye(1)), TimeGrid.uniform(1.0, 4), 3, -5)
-
