@@ -19,7 +19,15 @@ import numpy as np
 from ._util import flavor_norm, prefix_sums
 from .gammanorm import GammaKernel, gamma_norm
 from .integration import IntegrandProcess, integrand_increments, integrate
-from .martingales import MartEnsemble, NoiseSpec, qm_operator, qv_exact, simulate
+from .martingales import (
+    MartEnsemble,
+    NoiseSpec,
+    operator_rate,
+    qm_operator,
+    qv_exact,
+    rate_pairing,
+    simulate,
+)
 from .measures import IncreasingPath
 from .operators import psd_sqrt
 
@@ -49,31 +57,26 @@ class IsometryReport:
         return abs(self.z) <= 3.0
 
 
-def _kernel_matrices(phi: IntegrandProcess, spec: NoiseSpec) -> np.ndarray:
-    """phi * (operator density)^{1/2} per cell of phi's grid, shape (K, m, dc)."""
+def integral_kernel(phi: IntegrandProcess, spec: NoiseSpec, flavor="hilbert") -> GammaKernel:
+    """Kernel phi * (operator density)^{1/2} against the bracket measure, on
+    phi's grid, shape (K, m, dc)."""
     if phi.matrices.ndim != 3:
         raise ValueError("kernel construction needs a deterministic integrand")
     roots = np.stack([psd_sqrt(q) for q in qm_operator(spec, phi.grid).matrices])
-    return np.einsum("kmc,kcd->kmd", phi.matrices, roots)
-
-
-def integral_kernel(phi: IntegrandProcess, spec: NoiseSpec, flavor="hilbert") -> GammaKernel:
-    """Kernel phi * (operator density)^{1/2} against the bracket measure, on
-    phi's grid."""
-    mats = _kernel_matrices(phi, spec)
+    mats = np.einsum("kmc,kcd->kmd", phi.matrices, roots)
     return GammaKernel(qv_exact(spec, phi.grid), mats, flavor)
 
 
 def _path_energy(phi: IntegrandProcess, ens: MartEnsemble) -> np.ndarray:
     """Each path's exact kernel energy, the sum over cells of
-    ||phi sigma Q^{1/2}||_HS^2 dt, shape (n,).
+    tr(phi sigma Q sigma^T phi^T) dt, shape (n,).
 
-    phi sigma broadcasts over whichever operand is per path, so a shared
-    ensemble computes one row for all paths; each path is summed alone, so
-    its energy does not depend on the ensemble's size.
+    The rate and phi broadcast over whichever operand is per path, so a
+    shared ensemble computes one row for all paths; each path is summed
+    alone, so its energy does not depend on the ensemble's size.
     """
-    rows = phi.matrices @ ens.sigma_path
-    energy = np.sum((rows @ ens.spec.q()) * rows, axis=(-2, -1))
+    sig = ens.sigma_path
+    energy = rate_pairing(phi.matrices, operator_rate(sig, ens.spec.q(), sig), phi.matrices)
     return np.broadcast_to(np.sum(energy * ens.grid.widths, axis=-1), (ens.n_paths,))
 
 
@@ -280,10 +283,10 @@ def ito_residual(
 
     The state is zeta = xi + int psi dA + int phi dM, built by left-point
     accumulation.  The residual subtracts the time term, the dA term, the
-    stochastic term and half the trace correction (the bilinear form of the
-    second derivative evaluated through phi (density)^{1/2}, against the
-    bracket) from f(t, zeta(t)) - f(0, zeta(0)).  All derivative callables
-    take (t, states) with states batched over paths.
+    stochastic term and the trace correction 1/2 tr(H phi A phi^T) dt, with
+    H the second derivative and A = sigma Q sigma^T, from f(t, zeta(t)) -
+    f(0, zeta(0)).  All derivative callables take (t, states) with states
+    batched over paths.
     """
     grid = ens.grid
     k = grid.n_cells
@@ -294,8 +297,11 @@ def ito_residual(
     # phi dM is contracted a cell (or a path) at a time, never held as an
     # (n, K, m) array; cell 0 first, which checks the grids
     stoch = integrand_increments(phi, ens, np.s_[:, :1])[:, 0]
-    kernels = _kernel_matrices(phi, ens.spec)  # (K, m, dc); rejects a per-path phi
-    dqv = qv_exact(ens.spec, grid).increments
+    if phi.matrices.ndim != 3:
+        raise ValueError("the trace term needs a deterministic integrand")
+    sig = ens.spec.sigma_on_grid(grid)
+    # phi A phi^T per cell, A = sigma Q sigma^T: the density of int phi dM
+    phi_rate = operator_rate(phi.matrices, operator_rate(sig, ens.spec.q(), sig), phi.matrices)
 
     xi = np.broadcast_to(np.asarray(xi, dtype=float), (n, m))
 
@@ -334,12 +340,12 @@ def ito_residual(
             stoch = integrand_increments(phi, ens, np.s_[:, i : i + 1])[:, 0]
         grad = np.asarray(d2f(t, state), dtype=float)  # (n, m)
         hess = np.asarray(d22f(t, state), dtype=float)  # (n, m, m)
-        tr = np.einsum("md,nmf,fd->n", kernels[i], hess, kernels[i])
+        tr = np.einsum("nmf,fm->n", hess, phi_rate[i])  # tr(H phi A phi^T)
         correction = correction + (
             np.asarray(d1f(t, state), dtype=float) * grid.widths[i]
             + grad @ (psi_vals[i] * da[i])
             + np.einsum("nm,nm->n", grad, stoch)
-            + 0.5 * tr * dqv[i]
+            + 0.5 * tr * grid.widths[i]
         )
         if i == 0:
             run[...] = stoch

@@ -20,6 +20,7 @@ from .martingales import (
     OperatorProcess,
     grid_stop_indices,
     operator_rate,
+    rate_pairing,
     stop_ensemble,
 )
 from .measures import GridMeasure, TimeGrid
@@ -220,16 +221,13 @@ def bracket_of_integral(
 ) -> GridMeasure:
     """Exact bracket of the scalar integral of a row integrand.
 
-    Increment = phi sigma Q sigma^T phi^T dt, i.e. the normalized operator
-    density paired with the bracket measure of the truncation.
+    Increment = <phi, sigma Q sigma^T phi> dt, the operator density paired
+    with the row at each cell.
     """
     phi_row = np.asarray(phi_row, dtype=float)
-    if phi_row.ndim == 1:
-        phi_row = np.broadcast_to(phi_row, (grid.n_cells, phi_row.size))
+    rows = np.broadcast_to(phi_row, (grid.n_cells, phi_row.shape[-1]))[:, None, :]
     sig = spec.sigma_on_grid(grid)
-    q = spec.q()
-    rows = np.einsum("kc,kcd->kd", phi_row, sig)
-    vals = np.einsum("kd,de,ke->k", rows, q, rows)
+    vals = rate_pairing(rows, operator_rate(sig, spec.q(), sig), rows)
     return GridMeasure(grid, vals * grid.widths)
 
 
@@ -245,6 +243,14 @@ def realized_bracket(paths: IntegralPaths) -> np.ndarray:
     return inc**2
 
 
+def _covariation_rate(spec1: NoiseSpec, spec2: NoiseSpec, grid: TimeGrid) -> np.ndarray:
+    """sigma_2 Q sigma_1^T per cell, shape (K, d_cyl2, d_cyl1); raises unless
+    the two specs share one driver (the same d_drive and covariance Q)."""
+    if spec1.d_drive != spec2.d_drive or not np.array_equal(spec1.q(), spec2.q()):
+        raise ValueError("specs must share one driver: the same d_drive and covariance Q")
+    return operator_rate(spec2.sigma_on_grid(grid), spec1.q(), spec1.sigma_on_grid(grid))
+
+
 def covariation_operator(
     spec1: NoiseSpec, spec2: NoiseSpec, grid: TimeGrid
 ) -> OperatorProcess:
@@ -253,12 +259,7 @@ def covariation_operator(
     Entry (y, x) at t_j is sum_{i<j} (sigma_2 Q sigma_1^T)[y, x] dt; for
     spec1 == spec2 this is the operator bracket.
     """
-    if spec1.d_drive != spec2.d_drive:
-        raise ValueError("specs must share one driver")
-    q1, q2 = spec1.q(), spec2.q()
-    if not np.array_equal(q1, q2):
-        raise ValueError("shared driver requires equal covariances")
-    rate = operator_rate(spec2.sigma_on_grid(grid), q1, spec1.sigma_on_grid(grid))
+    rate = _covariation_rate(spec1, spec2, grid)
     return OperatorProcess(grid, prefix_sums(rate * grid.widths[:, None, None]))
 
 
@@ -266,9 +267,8 @@ def covariation_norm_increments(
     spec1: NoiseSpec, spec2: NoiseSpec, grid: TimeGrid
 ) -> np.ndarray:
     """Per-cell increments of the scalar covariation ||dA_{12}|| (matrix 2-norm)."""
-    rate = operator_rate(spec2.sigma_on_grid(grid), spec1.q(), spec1.sigma_on_grid(grid))
-    norms = np.linalg.svd(rate, compute_uv=False)[..., 0]
-    return norms * grid.widths
+    rate = _covariation_rate(spec1, spec2, grid)
+    return np.linalg.svd(rate, compute_uv=False)[..., 0] * grid.widths
 
 
 @dataclass(frozen=True)
@@ -296,23 +296,14 @@ def kunita_watanabe_check(
     integrals for per-path (or deterministic) grid functions ``f`` (..., K,
     d1) and ``g`` (..., K, d2), and reports the worst slack.
     """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.ndim == 2:
-        f = f[None]
-    if g.ndim == 2:
-        g = g[None]
-    s1 = spec1.sigma_on_grid(grid)
-    s2 = spec2.sigma_on_grid(grid)
-    q = spec1.q()
-    if not np.array_equal(q, spec2.q()):
-        raise ValueError("shared driver requires equal covariances")
+    # one-row matrices per (path, cell), so that a deterministic f or g
+    # (K, d) pairs with every path
+    f = np.asarray(f, dtype=float)[..., None, :]
+    g = np.asarray(g, dtype=float)[..., None, :]
     dt = grid.widths
-    u = np.einsum("kcd,nkc->nkd", s1, f)  # sigma_1^T f
-    v = np.einsum("kcd,nkc->nkd", s2, g)
-    lhs = np.einsum("nkd,de,nke,k->n", u, q, v, dt) ** 2
-    r1 = np.einsum("nkd,de,nke,k->n", u, q, u, dt)
-    r2 = np.einsum("nkd,de,nke,k->n", v, q, v, dt)
+    lhs = (rate_pairing(g, _covariation_rate(spec1, spec2, grid), f) @ dt) ** 2
+    r1 = rate_pairing(f, _covariation_rate(spec1, spec1, grid), f) @ dt
+    r2 = rate_pairing(g, _covariation_rate(spec2, spec2, grid), g) @ dt
     slack = r1 * r2 - lhs
     scale = max(float(np.max(r1 * r2)), 1e-300)
     worst = float(np.min(slack))

@@ -7,16 +7,15 @@ be a constant matrix, a per-cell array, or an adapted callable
 ``sigma(t, w)`` of the cells' left endpoints and the running driver state
 W(t_i) before each cell, called once per ensemble.
 
-For this class the increasing bracket process, its operator version and the
-normalized operator density all have closed forms:
+For this class every quadratic object of M comes from one density,
+sigma Q sigma^T dt (``operator_rate``), and has a closed form:
 
-    bracket increment  = ||sigma Qn sigma^T|| * dNu       (Qn = Q/||Q||)
-    operator bracket   = cumsum sigma Qn sigma^T * dNu
-    polar operator     = sigma Qn sigma^T / ||sigma Qn sigma^T||
+    bracket increment  = ||sigma Q sigma^T|| dt
+    operator bracket   = cumsum sigma Q sigma^T dt
+    polar operator     = sigma Q sigma^T / ||sigma Q sigma^T||
 
-with dNu = ||Q|| dt the driver's own bracket measure.  The module computes
-these exactly on the grid and also estimates the bracket empirically from
-partition suprema over a unit-sphere sample.
+The module computes these exactly on the grid and also estimates the bracket
+empirically from partition suprema over a unit-sphere sample.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 
 from ._util import path_rngs, prefix_sums, single_rng
 from .measures import GridMeasure, TimeGrid, radon_nikodym
-from .operators import op_norm_sym, psd_sqrt
+from .operators import psd_sqrt
 
 __all__ = [
     "NoiseSpec",
@@ -42,6 +41,7 @@ __all__ = [
     "qm_operator",
     "qm_empirical",
     "operator_rate",
+    "rate_pairing",
     "qv_partition_estimate",
     "sphere_panel",
     "countex_spec",
@@ -68,10 +68,24 @@ def operator_rate(sig_a: np.ndarray, q: np.ndarray, sig_b: np.ndarray) -> np.nda
     """sigma_a Q sigma_b^T per cell, batched over leading axes: the operator
     density of the truncation (sigma_a = sigma_b) or a covariation rate.
 
-    The one spelling of this contraction, so that every density, bracket and
-    covariation built from it shares its bits.
+    The one place this product is formed, so that every bracket, density,
+    covariation, energy and trace term built from it shares its bits.  A
+    stacked matmul multiplies each cell alone, so a per-path sigma stack
+    gives each path the shared sigma's rate bit for bit.
     """
-    return np.einsum("...cd,de,...fe->...cf", sig_a, q, sig_b)
+    return sig_a @ q @ np.swapaxes(sig_b, -1, -2)
+
+
+def rate_pairing(x: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """tr(x A y^T) = sum over rows r of <x_r, A y_r>, batched over leading
+    axes: the energy, bracket and covariation of an integrand against a rate
+    A from :func:`operator_rate`.  Each cell is reduced alone."""
+    return np.sum((x @ a) * y, axis=(-2, -1))
+
+
+def _rate_norms(a: np.ndarray) -> np.ndarray:
+    """||A|| per cell of a symmetric rate stack."""
+    return np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
 
 
 def grid_stop_indices(tau_idx, n_paths: int, k: int) -> np.ndarray:
@@ -120,15 +134,6 @@ class NoiseSpec:
 
     def q(self) -> np.ndarray:
         return np.eye(self.d_drive) if self.q_drive is None else self.q_drive
-
-    def driver_qv_rate(self) -> float:
-        """||Q||: the driver bracket grows at this rate per unit time."""
-        return op_norm_sym(self.q())
-
-    def q_polar(self) -> np.ndarray:
-        """Q normalized to unit operator norm (zero matrix if Q = 0)."""
-        rate = self.driver_qv_rate()
-        return self.q() / rate if rate > 0 else np.zeros_like(self.q())
 
     def sigma_on_grid(self, grid: TimeGrid) -> np.ndarray:
         """Per-cell sigma values (K, d_cyl, d_drive); adapted specs need a path."""
@@ -280,12 +285,8 @@ class MartEnsemble:
 
 
 def _bracket_increments(spec: NoiseSpec, grid: TimeGrid, sigma_vals: np.ndarray) -> np.ndarray:
-    """||sigma Qn sigma^T|| dNu per cell; batched over leading axes."""
-    qn = spec.q_polar()
-    rate = spec.driver_qv_rate()
-    a = operator_rate(sigma_vals, qn, sigma_vals)
-    norms = np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
-    return norms * grid.widths * rate
+    """||sigma Q sigma^T|| dt per cell; batched over leading axes."""
+    return _rate_norms(operator_rate(sigma_vals, spec.q(), sigma_vals)) * grid.widths
 
 
 def _assemble(
@@ -349,7 +350,7 @@ def simulate(
 
 
 def qv_exact(spec: NoiseSpec, grid: TimeGrid) -> GridMeasure:
-    """Exact bracket measure ||sigma Qn sigma^T|| dNu for deterministic sigma.
+    """Exact bracket measure ||sigma Q sigma^T|| dt for deterministic sigma.
 
     For adapted sigma use the per-path brackets stored on the ensemble.
     """
@@ -371,11 +372,8 @@ def qm_operator(spec: NoiseSpec, grid: TimeGrid) -> OperatorProcess:
     """
     sigma_values = spec.sigma_on_grid(grid)
     a = operator_rate(sigma_values, spec.q(), sigma_values)
-    norms = np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
-    safe = np.where(norms > 0, norms, 1.0)
-    out = a / safe[:, None, None]
-    out[norms == 0] = 0.0
-    return OperatorProcess(grid, out)
+    norms = _rate_norms(a)[:, None, None]
+    return OperatorProcess(grid, np.divide(a, norms, out=np.zeros_like(a), where=norms > 0))
 
 
 def qm_empirical(am: OperatorProcess, qv: GridMeasure) -> OperatorProcess:

@@ -12,7 +12,6 @@ from cylmart.bdg import (
     BDGReport,
     IsometryReport,
     ItoReport,
-    _kernel_matrices,
     _path_energy,
     bdg_ratio_panel,
     fit_bracket,
@@ -29,6 +28,7 @@ from cylmart.harness import make_config
 from cylmart.integration import IntegrandProcess, integrate
 from cylmart.martingales import NoiseSpec, qv_exact, simulate, stop_ensemble
 from cylmart.measures import TimeGrid
+from cylmart.operators import op_norm_sym, psd_sqrt
 
 
 @pytest.fixture
@@ -405,6 +405,25 @@ class TestItoResidual:
             )
 
 
+# The trace term's kernels phi (density)^{1/2} and bracket increments
+# ||sigma Qn sigma^T|| ||Q|| dt (Qn = Q / ||Q||), as ito_residual formed them
+# before it read operator_rate.
+def reference_trace_kernels(phi, spec):
+    if phi.matrices.ndim != 3:
+        raise ValueError("kernel construction needs a deterministic integrand")
+    sig, q, grid = spec.sigma_on_grid(phi.grid), spec.q(), phi.grid
+    a = np.einsum("kcd,de,kfe->kcf", sig, q, sig)
+    norms = np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
+    qm = a / np.where(norms > 0, norms, 1.0)[:, None, None]
+    qm[norms == 0] = 0.0
+    roots = np.stack([psd_sqrt(x) for x in qm])
+    rate = op_norm_sym(q)
+    qn = q / rate if rate > 0 else np.zeros_like(q)
+    an = np.einsum("kcd,de,kfe->kcf", sig, qn, sig)
+    dqv = np.abs(np.linalg.eigvalsh(an)).max(axis=-1) * grid.widths * rate
+    return np.einsum("kmc,kcd->kmd", phi.matrices, roots), dqv
+
+
 # ito_residual as it was when it stored zeta and the residual for every cell.
 def reference_ito_residual(
     f, d1f, d2f, d22f, xi, psi, a_path, phi, ens, validate=True
@@ -448,8 +467,7 @@ def reference_ito_residual(
 
     if ens.spec.adapted:
         raise ValueError("residual checking needs a deterministic spec")
-    kernels = _kernel_matrices(phi, ens.spec)  # (K, m, dc)
-    dqv = qv_exact(ens.spec, grid).increments
+    kernels, dqv = reference_trace_kernels(phi, ens.spec)
 
     residual = np.empty((n, k + 1))
     f0 = np.asarray(f(grid.points[0], zeta[:, 0, :]), dtype=float)
@@ -513,7 +531,15 @@ def _outcome(fn, kwargs):
 
 
 class TestItoResidualOracle:
-    """The cell-by-cell reduction equals the stored-array form bit for bit."""
+    """The cell-by-cell reduction equals the stored-array form.
+
+    The reference forms the trace term through per-cell square roots of the
+    normalized density and the bracket, the new code as tr(H phi A phi^T) dt,
+    so the two differ in their last digits: up to 1.3e-13 in mean_terminal
+    over 3000 random draws of this strategy.  They must agree to 1e-12
+    relative plus 1e-10 absolute; dropping or halving the trace term moves
+    the residual by O(dt).
+    """
 
     @given(
         n=st.integers(2, 12),
@@ -558,8 +584,10 @@ class TestItoResidualOracle:
         if isinstance(want, str):  # a derivative check failed: it must fail alike
             assert got == want
             return
-        for field in ("mean_terminal", "se_terminal", "max_abs", "n_paths"):
-            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+        assert got.n_paths == want.n_paths
+        for field in ("mean_terminal", "se_terminal", "max_abs"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert np.isclose(g, w, rtol=1e-12, atol=1e-10, equal_nan=True), field
 
     def test_nan_propagates_to_max_abs(self, grid):
         ens = simulate(NoiseSpec(1, 1, np.eye(1)), grid, 20, seed=24)

@@ -108,6 +108,9 @@ class TestProblemSemigroup:
             pytest.param(
                 [[-1.0]], 2, r"generator shape \(1, 1\) does not match dim 2", id="shape"
             ),
+            pytest.param([[np.nan]], 1, "not all finite", id="nan"),
+            pytest.param([[-1.0, 0.0], [0.0, np.inf]], 2, "not all finite", id="inf"),
+            pytest.param([[-np.inf]], 1, "not all finite", id="minus-inf"),
         ],
     )
     def test_bad_generator_refused_at_construction(self, generator, m, message):

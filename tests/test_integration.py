@@ -290,6 +290,30 @@ class TestCovariation:
                 d2 = np.einsum("xi,ij,xj->x", xs, a2[l] - a2[j], xs)
                 assert np.all(np.abs(d12) <= np.sqrt(d1 * d2) + 1e-10)
 
+    @pytest.mark.parametrize(
+        "other",
+        [
+            pytest.param(NoiseSpec(2, 2, np.eye(2), q_drive=4.0 * np.eye(2)), id="other-q"),
+            pytest.param(NoiseSpec(2, 3, np.ones((2, 3))), id="other-d-drive"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            covariation_operator,
+            covariation_norm_increments,
+            lambda s1, s2, grid: kunita_watanabe_check(
+                np.ones((16, 2)), np.ones((16, 2)), s1, s2, grid
+            ),
+        ],
+        ids=["operator", "norm-increments", "kunita-watanabe"],
+    )
+    def test_other_driver_refused_in_either_order(self, grid, other, fn):
+        spec = NoiseSpec(2, 2, np.eye(2))
+        for one, two in ((spec, other), (other, spec)):
+            with pytest.raises(ValueError, match="specs must share one driver"):
+                fn(one, two, grid)
+
     def test_scalar_covariation_dominates(self, grid):
         rng = np.random.default_rng(6)
         s1 = NoiseSpec(2, 2, rng.standard_normal((2, 2)))

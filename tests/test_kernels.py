@@ -6,6 +6,10 @@ The references below are the code as it stood before ``prefix_sums``,
 ``operator_rate`` took over.  Cases cover shared, per-cell, adapted and
 stopped (per-path) sigma, constant, per-cell and per-path phi, non-uniform
 grids, and C- and F-ordered Q and phi.
+
+``operator_rate`` is two matmuls since determinism version 4, and its
+references are the einsum spelling it replaced, so its readers are compared
+at a stated tolerance (``assert_close``), not bit for bit.
 """
 
 from dataclasses import dataclass
@@ -30,6 +34,7 @@ from cylmart.martingales import (
     NoiseSpec,
     OperatorProcess,
     am_operator,
+    operator_rate,
     qm_operator,
     qv_exact,
     simulate,
@@ -264,6 +269,22 @@ def assert_same(got: np.ndarray, want: np.ndarray, label: str = ""):
     assert np.array_equal(got, want), label
 
 
+def abs_rate(sig_a: np.ndarray, q: np.ndarray, sig_b: np.ndarray) -> np.ndarray:
+    """|sigma_a| |Q| |sigma_b|^T: each entry bounds the terms that the matmul
+    and einsum spellings of sigma_a Q sigma_b^T add, so it sets their
+    rounding scale."""
+    return np.abs(sig_a) @ np.abs(q) @ np.swapaxes(np.abs(sig_b), -1, -2)
+
+
+def assert_close(got: np.ndarray, want: np.ndarray, scale: float, label: str = ""):
+    """Entrywise within 1e-12 * scale, ``scale`` an upper bound on the
+    absolute terms behind each entry.  The two spellings of sigma Q sigma^T
+    differ by a few eps of that scale (at most 6 eps over 3000 random cases
+    of each test below), so the tolerance leaves a margin of more than 700."""
+    assert got.shape == want.shape, label
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale, err_msg=label)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -370,7 +391,9 @@ class TestOperatorRate:
         ens = case.ens
         dirs = case.rng.standard_normal((4, ens.spec.d_cyl))
         got = ens.direction_bracket_increments(dirs)
-        assert_same(got, ref_direction_bracket_increments(ens, dirs))
+        a_abs = abs_rate(ens.sigma_path, ens.spec.q(), ens.sigma_path)
+        scale = a_abs.max() * np.abs(dirs).sum(axis=1).max() ** 2 * case.grid.widths.max()
+        assert_close(got, ref_direction_bracket_increments(ens, dirs), scale)
 
     @ORACLE
     @given(cases())
@@ -381,8 +404,15 @@ class TestOperatorRate:
         if case.stopped or spec.adapted:
             sig = case.ens.sigma_for_paths()[-1]
             spec = NoiseSpec(spec.d_cyl, spec.d_drive, sig, spec.q_drive)
-        for fn, ref in ((am_operator, ref_am_operator), (qm_operator, ref_qm_operator)):
-            assert_same(fn(spec, grid).matrices, ref(spec, grid).matrices, fn.__name__)
+        sig = spec.sigma_on_grid(grid)
+        a_abs = abs_rate(sig, spec.q(), sig).max(axis=(-2, -1))  # per cell
+        am = ref_am_operator(spec, grid)
+        assert_close(am_operator(spec, grid).matrices, am.matrices, a_abs.max() * grid.widths.sum())
+        # the density divides each cell by its norm, the bracket rate
+        norms = np.abs(np.linalg.eigvalsh(operator_rate(sig, spec.q(), sig))).max(axis=-1)
+        ratio = np.divide(a_abs, norms, out=np.zeros_like(norms), where=norms > 0)
+        qm = ref_qm_operator(spec, grid).matrices
+        assert_close(qm_operator(spec, grid).matrices, qm, ratio.max(initial=0.0))
 
     @ORACLE
     @given(cases(), st.integers(1, 3))
@@ -396,12 +426,62 @@ class TestOperatorRate:
             got, want = covariation_operator(one, two, grid), ref_covariation_operator(
                 one, two, grid
             )
-            assert_same(got.matrices, want.matrices, "operator")
-            assert_same(
+            sig1, sig2 = one.sigma_on_grid(grid), two.sigma_on_grid(grid)
+            scale = abs_rate(sig2, one.q(), sig1).max() * grid.widths.sum()
+            assert_close(got.matrices, want.matrices, scale, "operator")
+            assert_close(
                 covariation_norm_increments(one, two, grid),
                 ref_covariation_norm_increments(one, two, grid),
+                scale,
                 "norm increments",
             )
+
+    @ORACLE
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.integers(1, 5),
+        st.sampled_from([None, "C", "F"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_per_path_stack_matches_shared_bit_for_bit(self, dc, dc2, dd, k, n, q_layout, seed):
+        # ito_isometry's shared and per-path operands, and a stopped
+        # ensemble's per-path bracket, rest on this
+        rng = np.random.default_rng(seed)
+        q = np.eye(dd)
+        if q_layout is not None:
+            a = rng.standard_normal((dd, dd))
+            q = np.asarray(a @ a.T, order=q_layout)
+        sig_a, sig_b = rng.standard_normal((k, dc, dd)), rng.standard_normal((k, dc2, dd))
+        stack_a = np.broadcast_to(sig_a, (n,) + sig_a.shape)
+        stack_b = np.broadcast_to(sig_b, (n,) + sig_b.shape)
+        want = operator_rate(sig_a, q, sig_b)
+        for one, two in (
+            (stack_a, stack_b),
+            (stack_a.copy(), stack_b.copy()),
+            (stack_a.copy(), sig_b),
+            (sig_a, stack_b.copy()),
+        ):
+            got = operator_rate(one, q, two)
+            for p in range(n):
+                assert_same(got[p], want, f"path {p}")
+        grid = TimeGrid(np.cumsum(np.r_[0.0, rng.uniform(0.05, 1.0, k)]))
+        ens = simulate(NoiseSpec(dc, dd, sig_a, q_drive=None if q_layout is None else q), grid, n, seed)
+        stopped = stop_ensemble(ens, k)  # per-path sigma, nothing cut
+        assert not stopped.sigma_is_shared
+        assert_same(stopped.bracket.increments, np.asarray(ens.bracket.increments))
+
+    def test_identity_at_d128_is_exact(self):
+        d = 128
+        grid = TimeGrid(np.cumsum(np.r_[0.0, np.random.default_rng(5).uniform(0.05, 1.0, 16)]))
+        spec = NoiseSpec(d, d, np.eye(d))
+        sig = spec.sigma_on_grid(grid)
+        assert_same(operator_rate(sig, spec.q(), sig), np.broadcast_to(np.eye(d), sig.shape))
+        assert_same(qv_exact(spec, grid).increments, grid.widths)
+        ens = simulate(spec, grid, 3, seed=6)
+        assert_same(np.asarray(ens.bracket.increments), np.broadcast_to(grid.widths, (3, 16)))
 
     @ORACLE
     @given(cases())
