@@ -17,6 +17,7 @@ __all__ = [
     "flavor_p",
     "flavor_norm",
     "prefix_sums",
+    "cell_apply",
     "canonical_json",
     "config_hash",
     "int_at_least",
@@ -85,6 +86,18 @@ def prefix_sums(inc: np.ndarray, axis: int = 0) -> np.ndarray:
     tail = (slice(None),) * axis + (slice(1, None),)
     np.cumsum(inc, axis=axis, out=out[tail])
     return out
+
+
+def cell_apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Per-cell matrix-vector product, the one spelling of sigma dW, phi dM
+    and G dM.  Leading axes broadcast, so a shared (K, a, b) stack meets
+    (n, K, b) vectors without a per-path copy.
+
+    A path's results do not depend on the path count, on the cells or paths
+    read, or on whether an operand is shared; stopped and cut variants rely
+    on that.  They do depend on whether a cell's rows are contiguous.
+    """
+    return np.einsum("...ij,...j->...i", mats, vecs)
 
 
 def canonical_json(obj) -> str:

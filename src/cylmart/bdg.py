@@ -16,9 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import flavor_norm, prefix_sums
+from ._util import cell_apply, flavor_norm, prefix_sums
 from .gammanorm import GammaKernel, gamma_norm
-from .integration import IntegrandProcess, integrand_increments, integrate
+from .integration import IntegrandProcess, _check_integrand, integrate
 from .martingales import (
     MartEnsemble,
     NoiseSpec,
@@ -285,23 +285,17 @@ def ito_residual(
     accumulation.  The residual subtracts the time term, the dA term, the
     stochastic term and the trace correction 1/2 tr(H phi A phi^T) dt, with
     H the second derivative and A = sigma Q sigma^T, from f(t, zeta(t)) -
-    f(0, zeta(0)).  All derivative callables take (t, states) with states
-    batched over paths.
+    f(0, zeta(0)).  sigma is the ensemble's own, per path when it is adapted
+    or stopped, and phi may be per path.  All derivative callables take (t,
+    states) with states batched over paths.
     """
     grid = ens.grid
     k = grid.n_cells
     n = ens.n_paths
     m = phi.target_dim
-    if ens.spec.adapted:
-        raise ValueError("residual checking needs a deterministic spec")
-    # phi dM is contracted a cell (or a path) at a time, never held as an
-    # (n, K, m) array; cell 0 first, which checks the grids
-    stoch = integrand_increments(phi, ens, np.s_[:, :1])[:, 0]
-    if phi.matrices.ndim != 3:
-        raise ValueError("the trace term needs a deterministic integrand")
-    sig = ens.spec.sigma_on_grid(grid)
-    # phi A phi^T per cell, A = sigma Q sigma^T: the density of int phi dM
-    phi_rate = operator_rate(phi.matrices, operator_rate(sig, ens.spec.q(), sig), phi.matrices)
+    _check_integrand(phi, ens)
+    driven = ens.driven_increments()
+    mats, sig, q = phi.matrices, ens.sigma_path, ens.spec.q()
 
     xi = np.broadcast_to(np.asarray(xi, dtype=float), (n, m))
 
@@ -321,13 +315,14 @@ def ito_residual(
         cells = [(0, 0), (0, k // 2)] + ([(n - 1, k)] if n > 1 else [])
         pts = []
         for p, j in cells:
-            run_p = prefix_sums(integrand_increments(phi, ens, np.s_[p : p + 1])[0])
+            run_p = prefix_sums(cell_apply(mats if mats.ndim == 3 else mats[p], driven[p]))
             pts.append((grid.points[j], run_p[j] + (xi[p] + drift[j])))
         validate_derivatives(f, d1f, d2f, d22f, pts)
 
-    # zeta_j = run_j + (xi + drift_j) a cell at a time, run summing phi dM from
-    # a copy of cell 0 as cumsum does (a -0.0 keeps its sign); the residual is
-    # a running max |r| per path (np.maximum keeps a NaN) and the last values
+    # phi dM is contracted a cell at a time, never held as an (n, K, m) array;
+    # zeta_j = run_j + (xi + drift_j), run summing phi dM from a copy of cell
+    # 0 as cumsum does (a -0.0 keeps its sign); the residual is a running max
+    # |r| per path (np.maximum keeps a NaN) and the last values
     run = np.zeros((n, m))
     state = run + (xi + drift[0])
     f0 = np.asarray(f(grid.points[0], state), dtype=float)
@@ -336,11 +331,14 @@ def ito_residual(
     correction = np.zeros(n)
     for i in range(k):
         t = grid.points[i]
-        if i:
-            stoch = integrand_increments(phi, ens, np.s_[:, i : i + 1])[:, 0]
+        phi_i, sig_i = mats[..., i, :, :], sig[..., i, :, :]
+        stoch = cell_apply(phi_i, driven[:, i])
         grad = np.asarray(d2f(t, state), dtype=float)  # (n, m)
         hess = np.asarray(d22f(t, state), dtype=float)  # (n, m, m)
-        tr = np.einsum("nmf,fm->n", hess, phi_rate[i])  # tr(H phi A phi^T)
+        # phi A phi^T, A = sigma Q sigma^T the ensemble's own (stopped or
+        # adapted) density: the density of int phi dM in this cell
+        phi_rate = operator_rate(phi_i, operator_rate(sig_i, q, sig_i), phi_i)
+        tr = np.einsum("...mf,...fm->...", hess, phi_rate)  # tr(H phi A phi^T)
         correction = correction + (
             np.asarray(d1f(t, state), dtype=float) * grid.widths[i]
             + grad @ (psi_vals[i] * da[i])

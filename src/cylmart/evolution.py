@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._util import finite_above_zero, int_at_least, single_rng
+from ._util import cell_apply, finite_above_zero, int_at_least, single_rng
 from .martingales import BracketPaths, MartEnsemble, grid_stop_indices, stop_ensemble
 from .measures import TimeGrid
 from .operators import check_symmetric
@@ -197,8 +197,8 @@ def _drift_step(problem: SEEProblem, grid: TimeGrid, u: np.ndarray) -> Callable:
 def _noise_step(problem: SEEProblem, ens: MartEnsemble, u: np.ndarray) -> Callable:
     """Cell j's noise increment G(t_j, u_j) sigma dW_j."""
     driven = ens.driven_increments()  # (n, K, dc)
-    return lambda j: np.einsum(
-        "nmc,nc->nm", _eval_noise(problem, ens.grid.points[j], u[:, j, :]), driven[:, j, :]
+    return lambda j: cell_apply(
+        _eval_noise(problem, ens.grid.points[j], u[:, j, :]), driven[:, j, :]
     )
 
 
@@ -299,9 +299,18 @@ def vp_norm(
 
     The second summand weighs the path kernel by the per-path bracket (the
     Euclidean-flavor kernel norm, exact per path).  Cell values are the path
-    values at left endpoints.
+    values at left endpoints.  ``u`` is (paths, K+1, dim) on the ensemble's
+    grid, and 0 <= a <= b <= T; a window inside one cell is empty.
     """
     grid = ens.grid
+    if not finite_above_zero(p) or p < 1:
+        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
+    if not 0.0 <= a <= (grid.horizon if b is None else b) <= grid.horizon:
+        raise ValueError(f"need 0 <= a <= b <= T = {grid.horizon}, got a={a!r}, b={b!r}")
+    if np.ndim(u) != 3 or np.shape(u)[:2] != (ens.n_paths, grid.n_cells + 1):
+        raise ValueError(
+            f"u must have shape ({ens.n_paths}, {grid.n_cells + 1}, dim), got {np.shape(u)}"
+        )
     i0 = int(np.searchsorted(grid.points, a - 1e-12 * max(grid.horizon, 1.0)))
     i1 = grid.n_cells if b is None else int(
         np.searchsorted(grid.points, b - 1e-12 * max(grid.horizon, 1.0))

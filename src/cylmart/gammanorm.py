@@ -91,6 +91,11 @@ def _root_mean(sq: np.ndarray) -> tuple[float, float]:
     return value, (se_sq / (2 * value) if value > 0 else 0.0)
 
 
+def _check_samples(n_samples: int) -> None:
+    if n_samples < 2:
+        raise ValueError("need at least two samples for a standard error")
+
+
 def gamma_norm_mc(kernel: GammaKernel, n_samples: int, seed: int) -> GammaEstimate:
     """Monte-Carlo Gaussian-series estimate of the kernel norm.
 
@@ -99,8 +104,7 @@ def gamma_norm_mc(kernel: GammaKernel, n_samples: int, seed: int) -> GammaEstima
     of the resulting vector; the estimate is the root of the mean square with
     a delta-method standard error.  A zero-mass weight gives exactly zero.
     """
-    if n_samples < 2:
-        raise ValueError("need at least two samples for a standard error")
+    _check_samples(n_samples)
     if kernel.measure.total_mass == 0:
         return GammaEstimate(0.0, 0.0)
     w = kernel.weighted()  # (K, m, d)
@@ -272,6 +276,8 @@ def type2_cotype2_check(kernel: GammaKernel, n_samples: int = 4096, seed: int = 
     type-2 constant); for p <= 2 the inequality reverses.  The report carries
     the ratio; panels record the empirical constant.
     """
+    # a Hilbert flavor's full norm is exact and never reaches gamma_norm_mc
+    _check_samples(n_samples)
     full = gamma_norm(kernel, n_samples, seed)
     rng = single_rng(seed + 1, stream=13)
     g = rng.standard_normal((n_samples, kernel.grid.n_cells, kernel.input_dim))

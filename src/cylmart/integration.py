@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import prefix_sums
+from ._util import cell_apply, prefix_sums
 from .martingales import (
     MartEnsemble,
     NoiseSpec,
@@ -75,15 +75,6 @@ class IntegrandProcess:
         matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         return cls(grid, np.broadcast_to(matrix, (grid.n_cells,) + matrix.shape).copy())
 
-    def for_paths(self, n: int) -> np.ndarray:
-        """(n, K, m, d_cyl) matrices for an n-path ensemble: a deterministic
-        integrand as a read-only broadcast view, a per-path one as stored."""
-        if self.matrices.ndim == 3:
-            return np.broadcast_to(self.matrices, (n,) + self.matrices.shape)
-        if self.matrices.shape[0] != n:
-            raise ValueError("per-path integrand does not match path count")
-        return self.matrices
-
 
 @dataclass(frozen=True)
 class IntegralPaths:
@@ -102,18 +93,20 @@ class IntegralPaths:
         return self.values[:, -1, :]
 
 
-def integrand_increments(
-    phi: IntegrandProcess, ens: MartEnsemble, at: tuple = np.s_[:, :]
-) -> np.ndarray:
-    """phi(t_i) dM_i per path and cell, shape (n, K, m), from the ensemble's
-    increments sigma(t_i) dW_i.  ``at`` slices the path and cell axes, so
-    that a block of paths or cells is contracted without the rest."""
+def _check_integrand(phi: IntegrandProcess, ens: MartEnsemble) -> None:
+    """Raise unless phi lives on the ensemble's grid and, if it is per path,
+    has one path per ensemble path."""
     if phi.grid != ens.grid:
         raise ValueError("integrand and ensemble grids differ")
-    # single contraction spelling; see martingales._driven for why
-    return np.einsum(
-        "nkmc,nkc->nkm", phi.for_paths(ens.n_paths)[at], ens.driven_increments()[at]
-    )
+    if phi.matrices.ndim == 4 and phi.matrices.shape[0] != ens.n_paths:
+        raise ValueError("per-path integrand does not match path count")
+
+
+def integrand_increments(phi: IntegrandProcess, ens: MartEnsemble) -> np.ndarray:
+    """phi(t_i) dM_i per path and cell, shape (n, K, m), from the ensemble's
+    increments sigma(t_i) dW_i."""
+    _check_integrand(phi, ens)
+    return cell_apply(phi.matrices, ens.driven_increments())
 
 
 def integrate(phi: IntegrandProcess, ens: MartEnsemble) -> IntegralPaths:
@@ -354,7 +347,7 @@ def stop_integral(
     )
 
     keep = np.arange(k)[None, :] < tau_idx[:, None]
-    cut = phi.for_paths(ens.n_paths) * keep[:, :, None, None]
+    cut = phi.matrices * keep[:, :, None, None]
     indicator = integrate(IntegrandProcess(ens.grid, cut), ens)
 
     frozen = integrate(phi, stop_ensemble(ens, tau_idx))
@@ -371,7 +364,9 @@ def local_property_check(
     there.
     """
     event_mask = _event_mask(event_mask, ens.n_paths)
-    if np.any(phi.for_paths(ens.n_paths)[event_mask]):
+    _check_integrand(phi, ens)
+    mats = phi.matrices if phi.matrices.ndim == 3 else phi.matrices[event_mask]
+    if event_mask.any() and np.any(mats):
         raise ValueError("integrand does not vanish on the given event")
     zeta = integrate(phi, ens)
     worst = float(np.abs(zeta.values[event_mask]).max()) if event_mask.any() else 0.0

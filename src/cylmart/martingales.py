@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import path_rngs, prefix_sums, single_rng
+from ._util import cell_apply, path_rngs, prefix_sums, single_rng
 from .measures import GridMeasure, TimeGrid, radon_nikodym
 from .operators import psd_sqrt
 
@@ -51,17 +51,6 @@ __all__ = [
 ]
 
 SigmaLike = np.ndarray | Callable[..., np.ndarray]
-
-
-def _driven(sigma_vals: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """sigma(t_i) dW_i per path/cell via one fixed einsum spelling.
-
-    Keeping a single contraction path makes stopped/cut variants of the same
-    data bit-identical, which the optional-stopping identity relies on.
-    """
-    if sigma_vals.ndim == 3:
-        sigma_vals = np.broadcast_to(sigma_vals, dw.shape[:1] + sigma_vals.shape)
-    return np.einsum("nkcd,nkd->nkc", sigma_vals, dw)
 
 
 def operator_rate(sig_a: np.ndarray, q: np.ndarray, sig_b: np.ndarray) -> np.ndarray:
@@ -250,14 +239,6 @@ class MartEnsemble:
     def sigma_is_shared(self) -> bool:
         return self.sigma_path.ndim == 3
 
-    def sigma_for_paths(self) -> np.ndarray:
-        """(n, K, dc, dd) view regardless of path dependence."""
-        if self.sigma_is_shared:
-            return np.broadcast_to(
-                self.sigma_path, (self.n_paths,) + self.sigma_path.shape
-            )
-        return self.sigma_path
-
     def driven_increments(self) -> np.ndarray:
         """sigma(t_i) dW_i per path and cell, shape (n, K, d_cyl)."""
         return self.driven
@@ -310,7 +291,7 @@ def _assemble(
     bracket_inc = _bracket_increments(spec, grid, sigma_vals)
     if sigma_vals.ndim == 3:
         bracket_inc = np.broadcast_to(bracket_inc, (n_paths, k))
-    driven = _driven(sigma_vals, dw)
+    driven = cell_apply(sigma_vals, dw)
     driven.flags.writeable = False
     return MartEnsemble(
         spec=spec,
@@ -524,5 +505,5 @@ def stop_ensemble(ens: MartEnsemble, tau_idx: np.ndarray) -> MartEnsemble:
     tau_idx = grid_stop_indices(tau_idx, ens.n_paths, k)
     keep = (np.arange(k)[None, :] < tau_idx[:, None]).astype(float)
     dw = ens.driver_increments * keep[:, :, None]
-    sigma_vals = ens.sigma_for_paths() * keep[:, :, None, None]
+    sigma_vals = ens.sigma_path * keep[:, :, None, None]
     return _assemble(ens.spec, ens.grid, ens.seed, dw, sigma_vals)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import prefix_sums
+from ._util import cell_apply, prefix_sums
 from .gammanorm import GammaKernel, gamma_norm
 from .integration import CheckReport, IntegrandProcess, integrate
 from .martingales import BracketPaths, MartEnsemble
@@ -202,20 +202,17 @@ def dds_integral_check(phi: IntegrandProcess, ens: MartEnsemble, tc: TimeChange)
     """
     clock = tc.for_ensemble(ens)
     source = integrate(phi, ens).values  # (n, K+1, m)
-    vec = ens.m_evals  # (n, K+1, dc)
-    mats = phi.for_paths(ens.n_paths)
     k = ens.grid.n_cells
+    paths = np.arange(ens.n_paths)[:, None]
+    idx = clock.tau_idx
+    cells = np.minimum(idx[:, :-1], k - 1)  # source cell of each s-cell
+    psi = phi.matrices[cells] if phi.matrices.ndim == 3 else phi.matrices[paths, cells]
+    dn = np.diff(ens.m_evals[paths, idx], axis=1)  # (n, K, dc)
+    transported = prefix_sums(cell_apply(psi, dn), axis=1)
     gaps = np.empty(ens.n_paths)
-    for p in range(ens.n_paths):
-        prefix = clock.prefix[p]
-        s_pts = clock.s_points[p]
-        idx = clock.tau_idx[p]
-        cells = np.minimum(idx[:-1], k - 1)  # source cell of each s-cell
-        psi = mats[p][cells]  # (K, m, dc)
-        dn = vec[p][idx[1:]] - vec[p][idx[:-1]]  # (K, dc)
-        transported = prefix_sums(np.einsum("kmc,kc->km", psi, dn))
+    for p, (s_pts, prefix) in enumerate(zip(clock.s_points, clock.prefix)):
         back = _last_at_or_below(s_pts, prefix, prefix[-1], k)
-        gaps[p] = np.abs(source[p] - transported[back]).max()
+        gaps[p] = np.abs(source[p] - transported[p, back]).max()
     max_mass = float(np.diff(tc.prefix, axis=1).max())
     return DdsReport(gaps=gaps, max_cell_mass=max_mass)
 
@@ -288,8 +285,7 @@ def plateau_constancy_check(ens: MartEnsemble):
     totals = ens.bracket.prefix()[:, -1]
     thresh = PLATEAU_RTOL * np.maximum(totals, 1e-300)
     plateau = ens.bracket.increments <= thresh[:, None]  # (n, K)
-    sig = ens.sigma_for_paths()
-    sigma_zero = np.all(sig == 0.0, axis=(-2, -1))  # (n, K)
+    sigma_zero = np.all(ens.sigma_path == 0.0, axis=(-2, -1))  # (K,) or (n, K)
     target = plateau & sigma_zero
     m_inc = np.diff(ens.m_evals, axis=1)  # (n, K, n_h)
     worst = float(np.abs(m_inc[target]).max()) if target.any() else 0.0

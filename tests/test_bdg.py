@@ -115,8 +115,10 @@ class TestIsometry:
 
         def materialized(ens):
             # the same ensemble and integrand with sigma and phi stored per path
-            per_path = dataclasses.replace(ens, sigma_path=ens.sigma_for_paths().copy())
-            return IntegrandProcess(grid, phi.for_paths(ens.n_paths).copy()), per_path
+            n = ens.n_paths
+            sig = np.broadcast_to(ens.sigma_path, (n,) + ens.sigma_path.shape).copy()
+            mats = np.broadcast_to(phi.matrices, (n,) + phi.matrices.shape).copy()
+            return IntegrandProcess(grid, mats), dataclasses.replace(ens, sigma_path=sig)
 
         ens, large = simulate(spec, grid, n, seed), simulate(spec, grid, n + extra, seed)
         shared, per_path = ito_isometry(phi, ens), ito_isometry(*materialized(ens))
@@ -279,8 +281,31 @@ class TestDerivativeValidation:
             )
 
 
+def _square_functional():
+    """f = |x|^2 with its exact derivatives."""
+    return dict(
+        f=lambda t, x: np.sum(x**2, axis=1),
+        d1f=lambda t, x: np.zeros(x.shape[0]),
+        d2f=lambda t, x: 2.0 * x,
+        d22f=lambda t, x: np.broadcast_to(2.0 * np.eye(x.shape[1]), x.shape + x.shape[1:]),
+    )
+
+
+def _assert_terminal_residuals(rep, residuals):
+    """The report's mean and standard error are those of the given per-path
+    terminal residuals, to round-off."""
+    n = residuals.size
+    assert rep.n_paths == n
+    assert rep.mean_terminal == pytest.approx(np.mean(residuals), rel=1e-9, abs=1e-12)
+    se = np.std(residuals, ddof=1) / np.sqrt(n)
+    assert rep.se_terminal == pytest.approx(se, rel=1e-9, abs=1e-12)
+    assert rep.max_abs >= np.abs(residuals).max() - 1e-12
+
+
 class TestItoResidual:
-    @pytest.mark.parametrize("case", ["adapted sigma", "per-path phi", "other grid"])
+    # the one refusal left: adapted sigma and per-path phi are the paper's
+    # class, accepted (test_accepts_the_papers_class)
+    @pytest.mark.parametrize("case", ["other grid"])
     def test_rejects_before_calling_f(self, grid, case):
         calls = []
 
@@ -291,16 +316,9 @@ class TestItoResidual:
 
             return fn
 
-        spec = NoiseSpec(1, 1, np.eye(1))
-        phi = IntegrandProcess.constant(grid, np.eye(1))
-        if case == "adapted sigma":
-            spec = NoiseSpec(1, 1, lambda t, w: np.ones(w.shape[:-1] + (1, 1)))
-        ens = simulate(spec, grid, 4, seed=23)
-        if case == "per-path phi":
-            phi = IntegrandProcess(grid, np.ones((4, grid.n_cells, 1, 1)))
-        if case == "other grid":
-            phi = IntegrandProcess.constant(TimeGrid.uniform(2.0, grid.n_cells), np.eye(1))
-        with pytest.raises(ValueError, match="deterministic|grids differ"):
+        ens = simulate(NoiseSpec(1, 1, np.eye(1)), grid, 4, seed=23)
+        phi = IntegrandProcess.constant(TimeGrid.uniform(2.0, grid.n_cells), np.eye(1))
+        with pytest.raises(ValueError, match="grids differ"):
             ito_residual(
                 f=counted(lambda x: x[:, 0]),
                 d1f=counted(lambda x: np.zeros(x.shape[0])),
@@ -313,6 +331,50 @@ class TestItoResidual:
                 ens=ens,
             )
         assert calls == []
+
+    def test_stopped_square_reads_the_stopped_trace(self, grid):
+        # f = x^2, phi = sigma = 1, stopped at a per-path tau: the chain rule
+        # holds for the stopped process, and path p's residual is
+        # sum_{i < tau_p} (d zeta_i)^2 - t_{tau_p}, with nothing after the stop
+        ens = simulate(NoiseSpec(1, 1, np.eye(1)), grid, 400, seed=27)
+        tau = np.random.default_rng(27).integers(0, grid.n_cells + 1, ens.n_paths)
+        stopped = stop_ensemble(ens, tau)
+        rep = ito_residual(
+            **_square_functional(),
+            xi=np.zeros(1),
+            psi=None,
+            a_path=None,
+            phi=IntegrandProcess.constant(grid, np.eye(1)),
+            ens=stopped,
+        )
+        want = np.sum(stopped.driven[:, :, 0] ** 2, axis=1) - grid.points[tau]
+        _assert_terminal_residuals(rep, want)
+        assert abs(rep.z) <= 3.0
+
+    @pytest.mark.parametrize("case", ["adapted sigma", "per-path phi"])
+    def test_accepts_the_papers_class(self, grid, case):
+        # f = x^2 in one dimension: path p's residual is the sum over cells of
+        # (phi sigma dW)^2 - phi^2 sigma^2 q dt, with the realized sigma and phi
+        q = 1.5
+        if case == "adapted sigma":
+            spec = NoiseSpec(
+                1, 1, lambda t, w: (1.0 + 0.5 * np.tanh(w))[..., None], q_drive=np.array([[q]])
+            )
+        else:
+            spec = NoiseSpec(1, 1, np.array([[0.8]]), q_drive=np.array([[q]]))
+        ens = simulate(spec, grid, 4000, seed=28)
+        phi_vals = np.ones((ens.n_paths, grid.n_cells))
+        if case == "per-path phi":
+            phi_vals = np.cos(ens.m_evals[:, :-1, 0])  # reads the past only
+        phi = IntegrandProcess(grid, phi_vals[:, :, None, None])
+        rep = ito_residual(
+            **_square_functional(), xi=np.zeros(1), psi=None, a_path=None, phi=phi, ens=ens
+        )
+        sig = np.broadcast_to(ens.sigma_path[..., 0, 0], phi_vals.shape)
+        inc = phi_vals * ens.driven[:, :, 0]
+        want = np.sum(inc**2 - (phi_vals * sig) ** 2 * q * grid.widths, axis=1)
+        _assert_terminal_residuals(rep, want)
+        assert abs(rep.z) <= 3.0
 
     def test_scalar_identity_exactly_zero(self, grid):
         ens = simulate(NoiseSpec(1, 1, np.eye(1)), grid, 200, seed=17)
@@ -424,7 +486,9 @@ def reference_trace_kernels(phi, spec):
     return np.einsum("kmc,kcd->kmd", phi.matrices, roots), dqv
 
 
-# ito_residual as it was when it stored zeta and the residual for every cell.
+# ito_residual as it was when it stored zeta and the residual for every cell,
+# with the trace term read from each path's own sigma (stopped ensembles carry
+# it per path).
 def reference_ito_residual(
     f, d1f, d2f, d22f, xi, psi, a_path, phi, ens, validate=True
 ):
@@ -465,9 +529,15 @@ def reference_ito_residual(
             pts.append((grid.points[-1], zeta[-1, -1]))
         validate_derivatives(f, d1f, d2f, d22f, pts)
 
-    if ens.spec.adapted:
-        raise ValueError("residual checking needs a deterministic spec")
-    kernels, dqv = reference_trace_kernels(phi, ens.spec)
+    # the trace kernels of each path's own sigma, as a per-cell spec
+    spec = ens.spec
+    sig_paths = np.broadcast_to(ens.sigma_path, (n,) + ens.sigma_path.shape[-3:])
+    per_path = [
+        reference_trace_kernels(phi, NoiseSpec(spec.d_cyl, spec.d_drive, sig, spec.q_drive))
+        for sig in sig_paths
+    ]
+    kernels = np.stack([kern for kern, _ in per_path])  # (n, K, m, dc)
+    dqv = np.stack([inc for _, inc in per_path])  # (n, K)
 
     residual = np.empty((n, k + 1))
     f0 = np.asarray(f(grid.points[0], zeta[:, 0, :]), dtype=float)
@@ -478,12 +548,12 @@ def reference_ito_residual(
         state = zeta[:, i, :]
         grad = np.asarray(d2f(t, state), dtype=float)  # (n, m)
         hess = np.asarray(d22f(t, state), dtype=float)  # (n, m, m)
-        tr = np.einsum("md,nmf,fd->n", kernels[i], hess, kernels[i])
+        tr = np.einsum("nmd,nmf,nfd->n", kernels[:, i], hess, kernels[:, i])
         correction = correction + (
             np.asarray(d1f(t, state), dtype=float) * grid.widths[i]
             + grad @ (psi_vals[i] * da[i])
             + np.einsum("nm,nm->n", grad, stoch_inc[:, i, :])
-            + 0.5 * tr * dqv[i]
+            + 0.5 * tr * dqv[:, i]
         )
         f_next = np.asarray(f(grid.points[i + 1], zeta[:, i + 1, :]), dtype=float)
         residual[:, i + 1] = f_next - f0 - correction

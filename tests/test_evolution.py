@@ -229,6 +229,34 @@ class TestVpNorm:
         half = vp_norm(u, ens, a=0.0, b=0.5)
         assert half == pytest.approx(full / np.sqrt(2), rel=1e-12)
 
+    @pytest.mark.parametrize("p", [0, -1.0, np.nan, np.inf, 0.5])
+    def test_bad_p_refused(self, p):
+        ens = simulate(WIENER, TimeGrid.uniform(1.0, 8), 2, seed=9)
+        with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+            vp_norm(np.ones((2, 9, 1)), ens, p=p)
+
+    @pytest.mark.parametrize(
+        "a, b", [(0.75, 0.25), (0.0, 1.5), (-0.1, 0.5), (np.nan, 0.5), (0.5, np.nan), (1.5, None)]
+    )
+    def test_window_outside_zero_to_horizon_refused(self, a, b):
+        ens = simulate(WIENER, TimeGrid.uniform(1.0, 8), 2, seed=10)
+        with pytest.raises(ValueError, match="need 0 <= a <= b <= T"):
+            vp_norm(np.ones((2, 9, 1)), ens, a=a, b=b)
+
+    def test_empty_window_is_zero(self):
+        # a == b on a grid point, or a window inside one cell, holds no cell
+        ens = simulate(WIENER, TimeGrid.uniform(1.0, 8), 2, seed=11)
+        u = np.ones((2, 9, 1))
+        assert vp_norm(u, ens, a=0.5, b=0.5) == 0.0
+        assert vp_norm(u, ens, a=0.55, b=0.6) == 0.0
+        assert vp_norm(u, ens, a=1.0, b=1.0) == 0.0
+
+    @pytest.mark.parametrize("shape", [(2, 8, 1), (3, 9, 1), (2, 9), (2, 10, 1)])
+    def test_u_off_the_grid_refused(self, shape):
+        ens = simulate(WIENER, TimeGrid.uniform(1.0, 8), 2, seed=12)
+        with pytest.raises(ValueError, match="u must have shape"):
+            vp_norm(np.ones(shape), ens)
+
 
 class TestRhoStoppingTimes:
     def test_unit_rate_never_crosses(self):

@@ -234,6 +234,13 @@ class TestTypeCotype:
         # p >= 2: full norm dominated by the cellwise aggregate (type-2 side)
         assert max(ratios) <= 1.0 + 0.05
 
+    @pytest.mark.parametrize("flavor", ["hilbert", 4])
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_too_few_samples_refused(self, flavor, n_samples):
+        kernel = random_kernel(np.random.default_rng(21), flavor=flavor)
+        with pytest.raises(ValueError, match="at least two samples"):
+            type2_cotype2_check(kernel, n_samples=n_samples, seed=22)
+
     def test_p1_reverses(self):
         rng = np.random.default_rng(20)
         ratios = [

@@ -2,10 +2,11 @@
 of the hand-written spellings it replaced, bit for bit.
 
 The references below are the code as it stood before ``prefix_sums``,
-``IntegrandProcess.for_paths``, ``integrand_increments`` and
-``operator_rate`` took over.  Cases cover shared, per-cell, adapted and
-stopped (per-path) sigma, constant, per-cell and per-path phi, non-uniform
-grids, and C- and F-ordered Q and phi.
+``cell_apply``, ``integrand_increments`` and ``operator_rate`` took over.
+Cases cover shared, per-cell, adapted and stopped (per-path) sigma,
+constant, per-cell and per-path phi, non-uniform grids, and C- and
+F-ordered Q and phi.  ``cell_apply`` is also checked against itself: its
+bits must not depend on how its operands are batched.
 
 ``operator_rate`` is two matmuls since determinism version 4, and its
 references are the einsum spelling it replaced, so its readers are compared
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylmart._util import prefix_sums
+from cylmart._util import cell_apply, prefix_sums
 from cylmart.integration import (
     IntegralPaths,
     IntegrandProcess,
@@ -348,31 +349,6 @@ class TestIntegrand:
         assert_same(got.gaps, want.gaps)
         assert got.max_cell_mass == want.max_cell_mass
 
-    def test_for_paths(self):
-        grid = TimeGrid.uniform(1.0, 4)
-        det = IntegrandProcess.constant(grid, np.ones((2, 3)))
-        view = det.for_paths(5)
-        assert view.shape == (5, 4, 2, 3) and view.strides[0] == 0
-        with pytest.raises(ValueError, match="read-only"):
-            view[0, 0, 0, 0] = 2.0
-        per_path = IntegrandProcess(grid, np.ones((5, 4, 2, 3)))
-        assert per_path.for_paths(5) is per_path.matrices
-        with pytest.raises(ValueError, match="does not match path count"):
-            per_path.for_paths(4)
-
-    @ORACLE
-    @given(cases())
-    def test_increments_by_block(self, case):
-        # a block of cells or paths, contracted alone, equals that block of
-        # the whole contraction bit for bit (ito_residual reads it so)
-        whole = integrand_increments(case.phi, case.ens)
-        for i in range(case.grid.n_cells):
-            got = integrand_increments(case.phi, case.ens, np.s_[:, i : i + 1])
-            assert_same(got, whole[:, i : i + 1], f"cell {i}")
-        for p in range(case.ens.n_paths):
-            got = integrand_increments(case.phi, case.ens, np.s_[p : p + 1])
-            assert_same(got, whole[p : p + 1], f"path {p}")
-
     def test_increments_check_grid_and_paths(self):
         grid = TimeGrid.uniform(1.0, 4)
         ens = simulate(NoiseSpec(3, 2, np.ones((3, 2))), grid, 5, seed=1)
@@ -382,6 +358,78 @@ class TestIntegrand:
         wrong = IntegrandProcess(grid, np.ones((4, 4, 2, 3)))
         with pytest.raises(ValueError, match="does not match path count"):
             integrand_increments(wrong, ens)
+
+
+@st.composite
+def cell_operands(draw):
+    """A shared (K, a, b) stack, an (n, K, a, b) per-path one and (n, K, b)
+    vectors; b spans the short and the vectorized reduction lengths, and the
+    cells are stored row- or column-major."""
+    n, k, a = draw(st.integers(1, 40)), draw(st.integers(1, 8)), draw(st.integers(1, 9))
+    b = draw(st.sampled_from([1, 2, 3, 5, 8, 17, 64, 130]))
+    column_major = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def stack(*lead):
+        if column_major:
+            return rng.standard_normal(lead + (b, a)).swapaxes(-1, -2)
+        return rng.standard_normal(lead + (a, b))
+
+    return stack(k), stack(n, k), rng.standard_normal((n, k, b))
+
+
+def per_path_copy(shared: np.ndarray, n: int) -> np.ndarray:
+    """``shared`` stored once for each of n paths, every cell laid out as in
+    ``shared``.  The layout matters: einsum reduces a row with contiguous
+    entries in another order than a strided one, so a C-ordered copy of a
+    column-major stack differs in the last bits."""
+    if shared.strides[-1] == shared.itemsize:
+        return np.broadcast_to(shared, (n,) + shared.shape).copy()
+    return per_path_copy(shared.swapaxes(-1, -2), n).swapaxes(-1, -2)
+
+
+class TestCellApply:
+    """sigma dW, phi dM and G dM share one product, so a stopped or cut
+    variant, a smaller ensemble and a cell-by-cell reader see the same bits."""
+
+    def test_matches_matrix_vector_products(self):
+        rng = np.random.default_rng(7)
+        mats, vecs = rng.standard_normal((3, 4, 2, 5)), rng.standard_normal((3, 4, 5))
+        got = cell_apply(mats, vecs)
+        want = np.array([[m @ v for m, v in zip(mp, vp)] for mp, vp in zip(mats, vecs)])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+        assert cell_apply(mats[0], vecs).shape == (3, 4, 2)
+
+    @ORACLE
+    @given(cell_operands())
+    def test_shared_stack_matches_materialized(self, ops):
+        shared, _, vecs = ops
+        want = cell_apply(shared, vecs)
+        stack = np.broadcast_to(shared, vecs.shape[:1] + shared.shape)
+        assert_same(cell_apply(stack, vecs), want, "broadcast view")
+        assert_same(cell_apply(per_path_copy(shared, len(vecs)), vecs), want, "materialized")
+
+    @ORACLE
+    @given(cell_operands(), st.data())
+    def test_path_prefix_of_larger_batch(self, ops, data):
+        shared, per_path, vecs = ops
+        p = data.draw(st.integers(1, vecs.shape[0]))
+        assert_same(cell_apply(shared, vecs[:p]), cell_apply(shared, vecs)[:p], "shared")
+        assert_same(
+            cell_apply(per_path[:p], vecs[:p]), cell_apply(per_path, vecs)[:p], "per path"
+        )
+
+    @ORACLE
+    @given(cell_operands())
+    def test_cell_and_path_slices(self, ops):
+        shared, per_path, vecs = ops
+        for mats in (shared, per_path):
+            whole = cell_apply(mats, vecs)
+            for i in range(vecs.shape[1]):
+                assert_same(cell_apply(mats[..., i, :, :], vecs[:, i]), whole[:, i], f"cell {i}")
+            for p in range(vecs.shape[0]):
+                one = mats if mats.ndim == 3 else mats[p]
+                assert_same(cell_apply(one, vecs[p]), whole[p], f"path {p}")
 
 
 class TestOperatorRate:
@@ -402,7 +450,7 @@ class TestOperatorRate:
         # one path's realized values, as a per-cell spec, for adapted or
         # stopped sigma; the spec's own values otherwise
         if case.stopped or spec.adapted:
-            sig = case.ens.sigma_for_paths()[-1]
+            sig = case.ens.sigma_path[-1]
             spec = NoiseSpec(spec.d_cyl, spec.d_drive, sig, spec.q_drive)
         sig = spec.sigma_on_grid(grid)
         a_abs = abs_rate(sig, spec.q(), sig).max(axis=(-2, -1))  # per cell

@@ -10,7 +10,6 @@ from cylmart.martingales import (
     NoiseSpec,
     _assemble,
     _bracket_increments,
-    _driven,
     am_operator,
     countex_spec,
     qm_empirical,
@@ -371,13 +370,20 @@ def _adapted_vol(t, w):
     return (1.0 + 0.5 * np.tanh(s) ** 2)[..., None, None] * np.array([[1.0, -0.5], [0.3, 2.0]])
 
 
+# sigma dW as martingales._driven spelled it before _util.cell_apply, verbatim.
+def reference_driven(sigma_vals: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    if sigma_vals.ndim == 3:
+        sigma_vals = np.broadcast_to(sigma_vals, dw.shape[:1] + sigma_vals.shape)
+    return np.einsum("nkcd,nkd->nkc", sigma_vals, dw)
+
+
 # Reference copies of the ensemble tails that ``_assemble`` replaced, with
 # every array computed eagerly; each returns the expected fields as a dict.
 def reference_simulate_tail(spec, grid, n_paths, seed, dw):
     k = grid.n_cells
     sigma_vals = spec.sigma_along(grid, dw) if spec.adapted else spec.sigma_on_grid(grid)
 
-    driven = _driven(sigma_vals, dw)
+    driven = reference_driven(sigma_vals, dw)
     if sigma_vals.ndim == 3:
         bracket_inc = np.broadcast_to(
             _bracket_increments(spec, grid, sigma_vals), (n_paths, k)
@@ -408,7 +414,7 @@ def reference_stop_ensemble(ens, tau_idx):
         sigma_vals = ens.sigma_path[None, :, :, :] * keep[:, :, None, None]
     else:
         sigma_vals = ens.sigma_path * keep[:, :, None, None]
-    driven = _driven(sigma_vals, dw)
+    driven = reference_driven(sigma_vals, dw)
     m_evals = np.zeros((ens.n_paths, k + 1, ens.spec.d_cyl))
     np.cumsum(driven, axis=1, out=m_evals[:, 1:, :])
     bracket_inc = _bracket_increments(ens.spec, ens.grid, sigma_vals)
@@ -490,7 +496,7 @@ class TestEnsembleCore:
 
 # Copies of the evaluations as they were when every call recomputed sigma dW.
 def reference_integrate(phi, ens):
-    driven = _driven(ens.sigma_path, ens.driver_increments)
+    driven = reference_driven(ens.sigma_path, ens.driver_increments)
     mats = phi.matrices
     if mats.ndim == 3:
         mats = np.broadcast_to(mats, (ens.n_paths,) + mats.shape)
@@ -501,14 +507,14 @@ def reference_integrate(phi, ens):
 
 
 def reference_m_evals(ens):
-    inc = _driven(ens.sigma_path, ens.driver_increments)
+    inc = reference_driven(ens.sigma_path, ens.driver_increments)
     out = np.zeros((ens.n_paths, ens.grid.n_cells + 1, ens.spec.d_cyl))
     np.cumsum(inc, axis=1, out=out[:, 1:, :])
     return out
 
 
 def reference_m_eval(ens, h):
-    inc = _driven(ens.sigma_path, ens.driver_increments) @ h
+    inc = reference_driven(ens.sigma_path, ens.driver_increments) @ h
     out = np.zeros((ens.n_paths, ens.grid.n_cells + 1))
     np.cumsum(inc, axis=1, out=out[:, 1:])
     return out
