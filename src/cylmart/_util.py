@@ -89,13 +89,14 @@ def prefix_sums(inc: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 def cell_apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Per-cell matrix-vector product, the one spelling of sigma dW, phi dM
-    and G dM.  Leading axes broadcast, so a shared (K, a, b) stack meets
-    (n, K, b) vectors without a per-path copy.
+    """Per-cell matrix-vector product, the one spelling of sigma dW,
+    (phi sigma) dW and G dM.  Leading axes broadcast, so a shared (K, a, b)
+    stack meets (n, K, b) vectors without a per-path copy.
 
     A path's results do not depend on the path count, on the cells or paths
     read, or on whether an operand is shared; stopped and cut variants rely
-    on that.  They do depend on whether a cell's rows are contiguous.
+    on that.  They do depend on whether a cell's rows are contiguous, so
+    the matrices are stored C-ordered where they enter the library.
     """
     return np.einsum("...ij,...j->...i", mats, vecs)
 

@@ -11,7 +11,7 @@ recorded, never asserted a priori.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -145,11 +145,12 @@ def _panel_one(
 ) -> list[BDGReport]:
     # the ensemble is integrate's argument alone, freed before the norm loop
     zeta = integrate(inst.phi, simulate(inst.spec, inst.phi.grid, n_paths, seed))
+    # the kernel's matrices and measure do not depend on the flavor
+    kernel = integral_kernel(inst.phi, inst.spec)
     reports = []
     for flavor in flavors:
         sups = flavor_norm(zeta.values, flavor).max(axis=1)
-        kernel = integral_kernel(inst.phi, inst.spec, flavor)
-        est = gamma_norm(kernel, n_samples=gamma_samples, seed=seed + 101)
+        est = gamma_norm(replace(kernel, flavor=flavor), n_samples=gamma_samples, seed=seed + 101)
         degenerate = est.value <= 1e-12
         for p in p_list:
             lhs_samples = sups**p
@@ -294,8 +295,8 @@ def ito_residual(
     n = ens.n_paths
     m = phi.target_dim
     _check_integrand(phi, ens)
-    driven = ens.driven_increments()
     mats, sig, q = phi.matrices, ens.sigma_path, ens.spec.q()
+    dw = ens.driver_increments
 
     xi = np.broadcast_to(np.asarray(xi, dtype=float), (n, m))
 
@@ -315,14 +316,15 @@ def ito_residual(
         cells = [(0, 0), (0, k // 2)] + ([(n - 1, k)] if n > 1 else [])
         pts = []
         for p, j in cells:
-            run_p = prefix_sums(cell_apply(mats if mats.ndim == 3 else mats[p], driven[p]))
+            phi_sig = (mats if mats.ndim == 3 else mats[p]) @ (sig if sig.ndim == 3 else sig[p])
+            run_p = prefix_sums(cell_apply(phi_sig, dw[p]))
             pts.append((grid.points[j], run_p[j] + (xi[p] + drift[j])))
         validate_derivatives(f, d1f, d2f, d22f, pts)
 
-    # phi dM is contracted a cell at a time, never held as an (n, K, m) array;
-    # zeta_j = run_j + (xi + drift_j), run summing phi dM from a copy of cell
-    # 0 as cumsum does (a -0.0 keeps its sign); the residual is a running max
-    # |r| per path (np.maximum keeps a NaN) and the last values
+    # phi dM = (phi sigma) dW is contracted a cell at a time, never held as an
+    # (n, K, m) array; zeta_j = run_j + (xi + drift_j), run summing phi dM from
+    # a copy of cell 0 as cumsum does (a -0.0 keeps its sign); the residual is
+    # a running max |r| per path (np.maximum keeps a NaN) and the last values
     run = np.zeros((n, m))
     state = run + (xi + drift[0])
     f0 = np.asarray(f(grid.points[0], state), dtype=float)
@@ -331,13 +333,13 @@ def ito_residual(
     correction = np.zeros(n)
     for i in range(k):
         t = grid.points[i]
-        phi_i, sig_i = mats[..., i, :, :], sig[..., i, :, :]
-        stoch = cell_apply(phi_i, driven[:, i])
+        phi_sig = mats[..., i, :, :] @ sig[..., i, :, :]
+        stoch = cell_apply(phi_sig, dw[:, i])
         grad = np.asarray(d2f(t, state), dtype=float)  # (n, m)
         hess = np.asarray(d22f(t, state), dtype=float)  # (n, m, m)
-        # phi A phi^T, A = sigma Q sigma^T the ensemble's own (stopped or
-        # adapted) density: the density of int phi dM in this cell
-        phi_rate = operator_rate(phi_i, operator_rate(sig_i, q, sig_i), phi_i)
+        # (phi sigma) Q (phi sigma)^T, with the ensemble's own (stopped or
+        # adapted) sigma: the density of int phi dM in this cell
+        phi_rate = operator_rate(phi_sig, q, phi_sig)
         tr = np.einsum("...mf,...fm->...", hess, phi_rate)  # tr(H phi A phi^T)
         correction = correction + (
             np.asarray(d1f(t, state), dtype=float) * grid.widths[i]

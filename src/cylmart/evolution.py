@@ -156,7 +156,8 @@ def _path_shape(
 
 
 def _eval_noise(problem: SEEProblem, t: float, states: np.ndarray) -> np.ndarray:
-    g = np.asarray(problem.noise_map(t, states), dtype=float)
+    """G(t, states), C-ordered (``cell_apply``'s bits depend on the layout)."""
+    g = np.ascontiguousarray(problem.noise_map(t, states), dtype=float)
     if g.ndim == 2:
         g = np.broadcast_to(g, (states.shape[0],) + g.shape)
     return g
@@ -223,8 +224,8 @@ def stoch_convolution(
 ) -> np.ndarray:
     """Left-point sum of int_0^t exp((t-s)A) G(s, u(s)) dM_s.
 
-    With a zero generator this reduces to plain accumulation of G sigma dW,
-    bit-identical to the integral of the same integrand.
+    With a zero generator this is the integral of G as G (sigma dW), equal
+    up to rounding to ``integrate``'s (G sigma) dW.
     """
     _path_shape(problem, ens, u)
     step = _noise_step(problem, ens, u)

@@ -1,10 +1,11 @@
 """Stochastic integrals against simulated cylindrical martingale truncations.
 
-Integrals are accumulated through the driver (phi sigma dW per cell, left
-endpoints) rather than by differencing evaluations of M, which keeps them
-free of realized-variation bias.  Brackets of integrals, covariation
-operators, the bilinear Cauchy-Schwarz check, optional stopping and the local
-property live here too.
+Integrals are accumulated through the driver at left endpoints: each cell's
+increment is (phi sigma) dW, the fused matrix phi sigma applied to the
+driver increment, so an integral forms neither sigma dW nor M and carries no
+realized-variation bias.  Brackets of integrals, covariation operators, the
+bilinear Cauchy-Schwarz check, optional stopping and the local property live
+here too.
 """
 
 from __future__ import annotations
@@ -51,15 +52,15 @@ class IntegrandProcess:
     """Operator-valued integrand at cell left endpoints.
 
     ``matrices`` is (K, m, d_cyl) for deterministic integrands or
-    (n_paths, K, m, d_cyl) per path; adapted integrands must only read
-    information strictly before their cell.
+    (n_paths, K, m, d_cyl) per path, stored C-ordered; adapted integrands
+    must only read information strictly before their cell.
     """
 
     grid: TimeGrid
     matrices: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrices, dtype=float)
+        m = np.ascontiguousarray(self.matrices, dtype=float)
         if m.ndim not in (3, 4) or m.shape[-3] != self.grid.n_cells:
             raise ValueError(f"integrand shape {m.shape} does not fit the grid")
         if not np.isfinite(m).all():
@@ -103,10 +104,10 @@ def _check_integrand(phi: IntegrandProcess, ens: MartEnsemble) -> None:
 
 
 def integrand_increments(phi: IntegrandProcess, ens: MartEnsemble) -> np.ndarray:
-    """phi(t_i) dM_i per path and cell, shape (n, K, m), from the ensemble's
-    increments sigma(t_i) dW_i."""
+    """phi(t_i) dM_i = (phi(t_i) sigma(t_i)) dW_i per path and cell, shape
+    (n, K, m).  phi sigma is per path only where phi or sigma is."""
     _check_integrand(phi, ens)
-    return cell_apply(phi.matrices, ens.driven_increments())
+    return cell_apply(phi.matrices @ ens.sigma_path, ens.driver_increments)
 
 
 def integrate(phi: IntegrandProcess, ens: MartEnsemble) -> IntegralPaths:

@@ -207,23 +207,23 @@ class BracketPaths:
 
 @dataclass(frozen=True)
 class MartEnsemble:
-    """Simulated paths of one truncation: driver increments, the driven
-    increments sigma(t_i) dW_i, and the exact per-path bracket.
+    """Simulated paths of one truncation: driver increments, the realized
+    sigma, and the exact per-path bracket.
 
-    The ensemble owns two (n, K, d) arrays: ``driver_increments`` and
-    ``driven``, which is computed once when the ensemble is built and is
-    read-only.  Its path count and grid are read from these.  With
-    deterministic sigma, ``sigma_path`` is one (K, dc, dd) array and
-    ``bracket.increments`` a read-only stride-0 view of one row; with adapted
-    or stopped sigma both are stored per path.  The coordinate evaluations
-    ``m_evals`` are prefix sums of ``driven``, computed on first use, kept
-    and read-only; ``m_eval(h)`` evaluates any other direction.
+    The ensemble owns one (n, K, d_drive) array, ``driver_increments``; its
+    path count and grid are read from it and the bracket.  With
+    deterministic sigma, ``sigma_path`` is one C-ordered (K, dc, dd) array
+    and ``bracket.increments`` a read-only stride-0 view of one row; with
+    adapted or stopped sigma both are stored per path.  Integrals multiply
+    phi sigma into dW and never read M itself.  The driven increments
+    sigma(t_i) dW_i (``driven``) and the coordinate evaluations ``m_evals``,
+    their prefix sums, are formed on first read, kept and read-only;
+    ``m_eval(h)`` evaluates any other direction.
     """
 
     spec: NoiseSpec
     seed: int
     driver_increments: np.ndarray  # (n, K, d_drive)
-    driven: np.ndarray  # (n, K, d_cyl), read-only
     bracket: BracketPaths
     sigma_path: np.ndarray  # (K, dc, dd) deterministic or (n, K, dc, dd)
 
@@ -238,6 +238,13 @@ class MartEnsemble:
     @property
     def sigma_is_shared(self) -> bool:
         return self.sigma_path.ndim == 3
+
+    @functools.cached_property
+    def driven(self) -> np.ndarray:
+        """sigma(t_i) dW_i per path and cell, shape (n, K, d_cyl), read-only."""
+        out = cell_apply(self.sigma_path, self.driver_increments)
+        out.flags.writeable = False
+        return out
 
     def driven_increments(self) -> np.ndarray:
         """sigma(t_i) dW_i per path and cell, shape (n, K, d_cyl)."""
@@ -280,24 +287,22 @@ def _assemble(
     """The one place an ensemble is built from driver increments and sigma.
 
     The bracket is exact per path (a read-only broadcast view of one row
-    when sigma is shared) and sigma dW is contracted once, here; evaluations
-    derive from it.
+    when sigma is shared).  sigma is stored C-ordered, as ``cell_apply``'s
+    bits depend on a cell's layout.
     """
     if not np.isfinite(dw).all():
         raise ValueError("driver increments are not all finite")
     if not np.isfinite(sigma_vals).all():
         raise ValueError("sigma values are not all finite")
     n_paths, k = dw.shape[:2]
+    sigma_vals = np.ascontiguousarray(sigma_vals)
     bracket_inc = _bracket_increments(spec, grid, sigma_vals)
     if sigma_vals.ndim == 3:
         bracket_inc = np.broadcast_to(bracket_inc, (n_paths, k))
-    driven = cell_apply(sigma_vals, dw)
-    driven.flags.writeable = False
     return MartEnsemble(
         spec=spec,
         seed=seed,
         driver_increments=dw,
-        driven=driven,
         bracket=BracketPaths(grid, bracket_inc),
         sigma_path=sigma_vals,
     )
