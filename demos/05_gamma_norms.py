@@ -1,7 +1,8 @@
 """Gaussian-series norms of kernels: exact, sampled, and their inequalities.
 
-Euclidean targets reduce to weighted Hilbert-Schmidt sums; p-norm targets are
-estimated by loading the discretized input basis with independent Gaussians.
+Every norm reads the kernel's covariance C = sum_k mu_k K_k K_k^T: Euclidean
+targets give sqrt(tr C) exactly; p-norm targets are estimated by sampling
+v = z C^{1/2} with z standard Gaussian.
 The sandwich (ideal) property, the running-integral bound and the index-swap
 ratio are checked as slack reports.
 """

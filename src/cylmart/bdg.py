@@ -23,12 +23,10 @@ from .martingales import (
     MartEnsemble,
     NoiseSpec,
     operator_rate,
-    qm_operator,
-    qv_exact,
     rate_pairing,
     simulate,
 )
-from .measures import IncreasingPath
+from .measures import GridMeasure, IncreasingPath
 from .operators import psd_sqrt
 
 __all__ = [
@@ -58,13 +56,15 @@ class IsometryReport:
 
 
 def integral_kernel(phi: IntegrandProcess, spec: NoiseSpec, flavor="hilbert") -> GammaKernel:
-    """Kernel phi * (operator density)^{1/2} against the bracket measure, on
-    phi's grid, shape (K, m, dc)."""
+    """Kernel phi sigma Q^{1/2} against dt on phi's grid, shape (K, m, d_drive).
+
+    It has the covariance sum phi sigma Q sigma^T phi^T dt of the paper's
+    kernel phi q_M^{1/2} against d[M], and a gamma-norm reads a kernel only
+    through its covariance, so no per-cell square root of q_M is needed."""
     if phi.matrices.ndim != 3:
         raise ValueError("kernel construction needs a deterministic integrand")
-    roots = np.stack([psd_sqrt(q) for q in qm_operator(spec, phi.grid).matrices])
-    mats = np.einsum("kmc,kcd->kmd", phi.matrices, roots)
-    return GammaKernel(qv_exact(spec, phi.grid), mats, flavor)
+    mats = phi.matrices @ spec.sigma_on_grid(phi.grid) @ psd_sqrt(spec.q())
+    return GammaKernel(GridMeasure(phi.grid, phi.grid.widths), mats, flavor)
 
 
 def _path_energy(phi: IntegrandProcess, ens: MartEnsemble) -> np.ndarray:

@@ -1,12 +1,11 @@
 """Gaussian-series norms of kernel operators L2(J, mu; H) -> R^m.
 
-A kernel is a per-cell matrix family against a weight measure.  In Euclidean
-flavor the norm is the weighted Hilbert-Schmidt sum, computed exactly; for
-p-norm targets it is estimated by Monte Carlo over Gaussian loadings of the
-discretized input basis (cells x coordinates, scaled by sqrt(increment)),
-which makes the estimator unbiased for the squared norm.  The ideal property,
-the prefix-integral bound and the Fubini-style index-space swap are provided
-as slack/ratio checks.
+A kernel is a per-cell matrix family against a weight measure.  Its norms
+read one m x m covariance C = sum_k mu_k K_k K_k^T, the law of its Gaussian
+series: in Euclidean flavor the norm is sqrt(tr C), exact; for p-norm
+targets it is the root mean square target norm of v = z C^{1/2}, z standard
+Gaussian, by Monte Carlo.  The ideal property, the prefix-integral bound and
+the Fubini-style index-space swap are provided as slack/ratio checks.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import numpy as np
 
 from ._util import flavor_norm, flavor_p, is_hilbert, single_rng
 from .measures import GridMeasure, TimeGrid
+from .operators import psd_sqrt
 
 __all__ = [
     "GammaKernel",
@@ -65,17 +65,19 @@ class GammaKernel:
     def input_dim(self) -> int:
         return self.matrices.shape[2]
 
-    def weighted(self) -> np.ndarray:
-        """Matrices scaled by sqrt(cell mass): the discretized operator."""
-        return self.matrices * np.sqrt(self.measure.increments)[:, None, None]
+    def covariance(self) -> np.ndarray:
+        """C = s s^T = sum_k mu_k K_k K_k^T, shape (m, m), with s the (m, K d)
+        stack of the matrices scaled by sqrt(cell mass)."""
+        s = self.matrices * np.sqrt(self.measure.increments)[:, None, None]
+        s = s.transpose(1, 0, 2).reshape(self.target_dim, -1)
+        return s @ s.T
 
 
 def gamma_norm_exact_hilbert(kernel: GammaKernel) -> float:
-    """Weighted Hilbert-Schmidt norm; only valid for the Euclidean flavor."""
+    """sqrt(tr C), the weighted Hilbert-Schmidt norm; Euclidean flavor only."""
     if not is_hilbert(kernel.flavor):
         raise ValueError("exact evaluation requires the Euclidean flavor")
-    sq = np.sum(kernel.matrices**2, axis=(1, 2)) @ kernel.measure.increments
-    return float(np.sqrt(sq))
+    return float(np.sqrt(np.trace(kernel.covariance())))
 
 
 @dataclass(frozen=True)
@@ -99,18 +101,13 @@ def _check_samples(n_samples: int) -> None:
 def gamma_norm_mc(kernel: GammaKernel, n_samples: int, seed: int) -> GammaEstimate:
     """Monte-Carlo Gaussian-series estimate of the kernel norm.
 
-    Each replica loads every basis vector of the discretized weighted input
-    space with an independent standard Gaussian and measures the target norm
-    of the resulting vector; the estimate is the root of the mean square with
-    a delta-method standard error.  A zero-mass weight gives exactly zero.
+    Each replica is v = z C^{1/2}, z standard Gaussian in R^m, so kernels of
+    one covariance give one estimate: the root of the mean square target norm
+    with a delta-method standard error.  A zero covariance gives exactly zero.
     """
     _check_samples(n_samples)
-    if kernel.measure.total_mass == 0:
-        return GammaEstimate(0.0, 0.0)
-    w = kernel.weighted()  # (K, m, d)
     rng = single_rng(seed, stream=7)
-    g = rng.standard_normal((n_samples, kernel.grid.n_cells, kernel.input_dim))
-    v = np.einsum("kmd,skd->sm", w, g)
+    v = rng.standard_normal((n_samples, kernel.target_dim)) @ psd_sqrt(kernel.covariance())
     value, stderr = _root_mean(flavor_norm(v, kernel.flavor) ** 2)
     return GammaEstimate(value, stderr)
 
@@ -123,13 +120,11 @@ def gamma_norm(kernel: GammaKernel, n_samples: int = 4096, seed: int = 0) -> Gam
 
 
 def kernel_operator_norm(kernel: GammaKernel) -> float:
-    """Operator norm of the discretized kernel (largest singular value).
+    """Operator norm of the discretized kernel, sqrt(largest eigenvalue of C).
 
     Always a lower bound for the Gaussian-series norm.
     """
-    w = kernel.weighted()
-    stacked = w.transpose(1, 0, 2).reshape(kernel.target_dim, -1)
-    return float(np.linalg.svd(stacked, compute_uv=False)[0])
+    return float(np.sqrt(np.linalg.eigvalsh(kernel.covariance())[-1]))
 
 
 @dataclass(frozen=True)
@@ -249,7 +244,7 @@ def gamma_fubini_check(kernel: GammaKernel, n_samples: int = 4096, seed: int = 0
     empirical bracket.
     """
     p = flavor_p(kernel.flavor)
-    row_sq = np.einsum("kmd,k->m", kernel.matrices**2, kernel.measure.increments)
+    row_sq = np.diag(kernel.covariance())
     if p == np.inf:
         lhs = float(np.sqrt(row_sq.max()))
     else:

@@ -23,10 +23,10 @@ from cylmart.bdg import (
 )
 from cylmart._util import canonical_json
 from cylmart.experiments import run_bdg
-from cylmart.gammanorm import gamma_norm_exact_hilbert
+from cylmart.gammanorm import GammaKernel, gamma_norm_exact_hilbert
 from cylmart.harness import make_config
 from cylmart.integration import IntegrandProcess, integrate
-from cylmart.martingales import NoiseSpec, qv_exact, simulate, stop_ensemble
+from cylmart.martingales import NoiseSpec, qm_operator, qv_exact, simulate, stop_ensemble
 from cylmart.measures import TimeGrid
 from cylmart.operators import op_norm_sym, psd_sqrt
 
@@ -129,6 +129,56 @@ class TestIsometry:
         # a path's energy does not depend on how many paths the ensemble has
         assert np.array_equal(_path_energy(phi, large)[:n], energy)
         assert np.array_equal(_path_energy(*materialized(large))[:n], energy)
+
+
+# integral_kernel as it was: the paper's kernel phi (q_M)^{1/2} against the
+# bracket d[M], with a square root of the normalized density in every cell.
+def paper_form_kernel(phi, spec, flavor="hilbert"):
+    if phi.matrices.ndim != 3:
+        raise ValueError("kernel construction needs a deterministic integrand")
+    roots = np.stack([psd_sqrt(q) for q in qm_operator(spec, phi.grid).matrices])
+    mats = np.einsum("kmc,kcd->kmd", phi.matrices, roots)
+    return GammaKernel(qv_exact(spec, phi.grid), mats, flavor)
+
+
+class TestKernelCovariance:
+    @given(
+        d=st.integers(1, 4),
+        m=st.integers(1, 4),
+        cells=st.integers(1, 12),
+        rank_deficient=st.booleans(),
+        per_cell=st.booleans(),
+        q_kind=st.sampled_from(["identity", "full", "singular"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(3, 2, 8, True, False, "full", 5)
+    @example(1, 1, 4, True, True, "singular", 6)
+    @settings(max_examples=100, deadline=None)
+    def test_same_covariance_as_paper_form(self, d, m, cells, rank_deficient, per_cell, q_kind, seed):
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(np.cumsum(np.r_[0.0, rng.uniform(0.1, 1.0, cells)]))
+        # rank-deficient: d + 1 drivers, the first (d + 1) // 2 unused, as the
+        # bdg panel builds them, and one cell with sigma = 0
+        d_drive = d + 1 if rank_deficient else d
+        sig = rng.standard_normal((cells, d, d_drive))
+        if rank_deficient:
+            sig[:, :, : (d + 1) // 2] = 0.0
+            sig[cells // 2] = 0.0
+        if not per_cell:
+            sig = sig[0]
+        a = rng.standard_normal((d_drive, d_drive - (q_kind == "singular")))
+        q = None if q_kind == "identity" else a @ a.T
+        spec = NoiseSpec(d, d_drive, sig, q_drive=q)
+        phi = IntegrandProcess(grid, rng.standard_normal((cells, m, d)))
+        new, paper = integral_kernel(phi, spec), paper_form_kernel(phi, spec)
+        assert new.matrices.shape == (cells, m, d_drive)
+        # entrywise scale: sum over cells of |phi| |sigma| |Q^{1/2}| |.|^T dt,
+        # which bounds every product both kernels sum (worst seen in 5000
+        # cases: 2.8 (d + d_drive) eps times the scale)
+        row = np.abs(phi.matrices) @ np.abs(spec.sigma_on_grid(grid)) @ np.abs(psd_sqrt(spec.q()))
+        scale = np.einsum("kmd,knd,k->mn", row, row, grid.widths)
+        bound = 16 * (d + d_drive) * np.finfo(float).eps * scale
+        assert np.all(np.abs(new.covariance() - paper.covariance()) <= bound)
 
 
 class TestPanel:

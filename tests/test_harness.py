@@ -197,12 +197,12 @@ class TestReplay:
     def test_report_records_determinism_version(self, tmp_path):
         rep = run(make_config("countex", out=str(tmp_path)))
         obj = json.loads((Path(rep.run_dir) / "report.json").read_text())
-        assert obj["determinism"] == DETERMINISM == 5
+        assert obj["determinism"] == DETERMINISM == 6
 
     @pytest.mark.parametrize(
         "version",
-        [1, 2, 3, 4, None],
-        ids=["version-1", "version-2", "version-3", "version-4", "no-field"],
+        [1, 2, 3, 4, 5, None],
+        ids=["version-1", "version-2", "version-3", "version-4", "version-5", "no-field"],
     )
     def test_other_determinism_version_refused_before_running(
         self, tmp_path, monkeypatch, version
@@ -221,7 +221,7 @@ class TestReplay:
             raise AssertionError("an experiment ran")
 
         monkeypatch.setitem(EXPERIMENTS, "countex", must_not_run)
-        with pytest.raises(ReplayMismatch, match=rf"version {stored}\b.*version 5\b"):
+        with pytest.raises(ReplayMismatch, match=rf"version {stored}\b.*version 6\b"):
             replay(path)
 
     def test_partial_bundle_structured_error(self, tmp_path):
