@@ -16,9 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import cell_apply, flavor_norm, prefix_sums
+from ._util import cell_apply, flavor_norm, prefix_sums, prefix_total
 from .gammanorm import GammaKernel, gamma_norm
-from .integration import IntegrandProcess, _check_integrand, integrate
+from .integration import IntegrandProcess, _check_integrand, integrand_increments, integrate
 from .martingales import (
     MartEnsemble,
     NoiseSpec,
@@ -85,12 +85,14 @@ def ito_isometry(phi: IntegrandProcess, ens: MartEnsemble) -> IsometryReport:
 
     The right side integrates the squared Hilbert-Schmidt size of
     phi (density)^{1/2} against the bracket, evaluated exactly per path; the
-    z-score is the paired-difference mean over its standard error.
+    z-score is the paired-difference mean over its standard error.  The
+    integral is summed to its terminal value alone, bit for bit
+    ``integrate(phi, ens).terminal()``.
     """
     if ens.n_paths < 2:
         raise ValueError("ito_isometry needs n_paths >= 2 for a standard error")
-    zeta = integrate(phi, ens)
-    lhs_paths = np.sum(zeta.terminal() ** 2, axis=1)
+    terminal = prefix_total(integrand_increments(phi, ens), axis=1)
+    lhs_paths = np.sum(terminal**2, axis=1)
 
     rhs_paths = _path_energy(phi, ens)
     diff = lhs_paths - rhs_paths

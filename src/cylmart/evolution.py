@@ -4,10 +4,13 @@ The generator is a symmetric negative-semidefinite matrix (possibly zero), so
 the semigroup is contractive and self-adjoint.  Each problem validates its
 generator and builds its semigroup once, when it is made; the semigroup
 applies through a cached eigendecomposition, with exp(tA) built once per
-distinct t.  Every left-point convolution, the mild map and the mild
-residual run one scan, acc <- exp(dt A)(acc + increment), cell by cell,
-which hands each grid point's state to its caller once that point's
-increment has been taken.
+distinct t.  Every left-point convolution, the mild map, the mild residual
+and Picard's initial flow run one scan, acc <- exp(dt A)(acc + increment),
+cell by cell, which hands each grid point's state to its caller once that
+point's increment has been taken.  The scan reads the old path in tiles of
+SCAN_TILE points, copied time-major, and forms each cell's noise increment
+G (sigma dW) from the driver increments and sigma of that cell alone, so no
+(paths, cells) array of sigma dW is formed.
 Solutions are produced by fixed-point iteration of the variation-of-constants
 map on a dyadic block schedule, with distances measured in the V norm
 (L2-in-time moment plus bracket-weighted kernel moment).  The iteration
@@ -50,10 +53,9 @@ __all__ = [
 
 GENERATOR_EIG_RTOL = 1e-10
 LIPSCHITZ_SLACK = 1e-9
-# cells of squared changes gathered before one transposed write into a block's
-# (paths, cells) buffer: written a column at a time, its dyadic row strides
-# map every path to a few cache sets
-SQ_TILE = 16
+# grid points per tile of a scan, and cells per tile of a block's squared
+# changes; a call holds two such tiles of (paths, dim) rows next to the iterate
+SCAN_TILE = 4
 
 
 @dataclass(frozen=True)
@@ -164,42 +166,58 @@ def _eval_noise(problem: SEEProblem, t: float, states: np.ndarray) -> np.ndarray
 
 
 def _scan(
-    sg: Semigroup, grid: TimeGrid, step: Callable, acc: np.ndarray, i0: int, i1: int
-) -> Iterator[tuple[int, np.ndarray]]:
+    sg: Semigroup,
+    grid: TimeGrid,
+    step: Callable,
+    acc: np.ndarray,
+    u: np.ndarray,
+    i0: int,
+    i1: int,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The left-point variation-of-constants recursion from ``acc``, the state
-    at t_{i0}: acc <- exp(dt_j A)(acc + step(j)) for cells i0 <= j < i1.
+    at t_{i0}: acc <- exp(dt_j A)(acc + step(j, u_j)) for cells i0 <= j < i1.
 
-    Yields (j, state at t_j) for i0 <= j <= i1, each once step(j) has been
-    taken, so a caller may overwrite point j of the path that ``step`` reads.
-    With the identity semigroup the sums run left to right, bit for bit as
-    ``_util.prefix_sums`` adds them.
+    The points of ``u`` are copied SCAN_TILE at a time, time-major, into one
+    tile, so step(j, u_j) reads a contiguous copy of point j.  Yields
+    (j, u_j, state at t_j) for i0 <= j <= i1, each once step(j) has been
+    taken; as the tile holds copies, a caller may overwrite u's point j
+    then.  With the identity semigroup the sums run left to right, bit for
+    bit as ``_util.prefix_sums`` adds them.
     """
-    for j in range(i0, i1):
-        nxt = sg.apply(grid.widths[j], acc + step(j))
-        yield j, acc
-        acc = nxt
-    yield i1, acc
+    tile = np.empty((min(SCAN_TILE, i1 + 1 - i0),) + u[:, 0].shape)
+    for lo in range(i0, i1 + 1, len(tile)):
+        points = tile[: i1 + 1 - lo]
+        np.copyto(points, u[:, lo : lo + len(points)].swapaxes(0, 1))
+        for j, x in enumerate(points, lo):
+            nxt = sg.apply(grid.widths[j], acc + step(j, x)) if j < i1 else None
+            yield j, x, acc
+            acc = nxt
 
 
-def _fill(out: np.ndarray, states: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Write each state a scan yields to its grid point of ``out``."""
-    for j, state in states:
+def _fill(
+    sg: Semigroup, grid: TimeGrid, step: Callable, u: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Run the scan of ``u`` over every cell from ``out``'s state at t_0,
+    writing each state to its grid point of ``out``."""
+    for j, _, state in _scan(sg, grid, step, out[:, 0].copy(), u, 0, grid.n_cells):
         out[:, j, :] = state
     return out
 
 
-def _drift_step(problem: SEEProblem, grid: TimeGrid, u: np.ndarray) -> Callable:
-    """Cell j's drift increment F(t_j, u_j) dt_j."""
-    return lambda j: (
-        np.asarray(problem.drift(grid.points[j], u[:, j, :]), dtype=float) * grid.widths[j]
-    )
+def _drift_step(problem: SEEProblem, grid: TimeGrid) -> Callable:
+    """Cell j's drift increment F(t_j, x) dt_j at the state x."""
+    return lambda j, x: np.asarray(problem.drift(grid.points[j], x), dtype=float) * grid.widths[j]
 
 
-def _noise_step(problem: SEEProblem, ens: MartEnsemble, u: np.ndarray) -> Callable:
-    """Cell j's noise increment G(t_j, u_j) sigma dW_j."""
-    driven = ens.driven_increments()  # (n, K, dc)
-    return lambda j: cell_apply(
-        _eval_noise(problem, ens.grid.points[j], u[:, j, :]), driven[:, j, :]
+def _noise_step(problem: SEEProblem, ens: MartEnsemble) -> Callable:
+    """Cell j's noise increment G(t_j, x) sigma_j dW_j at the state x.
+
+    sigma_j dW_j is formed for the one cell, bit for bit cell j of
+    ``ens.driven``, which stays unformed.
+    """
+    sigma, dw = ens.sigma_path, ens.driver_increments
+    return lambda j, x: cell_apply(
+        _eval_noise(problem, ens.grid.points[j], x), cell_apply(sigma[..., j, :, :], dw[:, j])
     )
 
 
@@ -214,9 +232,7 @@ def det_convolution(problem: SEEProblem, grid: TimeGrid, u: np.ndarray) -> np.nd
         raise ValueError(
             f"u must have shape (paths, {grid.n_cells + 1}, {problem.dim}), got {np.shape(u)}"
         )
-    step = _drift_step(problem, grid, u)
-    out = np.zeros_like(u)
-    return _fill(out, _scan(problem.semigroup, grid, step, out[:, 0], 0, grid.n_cells))
+    return _fill(problem.semigroup, grid, _drift_step(problem, grid), u, np.zeros_like(u))
 
 
 def stoch_convolution(
@@ -228,9 +244,7 @@ def stoch_convolution(
     up to rounding to ``integrate``'s (G sigma) dW.
     """
     _path_shape(problem, ens, u)
-    step = _noise_step(problem, ens, u)
-    out = np.zeros_like(u)
-    return _fill(out, _scan(problem.semigroup, ens.grid, step, out[:, 0], 0, ens.grid.n_cells))
+    return _fill(problem.semigroup, ens.grid, _noise_step(problem, ens), u, np.zeros_like(u))
 
 
 def _mild_map(
@@ -245,24 +259,30 @@ def _mild_map(
     """Overwrite ``u`` on [t_{i0}, t_{i1}] with its image under the mild map
     started from ``base`` at t_{i0}.
 
-    Drift and noise read each point of ``u`` before it is overwritten.  Given
-    ``sq`` of shape (n, i1 - i0), the change of each point i0 <= j < i1,
-    sum over m of (new - old)^2, is written to column j - i0.
+    Drift and noise read a copy of each point of ``u``, taken before it is
+    overwritten.  Given ``sq`` of shape (n, i1 - i0), the change of each
+    point i0 <= j < i1, sum over m of (new - old)^2, is written to column
+    j - i0.
     """
     n, _, m = u.shape
-    drift = _drift_step(problem, ens.grid, u)
-    noise = _noise_step(problem, ens, u)
-    sg = problem.semigroup
+    drift = _drift_step(problem, ens.grid)
+    noise = _noise_step(problem, ens)
     gap = np.empty((n, m))
-    tile = np.empty((min(SQ_TILE, i1 - i0), n))
-    for j, new in _scan(sg, ens.grid, lambda j: drift(j) + noise(j), base, i0, i1):
+    # squared changes gathered a tile of cells at a time before one
+    # transposed write into the (paths, cells) buffer: written a column at a
+    # time, its dyadic row strides map every path to a few cache sets
+    sq_tile = np.empty((min(SCAN_TILE, i1 - i0), n))
+    states = _scan(
+        problem.semigroup, ens.grid, lambda j, x: drift(j, x) + noise(j, x), base, u, i0, i1
+    )
+    for j, old, new in states:
         c = j - i0
         if sq is not None and j < i1:
-            np.subtract(new, u[:, j, :], out=gap)
-            np.add.reduce(np.square(gap, out=gap), axis=1, out=tile[c % len(tile)])
-            if c % len(tile) == len(tile) - 1 or j == i1 - 1:
-                lo = c - c % len(tile)
-                sq[:, lo : c + 1] = tile[: c + 1 - lo].T
+            np.subtract(new, old, out=gap)
+            np.add.reduce(np.square(gap, out=gap), axis=1, out=sq_tile[c % len(sq_tile)])
+            if c % len(sq_tile) == len(sq_tile) - 1 or j == i1 - 1:
+                lo = c - c % len(sq_tile)
+                sq[:, lo : c + 1] = sq_tile[: c + 1 - lo].T
         u[:, j, :] = new
     return u
 
@@ -487,8 +507,9 @@ def picard_solve(
     if initial is None:
         # the scan with a zero step, so a drift- and noise-free problem is an
         # exact fixed point of the discrete map
-        sg = problem.semigroup
-        u = _fill(np.zeros(shape), _scan(sg, grid, lambda j: 0.0, base, 0, grid.n_cells))
+        u = np.zeros(shape)
+        u[:, 0, :] = base
+        _fill(problem.semigroup, grid, lambda j, x: 0.0, u, u)
     else:
         u = np.array(initial, dtype=float, order="C")
         u[:, 0, :] = base  # iterates may start anywhere; the anchor may not
@@ -544,12 +565,12 @@ def mild_residual(u: np.ndarray, problem: SEEProblem, ens: MartEnsemble) -> Resi
     sup = np.add.reduce(np.square(gap, out=gap), axis=1)
     row = np.empty_like(sup)
     zero = np.zeros_like(base)
-    det = _scan(sg, grid, _drift_step(problem, grid, u), zero, 0, grid.n_cells)
-    stoch = _scan(sg, grid, _noise_step(problem, ens, u), zero, 0, grid.n_cells)
-    for (j, d), (_, s) in itertools.islice(zip(det, stoch), 1, None):
+    det = _scan(sg, grid, _drift_step(problem, grid), zero, u, 0, grid.n_cells)
+    stoch = _scan(sg, grid, _noise_step(problem, ens), zero, u, 0, grid.n_cells)
+    for (j, point, d), (_, _, s) in itertools.islice(zip(det, stoch), 1, None):
         np.add(sg.flow(grid.points[j], base), d, out=gap)
         gap += s
-        np.subtract(u[:, j, :], gap, out=gap)
+        np.subtract(point, gap, out=gap)
         np.add.reduce(np.square(gap, out=gap), axis=1, out=row)
         np.maximum(sup, row, out=sup)  # propagates NaN, as max does
     return ResidualStats(sup_gaps=np.sqrt(sup, out=sup))  # sqrt is monotone

@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 SigmaLike = np.ndarray | Callable[..., np.ndarray]
+# bytes of driver increments per Q^{1/2} product in ``simulate``: the product
+# writes over its own input, which numpy first copies, so a chunk bounds the copy
+SCALE_CHUNK_BYTES = 1 << 22
 
 
 def operator_rate(sig_a: np.ndarray, q: np.ndarray, sig_b: np.ndarray) -> np.ndarray:
@@ -319,7 +322,7 @@ def simulate(
     Driver increments are sqrt(dt) Q^{1/2} z, where path i's z is the i-th
     (K, d_drive) block of one standard normal stream of ``seed``
     (``_util.path_rngs``): an ensemble is a prefix of any larger one at the
-    same seed.
+    same seed.  Q^{1/2} is applied in place, a chunk of paths at a time.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -327,9 +330,11 @@ def simulate(
     scale = np.sqrt(grid.widths)[:, None]
     dw = path_rngs(seed, n_paths, (grid.n_cells, spec.d_drive))
     # a stacked matmul gives each path's (K, d) @ (d, d) product bit for bit
-    # as one path at a time; a flattened (n K, d) product was several times
-    # slower (1e4 x 48 x 5: 0.20 s against 0.03 s)
-    np.matmul(dw, root_q.T, out=dw)
+    # as one path at a time, so chunks keep every bit; a flattened (n K, d)
+    # product was several times slower (1e4 x 48 x 5: 0.20 s against 0.03 s)
+    chunk = max(1, SCALE_CHUNK_BYTES // max(dw[0].nbytes, 1))
+    for lo in range(0, n_paths, chunk):
+        np.matmul(dw[lo : lo + chunk], root_q.T, out=dw[lo : lo + chunk])
     dw *= scale
 
     return _assemble(spec, grid, seed, dw, spec.sigma_along(grid, dw))

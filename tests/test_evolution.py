@@ -413,6 +413,54 @@ class TestPicard:
         assert peak <= 1.5 * u.nbytes
 
 
+class TestSigmaDWUnformed:
+    """The solvers form sigma dW a cell at a time, so an ensemble they read
+    never forms and keeps its (paths, cells, d_cyl) ``driven`` array."""
+
+    @staticmethod
+    def problem():
+        return make_problem(
+            generator=np.array([[-1.0]]),
+            drift=lambda t, x: -0.5 * x,
+            lip_f=0.5,
+            noise_map=lambda t, x: 0.5 * x[:, :, None],
+            lip_g=0.5,
+            u0=np.array([1.0]),
+        )
+
+    def test_solvers_leave_driven_unformed(self):
+        grid = TimeGrid.uniform(1.0, 16)
+        spec = NoiseSpec(1, 2, np.array([[1.0, 0.5]]))
+        prob = self.problem()
+        u = np.ones((5, 17, 1))
+        uses = {
+            "picard_solve": lambda ens: picard_solve(prob, ens),
+            "fixed_point_map": lambda ens: fixed_point_map(prob, ens, u, i0=3, i1=11),
+            "stoch_convolution": lambda ens: stoch_convolution(prob, ens, u),
+            "mild_residual": lambda ens: mild_residual(u, prob, ens),
+        }
+        for name, use in uses.items():
+            ens = simulate(spec, grid, 5, seed=27)
+            use(ens)
+            assert "driven" not in vars(ens), name
+
+    def test_peak_on_a_fresh_ensemble(self):
+        # the first solve on an ensemble used to form sigma dW and keep it,
+        # a second path array next to the iterate
+        n, k = 4000, 64
+        grid = TimeGrid.uniform(1.0, k)
+        prob = self.problem()
+        picard_solve(prob, simulate(WIENER, grid, 8, seed=28), tol=1e-9)  # first-call set-up
+        ens = simulate(WIENER, grid, n, seed=25)
+        tracemalloc.start()
+        try:
+            u, _ = picard_solve(prob, ens, tol=1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * u.nbytes
+
+
 def _untouchable(t, x):
     raise AssertionError("picard_solve evaluated the drift of a rejected call")
 
@@ -700,8 +748,8 @@ def scan_cases(draw):
     m = draw(st.integers(1, 3))
     d_cyl = draw(st.integers(1, 2))
     d_drive = draw(st.integers(1, 2))
-    k = draw(st.integers(1, 9))
-    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 2 * evolution.SCAN_TILE + 3))  # crosses two tile edges
+    n = draw(st.integers(1, 4))  # n = 1: u's one-point slices are contiguous views
     uniform = draw(st.booleans())
     with_generator = draw(st.booleans())
     constant_noise = draw(st.booleans())
@@ -747,33 +795,35 @@ def scan_cases(draw):
 class TestScanOracle:
     """The one scan against the four recursions it replaced, bit for bit."""
 
-    @given(scan_cases())
+    @given(scan_cases(), st.sampled_from([1, 2, 3, evolution.SCAN_TILE]))
     @settings(max_examples=60, deadline=None)
-    def test_convolutions(self, case):
+    def test_convolutions(self, case, tile):
         problem, ens, u, _ = case
-        np.testing.assert_array_equal(
-            det_convolution(problem, ens.grid, u),
-            reference_det_convolution(problem, ens.grid, u),
-        )
-        np.testing.assert_array_equal(
-            stoch_convolution(problem, ens, u), reference_stoch_convolution(problem, ens, u)
-        )
+        with mock.patch.object(evolution, "SCAN_TILE", tile):
+            det = det_convolution(problem, ens.grid, u)
+            stoch = stoch_convolution(problem, ens, u)
+        np.testing.assert_array_equal(det, reference_det_convolution(problem, ens.grid, u))
+        np.testing.assert_array_equal(stoch, reference_stoch_convolution(problem, ens, u))
 
     @given(scan_cases(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_fixed_point_map_windows(self, case, data):
+        # a scan tiles its window from the window's first point: windows of
+        # every start and length, with tiles of 1 to SCAN_TILE points, cross
+        # tile edges and mostly end inside a tile
         problem, ens, u, rng = case
         k = ens.grid.n_cells
+        tile = data.draw(st.sampled_from([1, 2, 3, evolution.SCAN_TILE]))
         i0 = data.draw(st.integers(0, k - 1))
         i1 = data.draw(st.integers(i0 + 1, k))
         base = rng.standard_normal((ens.n_paths, problem.dim))
+        with mock.patch.object(evolution, "SCAN_TILE", tile):
+            window = fixed_point_map(problem, ens, u, i0=i0, i1=i1, base=base)
+            whole = fixed_point_map(problem, ens, u)
         np.testing.assert_array_equal(
-            fixed_point_map(problem, ens, u, i0=i0, i1=i1, base=base),
-            reference_fixed_point_map(problem, ens, u, i0=i0, i1=i1, base=base),
+            window, reference_fixed_point_map(problem, ens, u, i0=i0, i1=i1, base=base)
         )
-        np.testing.assert_array_equal(
-            fixed_point_map(problem, ens, u), reference_fixed_point_map(problem, ens, u)
-        )
+        np.testing.assert_array_equal(whole, reference_fixed_point_map(problem, ens, u))
 
     @given(scan_cases())
     @settings(max_examples=40, deadline=None)
@@ -952,8 +1002,8 @@ class TestWindowOracle:
         )
         # a block's squared changes reach its buffer a tile of cells at a
         # time: small tiles put the tile edges inside these short grids
-        tile = data.draw(st.sampled_from([1, 2, 3, evolution.SQ_TILE]))
-        with mock.patch.object(evolution, "SQ_TILE", tile):
+        tile = data.draw(st.sampled_from([1, 2, 3, evolution.SCAN_TILE]))
+        with mock.patch.object(evolution, "SCAN_TILE", tile):
             got_u, got = _picard_outcome(picard_solve, problem, ens, **kwargs)
         want_u, want = _picard_outcome(reference_picard_solve, problem, materialized(ens), **kwargs)
         assert type(got_u) is type(want_u)

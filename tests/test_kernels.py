@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylmart._util import cell_apply, prefix_sums
+from cylmart._util import cell_apply, prefix_sums, prefix_total
 from cylmart.bdg import ito_isometry, ito_residual
 from cylmart.evolution import SEEProblem, stoch_convolution
 from cylmart.integration import (
@@ -327,6 +327,24 @@ class TestPrefixSums:
             assert not lead.any()
             assert_same(np.take(out, range(1, out.shape[axis]), axis=axis), np.cumsum(inc, axis))
             assert out.flags.writeable
+
+    @ORACLE
+    @given(cases())
+    def test_total_is_the_terminal_integral(self, case):
+        inc = integrand_increments(case.phi, case.ens)
+        assert_same(prefix_total(inc, axis=1), integrate(case.phi, case.ens).terminal())
+
+    @pytest.mark.parametrize("k", [1, 2, 64])
+    def test_total_adds_left_to_right_at_one_dim(self, k):
+        grid = TimeGrid.uniform(1.0, k)
+        ens = simulate(NoiseSpec(1, 1, np.eye(1)), grid, 50, seed=k)
+        phi = IntegrandProcess.constant(grid, np.array([[0.7]]))
+        inc = integrand_increments(phi, ens)
+        terminal = integrate(phi, ens).terminal()
+        assert_same(prefix_total(inc, axis=1), terminal)
+        assert ito_isometry(phi, ens).lhs == float(np.mean(np.sum(terminal**2, axis=1)))
+        if k == 64:  # np.sum adds 64 contiguous cells pairwise, in another order
+            assert not np.array_equal(np.sum(inc, axis=1), terminal)
 
     @ORACLE
     @given(cases(), st.integers(1, 9))

@@ -6,13 +6,15 @@ Every ensemble draws its standard normals from one stream,
 time from numpy's generator; ``simulate`` must reproduce it bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylmart._util import path_rngs, single_rng
-from cylmart.martingales import NoiseSpec, simulate
+from cylmart.martingales import SCALE_CHUNK_BYTES, NoiseSpec, simulate
 from cylmart.measures import TimeGrid
 from cylmart.operators import psd_sqrt
 
@@ -121,3 +123,32 @@ class TestSimulateDraws:
     def test_negative_seed_raises(self):
         with pytest.raises(ValueError, match="non-negative"):
             simulate(NoiseSpec(1, 1, np.eye(1)), TimeGrid.uniform(1.0, 4), 3, -5)
+
+    def test_prefix_rule_across_a_scaling_chunk(self):
+        # Q^{1/2} is applied a chunk of paths at a time: one chunk and one
+        # path beyond it, against smaller ensembles and the per-path loop
+        grid = TimeGrid.uniform(1.0, 64)
+        q = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.5], [0.0, 0.5, 1.5]])
+        spec = NoiseSpec(2, 3, np.arange(6.0).reshape(2, 3) / 5.0, q_drive=q)
+        chunk = SCALE_CHUNK_BYTES // (grid.n_cells * spec.d_drive * 8)
+        large = simulate(spec, grid, chunk + 1, seed=11)
+        np.testing.assert_array_equal(
+            large.driver_increments, reference_draws(spec, grid, chunk + 1, 11)
+        )
+        for p in (1, chunk - 1, chunk):
+            small = simulate(spec, grid, p, seed=11)
+            np.testing.assert_array_equal(small.driver_increments, large.driver_increments[:p])
+
+    def test_peak_one_path_array_and_one_chunk(self):
+        # scaling the whole array at once copied it first: twice its bytes
+        grid = TimeGrid.uniform(1.0, 256)
+        spec = NoiseSpec(1, 1, np.eye(1))
+        simulate(spec, grid, 2, seed=12)
+        tracemalloc.start()
+        try:
+            ens = simulate(spec, grid, 10_000, seed=12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # next to the path array and one chunk: per-cell arrays of K entries
+        assert peak <= ens.driver_increments.nbytes + SCALE_CHUNK_BYTES + 64 * grid.n_cells * 8
