@@ -4,18 +4,21 @@ The generator is a symmetric negative-semidefinite matrix (possibly zero), so
 the semigroup is contractive and self-adjoint.  Each problem validates its
 generator and builds its semigroup once, when it is made; the semigroup
 applies through a cached eigendecomposition, with exp(tA) built once per
-distinct t.  Every left-point convolution, the mild map, the mild residual
-and Picard's initial flow run one scan, acc <- exp(dt A)(acc + increment),
-cell by cell, which hands each grid point's state to its caller once that
-point's increment has been taken.  The scan reads the old path in tiles of
-SCAN_TILE points, copied time-major, and forms each cell's noise increment
-G (sigma dW) from the driver increments and sigma of that cell alone, so no
-(paths, cells) array of sigma dW is formed.
+distinct t, and as a scalar multiply in one dimension.  Every left-point
+convolution, the mild map, the mild residual and Picard's initial flow run
+one scan, acc <- exp(dt A)(acc + increment), cell by cell, over a sequence
+of grid points in whatever layout the caller holds, and hand each point's
+state to the caller once that point's increment has been taken.  Each
+cell's noise increment G (sigma dW) is formed from the driver increments
+and sigma of that cell alone, copied time-major SCAN_TILE cells at a time,
+so no (paths, cells) array of sigma dW is formed.
 Solutions are produced by fixed-point iteration of the variation-of-constants
 map on a dyadic block schedule, with distances measured in the V norm
 (L2-in-time moment plus bracket-weighted kernel moment).  The iteration
-overwrites one iterate in place and keeps one (paths, cells) buffer of
-squared changes per block; the mild residual streams its gap point by point.
+overwrites one iterate in place, stored time-major as (grid points, paths,
+dim) so that each point it reads or writes is one contiguous block, and
+keeps one (paths, cells) buffer of squared changes per block; the mild
+residual streams its gap point by point.
 Per-block stopping times cap the bracket mass a block can carry, and
 localization checks compare runs against stopped drivers pathwise.
 """
@@ -53,8 +56,8 @@ __all__ = [
 
 GENERATOR_EIG_RTOL = 1e-10
 LIPSCHITZ_SLACK = 1e-9
-# grid points per tile of a scan, and cells per tile of a block's squared
-# changes; a call holds two such tiles of (paths, dim) rows next to the iterate
+# cells per time-major tile of the driver increments (and of a per-path
+# sigma) that the noise step reads, and per tile of a block's squared changes
 SCAN_TILE = 4
 
 
@@ -103,7 +106,9 @@ class Semigroup:
 
     ``matrix(t)`` and ``apply(t, x)`` cache one read-only matrix per distinct
     t; the scans call them with cell widths only, so a uniform grid builds
-    exp(dt A) once.  ``flow(t, x)`` takes any t and caches nothing.
+    exp(dt A) once.  ``flow(t, x)`` takes any t and caches nothing.  In one
+    dimension both multiply by the 1 x 1 matrix's entry, bit for bit the
+    product ``x @ exp(tA).T``, which adds it to +0.0 (so -0.0 becomes +0.0).
     """
 
     def __init__(self, generator: np.ndarray | None, dim: int):
@@ -139,11 +144,18 @@ class Semigroup:
 
     def apply(self, t: float, x: np.ndarray) -> np.ndarray:
         """exp(tA) x along the last axis; contraction for t >= 0."""
-        return x if self.identity else x @ self.matrix(t).T
+        return x if self.identity else self._times(x, self.matrix(t))
 
     def flow(self, t: float, x: np.ndarray) -> np.ndarray:
         """``apply(t, x)`` without caching exp(tA), for one-off times t."""
-        return x if self.identity else x @ self._exp(t).T
+        return x if self.identity else self._times(x, self._exp(t))
+
+    def _times(self, x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        if self.dim > 1:
+            return x @ mat.T
+        out = x * mat[0, 0]
+        out += 0.0  # the matmul's zero start: -0.0 rows become +0.0
+        return out
 
 
 def _path_shape(
@@ -170,37 +182,35 @@ def _scan(
     grid: TimeGrid,
     step: Callable,
     acc: np.ndarray,
-    u: np.ndarray,
+    points: np.ndarray,
     i0: int,
     i1: int,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The left-point variation-of-constants recursion from ``acc``, the state
-    at t_{i0}: acc <- exp(dt_j A)(acc + step(j, u_j)) for cells i0 <= j < i1.
+    at t_{i0}: acc <- exp(dt_j A)(acc + step(j, points[j])) for cells
+    i0 <= j < i1.
 
-    The points of ``u`` are copied SCAN_TILE at a time, time-major, into one
-    tile, so step(j, u_j) reads a contiguous copy of point j.  Yields
-    (j, u_j, state at t_j) for i0 <= j <= i1, each once step(j) has been
-    taken; as the tile holds copies, a caller may overwrite u's point j
-    then.  With the identity semigroup the sums run left to right, bit for
-    bit as ``_util.prefix_sums`` adds them.
+    ``points[j]`` is the (paths, dim) state at t_j, in whatever layout the
+    caller holds: a time-major array or a swapped view of a path-major one.
+    Yields (j, points[j], state at t_j) for i0 <= j <= i1, each once step(j)
+    has been taken, so a caller may overwrite point j then.  With the
+    identity semigroup the sums run left to right, bit for bit as
+    ``_util.prefix_sums`` adds them.
     """
-    tile = np.empty((min(SCAN_TILE, i1 + 1 - i0),) + u[:, 0].shape)
-    for lo in range(i0, i1 + 1, len(tile)):
-        points = tile[: i1 + 1 - lo]
-        np.copyto(points, u[:, lo : lo + len(points)].swapaxes(0, 1))
-        for j, x in enumerate(points, lo):
-            nxt = sg.apply(grid.widths[j], acc + step(j, x)) if j < i1 else None
-            yield j, x, acc
-            acc = nxt
+    for j in range(i0, i1 + 1):
+        x = points[j]
+        nxt = sg.apply(grid.widths[j], acc + step(j, x)) if j < i1 else None
+        yield j, x, acc
+        acc = nxt
 
 
 def _fill(
-    sg: Semigroup, grid: TimeGrid, step: Callable, u: np.ndarray, out: np.ndarray
+    sg: Semigroup, grid: TimeGrid, step: Callable, points: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Run the scan of ``u`` over every cell from ``out``'s state at t_0,
-    writing each state to its grid point of ``out``."""
-    for j, _, state in _scan(sg, grid, step, out[:, 0].copy(), u, 0, grid.n_cells):
-        out[:, j, :] = state
+    """Run the scan of ``points`` over every cell from ``out[0]``, the state
+    at t_0, writing the state at each t_j to ``out[j]``."""
+    for j, _, state in _scan(sg, grid, step, out[0].copy(), points, 0, grid.n_cells):
+        out[j] = state
     return out
 
 
@@ -212,13 +222,31 @@ def _drift_step(problem: SEEProblem, grid: TimeGrid) -> Callable:
 def _noise_step(problem: SEEProblem, ens: MartEnsemble) -> Callable:
     """Cell j's noise increment G(t_j, x) sigma_j dW_j at the state x.
 
-    sigma_j dW_j is formed for the one cell, bit for bit cell j of
-    ``ens.driven``, which stays unformed.
+    The driver increments, and sigma when it is stored per path, are copied
+    time-major into one tile of SCAN_TILE cells, refilled from cell j when
+    a step leaves it, so sigma_j dW_j reads contiguous rows: bit for bit
+    cell j of ``ens.driven``, which stays unformed.  Steps must come in
+    increasing j, as a scan takes them.
     """
     sigma, dw = ens.sigma_path, ens.driver_increments
-    return lambda j, x: cell_apply(
-        _eval_noise(problem, ens.grid.points[j], x), cell_apply(sigma[..., j, :, :], dw[:, j])
-    )
+    k = ens.grid.n_cells
+    dw_tile = np.empty((min(SCAN_TILE, k),) + dw[:, 0].shape)
+    sigma_tile = None if ens.sigma_is_shared else np.empty((len(dw_tile),) + sigma[:, 0].shape)
+    lo = hi = 0  # the cells the tiles hold
+
+    def step(j, x):
+        nonlocal lo, hi
+        if j >= hi:
+            lo, hi = j, min(j + len(dw_tile), k)
+            np.copyto(dw_tile[: hi - lo], dw[:, lo:hi].swapaxes(0, 1))
+            if sigma_tile is not None:
+                np.copyto(sigma_tile[: hi - lo], sigma[:, lo:hi].swapaxes(0, 1))
+        sigma_j = sigma[j] if sigma_tile is None else sigma_tile[j - lo]
+        return cell_apply(
+            _eval_noise(problem, ens.grid.points[j], x), cell_apply(sigma_j, dw_tile[j - lo])
+        )
+
+    return step
 
 
 def det_convolution(problem: SEEProblem, grid: TimeGrid, u: np.ndarray) -> np.ndarray:
@@ -226,13 +254,16 @@ def det_convolution(problem: SEEProblem, grid: TimeGrid, u: np.ndarray) -> np.nd
 
     Runs the stable recursion c_{j+1} = exp(dt A)(c_j + F_j dt), which is the
     exact left-point sum thanks to the semigroup property.  ``u`` is
-    (paths, K+1, dim) on ``grid``.
+    (paths, K+1, dim) on ``grid``, in any layout; the result is C-ordered.
     """
     if np.ndim(u) != 3 or np.shape(u)[1:] != (grid.n_cells + 1, problem.dim):
         raise ValueError(
             f"u must have shape (paths, {grid.n_cells + 1}, {problem.dim}), got {np.shape(u)}"
         )
-    return _fill(problem.semigroup, grid, _drift_step(problem, grid), u, np.zeros_like(u))
+    out = np.zeros(np.shape(u))
+    step = _drift_step(problem, grid)
+    _fill(problem.semigroup, grid, step, np.swapaxes(u, 0, 1), out.swapaxes(0, 1))
+    return out
 
 
 def stoch_convolution(
@@ -241,10 +272,13 @@ def stoch_convolution(
     """Left-point sum of int_0^t exp((t-s)A) G(s, u(s)) dM_s.
 
     With a zero generator this is the integral of G as G (sigma dW), equal
-    up to rounding to ``integrate``'s (G sigma) dW.
+    up to rounding to ``integrate``'s (G sigma) dW.  ``u`` may be in any
+    layout; the result is C-ordered.
     """
-    _path_shape(problem, ens, u)
-    return _fill(problem.semigroup, ens.grid, _noise_step(problem, ens), u, np.zeros_like(u))
+    out = np.zeros(_path_shape(problem, ens, u))
+    step = _noise_step(problem, ens)
+    _fill(problem.semigroup, ens.grid, step, np.swapaxes(u, 0, 1), out.swapaxes(0, 1))
+    return out
 
 
 def _mild_map(
@@ -256,15 +290,15 @@ def _mild_map(
     base: np.ndarray,
     sq: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Overwrite ``u`` on [t_{i0}, t_{i1}] with its image under the mild map
-    started from ``base`` at t_{i0}.
+    """Overwrite the time-major iterate ``u``, (K+1, n, m), on
+    [t_{i0}, t_{i1}] with its image under the mild map started from ``base``
+    at t_{i0}.
 
-    Drift and noise read a copy of each point of ``u``, taken before it is
-    overwritten.  Given ``sq`` of shape (n, i1 - i0), the change of each
-    point i0 <= j < i1, sum over m of (new - old)^2, is written to column
-    j - i0.
+    Drift and noise read each point of ``u`` before it is overwritten.
+    Given ``sq`` of shape (n, i1 - i0), the change of each point
+    i0 <= j < i1, sum over m of (new - old)^2, is written to column j - i0.
     """
-    n, _, m = u.shape
+    _, n, m = u.shape
     drift = _drift_step(problem, ens.grid)
     noise = _noise_step(problem, ens)
     gap = np.empty((n, m))
@@ -283,7 +317,7 @@ def _mild_map(
             if c % len(sq_tile) == len(sq_tile) - 1 or j == i1 - 1:
                 lo = c - c % len(sq_tile)
                 sq[:, lo : c + 1] = sq_tile[: c + 1 - lo].T
-        u[:, j, :] = new
+        u[j] = new
     return u
 
 
@@ -299,14 +333,17 @@ def fixed_point_map(
 
     ``base`` is the state at t_{i0} (defaults to the problem's initial
     states); grid points outside the window are returned untouched from
-    ``u``.
+    ``u``.  The map runs on a time-major copy of ``u``; the result is a
+    fresh C-ordered (paths, K+1, dim) array.
     """
     n, kp1, _ = _path_shape(problem, ens, u)
     if i1 is None:
         i1 = kp1 - 1
     if base is None:
         base = problem.initial_states(n)
-    return _mild_map(problem, ens, u.copy(), i0, i1, base)
+    # ndarray.copy copies even where the swapped view is contiguous (n = 1)
+    image = _mild_map(problem, ens, np.swapaxes(u, 0, 1).copy(), i0, i1, base)
+    return np.array(image.swapaxes(0, 1), order="C")
 
 
 def vp_norm(
@@ -336,7 +373,9 @@ def vp_norm(
     i1 = grid.n_cells if b is None else int(
         np.searchsorted(grid.points, b - 1e-12 * max(grid.horizon, 1.0))
     )
-    return _window_norm(np.sum(u[:, i0:i1, :] ** 2, axis=2), ens, p, i0, i1)
+    # squared C-ordered whatever u's layout: _window_norm's sums and matmul
+    # take another path, in other bits, on a transposed array
+    return _window_norm(np.sum(np.square(u[:, i0:i1, :], order="C"), axis=2), ens, p, i0, i1)
 
 
 def _window_norm(sq: np.ndarray, ens: MartEnsemble, p: float, i0: int, i1: int) -> float:
@@ -351,9 +390,9 @@ def _window_norm(sq: np.ndarray, ens: MartEnsemble, p: float, i0: int, i1: int) 
 def _window_distance(
     u: np.ndarray, v: np.ndarray, ens: MartEnsemble, p: float, i0: int, i1: int
 ) -> float:
-    """``vp_norm`` of u - v on cells i0..i1-1, with the difference formed and
-    squared on the window alone."""
-    gap = u[:, i0:i1] - v[:, i0:i1]
+    """``vp_norm`` of u - v on cells i0..i1-1, with the difference formed
+    (C-ordered, as in ``vp_norm``) and squared on the window alone."""
+    gap = np.subtract(u[:, i0:i1], v[:, i0:i1], order="C")
     return _window_norm(np.sum(np.square(gap, out=gap), axis=2), ens, p, i0, i1)
 
 
@@ -364,8 +403,8 @@ def rho_stopping_times(bracket: BracketPaths, n: int) -> np.ndarray:
     block: a block whose own mass never exceeds the cap reports inf.  Stopped
     at these times, each block carries at most T/2^n plus one cell of mass.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    if not int_at_least(n, 0):
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
     grid = bracket.grid
     prefix = bracket.prefix()
     n_blocks = 2**n
@@ -480,8 +519,12 @@ def picard_solve(
     block iterates until the successive V-distance drops below ``tol``.  A
     block that fails to contract raises :class:`PicardError` carrying the
     measured contraction and the advice to halve the block length.  The
-    solve overwrites one iterate of its own in place (``initial`` is copied);
-    ``blocks``, if given, must tile the grid's cells in order.
+    solve overwrites one iterate of its own in place (``initial`` is copied),
+    stored time-major as (K+1, paths, dim) so that each grid point the scan
+    reads or overwrites is one contiguous block.  The solution returned is
+    that iterate's (paths, K+1, dim) view, not a copy: ``u[:, j]`` is
+    contiguous and ``u[i]`` is strided.  ``blocks``, if given, must tile the
+    grid's cells in order.
     """
     grid = ens.grid
     if not finite_above_zero(p) or p < 1:
@@ -502,22 +545,22 @@ def picard_solve(
         blocks = _default_blocks(problem, ens)
     diag = PicardDiagnostics(blocks=list(blocks))
 
-    n = shape[0]
+    n, kp1, m = shape
     base = problem.initial_states(n)
     if initial is None:
         # the scan with a zero step, so a drift- and noise-free problem is an
         # exact fixed point of the discrete map
-        u = np.zeros(shape)
-        u[:, 0, :] = base
+        u = np.zeros((kp1, n, m))
+        u[0] = base
         _fill(problem.semigroup, grid, lambda j, x: 0.0, u, u)
     else:
-        u = np.array(initial, dtype=float, order="C")
-        u[:, 0, :] = base  # iterates may start anywhere; the anchor may not
+        u = np.array(np.swapaxes(initial, 0, 1), dtype=float, order="C")
+        u[0] = base  # iterates may start anywhere; the anchor may not
 
     prefix = ens.bracket.prefix()
     for i0, i1 in blocks:
         diag.block_mass.append(float((prefix[:, i1] - prefix[:, i0]).max()))
-        block_base = u[:, i0, :].copy()
+        block_base = u[i0].copy()
         sq = np.empty((n, i1 - i0))
         dists = []
         ratio = np.nan
@@ -537,7 +580,7 @@ def picard_solve(
                 f"(measured contraction {ratio:.3g})",
                 diag,
             )
-    return u, diag
+    return u.swapaxes(0, 1), diag
 
 
 @dataclass(frozen=True)
@@ -554,19 +597,21 @@ def mild_residual(u: np.ndarray, problem: SEEProblem, ens: MartEnsemble) -> Resi
 
     The image (flow + deterministic convolution) + stochastic convolution is
     formed a grid point at a time, both convolutions streamed from their
-    scans, and each path keeps a running maximum of its squared gap.
+    scans, and each path keeps a running maximum of its squared gap.  ``u``
+    may be in any layout, such as ``picard_solve``'s time-major view.
     """
     _path_shape(problem, ens, u)
     grid = ens.grid
     sg = problem.semigroup
     base = problem.initial_states(ens.n_paths)
+    points = np.swapaxes(u, 0, 1)
     # at t_0 the image is the initial state itself
-    gap = np.subtract(u[:, 0, :], base)
+    gap = np.subtract(points[0], base)
     sup = np.add.reduce(np.square(gap, out=gap), axis=1)
     row = np.empty_like(sup)
     zero = np.zeros_like(base)
-    det = _scan(sg, grid, _drift_step(problem, grid), zero, u, 0, grid.n_cells)
-    stoch = _scan(sg, grid, _noise_step(problem, ens), zero, u, 0, grid.n_cells)
+    det = _scan(sg, grid, _drift_step(problem, grid), zero, points, 0, grid.n_cells)
+    stoch = _scan(sg, grid, _noise_step(problem, ens), zero, points, 0, grid.n_cells)
     for (j, point, d), (_, _, s) in itertools.islice(zip(det, stoch), 1, None):
         np.add(sg.flow(grid.points[j], base), d, out=gap)
         gap += s

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -26,6 +27,7 @@ from cylmart.evolution import (
     stoch_convolution,
     vp_norm,
 )
+from cylmart._util import cell_apply
 from cylmart.integration import IntegrandProcess, first_passage_time, integrate
 from cylmart.martingales import (
     BracketPaths,
@@ -301,8 +303,22 @@ class TestRhoStoppingTimes:
 
     def test_negative_level_rejected(self):
         ens = simulate(WIENER, TimeGrid.uniform(1.0, 8), 1, seed=13)
-        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="n must be an integer >= 0, got -1"):
             rho_stopping_times(ens.bracket, -1)
+
+    @pytest.mark.parametrize("n, shown", [(2.5, "2.5"), (2.0, "2.0"), (True, "True"), ("2", "'2'")])
+    def test_non_integer_level_refused_by_name(self, n, shown):
+        # a bool used to pass as 1 level (2 blocks), and a float raised a
+        # bare TypeError from range
+        ens = simulate(WIENER, TimeGrid.uniform(1.0, 8), 1, seed=13)
+        with pytest.raises(ValueError, match=rf"n must be an integer >= 0, got {shown}$"):
+            rho_stopping_times(ens.bracket, n)
+
+    def test_numpy_integer_level(self):
+        ens = simulate(WIENER, TimeGrid.uniform(1.0, 8), 1, seed=13)
+        np.testing.assert_array_equal(
+            rho_stopping_times(ens.bracket, np.int64(2)), rho_stopping_times(ens.bracket, 2)
+        )
 
     def test_unaligned_block_start_rejected(self):
         grid = TimeGrid(np.array([0.0, 0.3, 1.0]))
@@ -411,6 +427,15 @@ class TestPicard:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * u.nbytes
+
+    def test_solution_is_a_view_of_the_time_major_iterate(self):
+        grid = TimeGrid.uniform(1.0, 16)
+        ens = simulate(WIENER, grid, 5, seed=30)
+        prob = make_problem(generator=-np.eye(2), u0=np.array([1.0, -0.5]), m=2)
+        u, _ = picard_solve(prob, ens)
+        assert u.shape == (5, 17, 2)
+        assert u.swapaxes(0, 1).flags.c_contiguous
+        assert u.base is not None and u.base.shape == (17, 5, 2)
 
 
 class TestSigmaDWUnformed:
@@ -738,7 +763,7 @@ def reference_initial_flow(problem, ens):
 
 
 @st.composite
-def scan_cases(draw):
+def scan_cases(draw, max_paths=4):
     """A problem with nonlinear drift and noise, an ensemble and a probe u.
 
     Covers m in {1, 2, 3}, d_cyl in {1, 2}, uniform and non-uniform grids,
@@ -749,7 +774,8 @@ def scan_cases(draw):
     d_cyl = draw(st.integers(1, 2))
     d_drive = draw(st.integers(1, 2))
     k = draw(st.integers(1, 2 * evolution.SCAN_TILE + 3))  # crosses two tile edges
-    n = draw(st.integers(1, 4))  # n = 1: u's one-point slices are contiguous views
+    # n = 1: u's one-point slices, and its transpose, are contiguous views
+    n = draw(st.integers(1, max_paths))
     uniform = draw(st.booleans())
     with_generator = draw(st.booleans())
     constant_noise = draw(st.booleans())
@@ -836,13 +862,31 @@ class TestScanOracle:
             pass
 
         def first_call(problem, ens, u, *args):
-            seen.append(u.copy())
+            seen.append(u.swapaxes(0, 1).copy())  # the iterate is time-major
             raise Stop
 
         with mock.patch.object(evolution, "_mild_map", first_call):
             with pytest.raises(Stop):
                 picard_solve(problem, ens, validate=False)
         np.testing.assert_array_equal(seen[0], reference_initial_flow(problem, ens))
+
+    @given(scan_cases(max_paths=1000), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_noise_tile_is_the_driven_cell(self, case, data):
+        # sigma_j dW_j read from the time-major tiles is cell j of
+        # ens.driven, for shared and per-path sigma, from any first cell
+        problem, ens, u, rng = case
+        ens = _maybe_stopped(ens, rng, data.draw(st.booleans()))  # per-path sigma
+        k = ens.grid.n_cells
+        i0 = data.draw(st.integers(0, k - 1))
+        tile = data.draw(st.sampled_from([1, 2, 3, evolution.SCAN_TILE]))
+        with mock.patch.object(evolution, "SCAN_TILE", tile):
+            step = evolution._noise_step(problem, ens)
+        for j in range(i0, k):
+            x = np.ascontiguousarray(u[:, j])
+            g = _eval_noise(problem, ens.grid.points[j], x)
+            want = cell_apply(g, ens.driven_increments()[:, j])
+            np.testing.assert_array_equal(step(j, x), want)
 
 
 # vp_norm, picard_solve, lipschitz_quotient and mild_residual as they were
@@ -1029,6 +1073,90 @@ class TestWindowOracle:
         assert np.array_equal(got, reference_mild_residual(u, problem, ref), equal_nan=True)
 
 
+def time_major(u):
+    """The values of ``u`` as a (paths, K+1, dim) view of a time-major array,
+    the layout of ``picard_solve``'s solutions."""
+    return u.swapaxes(0, 1).copy().swapaxes(0, 1)
+
+
+class TestLayout:
+    """The solver functions read any layout of u in the same bits, and never
+    write the caller's u."""
+
+    @given(scan_cases(max_paths=64), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_for_either_layout(self, case, data):
+        # a time-major u sent vp_norm's squares, and the gap of
+        # _window_distance, into a transposed sum and matmul in other bits;
+        # as such bits often round away in a norm, every window and p is read
+        problem, ens, u, rng = case
+        ens = _maybe_stopped(ens, rng, data.draw(st.booleans()))
+        k = ens.grid.n_cells
+        points = ens.grid.points
+        for a, b in itertools.combinations(points, 2):
+            for p in (1.0, 2.0, 3.5):
+                assert vp_norm(time_major(u), ens, a, b, p) == vp_norm(u, ens, a, b, p)
+        u_b = u + rng.standard_normal(u.shape)
+        i0 = data.draw(st.integers(0, k - 1))
+        for i1 in range(i0 + 1, k + 1):
+            got = lipschitz_quotient(problem, ens, time_major(u), time_major(u_b), i0=i0, i1=i1)
+            want = lipschitz_quotient(problem, ens, u, u_b, i0=i0, i1=i1)
+            assert np.array_equal(got, want, equal_nan=True)
+        got = mild_residual(time_major(u), problem, ens).sup_gaps
+        assert np.array_equal(got, mild_residual(u, problem, ens).sup_gaps, equal_nan=True)
+
+    @given(scan_cases(max_paths=64), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_localization_reads_solutions_in_either_layout(self, case, data):
+        problem, ens, _, rng = case
+        n, k, m = ens.n_paths, ens.grid.n_cells, problem.dim
+        kwargs = dict(
+            tol=1e-3,
+            tau_idx=rng.integers(0, k + 1, n),
+            u0_alt=rng.standard_normal((n, m)),
+            agree_mask=rng.uniform(size=n) < 0.5,
+        )
+        solve = evolution.picard_solve
+
+        def c_ordered(*args, **kw):
+            u, diag = solve(*args, **kw)
+            return np.ascontiguousarray(u), diag
+
+        got = _outcome(localization_consistency, problem, ens, **kwargs)
+        with mock.patch.object(evolution, "picard_solve", c_ordered):
+            want = _outcome(localization_consistency, problem, ens, **kwargs)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert np.array_equal(got.stop_gaps, want.stop_gaps, equal_nan=True)
+        assert np.array_equal(got.event_gaps, want.event_gaps, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("layout", ["path-major", "time-major"])
+    def test_callers_u_never_written(self, n, layout):
+        # at n = 1 the transpose of u is contiguous, so an
+        # np.ascontiguousarray of it would be u itself
+        k = 2 * evolution.SCAN_TILE + 1
+        ens = simulate(NoiseSpec(1, 2, np.array([[1.0, 0.5]])), TimeGrid.uniform(1.0, k), n, seed=29)
+        prob = TestSigmaDWUnformed.problem()
+        u = np.random.default_rng(n).standard_normal((n, k + 1, 1))
+        if layout == "time-major":
+            u = time_major(u)
+        kept = u.copy()
+        outputs = [
+            fixed_point_map(prob, ens, u),
+            fixed_point_map(prob, ens, u, i0=2, i1=k - 1),
+            picard_solve(prob, ens, initial=u, validate=False)[0],
+            det_convolution(prob, ens.grid, u),
+            stoch_convolution(prob, ens, u),
+        ]
+        assert u.tobytes() == kept.tobytes()
+        for out in outputs:
+            assert not np.shares_memory(out, u)
+        for out in outputs[:2] + outputs[3:]:
+            assert out.flags.c_contiguous
+
+
 class TestSemigroupCache:
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_cached_matrix_is_uncached_formula_and_read_only(self, m):
@@ -1046,6 +1174,24 @@ class TestSemigroupCache:
             x = rng.standard_normal((3, m))
             np.testing.assert_array_equal(sg.apply(t, x), ref.apply(t, x))
             np.testing.assert_array_equal(sg.flow(t, x), ref.apply(t, x))
+
+    @pytest.mark.parametrize("n", [1, 12, 10_000])
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0, 800.0])
+    def test_one_dim_multiply_is_the_matmul(self, n, rate):
+        # bit for bit, signed zeros and NaN signs too (assert_array_equal
+        # takes -0.0 == +0.0): the 1 x 1 matmul turns -0.0 into +0.0, and at
+        # rate 800 and t = 2.5 exp(tA) underflows to 0, so inf rows become NaN
+        rows = [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.25, 5e-324, -5e-324, 1e308]
+        x = np.resize(np.array(rows), n)[:, None]
+        sg = Semigroup(np.array([[-rate]]), 1)
+        ref = ReferenceSemigroup(np.array([[-rate]]), 1)
+        for t in (0.0, 0.125, 1.0 / 3.0, 2.5):
+            with np.errstate(all="ignore"):
+                want = ref.apply(t, x)
+                got = (sg.apply(t, x), sg.flow(t, x))
+            for value in got:
+                np.testing.assert_array_equal(value, want)
+                np.testing.assert_array_equal(np.signbit(value), np.signbit(want))
 
     def test_identity_matrix_read_only(self):
         sg = Semigroup(None, 3)
