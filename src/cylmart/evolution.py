@@ -9,9 +9,9 @@ convolution, the mild map, the mild residual and Picard's initial flow run
 one scan, acc <- exp(dt A)(acc + increment), cell by cell, over a sequence
 of grid points in whatever layout the caller holds, and hand each point's
 state to the caller once that point's increment has been taken.  Each
-cell's noise increment G (sigma dW) is formed from the driver increments
-and sigma of that cell alone, copied time-major SCAN_TILE cells at a time,
-so no (paths, cells) array of sigma dW is formed.
+cell's noise increment G (sigma dW) is formed from sigma and the driver
+increments of that cell alone, the increments copied time-major SCAN_TILE
+cells at a time, so no (paths, cells) array of sigma dW is formed.
 Solutions are produced by fixed-point iteration of the variation-of-constants
 map on a dyadic block schedule, with distances measured in the V norm
 (L2-in-time moment plus bracket-weighted kernel moment).  The iteration
@@ -56,8 +56,8 @@ __all__ = [
 
 GENERATOR_EIG_RTOL = 1e-10
 LIPSCHITZ_SLACK = 1e-9
-# cells per time-major tile of the driver increments (and of a per-path
-# sigma) that the noise step reads, and per tile of a block's squared changes
+# cells per time-major tile of the driver increments that the noise step
+# reads, and per tile of a block's squared changes
 SCAN_TILE = 4
 
 
@@ -222,28 +222,24 @@ def _drift_step(problem: SEEProblem, grid: TimeGrid) -> Callable:
 def _noise_step(problem: SEEProblem, ens: MartEnsemble) -> Callable:
     """Cell j's noise increment G(t_j, x) sigma_j dW_j at the state x.
 
-    The driver increments, and sigma when it is stored per path, are copied
-    time-major into one tile of SCAN_TILE cells, refilled from cell j when
-    a step leaves it, so sigma_j dW_j reads contiguous rows: bit for bit
-    cell j of ``ens.driven``, which stays unformed.  Steps must come in
-    increasing j, as a scan takes them.
+    The driver increments are copied time-major into one tile of SCAN_TILE
+    cells, refilled from cell j when a step falls outside it, so dW_j is a
+    contiguous block; sigma_j dW_j is bit for bit cell j of ``ens.driven``,
+    which stays unformed.
     """
     sigma, dw = ens.sigma_path, ens.driver_increments
     k = ens.grid.n_cells
     dw_tile = np.empty((min(SCAN_TILE, k),) + dw[:, 0].shape)
-    sigma_tile = None if ens.sigma_is_shared else np.empty((len(dw_tile),) + sigma[:, 0].shape)
-    lo = hi = 0  # the cells the tiles hold
+    lo = hi = 0  # the cells the tile holds
 
     def step(j, x):
         nonlocal lo, hi
-        if j >= hi:
+        if not lo <= j < hi:
             lo, hi = j, min(j + len(dw_tile), k)
             np.copyto(dw_tile[: hi - lo], dw[:, lo:hi].swapaxes(0, 1))
-            if sigma_tile is not None:
-                np.copyto(sigma_tile[: hi - lo], sigma[:, lo:hi].swapaxes(0, 1))
-        sigma_j = sigma[j] if sigma_tile is None else sigma_tile[j - lo]
         return cell_apply(
-            _eval_noise(problem, ens.grid.points[j], x), cell_apply(sigma_j, dw_tile[j - lo])
+            _eval_noise(problem, ens.grid.points[j], x),
+            cell_apply(sigma[..., j, :, :], dw_tile[j - lo]),
         )
 
     return step
@@ -290,9 +286,10 @@ def _mild_map(
     base: np.ndarray,
     sq: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Overwrite the time-major iterate ``u``, (K+1, n, m), on
+    """Overwrite the iterate ``u``, indexed time-major as (K+1, n, m), on
     [t_{i0}, t_{i1}] with its image under the mild map started from ``base``
-    at t_{i0}.
+    at t_{i0}.  ``u`` may be a time-major array or a swapped view of a
+    path-major one.
 
     Drift and noise read each point of ``u`` before it is overwritten.
     Given ``sq`` of shape (n, i1 - i0), the change of each point
@@ -333,17 +330,17 @@ def fixed_point_map(
 
     ``base`` is the state at t_{i0} (defaults to the problem's initial
     states); grid points outside the window are returned untouched from
-    ``u``.  The map runs on a time-major copy of ``u``; the result is a
-    fresh C-ordered (paths, K+1, dim) array.
+    ``u``.  The result is a fresh C-ordered (paths, K+1, dim) array, which
+    the map overwrites through its time-major view.
     """
     n, kp1, _ = _path_shape(problem, ens, u)
     if i1 is None:
         i1 = kp1 - 1
     if base is None:
         base = problem.initial_states(n)
-    # ndarray.copy copies even where the swapped view is contiguous (n = 1)
-    image = _mild_map(problem, ens, np.swapaxes(u, 0, 1).copy(), i0, i1, base)
-    return np.array(image.swapaxes(0, 1), order="C")
+    out = u.copy()
+    _mild_map(problem, ens, out.swapaxes(0, 1), i0, i1, base)
+    return out
 
 
 def vp_norm(

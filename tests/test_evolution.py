@@ -873,16 +873,18 @@ class TestScanOracle:
     @given(scan_cases(max_paths=1000), st.data())
     @settings(max_examples=40, deadline=None)
     def test_noise_tile_is_the_driven_cell(self, case, data):
-        # sigma_j dW_j read from the time-major tiles is cell j of
-        # ens.driven, for shared and per-path sigma, from any first cell
+        # sigma_j dW_j read from the time-major dW tile is cell j of
+        # ens.driven, for shared and per-path sigma, from any first cell and
+        # then in any order, backwards included
         problem, ens, u, rng = case
         ens = _maybe_stopped(ens, rng, data.draw(st.booleans()))  # per-path sigma
         k = ens.grid.n_cells
         i0 = data.draw(st.integers(0, k - 1))
+        revisits = data.draw(st.lists(st.integers(0, k - 1), max_size=k))
         tile = data.draw(st.sampled_from([1, 2, 3, evolution.SCAN_TILE]))
         with mock.patch.object(evolution, "SCAN_TILE", tile):
             step = evolution._noise_step(problem, ens)
-        for j in range(i0, k):
+        for j in [*range(i0, k), *revisits]:
             x = np.ascontiguousarray(u[:, j])
             g = _eval_noise(problem, ens.grid.points[j], x)
             want = cell_apply(g, ens.driven_increments()[:, j])
