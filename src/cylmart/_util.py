@@ -17,7 +17,6 @@ __all__ = [
     "flavor_p",
     "flavor_norm",
     "prefix_sums",
-    "prefix_total",
     "cell_apply",
     "canonical_json",
     "config_hash",
@@ -86,17 +85,6 @@ def prefix_sums(inc: np.ndarray, axis: int = 0) -> np.ndarray:
     out = np.zeros(shape)
     tail = (slice(None),) * axis + (slice(1, None),)
     np.cumsum(inc, axis=axis, out=out[tail])
-    return out
-
-
-def prefix_total(inc: np.ndarray, axis: int = 0) -> np.ndarray:
-    """The last entry of ``prefix_sums(inc, axis)``, bit for bit, without
-    forming the others: the entries are added left to right (``np.sum``
-    over a contiguous axis adds pairwise, in another order)."""
-    inc = np.moveaxis(np.asarray(inc), axis, 0)
-    out = np.array(inc[0], dtype=float)
-    for row in inc[1:]:
-        out += row
     return out
 
 

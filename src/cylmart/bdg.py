@@ -16,16 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import cell_apply, flavor_norm, prefix_sums, prefix_total
+from ._util import flavor_norm, prefix_sums
 from .gammanorm import GammaKernel, gamma_norm
-from .integration import IntegrandProcess, _check_integrand, integrand_increments, integrate
-from .martingales import (
-    MartEnsemble,
-    NoiseSpec,
-    operator_rate,
-    rate_pairing,
-    simulate,
-)
+from .integration import IntegrandProcess, integral_steps
+from .martingales import MartEnsemble, NoiseSpec, operator_rate, rate_pairing, simulate
 from .measures import GridMeasure, IncreasingPath
 from .operators import psd_sqrt
 
@@ -55,8 +49,9 @@ class IsometryReport:
         return abs(self.z) <= 3.0
 
 
-def integral_kernel(phi: IntegrandProcess, spec: NoiseSpec, flavor="hilbert") -> GammaKernel:
-    """Kernel phi sigma Q^{1/2} against dt on phi's grid, shape (K, m, d_drive).
+def integral_kernel(phi: IntegrandProcess, spec: NoiseSpec) -> GammaKernel:
+    """Hilbert kernel phi sigma Q^{1/2} against dt on phi's grid, shape (K,
+    m, d_drive); ``dataclasses.replace`` gives it another norm flavor.
 
     It has the covariance sum phi sigma Q sigma^T phi^T dt of the paper's
     kernel phi q_M^{1/2} against d[M], and a gamma-norm reads a kernel only
@@ -64,7 +59,7 @@ def integral_kernel(phi: IntegrandProcess, spec: NoiseSpec, flavor="hilbert") ->
     if phi.matrices.ndim != 3:
         raise ValueError("kernel construction needs a deterministic integrand")
     mats = phi.matrices @ spec.sigma_on_grid(phi.grid) @ psd_sqrt(spec.q())
-    return GammaKernel(GridMeasure(phi.grid, phi.grid.widths), mats, flavor)
+    return GammaKernel(GridMeasure(phi.grid, phi.grid.widths), mats, "hilbert")
 
 
 def _path_energy(phi: IntegrandProcess, ens: MartEnsemble) -> np.ndarray:
@@ -86,12 +81,13 @@ def ito_isometry(phi: IntegrandProcess, ens: MartEnsemble) -> IsometryReport:
     The right side integrates the squared Hilbert-Schmidt size of
     phi (density)^{1/2} against the bracket, evaluated exactly per path; the
     z-score is the paired-difference mean over its standard error.  The
-    integral is summed to its terminal value alone, bit for bit
+    walk keeps only the integral's terminal value, bit for bit
     ``integrate(phi, ens).terminal()``.
     """
     if ens.n_paths < 2:
         raise ValueError("ito_isometry needs n_paths >= 2 for a standard error")
-    terminal = prefix_total(integrand_increments(phi, ens), axis=1)
+    for _, _, terminal in integral_steps(phi, ens):
+        pass
     lhs_paths = np.sum(terminal**2, axis=1)
 
     rhs_paths = _path_energy(phi, ens)
@@ -137,6 +133,16 @@ class BDGReport:
     )
 
 
+def _sup_norms(phi: IntegrandProcess, ens: MartEnsemble, flavors: Sequence) -> list:
+    """Per flavor, each path's sup over the grid of ||zeta(t_j)||, a running
+    np.maximum over the walk from ||zeta(0)|| = 0 that keeps a NaN."""
+    sups = [np.zeros(ens.n_paths) for _ in flavors]
+    for _, _, zeta in integral_steps(phi, ens):
+        for flavor, sup in zip(flavors, sups):
+            np.maximum(sup, flavor_norm(zeta, flavor), out=sup)
+    return sups
+
+
 def _panel_one(
     inst: BDGInstance,
     p_list: Sequence[float],
@@ -145,13 +151,12 @@ def _panel_one(
     seed: int,
     gamma_samples: int,
 ) -> list[BDGReport]:
-    # the ensemble is integrate's argument alone, freed before the norm loop
-    zeta = integrate(inst.phi, simulate(inst.spec, inst.phi.grid, n_paths, seed))
+    # the ensemble is the walk's argument alone, freed before the gamma-norms
+    sup_norms = _sup_norms(inst.phi, simulate(inst.spec, inst.phi.grid, n_paths, seed), flavors)
     # the kernel's matrices and measure do not depend on the flavor
     kernel = integral_kernel(inst.phi, inst.spec)
     reports = []
-    for flavor in flavors:
-        sups = flavor_norm(zeta.values, flavor).max(axis=1)
+    for flavor, sups in zip(flavors, sup_norms):
         est = gamma_norm(replace(kernel, flavor=flavor), n_samples=gamma_samples, seed=seed + 101)
         degenerate = est.value <= 1e-12
         for p in p_list:
@@ -161,17 +166,7 @@ def _panel_one(
             rhs = est.value**p
             rhs_se = p * est.value ** (p - 1) * est.stderr if est.value > 0 else 0.0
             reports.append(
-                BDGReport(
-                    instance=inst.name,
-                    p=p,
-                    flavor=flavor,
-                    n_paths=n_paths,
-                    lhs=lhs,
-                    lhs_stderr=lhs_se,
-                    rhs=rhs,
-                    rhs_stderr=rhs_se,
-                    degenerate=degenerate,
-                )
+                BDGReport(inst.name, p, flavor, n_paths, lhs, lhs_se, rhs, rhs_se, degenerate)
             )
     return reports
 
@@ -237,23 +232,21 @@ def validate_derivatives(
     """Cross-check supplied derivatives by central differences of step 1e-5;
     raises on disagreement beyond 1e-4 relative to the local scale."""
     step, rtol = 1e-5, 1e-4
+
+    def central(g, t, x, dt, dx):
+        return (np.asarray(g(t + dt, x + dx))[0] - np.asarray(g(t - dt, x - dx))[0]) / (2 * step)
+
     for t, x in points:
         x = np.asarray(x, dtype=float)[None, :]
-        m = x.shape[1]
-        d1 = (np.asarray(f(t + step, x))[0] - np.asarray(f(t - step, x))[0]) / (2 * step)
+        d1 = central(f, t, x, step, 0.0)
         if abs(d1 - np.asarray(d1f(t, x))[0]) > rtol * (1.0 + abs(d1)):
             raise ValueError(f"time derivative mismatch at t={t}")
         grad = np.asarray(d2f(t, x))[0]
         hess = np.asarray(d22f(t, x))[0]
-        for j in range(m):
-            e = np.zeros((1, m))
-            e[0, j] = step
-            g_num = (np.asarray(f(t, x + e))[0] - np.asarray(f(t, x - e))[0]) / (2 * step)
-            if abs(g_num - grad[j]) > rtol * (1.0 + abs(grad[j])):
+        for j, e in enumerate(step * np.eye(x.shape[1])):
+            if abs(central(f, t, x, 0.0, e) - grad[j]) > rtol * (1.0 + abs(grad[j])):
                 raise ValueError(f"gradient mismatch in coordinate {j}")
-            h_num = (np.asarray(d2f(t, x + e))[0] - np.asarray(d2f(t, x - e))[0]) / (
-                2 * step
-            )
+            h_num = central(d2f, t, x, 0.0, e)
             if np.abs(h_num - hess[:, j]).max() > rtol * (1.0 + np.abs(hess[:, j]).max()):
                 raise ValueError(f"hessian mismatch in coordinate {j}")
 
@@ -292,19 +285,13 @@ def ito_residual(
     or stopped, and phi may be per path.  All derivative callables take (t,
     states) with states batched over paths.
     """
-    grid = ens.grid
+    grid, n, m, q = ens.grid, ens.n_paths, phi.target_dim, ens.spec.q()
     k = grid.n_cells
-    n = ens.n_paths
-    m = phi.target_dim
-    _check_integrand(phi, ens)
-    mats, sig, q = phi.matrices, ens.sigma_path, ens.spec.q()
-    dw = ens.driver_increments
 
     xi = np.broadcast_to(np.asarray(xi, dtype=float), (n, m))
 
     if psi is None:
-        psi_vals = np.zeros((k, m))
-        da = np.zeros(k)
+        psi_vals, da = np.zeros((k, m)), np.zeros(k)
     else:
         psi_vals = np.asarray(psi, dtype=float)
         if psi_vals.shape != (k, m):
@@ -314,29 +301,16 @@ def ito_residual(
         da = np.diff(a_path.values)
     drift = prefix_sums(psi_vals * da[:, None])
 
-    if validate:
-        cells = [(0, 0), (0, k // 2)] + ([(n - 1, k)] if n > 1 else [])
-        pts = []
-        for p, j in cells:
-            phi_sig = (mats if mats.ndim == 3 else mats[p]) @ (sig if sig.ndim == 3 else sig[p])
-            run_p = prefix_sums(cell_apply(phi_sig, dw[p]))
-            pts.append((grid.points[j], run_p[j] + (xi[p] + drift[j])))
-        validate_derivatives(f, d1f, d2f, d22f, pts)
-
-    # phi dM = (phi sigma) dW is contracted a cell at a time, never held as an
-    # (n, K, m) array; zeta_j = run_j + (xi + drift_j), run summing phi dM from
-    # a copy of cell 0 as cumsum does (a -0.0 keeps its sign); the residual is
-    # a running max |r| per path (np.maximum keeps a NaN) and the last values
-    run = np.zeros((n, m))
-    state = run + (xi + drift[0])
+    # the walk checks phi before f is first called.  state_j = zeta_j +
+    # (xi + drift_j), zeta read from the walk; the residual is a running max
+    # |r| per path (np.maximum keeps a NaN) and the last values.  The
+    # derivative check reads states the walk reaches.
+    steps = integral_steps(phi, ens)
+    state = start = mid = xi + drift[0]
     f0 = np.asarray(f(grid.points[0], state), dtype=float)
-    residual = np.zeros(n)
-    max_abs = np.zeros(n)
-    correction = np.zeros(n)
-    for i in range(k):
+    residual, max_abs, correction = np.zeros(n), np.zeros(n), np.zeros(n)
+    for i, (phi_sig, stoch, zeta) in enumerate(steps):
         t = grid.points[i]
-        phi_sig = mats[..., i, :, :] @ sig[..., i, :, :]
-        stoch = cell_apply(phi_sig, dw[:, i])
         grad = np.asarray(d2f(t, state), dtype=float)  # (n, m)
         hess = np.asarray(d22f(t, state), dtype=float)  # (n, m, m)
         # (phi sigma) Q (phi sigma)^T, with the ensemble's own (stopped or
@@ -349,14 +323,18 @@ def ito_residual(
             + np.einsum("nm,nm->n", grad, stoch)
             + 0.5 * tr * grid.widths[i]
         )
-        if i == 0:
-            run[...] = stoch
-        else:
-            run += stoch
-        state = run + (xi + drift[i + 1])
+        state = zeta + (xi + drift[i + 1])
+        if i + 1 == k // 2:
+            mid = state
         f_next = np.asarray(f(grid.points[i + 1], state), dtype=float)
         residual = f_next - f0 - correction
         np.maximum(max_abs, np.abs(residual), out=max_abs)
+
+    if validate:
+        pts = [(grid.points[0], start[0]), (grid.points[k // 2], mid[0])]
+        if n > 1:
+            pts.append((grid.points[k], state[n - 1]))
+        validate_derivatives(f, d1f, d2f, d22f, pts)
 
     se = float(np.std(residual, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return ItoReport(

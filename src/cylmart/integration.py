@@ -3,7 +3,9 @@
 Integrals are accumulated through the driver at left endpoints: each cell's
 increment is (phi sigma) dW, the fused matrix phi sigma applied to the
 driver increment, so an integral forms neither sigma dW nor M and carries no
-realized-variation bias.  Brackets of integrals, covariation operators, the
+realized-variation bias.  :func:`integral_steps` is the one walk that forms
+these increments and their running sum; every reader of int phi dM goes
+through it.  Brackets of integrals, covariation operators, the
 bilinear Cauchy-Schwarz check, optional stopping and the local property live
 here too.
 """
@@ -11,6 +13,7 @@ here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -32,7 +35,7 @@ __all__ = [
     "ElementaryPiece",
     "ElementaryIntegrand",
     "elementary_integral",
-    "integrand_increments",
+    "integral_steps",
     "integrate",
     "bracket_of_integral",
     "realized_bracket",
@@ -95,25 +98,43 @@ class IntegralPaths:
 
 
 def _check_integrand(phi: IntegrandProcess, ens: MartEnsemble) -> None:
-    """Raise unless phi lives on the ensemble's grid and, if it is per path,
-    has one path per ensemble path."""
+    """Raise unless phi lives on the ensemble's grid, reads its cylinder
+    space and, if it is per path, has one path per ensemble path."""
     if phi.grid != ens.grid:
         raise ValueError("integrand and ensemble grids differ")
+    if (d := phi.matrices.shape[-1]) != ens.spec.d_cyl:
+        raise ValueError(f"integrand input dimension {d} differs from d_cyl {ens.spec.d_cyl}")
     if phi.matrices.ndim == 4 and phi.matrices.shape[0] != ens.n_paths:
         raise ValueError("per-path integrand does not match path count")
 
 
-def integrand_increments(phi: IntegrandProcess, ens: MartEnsemble) -> np.ndarray:
-    """phi(t_i) dM_i = (phi(t_i) sigma(t_i)) dW_i per path and cell, shape
-    (n, K, m).  phi sigma is per path only where phi or sigma is."""
+def integral_steps(phi: IntegrandProcess, ens: MartEnsemble) -> Iterator[tuple]:
+    """Walk int phi dM cell by cell, the one spelling of phi dM and of its
+    running sum: cell j yields phi_j sigma_j (a per-cell matmul), the
+    increment (phi_j sigma_j) dW_j and zeta(t_{j+1}), both (n, m).  zeta
+    starts as cell 0's increment, as cumsum does (a -0.0 keeps its sign),
+    and adds later cells left to right into fresh arrays.  phi is checked
+    at the call, before the first step."""
     _check_integrand(phi, ens)
-    return cell_apply(phi.matrices @ ens.sigma_path, ens.driver_increments)
+    mats, sig, dw = phi.matrices, ens.sigma_path, ens.driver_increments
+
+    def walk():
+        zeta = None
+        for j in range(dw.shape[1]):
+            phi_sig = mats[..., j, :, :] @ sig[..., j, :, :]
+            inc = cell_apply(phi_sig, dw[:, j])
+            zeta = inc.copy() if zeta is None else zeta + inc
+            yield phi_sig, inc, zeta
+
+    return walk()
 
 
 def integrate(phi: IntegrandProcess, ens: MartEnsemble) -> IntegralPaths:
     """Left-point integral: zeta(t_j) = sum_{i<j} phi(t_i) sigma(t_i) dW_{i+1}."""
-    inc = integrand_increments(phi, ens)
-    return IntegralPaths(ens.grid, prefix_sums(inc, axis=1))
+    out = np.zeros((ens.n_paths, ens.grid.n_cells + 1, phi.target_dim))
+    for j, (_, _, zeta) in enumerate(integral_steps(phi, ens), 1):
+        out[:, j] = zeta
+    return IntegralPaths(ens.grid, out)
 
 
 def _event_mask(mask, n_paths: int) -> np.ndarray:

@@ -21,12 +21,13 @@ empirically from partition suprema over a unit-sphere sample.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import cell_apply, path_rngs, prefix_sums, single_rng
+from ._util import cell_apply, int_at_least, path_rngs, prefix_sums, single_rng
 from .measures import GridMeasure, TimeGrid, radon_nikodym
 from .operators import psd_sqrt
 
@@ -111,8 +112,15 @@ class NoiseSpec:
     name: str = ""
 
     def __post_init__(self):
-        if not self.adapted and not np.isfinite(np.asarray(self.sigma, dtype=float)).all():
-            raise ValueError("sigma values are not all finite")
+        if not self.adapted:
+            sig = np.asarray(self.sigma, dtype=float)
+            if sig.ndim not in (2, 3) or sig.shape[-2:] != (self.d_cyl, self.d_drive):
+                raise ValueError(
+                    f"sigma shape {sig.shape} is neither (d_cyl, d_drive) = "
+                    f"{(self.d_cyl, self.d_drive)} nor (K, d_cyl, d_drive)"
+                )
+            if not np.isfinite(sig).all():
+                raise ValueError("sigma values are not all finite")
         if self.q_drive is not None:
             q = np.asarray(self.q_drive, dtype=float)
             if q.shape != (self.d_drive, self.d_drive):
@@ -132,11 +140,9 @@ class NoiseSpec:
         if self.adapted:
             raise ValueError("sigma is adapted; realized values require a driver path")
         sig = np.asarray(self.sigma, dtype=float)
-        if sig.shape == (self.d_cyl, self.d_drive):
-            return np.broadcast_to(sig, (grid.n_cells, self.d_cyl, self.d_drive)).copy()
-        if sig.shape == (grid.n_cells, self.d_cyl, self.d_drive):
-            return sig.copy()
-        raise ValueError(f"sigma shape {sig.shape} does not fit grid/dimensions")
+        if sig.ndim == 3 and sig.shape[0] != grid.n_cells:
+            raise ValueError(f"sigma has {sig.shape[0]} cells, the grid {grid.n_cells}")
+        return np.broadcast_to(sig, (grid.n_cells,) + sig.shape[-2:]).copy()
 
     def sigma_along(self, grid: TimeGrid, w_increments: np.ndarray) -> np.ndarray:
         """Realized per-cell sigma values, batched over leading path axes.
@@ -311,6 +317,13 @@ def _assemble(
     )
 
 
+def _int_error(value, message: str) -> Exception:
+    """The error for a value ``int_at_least`` refused: a ValueError for an
+    integer out of range, a TypeError for anything else, a bool included."""
+    is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return (ValueError if is_int else TypeError)(message)
+
+
 def simulate(
     spec: NoiseSpec,
     grid: TimeGrid,
@@ -324,8 +337,10 @@ def simulate(
     (``_util.path_rngs``): an ensemble is a prefix of any larger one at the
     same seed.  Q^{1/2} is applied in place, a chunk of paths at a time.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    if not int_at_least(n_paths, 1):
+        raise _int_error(n_paths, f"n_paths must be >= 1 and an integer, got {n_paths!r}")
+    if not int_at_least(seed, 0):
+        raise _int_error(seed, f"seed must be a non-negative integer, got {seed!r}")
     root_q = psd_sqrt(spec.q())
     scale = np.sqrt(grid.widths)[:, None]
     dw = path_rngs(seed, n_paths, (grid.n_cells, spec.d_drive))
@@ -465,9 +480,7 @@ def countex_spec(n: int) -> tuple[NoiseSpec, TimeGrid]:
     if n < 1:
         raise ValueError("n must be >= 1")
     grid = TimeGrid.uniform(1.0, n)
-    sig = np.zeros((n, n, 1))
-    for j in range(n):
-        sig[j, j, 0] = 1.0
+    sig = np.eye(n)[:, :, None]
     q = np.array([[float(n)]])
     return NoiseSpec(d_cyl=n, d_drive=1, sigma=sig, q_drive=q, name=f"countex-{n}"), grid
 
@@ -484,10 +497,9 @@ def stacked_spec(spec1: NoiseSpec, spec2: NoiseSpec) -> NoiseSpec:
 
     s1 = np.asarray(spec1.sigma, dtype=float)
     s2 = np.asarray(spec2.sigma, dtype=float)
-    if s1.ndim == 2 and s2.ndim == 2:
-        sig = np.concatenate([s1, s2], axis=-1)
-    else:
+    if s1.ndim != 2 or s2.ndim != 2:
         raise ValueError("stacking supports constant sigma only")
+    sig = np.concatenate([s1, s2], axis=-1)
     return NoiseSpec(
         d_cyl=spec1.d_cyl,
         d_drive=spec1.d_drive + spec2.d_drive,

@@ -2,7 +2,7 @@
 of the hand-written spellings it replaced, bit for bit.
 
 The references below are the code as it stood before ``prefix_sums``,
-``cell_apply``, ``integrand_increments`` and ``operator_rate`` took over.
+``cell_apply``, ``integral_steps`` and ``operator_rate`` took over.
 Cases cover shared, per-cell, adapted and stopped (per-path) sigma,
 constant, per-cell and per-path phi, non-uniform grids, and C- and
 F-ordered Q and phi.  ``cell_apply`` is also checked against itself: its
@@ -14,8 +14,11 @@ at a stated tolerance (``assert_close``), not bit for bit.  Since version 5
 ``integrate`` forms (phi sigma) dW, one product through the driver, and its
 reference is the two-step phi (sigma dW), compared within
 ``two_step_bound``; ``TestFusedProduct`` pins the fused product's own bits.
+``integral_steps`` walks that product and its running sum a cell at a time;
+``TestWalk`` pins its bits to the all-cells product and cumsum it replaced.
 """
 
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,8 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylmart._util import cell_apply, prefix_sums, prefix_total
-from cylmart.bdg import ito_isometry, ito_residual
+from cylmart._util import cell_apply, flavor_norm, prefix_sums
+from cylmart.bdg import BDGInstance, _sup_norms, bdg_ratio_panel, ito_isometry, ito_residual
 from cylmart.evolution import SEEProblem, stoch_convolution
 from cylmart.integration import (
     IntegralPaths,
@@ -32,7 +35,7 @@ from cylmart.integration import (
     StoppedIntegral,
     covariation_norm_increments,
     covariation_operator,
-    integrand_increments,
+    integral_steps,
     integrate,
     stop_integral,
 )
@@ -69,6 +72,18 @@ def ref_contract_and_accumulate(phi, driven, ens) -> IntegralPaths:
     out = np.zeros((ens.n_paths, ens.grid.n_cells + 1, inc.shape[2]))
     np.cumsum(inc, axis=1, out=out[:, 1:, :])
     return IntegralPaths(ens.grid, out)
+
+
+def ref_integrand_increments(phi, ens) -> np.ndarray:
+    return cell_apply(phi.matrices @ ens.sigma_path, ens.driver_increments)
+
+
+def ref_prefix_total(inc: np.ndarray, axis: int = 0) -> np.ndarray:
+    inc = np.moveaxis(np.asarray(inc), axis, 0)
+    out = np.array(inc[0], dtype=float)
+    for row in inc[1:]:
+        out += row
+    return out
 
 
 def ref_direction_bracket_increments(self, directions: np.ndarray) -> np.ndarray:
@@ -331,17 +346,21 @@ class TestPrefixSums:
     @ORACLE
     @given(cases())
     def test_total_is_the_terminal_integral(self, case):
-        inc = integrand_increments(case.phi, case.ens)
-        assert_same(prefix_total(inc, axis=1), integrate(case.phi, case.ens).terminal())
+        # the walk's last zeta is the old left-to-right total of the old
+        # all-cells increments, and integrate's terminal value
+        *_, (_, _, last) = integral_steps(case.phi, case.ens)
+        inc = ref_integrand_increments(case.phi, case.ens)
+        assert_same(last, ref_prefix_total(inc, axis=1))
+        assert_same(last, integrate(case.phi, case.ens).terminal())
 
     @pytest.mark.parametrize("k", [1, 2, 64])
     def test_total_adds_left_to_right_at_one_dim(self, k):
         grid = TimeGrid.uniform(1.0, k)
         ens = simulate(NoiseSpec(1, 1, np.eye(1)), grid, 50, seed=k)
         phi = IntegrandProcess.constant(grid, np.array([[0.7]]))
-        inc = integrand_increments(phi, ens)
+        inc = np.stack([step[1] for step in integral_steps(phi, ens)], axis=1)
         terminal = integrate(phi, ens).terminal()
-        assert_same(prefix_total(inc, axis=1), terminal)
+        assert_same(ref_prefix_total(inc, axis=1), terminal)
         assert ito_isometry(phi, ens).lhs == float(np.mean(np.sum(terminal**2, axis=1)))
         if k == 64:  # np.sum adds 64 contiguous cells pairwise, in another order
             assert not np.array_equal(np.sum(inc, axis=1), terminal)
@@ -399,14 +418,24 @@ class TestIntegrand:
         assert got.max_cell_mass == want.max_cell_mass
 
     def test_increments_check_grid_and_paths(self):
+        # the walk refuses at the call, before its first step
         grid = TimeGrid.uniform(1.0, 4)
         ens = simulate(NoiseSpec(3, 2, np.ones((3, 2))), grid, 5, seed=1)
         other = IntegrandProcess.constant(TimeGrid.uniform(2.0, 4), np.ones((2, 3)))
         with pytest.raises(ValueError, match="grids differ"):
-            integrand_increments(other, ens)
+            integral_steps(other, ens)
         wrong = IntegrandProcess(grid, np.ones((4, 4, 2, 3)))
         with pytest.raises(ValueError, match="does not match path count"):
-            integrand_increments(wrong, ens)
+            integral_steps(wrong, ens)
+
+    @pytest.mark.parametrize("per_path", [False, True], ids=["shared", "per-path"])
+    def test_input_dimension_is_named(self, per_path):
+        # a phi reading R^4 against d_cyl = 3 ended in numpy's matmul error
+        grid = TimeGrid.uniform(1.0, 4)
+        ens = simulate(NoiseSpec(3, 2, np.ones((3, 2))), grid, 5, seed=1)
+        phi = IntegrandProcess(grid, np.ones((5, 4, 2, 4) if per_path else (4, 2, 4)))
+        with pytest.raises(ValueError, match="input dimension 4 differs from d_cyl 3"):
+            integrate(phi, ens)
 
 
 @st.composite
@@ -619,6 +648,82 @@ def _square_grad(t, x):
 
 def _square_hess(t, x):
     return np.broadcast_to(2.0 * np.eye(x.shape[-1]), x.shape + x.shape[-1:])
+
+
+WALK_VARIANTS = {
+    "shared": dict(
+        sigma_kinds=("shared", "per-cell"), phi_kinds=("constant", "per-cell"), stop=False
+    ),
+    "per-path": dict(sigma_kinds=("adapted",), phi_kinds=("per-path",), stop=False),
+    "stopped": dict(stop=True),
+}
+FLAVORS = ("hilbert", 1, 4, np.inf)
+
+
+class TestWalk:
+    """``integral_steps``, the one walk of int phi dM that integrate, the
+    isometry, the BDG panel and ito_residual read, against the all-cells
+    product and cumsum it replaced; the panel's streamed sups against the
+    maximum over whole paths."""
+
+    @pytest.mark.parametrize("variant", sorted(WALK_VARIANTS))
+    @ORACLE
+    @given(data=st.data())
+    def test_zeta_matches_reference_and_integrate(self, variant, data):
+        case = data.draw(cases(**WALK_VARIANTS[variant]))
+        phi, ens = case.phi, case.ens
+        want = ref_contract_and_accumulate(phi, ens.driven_increments(), ens).values
+        bound = two_step_bound(phi, ens)
+        values = integrate(phi, ens).values
+        old_phi_sig = phi.matrices @ ens.sigma_path
+        old_inc = ref_integrand_increments(phi, ens)
+        steps = list(integral_steps(phi, ens))
+        assert len(steps) == ens.grid.n_cells
+        for j, (phi_sig, inc, zeta) in enumerate(steps):
+            assert_same(phi_sig, old_phi_sig[..., j, :, :], "phi sigma")
+            assert_same(inc, old_inc[:, j], "increment")
+            assert np.all(np.abs(zeta - want[:, j + 1]) <= bound[:, j + 1])
+            assert_same(zeta, values[:, j + 1], "integrate")
+        assert_same(values, prefix_sums(old_inc, axis=1), "all-cells integrate")
+
+    @ORACLE
+    @given(cases())
+    def test_streamed_sups_are_whole_path_maxima(self, case):
+        values = integrate(case.phi, case.ens).values
+        for flavor, sup in zip(FLAVORS, _sup_norms(case.phi, case.ens, FLAVORS)):
+            assert_same(sup, flavor_norm(values, flavor).max(axis=1), str(flavor))
+
+    def test_streamed_sups_keep_a_nan(self):
+        # path 0's phi sigma overflows, so its integral meets inf - inf
+        grid = TimeGrid.uniform(1.0, 8)
+        rng = np.random.default_rng(5)
+        ens = simulate(NoiseSpec(2, 2, np.array([[10.0, -10.0], [10.0, 10.0]])), grid, 3, seed=5)
+        mats = rng.standard_normal((3, 8, 2, 2))
+        mats[0] = np.sign(mats[0]) * 1e308
+        phi = IntegrandProcess(grid, mats)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _sup_norms(phi, ens, FLAVORS)
+            values = integrate(phi, ens).values
+        for flavor, sup in zip(FLAVORS, got):
+            want = flavor_norm(values, flavor).max(axis=1)
+            assert np.isnan(want[0]) and np.isfinite(want[1:]).all(), flavor
+            assert np.array_equal(sup, want, equal_nan=True), flavor
+
+    def test_panel_holds_no_path_array(self):
+        # the panel reads a running sup per flavor, so its peak stays below
+        # one (n, K+1, m) array of integral values; calling integrate held
+        # two, the products and their prefix sums (18.9 MB against 6.3 MB)
+        n, k, m = 4000, 48, 4
+        grid = TimeGrid.uniform(1.0, k)
+        phi = IntegrandProcess.constant(grid, np.random.default_rng(6).standard_normal((m, 2)))
+        inst = BDGInstance("walk", NoiseSpec(2, 1, np.ones((2, 1))), phi)
+        tracemalloc.start()
+        try:
+            bdg_ratio_panel([inst], [2.0], FLAVORS, n, seed=6, gamma_samples=256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * (k + 1) * m * 8
 
 
 class TestFusedProduct:

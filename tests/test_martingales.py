@@ -677,6 +677,39 @@ class TestNonFiniteInput:
             _assemble(spec, grid, 2, dw, spec.sigma_on_grid(grid))
 
 
+class TestNamedRefusals:
+    """Shapes and counts that used to fail later, or in numpy, are refused
+    by name where they enter."""
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 3), (2,), (4, 2, 3), (1, 4, 2, 2)], ids=["square", "1d", "swapped", "4d"]
+    )
+    def test_sigma_shape_refused_at_construction(self, shape):
+        # (3, 3) against (d_cyl, d_drive) = (2, 2) failed only in sigma_on_grid
+        with pytest.raises(ValueError, match=r"sigma shape .* is neither \(d_cyl, d_drive\)"):
+            NoiseSpec(2, 2, np.ones(shape))
+
+    def test_sigma_shapes_accepted(self, grid):
+        NoiseSpec(2, 3, np.ones((2, 3)))
+        NoiseSpec(2, 3, np.ones((grid.n_cells, 2, 3)))
+        with pytest.raises(ValueError, match="sigma has 5 cells, the grid 16"):
+            NoiseSpec(2, 3, np.ones((5, 2, 3))).sigma_on_grid(grid)
+
+    @pytest.mark.parametrize("bad", [2.5, True, "3"])
+    def test_non_integer_path_count_named(self, grid, bad):
+        with pytest.raises(TypeError, match="n_paths must be >= 1 and an integer"):
+            simulate(NoiseSpec(1, 1, np.eye(1)), grid, bad, seed=1)
+
+    def test_negative_seed_named(self, grid):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            simulate(NoiseSpec(1, 1, np.eye(1)), grid, 2, seed=-1)
+
+    @pytest.mark.parametrize("bad", [1.5, True, None])
+    def test_non_integer_seed_named(self, grid, bad):
+        with pytest.raises(TypeError, match="seed must be a non-negative integer"):
+            simulate(NoiseSpec(1, 1, np.eye(1)), grid, 2, seed=bad)
+
+
 class TestStopIndices:
     """Grid stopping indices are integers in [0, K]; anything else is named."""
 
