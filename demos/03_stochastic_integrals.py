@@ -52,4 +52,4 @@ print("bilinear Cauchy-Schwarz slack (scaled):", f"{kw.worst_slack:.3e}")
 # --- optional stopping, three ways ------------------------------------------------
 tau = first_passage_time(ens, level=0.5 * ens.bracket.prefix()[0, -1])
 stopped = stop_integral(phi, ens, tau)
-print("stopped path == cut integrand == frozen driver:", stopped.bit_identical())
+print("stopped path == cut integrand == frozen driver:", stopped.bit_identical)

@@ -25,7 +25,6 @@ ou = SEEProblem(
     noise_map=lambda t, x: np.ones((x.shape[0], 1, 1)),
     lip_noise=0.0,
     u0=np.array([0.0]),
-    name="ou",
 )
 ens = simulate(wiener, grid, n_paths=20_000, seed=1)
 u, diag = picard_solve(ou, ens, tol=1e-10)

@@ -11,94 +11,24 @@ Submodules:
 * ``bdg``          isometry / two-sided moment panels / chain-rule residual
 * ``evolution``    mild-solution solver by blockwise fixed-point iteration
 * ``harness``      experiment registry, reports, replay
+
+The package exports the ``__all__`` of each library module above harness,
+and its own ``__all__`` is their union; ``harness``, ``experiments`` and
+``cli`` are imported on their own.
 """
 
-from .measures import (
-    GridMeasure,
-    IncreasingPath,
-    TimeGrid,
-    measure_from_increasing,
-    partial_sup,
-    radon_nikodym,
-    sup_density_measures,
-    sup_measures,
-    sup_measures_bruteforce,
-)
-from .operators import ProjectionTriple, op_norm_sym, projection_selection, psd_sqrt
-from .martingales import (
-    BracketPaths,
-    MartEnsemble,
-    NoiseSpec,
-    OperatorProcess,
-    am_operator,
-    countex_spec,
-    qm_empirical,
-    qm_operator,
-    qv_exact,
-    qv_partition_estimate,
-    simulate,
-    sphere_panel,
-    stacked_spec,
-    stop_ensemble,
-    stopped_spec,
-)
-from .integration import (
-    CheckReport,
-    ElementaryIntegrand,
-    ElementaryPiece,
-    IntegralPaths,
-    IntegrandProcess,
-    bracket_of_integral,
-    covariation_operator,
-    elementary_integral,
-    first_passage_time,
-    integrate,
-    kunita_watanabe_check,
-    local_property_check,
-    stop_integral,
-)
-from .timechange import (
-    TimeChange,
-    apply_time_change,
-    build_time_change,
-    dds_integral_check,
-    gamma_timechange_check,
-    plateau_constancy_check,
-    substitute,
-)
-from .gammanorm import (
-    GammaEstimate,
-    GammaKernel,
-    gamma_fubini_check,
-    gamma_norm,
-    gamma_norm_exact_hilbert,
-    gamma_norm_mc,
-    ideal_check,
-    kernel_operator_norm,
-    primitive_gamma_bound_check,
-    type2_cotype2_check,
-)
-from .bdg import (
-    BDGInstance,
-    BDGReport,
-    bdg_ratio_panel,
-    fit_bracket,
-    integral_kernel,
-    ito_isometry,
-    ito_residual,
-    trace_term,
-)
-from .evolution import (
-    PicardDiagnostics,
-    PicardError,
-    SEEProblem,
-    det_convolution,
-    localization_consistency,
-    mild_residual,
-    picard_solve,
-    rho_stopping_times,
-    stoch_convolution,
-    vp_norm,
-)
+from . import bdg, evolution, gammanorm, integration, martingales, measures, operators, timechange
+from .bdg import *  # noqa: F403
+from .evolution import *  # noqa: F403
+from .gammanorm import *  # noqa: F403
+from .integration import *  # noqa: F403
+from .martingales import *  # noqa: F403
+from .measures import *  # noqa: F403
+from .operators import *  # noqa: F403
+from .timechange import *  # noqa: F403
+
+# no two of these modules share a name
+_MODULES = (measures, operators, martingales, integration, timechange, gammanorm, bdg, evolution)
+__all__ = [name for module in _MODULES for name in module.__all__]
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ __all__ = [
     "canonical_json",
     "config_hash",
     "int_at_least",
+    "int_error",
     "finite_above_zero",
 ]
 
@@ -38,8 +39,10 @@ def path_rngs(seed: int, n: int, shape: tuple) -> np.ndarray:
 
 
 def single_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """``Generator(PCG64(SeedSequence((seed, stream))))``; ``seed`` must be a
-    non-negative integer."""
+    """``Generator(PCG64(SeedSequence((seed, stream))))``; a ``seed`` that is
+    no non-negative integer is refused by name (see ``int_error``)."""
+    if not int_at_least(seed, 0):
+        raise int_error(seed, f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((operator.index(seed), stream)))
     )
@@ -116,6 +119,13 @@ def int_at_least(value, least: int) -> bool:
         return not isinstance(value, bool) and operator.index(value) >= least
     except TypeError:
         return False
+
+
+def int_error(value, message: str) -> Exception:
+    """The error for a value ``int_at_least`` refused: a ValueError for an
+    integer out of range, a TypeError for anything else, a bool included."""
+    is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return (ValueError if is_int else TypeError)(message)
 
 
 def finite_above_zero(value) -> bool:

@@ -45,6 +45,7 @@ class IsometryReport:
     z: float
     n_paths: int
 
+    @property
     def passed(self) -> bool:
         return abs(self.z) <= 3.0
 

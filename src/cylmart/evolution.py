@@ -82,7 +82,6 @@ class SEEProblem:
     noise_map: Callable
     lip_noise: float
     u0: np.ndarray
-    name: str = ""
     semigroup: Semigroup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -677,8 +676,7 @@ def localization_consistency(
     if u0_alt is not None:
         if agree_mask is None:
             raise ValueError("u0_alt needs the mask of agreeing paths")
-        alt = replace(problem, u0=u0_alt, name=problem.name + "-alt")
-        u_alt, _ = picard_solve(alt, ens, tol=tol, validate=False)
+        u_alt, _ = picard_solve(replace(problem, u0=u0_alt), ens, tol=tol, validate=False)
         diffs = np.linalg.norm(u_full - u_alt, axis=2).max(axis=1)
         event_gaps = diffs[np.asarray(agree_mask, dtype=bool)]
     return LocalizationReport(stop_gaps=stop_gaps, event_gaps=event_gaps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import flavor_norm, flavor_p, is_hilbert, single_rng
+from ._util import flavor_norm, flavor_p, int_at_least, int_error, is_hilbert, single_rng
 from .measures import GridMeasure, TimeGrid
 from .operators import psd_sqrt
 
@@ -94,8 +94,9 @@ def _root_mean(sq: np.ndarray) -> tuple[float, float]:
 
 
 def _check_samples(n_samples: int) -> None:
-    if n_samples < 2:
-        raise ValueError("need at least two samples for a standard error")
+    if not int_at_least(n_samples, 2):
+        msg = "n_samples must be >= 2 and an integer, at least two samples for a standard error"
+        raise int_error(n_samples, f"{msg}, got {n_samples!r}")
 
 
 def gamma_norm_mc(kernel: GammaKernel, n_samples: int, seed: int) -> GammaEstimate:
@@ -137,6 +138,7 @@ class IdealReport:
     def slack(self) -> float:
         return self.rhs - self.lhs.value
 
+    @property
     def passed(self) -> bool:
         tol = 3.0 * (self.lhs.stderr + self.rhs_stderr) + 1e-12 * (1 + abs(self.rhs))
         return self.slack >= -tol
@@ -171,6 +173,7 @@ class PrimitiveBoundReport:
     lhs: GammaEstimate
     rhs: float
 
+    @property
     def passed(self) -> bool:
         tol = 3.0 * self.lhs.stderr + 1e-9 * (1 + abs(self.rhs))
         return self.lhs.value <= self.rhs + tol

@@ -176,6 +176,7 @@ class ElementaryIntegrand:
                     if denom > 0 and abs(hs[a] @ hs[b]) > 1e-10 * denom:
                         raise ValueError("h vectors within a slab must be orthogonal")
 
+    @property
     def target_dim(self) -> int:
         for piece in self.pieces:
             for _, x in piece.terms:
@@ -185,7 +186,7 @@ class ElementaryIntegrand:
     def as_process(self, n_paths: int) -> IntegrandProcess:
         """Materialize the per-cell (per-path if events are used) matrices."""
         k = self.grid.n_cells
-        m = self.target_dim()
+        m = self.target_dim
         d = None
         for piece in self.pieces:
             for h, _ in piece.terms:
@@ -216,7 +217,7 @@ def elementary_integral(elem: ElementaryIntegrand, ens: MartEnsemble) -> Integra
     if elem.grid != ens.grid:
         raise ValueError("integrand and ensemble grids differ")
     k = ens.grid.n_cells
-    m = elem.target_dim()
+    m = elem.target_dim
     out = np.zeros((ens.n_paths, k + 1, m))
     idx = np.arange(k + 1)
     for piece in elem.pieces:
@@ -327,7 +328,9 @@ def kunita_watanabe_check(
 
 def first_passage_time(ens: MartEnsemble, level: float) -> np.ndarray:
     """First grid index where the per-path bracket exceeds ``level``; rounds
-    up to the next grid point, K if never reached."""
+    up to the next grid point, K if never reached.  ``level`` must be finite."""
+    if not np.isfinite(level):
+        raise ValueError(f"passage level must be finite, got {level!r}")
     prefix = ens.bracket.prefix()
     hit = prefix > level
     idx = np.argmax(hit, axis=1)
@@ -343,6 +346,7 @@ class StoppedIntegral:
     indicator_integrand: IntegralPaths
     stopped_driver: IntegralPaths
 
+    @property
     def bit_identical(self) -> bool:
         return np.array_equal(
             self.stopped_path.values, self.indicator_integrand.values

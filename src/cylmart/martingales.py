@@ -21,13 +21,12 @@ empirically from partition suprema over a unit-sphere sample.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import cell_apply, int_at_least, path_rngs, prefix_sums, single_rng
+from ._util import cell_apply, int_at_least, int_error, path_rngs, prefix_sums, single_rng
 from .measures import GridMeasure, TimeGrid, radon_nikodym
 from .operators import psd_sqrt
 
@@ -109,7 +108,6 @@ class NoiseSpec:
     d_drive: int
     sigma: SigmaLike
     q_drive: np.ndarray | None = None
-    name: str = ""
 
     def __post_init__(self):
         if not self.adapted:
@@ -317,13 +315,6 @@ def _assemble(
     )
 
 
-def _int_error(value, message: str) -> Exception:
-    """The error for a value ``int_at_least`` refused: a ValueError for an
-    integer out of range, a TypeError for anything else, a bool included."""
-    is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    return (ValueError if is_int else TypeError)(message)
-
-
 def simulate(
     spec: NoiseSpec,
     grid: TimeGrid,
@@ -336,11 +327,11 @@ def simulate(
     (K, d_drive) block of one standard normal stream of ``seed``
     (``_util.path_rngs``): an ensemble is a prefix of any larger one at the
     same seed.  Q^{1/2} is applied in place, a chunk of paths at a time.
+    A path count that is no integer >= 1 is refused by name, and so is a
+    seed that is no non-negative integer (by ``_util.single_rng``).
     """
     if not int_at_least(n_paths, 1):
-        raise _int_error(n_paths, f"n_paths must be >= 1 and an integer, got {n_paths!r}")
-    if not int_at_least(seed, 0):
-        raise _int_error(seed, f"seed must be a non-negative integer, got {seed!r}")
+        raise int_error(n_paths, f"n_paths must be >= 1 and an integer, got {n_paths!r}")
     root_q = psd_sqrt(spec.q())
     scale = np.sqrt(grid.widths)[:, None]
     dw = path_rngs(seed, n_paths, (grid.n_cells, spec.d_drive))
@@ -402,8 +393,10 @@ def qm_empirical(am: OperatorProcess, qv: GridMeasure) -> OperatorProcess:
 def sphere_panel(d: int, n_samples: int, seed: int) -> np.ndarray:
     """Unit directions: +-coordinates plus seeded Gaussian directions, drawn
     row by row, so a smaller panel is the head of a larger one (same seed)."""
+    if not int_at_least(n_samples, 0):
+        raise int_error(n_samples, f"n_samples must be >= 0 and an integer, got {n_samples!r}")
     coords = np.vstack([np.eye(d), -np.eye(d)])
-    if n_samples <= 0 or d == 1:
+    if n_samples == 0 or d == 1:
         return coords
     z = single_rng(seed, stream=61).standard_normal((n_samples, d))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
@@ -477,12 +470,12 @@ def countex_spec(n: int) -> tuple[NoiseSpec, TimeGrid]:
     matrix entries (same process in law), so that for dyadic n the cell
     masses are integer-exact in floating point.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not int_at_least(n, 1):
+        raise int_error(n, f"n must be >= 1 and an integer, got {n!r}")
     grid = TimeGrid.uniform(1.0, n)
     sig = np.eye(n)[:, :, None]
     q = np.array([[float(n)]])
-    return NoiseSpec(d_cyl=n, d_drive=1, sigma=sig, q_drive=q, name=f"countex-{n}"), grid
+    return NoiseSpec(d_cyl=n, d_drive=1, sigma=sig, q_drive=q), grid
 
 
 def stacked_spec(spec1: NoiseSpec, spec2: NoiseSpec) -> NoiseSpec:
@@ -500,20 +493,14 @@ def stacked_spec(spec1: NoiseSpec, spec2: NoiseSpec) -> NoiseSpec:
     if s1.ndim != 2 or s2.ndim != 2:
         raise ValueError("stacking supports constant sigma only")
     sig = np.concatenate([s1, s2], axis=-1)
-    return NoiseSpec(
-        d_cyl=spec1.d_cyl,
-        d_drive=spec1.d_drive + spec2.d_drive,
-        sigma=sig,
-        q_drive=q,
-        name=f"({spec1.name}+{spec2.name})",
-    )
+    return NoiseSpec(spec1.d_cyl, spec1.d_drive + spec2.d_drive, sig, q)
 
 
 def stopped_spec(spec: NoiseSpec, grid: TimeGrid, stop_idx: int) -> NoiseSpec:
     """Spec with sigma zeroed on cells at and beyond grid point ``stop_idx``."""
     sig = spec.sigma_on_grid(grid).copy()
     sig[grid_stop_indices(stop_idx, 1, grid.n_cells)[0] :] = 0.0
-    return NoiseSpec(spec.d_cyl, spec.d_drive, sig, spec.q_drive, name=spec.name + "-stopped")
+    return NoiseSpec(spec.d_cyl, spec.d_drive, sig, spec.q_drive)
 
 
 def stop_ensemble(ens: MartEnsemble, tau_idx: np.ndarray) -> MartEnsemble:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import prefix_sums
+from ._util import int_at_least, int_error, prefix_sums
 
 __all__ = [
     "TimeGrid",
@@ -57,6 +57,8 @@ class TimeGrid:
     def uniform(cls, horizon: float, cells: int) -> "TimeGrid":
         if horizon <= 0:
             raise ValueError("horizon must be positive")
+        if not int_at_least(cells, 1):
+            raise int_error(cells, f"cells must be >= 1 and an integer, got {cells!r}")
         return cls(np.linspace(0.0, horizon, cells + 1))
 
     @property
@@ -179,8 +181,8 @@ def sup_measures(measures: list[GridMeasure], refine: int = 0) -> GridMeasure:
     if not measures:
         raise ValueError("need at least one measure")
     grid = _same_grid(*measures)
-    if refine < 0:
-        raise ValueError("refine must be >= 0")
+    if not int_at_least(refine, 0):
+        raise int_error(refine, f"refine must be >= 0 and an integer, got {refine!r}")
     n_sub = 2**refine
     stacked = np.stack([m.increments for m in measures])  # (n_meas, K)
     atoms = np.repeat(stacked / n_sub, n_sub, axis=1)  # (n_meas, K * n_sub)
@@ -200,8 +202,8 @@ def sup_measures_bruteforce(measures: list[GridMeasure], refine: int = 0) -> Gri
     if not measures:
         raise ValueError("need at least one measure")
     grid = _same_grid(*measures)
-    if refine < 0:
-        raise ValueError("refine must be >= 0")
+    if not int_at_least(refine, 0):
+        raise int_error(refine, f"refine must be >= 0 and an integer, got {refine!r}")
     n_sub = 2**refine
     stacked = np.stack([m.increments for m in measures])
     atoms = np.repeat(stacked / n_sub, n_sub, axis=1)
@@ -274,8 +276,8 @@ def radon_nikodym(nu: GridMeasure, mu: GridMeasure, eps_window: int = 1) -> np.n
     mu, window 1 recovers that density exactly on the support of mu.
     """
     grid = _same_grid(nu, mu)
-    if eps_window < 1:
-        raise ValueError("eps_window must be >= 1")
+    if not int_at_least(eps_window, 1):
+        raise int_error(eps_window, f"eps_window must be >= 1 and an integer, got {eps_window!r}")
     violations = np.flatnonzero((nu.increments > 0) & (mu.increments == 0))
     if violations.size:
         raise ValueError(

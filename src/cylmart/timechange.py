@@ -227,7 +227,8 @@ class TransportPair:
     rhs_stderr: float
     rebin_bound: float
 
-    def agree(self) -> bool:
+    @property
+    def passed(self) -> bool:
         tol = self.rebin_bound + 3.0 * (self.lhs_stderr + self.rhs_stderr) + 1e-12 * (
             1.0 + abs(self.lhs)
         )

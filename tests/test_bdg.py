@@ -40,13 +40,13 @@ class TestIsometry:
     def test_zero_integrand(self, grid):
         ens = simulate(NoiseSpec(2, 2, np.eye(2)), grid, 100, seed=1)
         rep = ito_isometry(IntegrandProcess.constant(grid, np.zeros((2, 2))), ens)
-        assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed()
+        assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed
 
     def test_identity_wiener_d2(self, grid):
         ens = simulate(NoiseSpec(2, 2, np.eye(2)), grid, 10_000, seed=2)
         rep = ito_isometry(IntegrandProcess.constant(grid, np.eye(2)), ens)
         assert rep.rhs == pytest.approx(2.0, abs=1e-12)
-        assert rep.passed()
+        assert rep.passed
         assert rep.lhs == pytest.approx(2.0, rel=0.1)
 
     def test_random_instances(self, grid):
@@ -56,7 +56,7 @@ class TestIsometry:
             spec = NoiseSpec(d, d, rng.standard_normal((d, d)))
             phi = IntegrandProcess.constant(grid, rng.standard_normal((m, d)))
             ens = simulate(spec, grid, 4000, seed=10 + i)
-            assert ito_isometry(phi, ens).passed()
+            assert ito_isometry(phi, ens).passed
 
     def test_adapted_integrand(self, grid):
         # per-path integrand reading the past keeps the identity exact
@@ -65,7 +65,7 @@ class TestIsometry:
         w = ens.m_evals[:, :-1, :]  # values at left endpoints
         mats = np.tanh(w)[:, :, :, None]  # (n, K, 1, 1)
         rep = ito_isometry(IntegrandProcess(grid, mats), ens)
-        assert rep.passed()
+        assert rep.passed
 
     def test_kernel_energy_matches_gamma_norm(self, grid):
         rng = np.random.default_rng(5)

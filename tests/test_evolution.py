@@ -1268,7 +1268,6 @@ def old_localization_consistency(
             noise_map=problem.noise_map,
             lip_noise=problem.lip_noise,
             u0=u0_alt,
-            name=problem.name + "-alt",
         )
         u_alt, _ = picard_solve(alt, ens, p=p, tol=tol, validate=False)
         diffs = np.linalg.norm(u_full - u_alt, axis=2).max(axis=1)

@@ -135,7 +135,7 @@ class TestIdealProperty:
         rng = np.random.default_rng(10)
         kernel = random_kernel(rng)
         rep = ideal_check(np.zeros((2, 3)), kernel, np.eye(2))
-        assert rep.lhs.value == 0.0 and rep.passed()
+        assert rep.lhs.value == 0.0 and rep.passed
 
     def test_random_contractions_never_violate(self):
         rng = np.random.default_rng(11)
@@ -148,7 +148,7 @@ class TestIdealProperty:
             t /= max(np.linalg.svd(t, compute_uv=False)[0], 1.0)
             s = rng.standard_normal((kernel.input_dim, int(rng.integers(1, 5))))
             s /= max(np.linalg.svd(s, compute_uv=False)[0], 1.0)
-            assert ideal_check(t, kernel, s).passed()
+            assert ideal_check(t, kernel, s).passed
 
     def test_pnorm_flavor_mc(self):
         rng = np.random.default_rng(12)
@@ -156,7 +156,7 @@ class TestIdealProperty:
         t = 0.5 * np.eye(3)
         s = 0.8 * np.eye(2)
         rep = ideal_check(t, kernel, s, n_samples=4096, seed=13)
-        assert rep.passed()
+        assert rep.passed
 
 
 class TestPrimitiveBound:
@@ -164,7 +164,7 @@ class TestPrimitiveBound:
         grid = TimeGrid.uniform(1.0, 4)
         mu = GridMeasure(grid, grid.widths)
         rep = primitive_gamma_bound_check(np.zeros((4, 2)), mu)
-        assert rep.lhs.value == 0.0 and rep.rhs == 0.0 and rep.passed()
+        assert rep.lhs.value == 0.0 and rep.rhs == 0.0 and rep.passed
 
     def test_terminal_mass_equality_case(self):
         # constant scalar integrand, all weight on the last cell
@@ -184,7 +184,7 @@ class TestPrimitiveBound:
             grid = TimeGrid.uniform(float(rng.uniform(0.5, 2.0)), k)
             mu = GridMeasure(grid, rng.uniform(0, 1, k))
             rep = primitive_gamma_bound_check(rng.standard_normal((k, m)), mu)
-            assert rep.passed()
+            assert rep.passed
 
     def test_pnorm_flavor(self):
         rng = np.random.default_rng(14)
@@ -193,7 +193,7 @@ class TestPrimitiveBound:
         rep = primitive_gamma_bound_check(
             rng.standard_normal((8, 3)), mu, flavor=4, n_samples=4096, seed=15
         )
-        assert rep.passed()
+        assert rep.passed
 
 
 class TestFubini:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -659,6 +660,32 @@ class TestConfigRanges:
             crit = {c.name: c for c in experiments.run_gamma(params, 20240).criteria}
         assert crit["gamma-fubini-p2"].value == 1.0 + 1e-6
         assert not crit["gamma-fubini-p2"].passed
+
+    @pytest.mark.parametrize(
+        "experiment, check, field, gate",
+        [
+            ("bdg", "ito_isometry", "z", "bdg-isometry-z3"),
+            ("kw", "kunita_watanabe_check", "worst_slack", "kw-no-violation"),
+        ],
+    )
+    def test_nan_instance_fails_its_gate(self, experiment, check, field, gate):
+        # the gate reads each report's verdict: a max or min over the
+        # instances would skip the NaN (max(0.0, nan) is 0.0) and pass
+        real = getattr(experiments, check)
+        calls = []
+
+        def nan_second(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            calls.append(rep)
+            return dataclasses.replace(rep, **{field: np.nan}) if len(calls) == 2 else rep
+
+        params = make_config(experiment, **SMALL_SIZES[experiment])["params"]
+        clean = {c.name: c for c in EXPERIMENTS[experiment](params, 20240).criteria}
+        with mock.patch.object(experiments, check, nan_second):
+            crit = {c.name: c for c in EXPERIMENTS[experiment](params, 20240).criteria}
+        assert len(calls) == 2
+        assert clean[gate].passed and not crit[gate].passed
+        assert np.isfinite(crit[gate].value)
 
 
 class _ReadRecorder(dict):

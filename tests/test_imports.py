@@ -1,10 +1,13 @@
-"""The import graph: cylmart needs numpy alone, scipy is never loaded.
+"""The import graph and the public surface: cylmart needs numpy alone,
+scipy is never loaded, the package exports its library modules' public
+names, and every verdict reads one way.
 
 The import checks run in a fresh interpreter, because the test process may
 already hold scipy from other packages.
 """
 
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -15,16 +18,42 @@ from pathlib import Path
 import numpy as np
 
 import cylmart
+from cylmart import (
+    CheckReport,
+    ElementaryIntegrand,
+    ElementaryPiece,
+    GammaEstimate,
+    IdealReport,
+    IntegralPaths,
+    IsometryReport,
+    PrimitiveBoundReport,
+    StoppedIntegral,
+    TimeGrid,
+    TransportPair,
+)
 from cylmart.martingales import sphere_panel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-PRELUDE = """
+# the library modules whose public names the package exports, in import order
+LIBRARY = (
+    "measures",
+    "operators",
+    "martingales",
+    "integration",
+    "timechange",
+    "gammanorm",
+    "bdg",
+    "evolution",
+)
+
+SCIPY_LOADED = """
 import json, sys
-import cylmart, cylmart.cli, cylmart.harness, cylmart.experiments
 def scipy_loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 """
+
+PRELUDE = SCIPY_LOADED + "import cylmart, cylmart.cli, cylmart.harness, cylmart.experiments\n"
 
 # a meta-path finder that makes every scipy import fail, as on a machine
 # where only numpy is installed
@@ -39,9 +68,9 @@ sys.meta_path.insert(0, _NoScipy())
 """
 
 
-def run_fresh(body: str, block_scipy: bool = False) -> dict:
+def run_fresh(body: str, block_scipy: bool = False, prelude: str = PRELUDE) -> dict:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    code = (BLOCK_SCIPY if block_scipy else "") + PRELUDE + body
+    code = (BLOCK_SCIPY if block_scipy else "") + prelude + body
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=env,
@@ -109,3 +138,59 @@ def test_every_export_resolves():
         module = importlib.import_module(f"cylmart.{info.name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, (info.name, missing)
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    # every module is either a library module or imported on its own
+    found = {info.name for info in pkgutil.iter_modules(cylmart.__path__)}
+    assert found == set(LIBRARY) | {"_util", "harness", "experiments", "cli"}
+    modules = [importlib.import_module(f"cylmart.{name}") for name in LIBRARY]
+    union = [name for module in modules for name in module.__all__]
+    assert cylmart.__all__ == union
+    assert len(set(union)) == len(union)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(cylmart, name) is getattr(module, name), name
+
+
+def test_star_import_binds_the_public_names_alone():
+    out = run_fresh(
+        "names = {}\n"
+        "exec('from cylmart import *', names)\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('cylmart.'))\n"
+        "print(json.dumps({'scipy': scipy_loaded(), 'loaded': loaded,\n"
+        "                  'names': sorted(set(names) - {'__builtins__'})}))",
+        prelude=SCIPY_LOADED,
+    )
+    assert out["scipy"] == []
+    assert out["names"] == sorted(cylmart.__all__)
+    assert out["loaded"] == sorted({"cylmart._util"} | {f"cylmart.{m}" for m in LIBRARY})
+
+
+def test_failing_verdicts_read_false():
+    # a verdict that is a method is a bound method, which is always truthy
+    grid = TimeGrid.uniform(1.0, 2)
+    paths = [IntegralPaths(grid, np.full((1, 3, 1), v)) for v in (0.0, 0.0, 1.0)]
+    failing = [
+        IsometryReport(1.0, 2.0, 50.0, 10),
+        IdealReport(GammaEstimate(2.0, 0.0), 1.0, 0.0),
+        PrimitiveBoundReport(GammaEstimate(2.0, 0.0), 1.0),
+        TransportPair(1.0, 2.0, 0.0, 0.0, 0.0),
+        CheckReport(-1.0, 0.0),
+    ]
+    for rep in failing:
+        assert bool(rep.passed) is False, rep
+    assert bool(StoppedIntegral(*paths).bit_identical) is False
+    elem = ElementaryIntegrand(grid, (ElementaryPiece(0, 1, ((np.ones(2), np.ones(3)),)),))
+    assert elem.target_dim == 3
+
+
+def test_verdicts_and_dimensions_are_properties():
+    for name in cylmart.__all__:
+        obj = getattr(cylmart, name)
+        if not inspect.isclass(obj):
+            continue
+        assert not hasattr(obj, "agree"), name
+        for attr in ("passed", "bit_identical", "target_dim"):
+            if hasattr(obj, attr):
+                assert isinstance(inspect.getattr_static(obj, attr), property), (name, attr)

@@ -356,14 +356,14 @@ class TestStopping:
     def test_full_horizon_is_identity(self, grid, wiener):
         phi = IntegrandProcess.constant(grid, np.eye(2))
         res = stop_integral(phi, wiener, np.full(wiener.n_paths, 16))
-        assert res.bit_identical()
+        assert res.bit_identical
         full = integrate(phi, wiener)
         np.testing.assert_array_equal(res.stopped_path.values, full.values)
 
     def test_zero_time_is_zero(self, grid, wiener):
         phi = IntegrandProcess.constant(grid, np.eye(2))
         res = stop_integral(phi, wiener, np.zeros(wiener.n_paths, dtype=int))
-        assert res.bit_identical()
+        assert res.bit_identical
         assert np.abs(res.stopped_path.values).max() == 0.0
 
     @pytest.mark.parametrize("bad", [-1, 17])
@@ -386,7 +386,7 @@ class TestStopping:
         tau = first_passage_time(ens, level=0.5 * qv_exact(spec, grid).total_mass)
         phi = IntegrandProcess.constant(grid, rng.standard_normal((3, 2)))
         res = stop_integral(phi, ens, tau)
-        assert res.bit_identical()
+        assert res.bit_identical
 
     def test_first_passage_rounds_up(self, grid):
         spec = NoiseSpec(1, 1, np.eye(1))
@@ -396,6 +396,12 @@ class TestStopping:
         np.testing.assert_array_equal(tau, [9, 9])
         never = first_passage_time(ens, level=5.0)
         np.testing.assert_array_equal(never, [16, 16])
+
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+    def test_first_passage_refuses_non_finite_level(self, wiener, level):
+        # a NaN level used to read as never reached: K on every path
+        with pytest.raises(ValueError, match="passage level must be finite"):
+            first_passage_time(wiener, level)
 
 
 class TestLocalProperty:

@@ -403,7 +403,7 @@ class TestIntegrand:
         )
         for name in ("stopped_path", "indicator_integrand", "stopped_driver"):
             assert_same(getattr(got, name).values, getattr(want, name).values, name)
-        assert got.bit_identical()
+        assert got.bit_identical
 
     @ORACLE
     @given(cases(), st.booleans())
@@ -754,7 +754,7 @@ class TestFusedProduct:
     def test_stop_integral_bit_identical(self, variant, data):
         case = data.draw(cases(**STOP_VARIANTS[variant]))
         tau = case.rng.integers(0, case.grid.n_cells + 1, case.ens.n_paths)
-        assert stop_integral(case.phi, case.ens, tau).bit_identical()
+        assert stop_integral(case.phi, case.ens, tau).bit_identical
 
     @pytest.mark.parametrize("kind", SIGMA_KINDS)
     def test_integrals_leave_sigma_dw_unformed(self, kind):

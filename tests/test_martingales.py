@@ -22,8 +22,47 @@ from cylmart.martingales import (
     stop_ensemble,
     stopped_spec,
 )
-from cylmart.measures import TimeGrid
+from cylmart.gammanorm import GammaKernel, gamma_norm_mc
+from cylmart.measures import (
+    GridMeasure,
+    TimeGrid,
+    radon_nikodym,
+    sup_measures,
+    sup_measures_bruteforce,
+)
 from cylmart.operators import op_norm_sym
+
+ONE_MEASURE = [GridMeasure(TimeGrid.uniform(1.0, 2), np.array([0.5, 0.5]))]
+ONE_KERNEL = GammaKernel(ONE_MEASURE[0], np.ones((2, 1, 1)), flavor=4)
+ONE_ENSEMBLE = simulate(NoiseSpec(2, 2, np.eye(2)), TimeGrid.uniform(1.0, 4), 1, seed=0)
+
+
+# counts and seeds that used to reach numpy (or pass a bool as 1) before
+# anything named them: the call, the error and the name it gives
+COUNT_AND_SEED_REFUSALS = {
+    "grid-cells-bool": (lambda: TimeGrid.uniform(1.0, True), TypeError, "cells"),
+    "grid-cells-float": (lambda: TimeGrid.uniform(1.0, 2.5), TypeError, "cells"),
+    "grid-cells-zero": (lambda: TimeGrid.uniform(1.0, 0), ValueError, "cells"),
+    "countex-float": (lambda: countex_spec(2.5), TypeError, "n"),
+    "countex-bool": (lambda: countex_spec(True), TypeError, "n"),
+    "refine-float": (lambda: sup_measures(ONE_MEASURE, refine=1.5), TypeError, "refine"),
+    "refine-bool": (lambda: sup_measures(ONE_MEASURE, refine=True), TypeError, "refine"),
+    "brute-refine-float": (
+        lambda: sup_measures_bruteforce(ONE_MEASURE, refine=1.5), TypeError, "refine"
+    ),
+    "eps-window-float": (
+        lambda: radon_nikodym(*ONE_MEASURE * 2, eps_window=1.5), TypeError, "eps_window"
+    ),
+    "mc-samples-float": (lambda: gamma_norm_mc(ONE_KERNEL, 2.5, 0), TypeError, "n_samples"),
+    "mc-seed-negative": (lambda: gamma_norm_mc(ONE_KERNEL, 16, -1), ValueError, "seed"),
+    "mc-seed-float": (lambda: gamma_norm_mc(ONE_KERNEL, 16, 1.5), TypeError, "seed"),
+    "panel-samples-float": (lambda: sphere_panel(2, 2.5, 0), TypeError, "n_samples"),
+    "panel-samples-negative": (lambda: sphere_panel(2, -1, 0), ValueError, "n_samples"),
+    "panel-seed-negative": (lambda: sphere_panel(2, 4, -1), ValueError, "seed"),
+    "qv-sphere-float": (
+        lambda: qv_partition_estimate(ONE_ENSEMBLE, 2.5, [1]), TypeError, "n_samples"
+    ),
+}
 
 
 @pytest.fixture
@@ -708,6 +747,17 @@ class TestNamedRefusals:
     def test_non_integer_seed_named(self, grid, bad):
         with pytest.raises(TypeError, match="seed must be a non-negative integer"):
             simulate(NoiseSpec(1, 1, np.eye(1)), grid, 2, seed=bad)
+
+    @pytest.mark.parametrize(
+        "call, error, named",
+        COUNT_AND_SEED_REFUSALS.values(),
+        ids=list(COUNT_AND_SEED_REFUSALS),
+    )
+    def test_counts_and_seeds_refused_by_name(self, call, error, named):
+        # a non-integer or a bool is a TypeError, an integer out of range a
+        # ValueError, as in simulate
+        with pytest.raises(error, match=rf"\b{named}\b.*, got "):
+            call()
 
 
 class TestStopIndices:
