@@ -17,6 +17,7 @@ __all__ = [
     "flavor_p",
     "flavor_norm",
     "prefix_sums",
+    "first_exceeding",
     "cell_apply",
     "canonical_json",
     "config_hash",
@@ -89,6 +90,26 @@ def prefix_sums(inc: np.ndarray, axis: int = 0) -> np.ndarray:
     tail = (slice(None),) * axis + (slice(1, None),)
     np.cumsum(inc, axis=axis, out=out[tail])
     return out
+
+
+SNAP_RTOL = 1e-12
+
+
+def first_exceeding(rows: np.ndarray, levels, scale) -> np.ndarray:
+    """Grid inverse of nondecreasing paths (L,) or (n, L): per level, the
+    first index of its row whose value exceeds it by more than SNAP_RTOL *
+    max(scale, 1), else L.  One less is the last index at or below it, so a
+    level reached exactly, up to rounding, resolves to the point reaching it.
+    ``scale`` is one number or one per row; ``levels`` is one per row or,
+    along a last axis, several, and the result has its shape."""
+    rows = np.asarray(rows)
+    snap = SNAP_RTOL * np.maximum(scale, 1.0)
+    if np.ndim(levels) < rows.ndim:  # one a row: searchsorted's index, counted
+        return np.count_nonzero(rows <= (levels + snap)[..., None], axis=-1)
+    queries = levels + np.expand_dims(snap, -1)
+    if rows.ndim == 1:
+        return np.searchsorted(rows, queries, side="right")
+    return np.array([np.searchsorted(r, q, side="right") for r, q in zip(rows, queries)])
 
 
 def cell_apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -31,7 +31,14 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._util import cell_apply, finite_above_zero, int_at_least, single_rng
+from ._util import (
+    cell_apply,
+    finite_above_zero,
+    first_exceeding,
+    int_at_least,
+    int_error,
+    single_rng,
+)
 from .martingales import BracketPaths, MartEnsemble, grid_stop_indices, stop_ensemble
 from .measures import TimeGrid
 from .operators import check_symmetric
@@ -317,6 +324,15 @@ def _mild_map(
     return u
 
 
+def _check_window(i0, i1, n_cells: int) -> None:
+    """Refuse a window other than integers 0 <= i0 < i1 <= n_cells, naming a
+    non-integer end (TypeError) before an end out of range (ValueError)."""
+    ends = (i0, i1)
+    if not all(int_at_least(e, 0) for e in ends) or not i0 < i1 <= n_cells:
+        bad = next((e for e in ends if not int_at_least(e, 0)), i1)
+        raise int_error(bad, f"need integers 0 <= i0 < i1 <= {n_cells}, got i0={i0!r}, i1={i1!r}")
+
+
 def fixed_point_map(
     problem: SEEProblem,
     ens: MartEnsemble,
@@ -335,6 +351,7 @@ def fixed_point_map(
     n, kp1, _ = _path_shape(problem, ens, u)
     if i1 is None:
         i1 = kp1 - 1
+    _check_window(i0, i1, kp1 - 1)
     if base is None:
         base = problem.initial_states(n)
     out = u.copy()
@@ -365,10 +382,9 @@ def vp_norm(
         raise ValueError(
             f"u must have shape ({ens.n_paths}, {grid.n_cells + 1}, dim), got {np.shape(u)}"
         )
-    i0 = int(np.searchsorted(grid.points, a - 1e-12 * max(grid.horizon, 1.0)))
-    i1 = grid.n_cells if b is None else int(
-        np.searchsorted(grid.points, b - 1e-12 * max(grid.horizon, 1.0))
-    )
+    # first grid points reaching a and b: all but the negated ones <= -a, -b
+    ends = [-a, -grid.horizon if b is None else -b]
+    i0, i1 = grid.n_cells + 1 - first_exceeding(-grid.points[::-1], ends, grid.horizon)
     # squared C-ordered whatever u's layout: _window_norm's sums and matmul
     # take another path, in other bits, on a transposed array
     return _window_norm(np.sum(np.square(u[:, i0:i1, :], order="C"), axis=2), ens, p, i0, i1)
@@ -397,25 +413,25 @@ def rho_stopping_times(bracket: BracketPaths, n: int) -> np.ndarray:
 
     T is the horizon of the bracket's grid.  The search stays inside the
     block: a block whose own mass never exceeds the cap reports inf.  Stopped
-    at these times, each block carries at most T/2^n plus one cell of mass.
+    at these times, each block carries at most T/2^n plus one cell of mass;
+    a mass that reaches the cap exactly (``_util.first_exceeding``) stops none.
     """
     if not int_at_least(n, 0):
-        raise ValueError(f"n must be an integer >= 0, got {n!r}")
+        raise int_error(n, f"n must be an integer >= 0, got {n!r}")
     grid = bracket.grid
     prefix = bracket.prefix()
     n_blocks = 2**n
     cap = grid.horizon / n_blocks
-    snap = 1e-9 * max(grid.horizon, 1.0)
+    bounds = np.arange(n_blocks + 1) * cap
+    edges = first_exceeding(grid.points, bounds, grid.horizon) - 1
+    # the last grid point at or below each block edge must reach it
+    short = first_exceeding(bounds[:, None], grid.points[edges], grid.horizon) == 0
+    if short.any():
+        raise ValueError(f"block start {bounds[np.argmax(short)]} is not a grid point")
     out = np.full((prefix.shape[0], n_blocks), np.inf)
-    for k in range(n_blocks):
-        start = k * cap
-        j0 = int(np.searchsorted(grid.points, start - snap))
-        if abs(grid.points[j0] - start) > snap:
-            raise ValueError(f"block start {start} is not a grid point")
-        j1 = int(np.searchsorted(grid.points, start + cap - snap))
-        excess = prefix[:, j0 + 1 : j1 + 1] - prefix[:, [j0]] > cap
-        hit = excess.any(axis=1)
-        first = np.argmax(excess, axis=1) + j0 + 1
+    for k, (j0, j1) in enumerate(zip(edges[:-1], edges[1:])):
+        first = j0 + first_exceeding(prefix[:, j0 : j1 + 1], prefix[:, j0] + cap, prefix[:, -1])
+        hit = first <= j1
         out[hit, k] = grid.points[first[hit]]
     return out
 
@@ -528,7 +544,7 @@ def picard_solve(
     if not finite_above_zero(tol):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     if not int_at_least(max_iter, 1):
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+        raise int_error(max_iter, f"max_iter must be an integer >= 1, got {max_iter!r}")
     if blocks is not None and not _tiles(blocks, grid.n_cells):
         raise ValueError(
             f"blocks must be an increasing, contiguous cover of [0, {grid.n_cells}] "
@@ -625,7 +641,9 @@ def lipschitz_quotient(
     i0: int = 0,
     i1: int | None = None,
 ) -> float:
-    """Measured V-norm quotient (p = 2) of the mild map between two probe inputs."""
+    """Measured V-norm quotient (p = 2) of the mild map between two probe
+    inputs on the window of cells i0..i1-1, checked as ``fixed_point_map``
+    checks it."""
     if i1 is None:
         i1 = ens.grid.n_cells
     base = problem.initial_states(ens.n_paths)

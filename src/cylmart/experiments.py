@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import prefix_sums, single_rng
+from ._util import first_exceeding, prefix_sums, single_rng
 from .bdg import (
     BDGInstance,
     BDGReport,
@@ -995,8 +995,7 @@ def run_see(params: dict, seed: int) -> ExperimentResult:
         j0 = int(round(b * k / 4))
         j1 = int(round((b + 1) * k / 4))
         stop_times = np.minimum(rho[:, b], grid.points[j1])
-        j_stop = np.searchsorted(grid.points, stop_times - 1e-12)
-        j_stop = np.clip(j_stop, j0, j1)
+        j_stop = first_exceeding(grid.points, stop_times, grid.horizon) - 1
         mass = prefix[np.arange(ens_e.n_paths), j_stop] - prefix[:, j0]
         worst_block = max(worst_block, float(mass.max()))
     one_cell = float(ens_e.bracket.increments.max())

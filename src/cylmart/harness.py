@@ -139,6 +139,25 @@ def validate_config(cfg: dict) -> dict:
     }
 
 
+def _spell_non_finite(obj):
+    """``obj`` with every non-finite float written as the string "inf",
+    "-inf" or "nan", as ``timechange_pairs`` writes them, so that a report
+    stays standard JSON."""
+    if isinstance(obj, float):  # NaN, like inf, is not below inf
+        return obj if abs(obj) < float("inf") else str(obj)
+    if isinstance(obj, dict):
+        return {key: _spell_non_finite(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_spell_non_finite(val) for val in obj]
+    return obj
+
+
+def _read_float(value):
+    """A metric or criterion value as stored: "inf", "-inf" and "nan" read
+    back as floats."""
+    return float(value) if value in ("inf", "-inf", "nan") else value
+
+
 @dataclass
 class RunReport:
     experiment: str
@@ -175,14 +194,14 @@ class RunReport:
             if key not in obj:
                 raise ReplayMismatch(f"report bundle is missing field {key!r}")
         crits = [
-            Criterion(c["name"], c["pass"], c["value"], c.get("target", ""))
+            Criterion(c["name"], c["pass"], _read_float(c["value"]), c.get("target", ""))
             for c in obj["criteria"]
         ]
         return cls(
             experiment=obj["experiment"],
             config=obj["config"],
             criteria=crits,
-            metrics=obj["metrics"],
+            metrics={key: _read_float(val) for key, val in obj["metrics"].items()},
             series=obj.get("series", {}),
             elapsed=obj.get("elapsed", 0.0),
             version=obj.get("version", "unknown"),
@@ -267,7 +286,8 @@ def run(cfg: dict, force: bool = False) -> RunReport:
                 "pass force=True / --force to overwrite"
             )
         run_dir.mkdir(parents=True, exist_ok=True)
-        _write_atomic(run_dir / "report.json", json.dumps(report.to_json(), indent=1))
+        text = json.dumps(_spell_non_finite(report.to_json()), indent=1, allow_nan=False)
+        _write_atomic(run_dir / "report.json", text)
         emit_plotdata(report, run_dir)
         report.run_dir = str(run_dir)
     return report

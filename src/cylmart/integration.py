@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._util import cell_apply, prefix_sums
+from ._util import cell_apply, first_exceeding, prefix_sums
 from .martingales import (
     MartEnsemble,
     NoiseSpec,
@@ -327,15 +327,12 @@ def kunita_watanabe_check(
 
 
 def first_passage_time(ens: MartEnsemble, level: float) -> np.ndarray:
-    """First grid index where the per-path bracket exceeds ``level``; rounds
-    up to the next grid point, K if never reached.  ``level`` must be finite."""
+    """First grid index where the bracket exceeds ``level``, one past the clock's
+    tau (``_util.first_exceeding``), K if never reached; ``level`` must be finite."""
     if not np.isfinite(level):
         raise ValueError(f"passage level must be finite, got {level!r}")
     prefix = ens.bracket.prefix()
-    hit = prefix > level
-    idx = np.argmax(hit, axis=1)
-    idx[~hit.any(axis=1)] = ens.grid.n_cells
-    return idx
+    return np.minimum(first_exceeding(prefix, level, prefix[:, -1]), ens.grid.n_cells)
 
 
 @dataclass(frozen=True)

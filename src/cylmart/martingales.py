@@ -430,6 +430,9 @@ def qv_partition_estimate(
     """
     if not depth_schedule:
         raise ValueError("depth schedule is empty")
+    for d in depth_schedule:
+        if not int_at_least(d, 0):
+            raise int_error(d, f"depths must be integers >= 0, got {d!r}")
     if panel_seed is None:
         panel_seed = ens.seed + 1
     dirs = sphere_panel(ens.spec.d_cyl, sphere_samples, panel_seed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cell_apply, prefix_sums
+from ._util import cell_apply, first_exceeding, prefix_sums
 from .gammanorm import GammaKernel, gamma_norm
 from .integration import CheckReport, IntegrandProcess, integrate
 from .martingales import BracketPaths, MartEnsemble
@@ -36,21 +36,7 @@ __all__ = [
     "plateau_constancy_check",
 ]
 
-SNAP_RTOL = 1e-12
 PLATEAU_RTOL = 1e-14
-
-
-def _last_at_or_below(sorted_vals: np.ndarray, queries, scale: float, hi: int) -> np.ndarray:
-    """Index of the last entry of ``sorted_vals`` at or below each query,
-    clipped to [0, hi].
-
-    Queries are snapped up by SNAP_RTOL * max(scale, 1), so that exactly
-    aligned breakpoints resolve to the exact inverse; ties resolve to the
-    last entry, which is the discrete form of right-continuity.
-    """
-    snap = SNAP_RTOL * max(scale, 1.0)
-    raw = np.searchsorted(sorted_vals, queries + snap, side="right")
-    return np.clip(raw - 1, 0, hi)
 
 
 def _prefix_rows(qv) -> tuple[TimeGrid, np.ndarray]:
@@ -116,18 +102,16 @@ class TimeChange:
 def build_time_change(qv) -> TimeChange:
     """Invert bracket prefix sums on a uniform s-axis per path.
 
-    tau(s) is the last grid point whose prefix mass does not exceed s (up to a
-    relative snap of 1e-12, so that exactly aligned breakpoints resolve to the
-    exact inverse); plateaus therefore collapse to their right endpoint, which
-    is the discrete form of right-continuity.
+    tau(s) is the last grid point whose prefix mass does not exceed s, by
+    ``_util.first_exceeding`` scaled by the path's total, so exactly aligned
+    breakpoints resolve to the exact inverse; plateaus collapse to their
+    right endpoint, the discrete form of right-continuity.
     """
     grid, prefix = _prefix_rows(qv)
     n, kp1 = prefix.shape
     totals = prefix[:, -1]
     s_points = np.linspace(np.zeros(n), totals, kp1, axis=1)
-    tau_idx = np.empty((n, kp1), dtype=int)
-    for p in range(n):
-        tau_idx[p] = _last_at_or_below(prefix[p], s_points[p], totals[p], kp1 - 1)
+    tau_idx = np.clip(first_exceeding(prefix, s_points, totals) - 1, 0, kp1 - 1)
     return TimeChange(grid, prefix, s_points, tau_idx)
 
 
@@ -209,10 +193,8 @@ def dds_integral_check(phi: IntegrandProcess, ens: MartEnsemble, tc: TimeChange)
     psi = phi.matrices[cells] if phi.matrices.ndim == 3 else phi.matrices[paths, cells]
     dn = np.diff(ens.m_evals[paths, idx], axis=1)  # (n, K, dc)
     transported = prefix_sums(cell_apply(psi, dn), axis=1)
-    gaps = np.empty(ens.n_paths)
-    for p, (s_pts, prefix) in enumerate(zip(clock.s_points, clock.prefix)):
-        back = _last_at_or_below(s_pts, prefix, prefix[-1], k)
-        gaps[p] = np.abs(source[p] - transported[p, back]).max()
+    back = np.clip(first_exceeding(tc.s_points, tc.prefix, tc.totals) - 1, 0, k)  # 1 or n rows
+    gaps = np.abs(source - transported[paths, back]).max(axis=(1, 2))
     max_mass = float(np.diff(tc.prefix, axis=1).max())
     return DdsReport(gaps=gaps, max_cell_mass=max_mass)
 
@@ -256,7 +238,7 @@ def gamma_timechange_check(kernel, n_samples: int = 4096, seed: int = 0) -> Tran
         # zero or subnormal mass; an overflowing total still fails in TimeGrid
         return TransportPair(0.0, 0.0, 0.0, 0.0, 0.0)
     # the clock of build_time_change, but against the pairwise total mass
-    cells = _last_at_or_below(qv.prefix(), s_pts[:-1], total, k - 1)
+    cells = np.clip(first_exceeding(qv.prefix(), s_pts[:-1], total) - 1, 0, k - 1)
     s_grid = TimeGrid(s_pts)
     transported = GammaKernel(
         measure=GridMeasure(s_grid, np.diff(s_pts)),

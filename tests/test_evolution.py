@@ -277,6 +277,14 @@ class TestRhoStoppingTimes:
         assert abs(rho[0, 0] - 0.25) <= grid.widths[0] + 1e-12
         assert abs(rho[0, 1] - 0.75) <= grid.widths[0] + 1e-12
 
+    @pytest.mark.parametrize("k", [196, 364, 372, 392, 396])
+    def test_block_mass_at_the_cap_is_no_stop(self, k):
+        # the bracket t puts exactly the cap T/4 in each block; its prefix
+        # sums used to round one block's mass past the cap, a stop at the
+        # block end (K = 364 gave [inf, inf, 0.75, inf])
+        ens = simulate(WIENER, TimeGrid.uniform(1.0, k), 1, seed=0)
+        assert np.isinf(rho_stopping_times(ens.bracket, 2)).all()
+
     def test_zero_bracket_all_infinite(self):
         grid = TimeGrid.uniform(1.0, 8)
         ens = simulate(NoiseSpec(1, 1, np.zeros((1, 1))), grid, 2, seed=11)
@@ -309,9 +317,10 @@ class TestRhoStoppingTimes:
     @pytest.mark.parametrize("n, shown", [(2.5, "2.5"), (2.0, "2.0"), (True, "True"), ("2", "'2'")])
     def test_non_integer_level_refused_by_name(self, n, shown):
         # a bool used to pass as 1 level (2 blocks), and a float raised a
-        # bare TypeError from range
+        # bare TypeError from range; a non-integer is a TypeError, as for
+        # every count refused through _util.int_error
         ens = simulate(WIENER, TimeGrid.uniform(1.0, 8), 1, seed=13)
-        with pytest.raises(ValueError, match=rf"n must be an integer >= 0, got {shown}$"):
+        with pytest.raises(TypeError, match=rf"n must be an integer >= 0, got {shown}$"):
             rho_stopping_times(ens.bracket, n)
 
     def test_numpy_integer_level(self):
@@ -502,7 +511,9 @@ class TestPicardInputs:
 
     @pytest.mark.parametrize("max_iter", [0, -1, 2.0, True])
     def test_bad_max_iter(self, max_iter):
-        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+        # a non-integer is a TypeError, an integer out of range a ValueError
+        error = TypeError if isinstance(max_iter, (bool, float)) else ValueError
+        with pytest.raises(error, match="max_iter must be an integer >= 1"):
             self.solve(max_iter=max_iter)
 
     @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-8, np.inf])

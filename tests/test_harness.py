@@ -24,6 +24,7 @@ from cylmart.harness import (
     ReplayMismatch,
     RunReport,
     emit_plotdata,
+    load_report,
     make_config,
     replay,
     run,
@@ -224,6 +225,28 @@ class TestReplay:
         monkeypatch.setitem(EXPERIMENTS, "countex", must_not_run)
         with pytest.raises(ReplayMismatch, match=rf"version {stored}\b.*version 6\b"):
             replay(path)
+
+    def test_non_finite_values_written_as_standard_json(self, tmp_path, capsys):
+        # with every slack NaN, kw's gate fails and its value is inf; the
+        # report spells it "inf" (it used to hold the bare token Infinity)
+        # and replay reads it back as the float it compares
+        real = experiments.kunita_watanabe_check
+
+        def nan_slack(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), worst_slack=np.nan)
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        with mock.patch.object(experiments, "kunita_watanabe_check", nan_slack):
+            rep = run(make_config("kw", out=str(tmp_path), paths=50, instances=2))
+            obj = json.loads((Path(rep.run_dir) / "report.json").read_text(), parse_constant=refuse)
+            assert obj["metrics"]["kw-no-violation"] == "inf"
+            assert [c["value"] for c in obj["criteria"]] == ["inf"]
+            assert load_report(rep.run_dir).metrics["kw-no-violation"] == np.inf
+            assert main(["replay", rep.run_dir]) == 1  # the gate fails, as in the run
+        out = capsys.readouterr().out
+        assert "metrics identical" in out and "[FAIL] kw/kw-no-violation: inf" in out
 
     def test_partial_bundle_structured_error(self, tmp_path):
         with pytest.raises(ReplayMismatch, match="no report found"):

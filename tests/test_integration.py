@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylmart._util import flavor_norm
+from cylmart._util import SNAP_RTOL, flavor_norm
 from cylmart.integration import (
     ElementaryIntegrand,
     ElementaryPiece,
@@ -19,8 +19,9 @@ from cylmart.integration import (
     realized_bracket,
     stop_integral,
 )
-from cylmart.martingales import NoiseSpec, am_operator, qv_exact, simulate
+from cylmart.martingales import NoiseSpec, am_operator, qv_exact, simulate, stop_ensemble
 from cylmart.measures import TimeGrid
+from cylmart.timechange import build_time_change
 
 
 @pytest.fixture
@@ -352,6 +353,25 @@ class TestKunitaWatanabe:
             assert rep.passed, rep
 
 
+@st.composite
+def passage_cases(draw):
+    """Ensembles whose brackets have random, zero and exactly aligned cell
+    masses (sigma = 1 on a uniform grid gives the bracket t), stopped at
+    random points for per-path plateaus."""
+    k = draw(st.integers(1, 12))
+    horizon = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    sig = [1.0] * k
+    if draw(st.booleans()):
+        values = st.sampled_from([0.0, 1.0, np.sqrt(2.0), 0.3, 2.5])
+        sig = draw(st.lists(values, min_size=k, max_size=k))
+    n = draw(st.integers(1, 4))
+    spec = NoiseSpec(1, 1, np.array(sig)[:, None, None])
+    ens = simulate(spec, TimeGrid.uniform(horizon, k), n, seed=0)
+    if draw(st.booleans()):
+        ens = stop_ensemble(ens, draw(st.lists(st.integers(0, k), min_size=n, max_size=n)))
+    return ens
+
+
 class TestStopping:
     def test_full_horizon_is_identity(self, grid, wiener):
         phi = IntegrandProcess.constant(grid, np.eye(2))
@@ -396,6 +416,41 @@ class TestStopping:
         np.testing.assert_array_equal(tau, [9, 9])
         never = first_passage_time(ens, level=5.0)
         np.testing.assert_array_equal(never, [16, 16])
+
+    def test_decimal_levels_passed_one_point_late(self):
+        # the bracket is t on k uniform cells: it reaches the level j/k at
+        # point j, where the clock puts it, and passes it at j + 1.  A prefix
+        # sum that rounds just past j/k used to count as passing it at j, on
+        # 167 of these 1175 levels
+        late = []
+        for k in (10, 20, 50, 100, 1000):
+            ens = simulate(NoiseSpec(1, 1, np.eye(1)), TimeGrid.uniform(1.0, k), 1, seed=0)
+            late += [(k, j) for j in range(1, k) if first_passage_time(ens, j / k)[0] != j + 1]
+        assert late == []
+
+    @given(passage_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_first_passage_is_one_past_the_clock(self, ens):
+        clock = build_time_change(ens.bracket)
+        k = ens.grid.n_cells
+        prefix = ens.bracket.prefix()
+        for p, row in enumerate(clock.s_points):
+            for s, tau in zip(row, clock.tau_idx[p]):
+                assert first_passage_time(ens, s)[p] == min(tau + 1, k)
+        # between the clock's s-points: the clock's rule, last point at or
+        # below the level up to SNAP_RTOL * max(total, 1), as its oracle in
+        # test_timechange spells it
+        decimals = np.arange(k + 1) / k * ens.grid.horizon
+        for level in [*decimals, *prefix.ravel()]:
+            got = first_passage_time(ens, level)
+            for p, row in enumerate(prefix):
+                below = np.searchsorted(row, level + SNAP_RTOL * max(row[-1], 1.0), side="right")
+                assert got[p] == min(below, k)
+        total = float(prefix[:, -1].max())
+        for level in (-1.0, -1e-6):
+            assert not first_passage_time(ens, level).any()
+        for level in (total + 1e-6, 2.0 * total + 1.0):
+            assert (first_passage_time(ens, level) == k).all()
 
     @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
     def test_first_passage_refuses_non_finite_level(self, wiener, level):

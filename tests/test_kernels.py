@@ -16,6 +16,9 @@ reference is the two-step phi (sigma dW), compared within
 ``two_step_bound``; ``TestFusedProduct`` pins the fused product's own bits.
 ``integral_steps`` walks that product and its running sum a cell at a time;
 ``TestWalk`` pins its bits to the all-cells product and cumsum it replaced.
+``first_exceeding``, the grid inverse, is pinned to one ``searchsorted`` per
+row (``TestGridInverse``); ``dds_integral_check``'s reference keeps the
+search it replaced.
 """
 
 import tracemalloc
@@ -26,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylmart._util import cell_apply, flavor_norm, prefix_sums
+from cylmart._util import SNAP_RTOL, cell_apply, first_exceeding, flavor_norm, prefix_sums
 from cylmart.bdg import BDGInstance, _sup_norms, bdg_ratio_panel, ito_isometry, ito_residual
 from cylmart.evolution import SEEProblem, stoch_convolution
 from cylmart.integration import (
@@ -50,15 +53,17 @@ from cylmart.martingales import (
     stop_ensemble,
 )
 from cylmart.measures import GridMeasure, TimeGrid, _window_sums
-from cylmart.timechange import (
-    DdsReport,
-    _last_at_or_below,
-    build_time_change,
-    dds_integral_check,
-)
+from cylmart.timechange import DdsReport, build_time_change, dds_integral_check
 
 # ---------------------------------------------------------------------------
 # Verbatim copies of the replaced spellings (``self`` where they were methods)
+
+
+def _last_at_or_below(sorted_vals, queries, scale, hi):
+    # timechange's search before _util.first_exceeding took over
+    snap = SNAP_RTOL * max(scale, 1.0)
+    raw = np.searchsorted(sorted_vals, queries + snap, side="right")
+    return np.clip(raw - 1, 0, hi)
 
 
 def ref_contract_and_accumulate(phi, driven, ens) -> IntegralPaths:
@@ -382,6 +387,54 @@ class TestPrefixSums:
         assert not ens.m_evals.flags.writeable
         h = case.rng.standard_normal(ens.spec.d_cyl)
         assert_same(ens.m_eval(h), ref_m_eval(ens, h), "m_eval")
+
+
+@st.composite
+def searched_paths(draw):
+    """(rows, levels, scale): nondecreasing prefix rows with plateaus and
+    exactly aligned masses, and levels on, beside, between and beyond them."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 12))
+    mass = st.one_of(
+        st.sampled_from([0.0, 0.0, 0.1, 0.25, 1.0 / 3.0, 1.0, 1e-13]),
+        st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    masses = draw(st.lists(st.lists(mass, min_size=k, max_size=k), min_size=n, max_size=n))
+    rows = prefix_sums(np.array(masses), axis=1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = draw(st.integers(1, 6))
+    picks = rows[np.arange(n)[:, None], rng.integers(0, k + 1, (n, q))]
+    nudge = rng.choice([0.0, 0.0, -1e-13, 1e-13, -1e-11, 1e-11, -1.0, 0.5], (n, q))
+    levels = picks + nudge * np.maximum(rows[:, -1:], 1.0)
+    scale = rows[:, -1] if draw(st.booleans()) else draw(st.sampled_from([0.0, 1.0, 1e4]))
+    return rows, levels, scale
+
+
+class TestGridInverse:
+    """``first_exceeding`` against one ``np.searchsorted`` per row."""
+
+    @staticmethod
+    def per_row(rows, levels, scale):
+        scales = np.broadcast_to(scale, rows.shape[:1])
+        return np.array(
+            [
+                np.searchsorted(row, lv + SNAP_RTOL * max(sc, 1.0), side="right")
+                for row, lv, sc in zip(rows, levels, scales)
+            ]
+        )
+
+    @given(searched_paths())
+    @settings(max_examples=300, deadline=None)
+    def test_batched_search_is_a_per_row_loop(self, case):
+        rows, levels, scale = case
+        want = self.per_row(rows, levels, scale)
+        assert_same(first_exceeding(rows, levels, scale), want, "several levels a row")
+        # one level a row: counted, not searched, to the same index
+        assert_same(first_exceeding(rows, levels[:, 0], scale), want[:, 0], "one level a row")
+        row_scale = np.broadcast_to(scale, rows.shape[:1])
+        for p, row in enumerate(rows):
+            assert_same(first_exceeding(row, levels[p], row_scale[p]), want[p], "one row")
+            assert first_exceeding(row, levels[p, 0], row_scale[p]) == want[p, 0]
 
 
 class TestIntegrand:

@@ -30,11 +30,32 @@ from cylmart.measures import (
     sup_measures,
     sup_measures_bruteforce,
 )
+from cylmart.evolution import (
+    SEEProblem,
+    fixed_point_map,
+    lipschitz_quotient,
+    picard_solve,
+    rho_stopping_times,
+)
 from cylmart.operators import op_norm_sym
 
 ONE_MEASURE = [GridMeasure(TimeGrid.uniform(1.0, 2), np.array([0.5, 0.5]))]
 ONE_KERNEL = GammaKernel(ONE_MEASURE[0], np.ones((2, 1, 1)), flavor=4)
 ONE_ENSEMBLE = simulate(NoiseSpec(2, 2, np.eye(2)), TimeGrid.uniform(1.0, 4), 1, seed=0)
+ONE_PROBLEM = SEEProblem(
+    generator=np.array([[-1.0]]),
+    drift=lambda t, x: -x,
+    lip_drift=1.0,
+    growth_drift=1.0,
+    noise_map=lambda t, x: np.ones((x.shape[0], 1, 2)),
+    lip_noise=0.0,
+    u0=np.zeros(1),
+)
+ONE_PATH = np.zeros((1, 5, 1))
+
+
+def _window(i0, i1):
+    return lambda: fixed_point_map(ONE_PROBLEM, ONE_ENSEMBLE, ONE_PATH, i0=i0, i1=i1)
 
 
 # counts and seeds that used to reach numpy (or pass a bool as 1) before
@@ -61,6 +82,33 @@ COUNT_AND_SEED_REFUSALS = {
     "panel-seed-negative": (lambda: sphere_panel(2, 4, -1), ValueError, "seed"),
     "qv-sphere-float": (
         lambda: qv_partition_estimate(ONE_ENSEMBLE, 2.5, [1]), TypeError, "n_samples"
+    ),
+    # depths, levels, iteration caps and cell windows (0 <= i0 < i1 <= K)
+    # that reached numpy, or raised a ValueError for a non-integer
+    "qv-depth-float": (lambda: qv_partition_estimate(ONE_ENSEMBLE, 4, [1.5]), TypeError, "depths"),
+    "qv-depth-bool": (lambda: qv_partition_estimate(ONE_ENSEMBLE, 4, [True]), TypeError, "depths"),
+    "qv-depth-str": (lambda: qv_partition_estimate(ONE_ENSEMBLE, 4, ["2"]), TypeError, "depths"),
+    "qv-depth-negative": (
+        lambda: qv_partition_estimate(ONE_ENSEMBLE, 4, [1, -1]), ValueError, "depths"
+    ),
+    "rho-level-float": (lambda: rho_stopping_times(ONE_ENSEMBLE.bracket, 2.5), TypeError, "n"),
+    "rho-level-bool": (lambda: rho_stopping_times(ONE_ENSEMBLE.bracket, True), TypeError, "n"),
+    "picard-max-iter-float": (
+        lambda: picard_solve(ONE_PROBLEM, ONE_ENSEMBLE, max_iter=2.0), TypeError, "max_iter"
+    ),
+    "picard-max-iter-bool": (
+        lambda: picard_solve(ONE_PROBLEM, ONE_ENSEMBLE, max_iter=True), TypeError, "max_iter"
+    ),
+    "window-reversed": (_window(5, 2), ValueError, "i0"),
+    "window-negative": (_window(-2, 4), ValueError, "i0"),
+    "window-past-the-grid": (_window(0, 20), ValueError, "i1"),
+    "window-empty": (_window(2, 2), ValueError, "i0"),
+    "window-float": (_window(2.5, 4), TypeError, "i0"),
+    "window-bool": (_window(0, True), TypeError, "i1"),
+    "lipschitz-window-reversed": (
+        lambda: lipschitz_quotient(ONE_PROBLEM, ONE_ENSEMBLE, ONE_PATH, ONE_PATH, 3, 1),
+        ValueError,
+        "i0",
     ),
 }
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylmart._util import SNAP_RTOL
 from cylmart.gammanorm import GammaKernel, gamma_norm_exact_hilbert, gamma_norm_mc
 from cylmart.integration import IntegrandProcess, integrate
 from cylmart.martingales import BracketPaths, MartEnsemble, NoiseSpec, qv_exact, simulate
 from cylmart.measures import GridMeasure, IncreasingPath, TimeGrid, measure_from_increasing
 from cylmart.timechange import (
-    SNAP_RTOL,
     DdsReport,
     TimeChangedEnsemble,
     TransportPair,
