@@ -22,7 +22,8 @@ __all__ = [
     "canonical_json",
     "config_hash",
     "int_at_least",
-    "int_error",
+    "require_int",
+    "require_window",
     "finite_above_zero",
 ]
 
@@ -41,12 +42,9 @@ def path_rngs(seed: int, n: int, shape: tuple) -> np.ndarray:
 
 def single_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """``Generator(PCG64(SeedSequence((seed, stream))))``; a ``seed`` that is
-    no non-negative integer is refused by name (see ``int_error``)."""
-    if not int_at_least(seed, 0):
-        raise int_error(seed, f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((operator.index(seed), stream)))
-    )
+    no integer >= 0 is refused by name (``require_int``)."""
+    seed = require_int(seed, 0, "seed")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
 
 
 def is_hilbert(flavor) -> bool:
@@ -142,11 +140,29 @@ def int_at_least(value, least: int) -> bool:
         return False
 
 
-def int_error(value, message: str) -> Exception:
-    """The error for a value ``int_at_least`` refused: a ValueError for an
-    integer out of range, a TypeError for anything else, a bool included."""
-    is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    return (ValueError if is_int else TypeError)(message)
+def _refusal(*values) -> type:
+    """The error for values ``int_at_least`` refused: a TypeError if one is
+    no integer or a bool, else (integers out of range) a ValueError."""
+    return ValueError if all(int_at_least(v, -math.inf) for v in values) else TypeError
+
+
+def require_int(value, least: int, name: str) -> int:
+    """``value`` as an int if it is an integer, not a bool, >= ``least``;
+    else refused by ``name``, a TypeError or ValueError as ``_refusal`` says.
+    Every count, level and seed of the library enters through here."""
+    if not int_at_least(value, least):
+        raise _refusal(value)(f"{name} must be an integer >= {least}, got {value!r}")
+    return operator.index(value)
+
+
+def require_window(i0, i1, n_cells: int) -> None:
+    """Refuse a cell window other than integers 0 <= i0 < i1 <= ``n_cells``
+    in one message naming both ends: a TypeError if an end is no integer or
+    a bool, else a ValueError."""
+    if not (int_at_least(i0, 0) and int_at_least(i1, 0) and i0 < i1 <= n_cells):
+        raise _refusal(i0, i1)(
+            f"need integers 0 <= i0 < i1 <= {n_cells}, got i0={i0!r}, i1={i1!r}"
+        )
 
 
 def finite_above_zero(value) -> bool:

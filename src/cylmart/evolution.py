@@ -36,10 +36,11 @@ from ._util import (
     finite_above_zero,
     first_exceeding,
     int_at_least,
-    int_error,
+    require_int,
+    require_window,
     single_rng,
 )
-from .martingales import BracketPaths, MartEnsemble, grid_stop_indices, stop_ensemble
+from .martingales import BracketPaths, MartEnsemble, grid_stop_indices, path_mask, stop_ensemble
 from .measures import TimeGrid
 from .operators import check_symmetric
 
@@ -324,15 +325,6 @@ def _mild_map(
     return u
 
 
-def _check_window(i0, i1, n_cells: int) -> None:
-    """Refuse a window other than integers 0 <= i0 < i1 <= n_cells, naming a
-    non-integer end (TypeError) before an end out of range (ValueError)."""
-    ends = (i0, i1)
-    if not all(int_at_least(e, 0) for e in ends) or not i0 < i1 <= n_cells:
-        bad = next((e for e in ends if not int_at_least(e, 0)), i1)
-        raise int_error(bad, f"need integers 0 <= i0 < i1 <= {n_cells}, got i0={i0!r}, i1={i1!r}")
-
-
 def fixed_point_map(
     problem: SEEProblem,
     ens: MartEnsemble,
@@ -351,7 +343,7 @@ def fixed_point_map(
     n, kp1, _ = _path_shape(problem, ens, u)
     if i1 is None:
         i1 = kp1 - 1
-    _check_window(i0, i1, kp1 - 1)
+    require_window(i0, i1, kp1 - 1)
     if base is None:
         base = problem.initial_states(n)
     out = u.copy()
@@ -416,11 +408,9 @@ def rho_stopping_times(bracket: BracketPaths, n: int) -> np.ndarray:
     at these times, each block carries at most T/2^n plus one cell of mass;
     a mass that reaches the cap exactly (``_util.first_exceeding``) stops none.
     """
-    if not int_at_least(n, 0):
-        raise int_error(n, f"n must be an integer >= 0, got {n!r}")
+    n_blocks = 2 ** require_int(n, 0, "n")
     grid = bracket.grid
     prefix = bracket.prefix()
-    n_blocks = 2**n
     cap = grid.horizon / n_blocks
     bounds = np.arange(n_blocks + 1) * cap
     edges = first_exceeding(grid.points, bounds, grid.horizon) - 1
@@ -543,8 +533,7 @@ def picard_solve(
         raise ValueError(f"p must be a finite number >= 1, got {p!r}")
     if not finite_above_zero(tol):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-    if not int_at_least(max_iter, 1):
-        raise int_error(max_iter, f"max_iter must be an integer >= 1, got {max_iter!r}")
+    max_iter = require_int(max_iter, 1, "max_iter")
     if blocks is not None and not _tiles(blocks, grid.n_cells):
         raise ValueError(
             f"blocks must be an increasing, contiguous cover of [0, {grid.n_cells}] "
@@ -681,6 +670,10 @@ def localization_consistency(
     solutions from initial values that coincide on the masked paths coincide
     there for all times.
     """
+    if u0_alt is not None:
+        if agree_mask is None:
+            raise ValueError("u0_alt needs the mask of agreeing paths")
+        agree_mask = path_mask(agree_mask, ens.n_paths)
     u_full, _ = picard_solve(problem, ens, tol=tol, validate=False)
     stop_gaps = None
     event_gaps = None
@@ -692,9 +685,7 @@ def localization_consistency(
         mask = np.arange(ens.grid.n_cells + 1)[None, :] <= tau_idx[:, None]
         stop_gaps = np.where(mask, diffs, 0.0).max(axis=1)
     if u0_alt is not None:
-        if agree_mask is None:
-            raise ValueError("u0_alt needs the mask of agreeing paths")
         u_alt, _ = picard_solve(replace(problem, u0=u0_alt), ens, tol=tol, validate=False)
         diffs = np.linalg.norm(u_full - u_alt, axis=2).max(axis=1)
-        event_gaps = diffs[np.asarray(agree_mask, dtype=bool)]
+        event_gaps = diffs[agree_mask]
     return LocalizationReport(stop_gaps=stop_gaps, event_gaps=event_gaps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import flavor_norm, flavor_p, int_at_least, int_error, is_hilbert, single_rng
+from ._util import flavor_norm, flavor_p, is_hilbert, require_int, single_rng
 from .measures import GridMeasure, TimeGrid
 from .operators import psd_sqrt
 
@@ -93,20 +93,15 @@ def _root_mean(sq: np.ndarray) -> tuple[float, float]:
     return value, (se_sq / (2 * value) if value > 0 else 0.0)
 
 
-def _check_samples(n_samples: int) -> None:
-    if not int_at_least(n_samples, 2):
-        msg = "n_samples must be >= 2 and an integer, at least two samples for a standard error"
-        raise int_error(n_samples, f"{msg}, got {n_samples!r}")
-
-
 def gamma_norm_mc(kernel: GammaKernel, n_samples: int, seed: int) -> GammaEstimate:
     """Monte-Carlo Gaussian-series estimate of the kernel norm.
 
     Each replica is v = z C^{1/2}, z standard Gaussian in R^m, so kernels of
     one covariance give one estimate: the root of the mean square target norm
-    with a delta-method standard error.  A zero covariance gives exactly zero.
+    with a delta-method standard error, so it takes at least two samples.  A
+    zero covariance gives exactly zero.
     """
-    _check_samples(n_samples)
+    n_samples = require_int(n_samples, 2, "n_samples")
     rng = single_rng(seed, stream=7)
     v = rng.standard_normal((n_samples, kernel.target_dim)) @ psd_sqrt(kernel.covariance())
     value, stderr = _root_mean(flavor_norm(v, kernel.flavor) ** 2)
@@ -114,7 +109,10 @@ def gamma_norm_mc(kernel: GammaKernel, n_samples: int, seed: int) -> GammaEstima
 
 
 def gamma_norm(kernel: GammaKernel, n_samples: int = 4096, seed: int = 0) -> GammaEstimate:
-    """Exact where available (Euclidean), Monte Carlo otherwise."""
+    """Exact where available (Euclidean), Monte Carlo otherwise; the sample
+    count and the seed are checked for either."""
+    require_int(n_samples, 2, "n_samples")
+    require_int(seed, 0, "seed")
     if is_hilbert(kernel.flavor):
         return GammaEstimate(gamma_norm_exact_hilbert(kernel), 0.0)
     return gamma_norm_mc(kernel, n_samples, seed)
@@ -274,8 +272,6 @@ def type2_cotype2_check(kernel: GammaKernel, n_samples: int = 4096, seed: int = 
     type-2 constant); for p <= 2 the inequality reverses.  The report carries
     the ratio; panels record the empirical constant.
     """
-    # a Hilbert flavor's full norm is exact and never reaches gamma_norm_mc
-    _check_samples(n_samples)
     full = gamma_norm(kernel, n_samples, seed)
     rng = single_rng(seed + 1, stream=13)
     g = rng.standard_normal((n_samples, kernel.grid.n_cells, kernel.input_dim))

@@ -17,13 +17,14 @@ from typing import Iterator
 
 import numpy as np
 
-from ._util import cell_apply, first_exceeding, prefix_sums
+from ._util import cell_apply, first_exceeding, prefix_sums, require_window
 from .martingales import (
     MartEnsemble,
     NoiseSpec,
     OperatorProcess,
     grid_stop_indices,
     operator_rate,
+    path_mask,
     rate_pairing,
     stop_ensemble,
 )
@@ -137,14 +138,6 @@ def integrate(phi: IntegrandProcess, ens: MartEnsemble) -> IntegralPaths:
     return IntegralPaths(ens.grid, out)
 
 
-def _event_mask(mask, n_paths: int) -> np.ndarray:
-    """``mask`` as n_paths bools, one per path."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (n_paths,):
-        raise ValueError(f"event mask needs one entry per path, {n_paths} in all")
-    return mask
-
-
 @dataclass(frozen=True)
 class ElementaryPiece:
     """One time slab (t_{i0}, t_{i1}] with an event mask and rank-one terms."""
@@ -167,8 +160,7 @@ class ElementaryIntegrand:
 
     def __post_init__(self):
         for piece in self.pieces:
-            if not 0 <= piece.i0 < piece.i1 <= self.grid.n_cells:
-                raise ValueError(f"slab ({piece.i0}, {piece.i1}] is out of range")
+            require_window(piece.i0, piece.i1, self.grid.n_cells)
             hs = [np.asarray(h, dtype=float) for h, _ in piece.terms]
             for a in range(len(hs)):
                 for b in range(a + 1, len(hs)):
@@ -201,7 +193,7 @@ class ElementaryIntegrand:
             )
             if per_path:
                 sel = np.ones(n_paths, bool) if piece.mask is None else piece.mask
-                mats[_event_mask(sel, n_paths), piece.i0 : piece.i1] += block
+                mats[path_mask(sel, n_paths), piece.i0 : piece.i1] += block
             else:
                 mats[piece.i0 : piece.i1] += block
         return IntegrandProcess(self.grid, mats)
@@ -224,7 +216,7 @@ def elementary_integral(elem: ElementaryIntegrand, ens: MartEnsemble) -> Integra
         lo = np.minimum(idx, piece.i0)
         hi = np.minimum(idx, piece.i1)
         sel = np.ones(ens.n_paths, bool) if piece.mask is None else piece.mask
-        sel = _event_mask(sel, ens.n_paths)
+        sel = path_mask(sel, ens.n_paths)
         for h, x in piece.terms:
             evals = ens.m_eval(np.asarray(h, dtype=float))  # (n, K+1)
             contrib = evals[:, hi] - evals[:, lo]
@@ -310,12 +302,23 @@ def kunita_watanabe_check(
 
     Evaluates |int <dA_{12} f, g>|^2 against the product of the two bracket
     integrals for per-path (or deterministic) grid functions ``f`` (..., K,
-    d1) and ``g`` (..., K, d2), and reports the worst slack.
+    d1) and ``g`` (..., K, d2), and reports the worst slack.  Either is
+    refused by name if it has another shape or is not all finite, and so are
+    path axes that do not broadcast.
     """
+    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
+    for name, x, spec in (("f", f, spec1), ("g", g, spec2)):
+        if x.shape[-2:] != (grid.n_cells, spec.d_cyl):
+            raise ValueError(f"{name} must be (..., {grid.n_cells}, {spec.d_cyl}), got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} is not all finite")
+    try:
+        np.broadcast_shapes(f.shape[:-2], g.shape[:-2])
+    except ValueError:
+        raise ValueError(f"f and g path axes differ, {f.shape[:-2]} and {g.shape[:-2]}") from None
     # one-row matrices per (path, cell), so that a deterministic f or g
     # (K, d) pairs with every path
-    f = np.asarray(f, dtype=float)[..., None, :]
-    g = np.asarray(g, dtype=float)[..., None, :]
+    f, g = f[..., None, :], g[..., None, :]
     dt = grid.widths
     lhs = (rate_pairing(g, _covariation_rate(spec1, spec2, grid), f) @ dt) ** 2
     r1 = rate_pairing(f, _covariation_rate(spec1, spec1, grid), f) @ dt
@@ -386,7 +389,7 @@ def local_property_check(
     check first verifies the claim, then asserts the integral is exactly zero
     there.
     """
-    event_mask = _event_mask(event_mask, ens.n_paths)
+    event_mask = path_mask(event_mask, ens.n_paths)
     _check_integrand(phi, ens)
     mats = phi.matrices if phi.matrices.ndim == 3 else phi.matrices[event_mask]
     if event_mask.any() and np.any(mats):

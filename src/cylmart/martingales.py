@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import cell_apply, int_at_least, int_error, path_rngs, prefix_sums, single_rng
+from ._util import cell_apply, path_rngs, prefix_sums, require_int, single_rng
 from .measures import GridMeasure, TimeGrid, radon_nikodym
 from .operators import psd_sqrt
 
@@ -89,6 +89,14 @@ def grid_stop_indices(tau_idx, n_paths: int, k: int) -> np.ndarray:
     if not np.issubdtype(tau.dtype, np.integer) or np.any((tau < 0) | (tau > k)):
         raise ValueError(f"stopping indices must be integers in [0, {k}]")
     return np.broadcast_to(tau.astype(int), (n_paths,))
+
+
+def path_mask(mask, n_paths: int) -> np.ndarray:
+    """``mask`` as n_paths bools, one per path."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (n_paths,):
+        raise ValueError(f"event mask needs one entry per path, {n_paths} in all")
+    return mask
 
 
 @dataclass(frozen=True)
@@ -327,11 +335,10 @@ def simulate(
     (K, d_drive) block of one standard normal stream of ``seed``
     (``_util.path_rngs``): an ensemble is a prefix of any larger one at the
     same seed.  Q^{1/2} is applied in place, a chunk of paths at a time.
-    A path count that is no integer >= 1 is refused by name, and so is a
-    seed that is no non-negative integer (by ``_util.single_rng``).
+    A path count that is no integer >= 1, or a seed that is no integer >= 0,
+    is refused by name (``_util.require_int``).
     """
-    if not int_at_least(n_paths, 1):
-        raise int_error(n_paths, f"n_paths must be >= 1 and an integer, got {n_paths!r}")
+    n_paths = require_int(n_paths, 1, "n_paths")
     root_q = psd_sqrt(spec.q())
     scale = np.sqrt(grid.widths)[:, None]
     dw = path_rngs(seed, n_paths, (grid.n_cells, spec.d_drive))
@@ -393,8 +400,7 @@ def qm_empirical(am: OperatorProcess, qv: GridMeasure) -> OperatorProcess:
 def sphere_panel(d: int, n_samples: int, seed: int) -> np.ndarray:
     """Unit directions: +-coordinates plus seeded Gaussian directions, drawn
     row by row, so a smaller panel is the head of a larger one (same seed)."""
-    if not int_at_least(n_samples, 0):
-        raise int_error(n_samples, f"n_samples must be >= 0 and an integer, got {n_samples!r}")
+    n_samples = require_int(n_samples, 0, "n_samples")
     coords = np.vstack([np.eye(d), -np.eye(d)])
     if n_samples == 0 or d == 1:
         return coords
@@ -408,7 +414,7 @@ class QvEstimate:
     """Partition-supremum bracket estimates, one increasing path per depth."""
 
     grid: TimeGrid
-    values: np.ndarray  # (n_paths, n_depths, K+1), read-only; a view if shared
+    values: np.ndarray  # (n_paths, n_depths, K+1), a read-only view
 
     def terminal(self) -> np.ndarray:
         return self.values[:, :, -1]
@@ -430,38 +436,23 @@ def qv_partition_estimate(
     """
     if not depth_schedule:
         raise ValueError("depth schedule is empty")
-    for d in depth_schedule:
-        if not int_at_least(d, 0):
-            raise int_error(d, f"depths must be integers >= 0, got {d!r}")
+    depths = [require_int(d, 0, "depths") for d in depth_schedule]
     if panel_seed is None:
         panel_seed = ens.seed + 1
     dirs = sphere_panel(ens.spec.d_cyl, sphere_samples, panel_seed)
     if dirs.size == 0:
         raise ValueError("empty sphere sample")
-    per_dir = ens.direction_bracket_increments(dirs)
-    if per_dir.ndim == 2:  # shared sigma: one pseudo-path
-        per_dir = per_dir[None, :, :]
-        n_eff = 1
-    else:
-        n_eff = ens.n_paths
+    per_dir = ens.direction_bracket_increments(dirs)  # ([n,] n_x, K): one row if shared
 
     k = ens.grid.n_cells
-    depths = tuple(int(d) for d in depth_schedule)
-    values = np.zeros((n_eff, len(depths), k + 1))
+    values = np.zeros(per_dir.shape[:-2] + (len(depths), k + 1))
     for di, depth in enumerate(depths):
-        blocks = np.array_split(np.arange(k), min(2**depth, k))
-        for p in range(n_eff):
-            cum = 0.0
-            row = values[p, di]
-            for block in blocks:
-                partial = np.cumsum(per_dir[p][:, block], axis=1)  # (n_x, len)
-                row[block + 1] = cum + partial.max(axis=0)
-                cum = row[block[-1] + 1]
-            # running block maxima are nondecreasing cell by cell already
-    if ens.sigma_is_shared and ens.n_paths > 1:
-        values = np.broadcast_to(values, (ens.n_paths,) + values.shape[1:])
-    values.flags.writeable = False
-    return QvEstimate(ens.grid, values)
+        # each block starts from the last one's end; running block maxima
+        # are nondecreasing cell by cell already
+        for block in np.array_split(np.arange(k), min(2**depth, k)):
+            partial = np.cumsum(per_dir[..., block], axis=-1)  # ([n,] n_x, len)
+            values[..., di, block + 1] = values[..., di, block[:1]] + partial.max(axis=-2)
+    return QvEstimate(ens.grid, np.broadcast_to(values, (ens.n_paths, len(depths), k + 1)))
 
 
 def countex_spec(n: int) -> tuple[NoiseSpec, TimeGrid]:
@@ -473,8 +464,7 @@ def countex_spec(n: int) -> tuple[NoiseSpec, TimeGrid]:
     matrix entries (same process in law), so that for dyadic n the cell
     masses are integer-exact in floating point.
     """
-    if not int_at_least(n, 1):
-        raise int_error(n, f"n must be >= 1 and an integer, got {n!r}")
+    n = require_int(n, 1, "n")
     grid = TimeGrid.uniform(1.0, n)
     sig = np.eye(n)[:, :, None]
     q = np.array([[float(n)]])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import int_at_least, int_error, prefix_sums
+from ._util import finite_above_zero, prefix_sums, require_int
 
 __all__ = [
     "TimeGrid",
@@ -55,11 +55,9 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, horizon: float, cells: int) -> "TimeGrid":
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if not int_at_least(cells, 1):
-            raise int_error(cells, f"cells must be >= 1 and an integer, got {cells!r}")
-        return cls(np.linspace(0.0, horizon, cells + 1))
+        if not finite_above_zero(horizon):
+            raise ValueError(f"horizon must be a finite number > 0, got {horizon!r}")
+        return cls(np.linspace(0.0, horizon, require_int(cells, 1, "cells") + 1))
 
     @property
     def horizon(self) -> float:
@@ -181,9 +179,7 @@ def sup_measures(measures: list[GridMeasure], refine: int = 0) -> GridMeasure:
     if not measures:
         raise ValueError("need at least one measure")
     grid = _same_grid(*measures)
-    if not int_at_least(refine, 0):
-        raise int_error(refine, f"refine must be >= 0 and an integer, got {refine!r}")
-    n_sub = 2**refine
+    n_sub = 2 ** require_int(refine, 0, "refine")
     stacked = np.stack([m.increments for m in measures])  # (n_meas, K)
     atoms = np.repeat(stacked / n_sub, n_sub, axis=1)  # (n_meas, K * n_sub)
     atom_max = atoms.max(axis=0)
@@ -202,9 +198,7 @@ def sup_measures_bruteforce(measures: list[GridMeasure], refine: int = 0) -> Gri
     if not measures:
         raise ValueError("need at least one measure")
     grid = _same_grid(*measures)
-    if not int_at_least(refine, 0):
-        raise int_error(refine, f"refine must be >= 0 and an integer, got {refine!r}")
-    n_sub = 2**refine
+    n_sub = 2 ** require_int(refine, 0, "refine")
     stacked = np.stack([m.increments for m in measures])
     atoms = np.repeat(stacked / n_sub, n_sub, axis=1)
     out = np.empty(grid.n_cells)
@@ -262,7 +256,7 @@ def sup_density_measures(densities: list, base: GridMeasure) -> GridMeasure:
 
 def partial_sup(measures: list[GridMeasure], n: int) -> GridMeasure:
     """Least dominating measure of the first ``n`` inputs (1-based count)."""
-    if not 1 <= n <= len(measures):
+    if require_int(n, 1, "n") > len(measures):
         raise ValueError(f"n must be in 1..{len(measures)}, got {n}")
     return sup_measures(measures[:n])
 
@@ -276,8 +270,7 @@ def radon_nikodym(nu: GridMeasure, mu: GridMeasure, eps_window: int = 1) -> np.n
     mu, window 1 recovers that density exactly on the support of mu.
     """
     grid = _same_grid(nu, mu)
-    if not int_at_least(eps_window, 1):
-        raise int_error(eps_window, f"eps_window must be >= 1 and an integer, got {eps_window!r}")
+    eps_window = require_int(eps_window, 1, "eps_window")
     violations = np.flatnonzero((nu.increments > 0) & (mu.increments == 0))
     if violations.size:
         raise ValueError(

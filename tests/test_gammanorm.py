@@ -238,7 +238,8 @@ class TestTypeCotype:
     @pytest.mark.parametrize("n_samples", [0, 1])
     def test_too_few_samples_refused(self, flavor, n_samples):
         kernel = random_kernel(np.random.default_rng(21), flavor=flavor)
-        with pytest.raises(ValueError, match="at least two samples"):
+        message = f"n_samples must be an integer >= 2, got {n_samples}$"
+        with pytest.raises(ValueError, match=message):
             type2_cotype2_check(kernel, n_samples=n_samples, seed=22)
 
     def test_p1_reverses(self):

@@ -394,7 +394,7 @@ class TestCli:
         assert not any(tmp_path.iterdir())
 
     def test_negative_seed_is_refused_before_simulation(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got -5$"):
             simulate(NoiseSpec(1, 1, np.eye(1)), TimeGrid.uniform(1.0, 4), 3, -5)
         with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             make_config("kw", seed=-5, paths=100, instances=3)

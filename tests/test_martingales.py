@@ -1,10 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylmart._util import prefix_sums
-from cylmart.integration import IntegrandProcess, integrate
+from cylmart.integration import (
+    ElementaryIntegrand,
+    ElementaryPiece,
+    IntegrandProcess,
+    integrate,
+    kunita_watanabe_check,
+)
 from cylmart.martingales import (
     BracketPaths,
     NoiseSpec,
@@ -22,10 +30,11 @@ from cylmart.martingales import (
     stop_ensemble,
     stopped_spec,
 )
-from cylmart.gammanorm import GammaKernel, gamma_norm_mc
+from cylmart.gammanorm import GammaKernel, gamma_norm, gamma_norm_mc, type2_cotype2_check
 from cylmart.measures import (
     GridMeasure,
     TimeGrid,
+    partial_sup,
     radon_nikodym,
     sup_measures,
     sup_measures_bruteforce,
@@ -34,6 +43,7 @@ from cylmart.evolution import (
     SEEProblem,
     fixed_point_map,
     lipschitz_quotient,
+    localization_consistency,
     picard_solve,
     rho_stopping_times,
 )
@@ -52,63 +62,183 @@ ONE_PROBLEM = SEEProblem(
     u0=np.zeros(1),
 )
 ONE_PATH = np.zeros((1, 5, 1))
+KW_SPECS = (ONE_ENSEMBLE.spec, ONE_ENSEMBLE.spec, ONE_ENSEMBLE.grid)
 
 
 def _window(i0, i1):
     return lambda: fixed_point_map(ONE_PROBLEM, ONE_ENSEMBLE, ONE_PATH, i0=i0, i1=i1)
 
 
-# counts and seeds that used to reach numpy (or pass a bool as 1) before
-# anything named them: the call, the error and the name it gives
+def _count(name, least, value):
+    return f"{name} must be an integer >= {least}, got {value!r}"
+
+
+def _span(i0, i1, n_cells=4):
+    return f"need integers 0 <= i0 < i1 <= {n_cells}, got i0={i0!r}, i1={i1!r}"
+
+
+# counts, seeds, windows and arrays that used to reach numpy (or pass a bool
+# as 1, or run unread) before anything named them: the call, the error and
+# its whole message
 COUNT_AND_SEED_REFUSALS = {
-    "grid-cells-bool": (lambda: TimeGrid.uniform(1.0, True), TypeError, "cells"),
-    "grid-cells-float": (lambda: TimeGrid.uniform(1.0, 2.5), TypeError, "cells"),
-    "grid-cells-zero": (lambda: TimeGrid.uniform(1.0, 0), ValueError, "cells"),
-    "countex-float": (lambda: countex_spec(2.5), TypeError, "n"),
-    "countex-bool": (lambda: countex_spec(True), TypeError, "n"),
-    "refine-float": (lambda: sup_measures(ONE_MEASURE, refine=1.5), TypeError, "refine"),
-    "refine-bool": (lambda: sup_measures(ONE_MEASURE, refine=True), TypeError, "refine"),
+    "grid-cells-bool": (lambda: TimeGrid.uniform(1.0, True), TypeError, _count("cells", 1, True)),
+    "grid-cells-float": (lambda: TimeGrid.uniform(1.0, 2.5), TypeError, _count("cells", 1, 2.5)),
+    "grid-cells-zero": (lambda: TimeGrid.uniform(1.0, 0), ValueError, _count("cells", 1, 0)),
+    "countex-float": (lambda: countex_spec(2.5), TypeError, _count("n", 1, 2.5)),
+    "countex-bool": (lambda: countex_spec(True), TypeError, _count("n", 1, True)),
+    "refine-float": (
+        lambda: sup_measures(ONE_MEASURE, refine=1.5), TypeError, _count("refine", 0, 1.5)
+    ),
+    "refine-bool": (
+        lambda: sup_measures(ONE_MEASURE, refine=True), TypeError, _count("refine", 0, True)
+    ),
     "brute-refine-float": (
-        lambda: sup_measures_bruteforce(ONE_MEASURE, refine=1.5), TypeError, "refine"
+        lambda: sup_measures_bruteforce(ONE_MEASURE, refine=1.5),
+        TypeError,
+        _count("refine", 0, 1.5),
     ),
     "eps-window-float": (
-        lambda: radon_nikodym(*ONE_MEASURE * 2, eps_window=1.5), TypeError, "eps_window"
+        lambda: radon_nikodym(*ONE_MEASURE * 2, eps_window=1.5),
+        TypeError,
+        _count("eps_window", 1, 1.5),
     ),
-    "mc-samples-float": (lambda: gamma_norm_mc(ONE_KERNEL, 2.5, 0), TypeError, "n_samples"),
-    "mc-seed-negative": (lambda: gamma_norm_mc(ONE_KERNEL, 16, -1), ValueError, "seed"),
-    "mc-seed-float": (lambda: gamma_norm_mc(ONE_KERNEL, 16, 1.5), TypeError, "seed"),
-    "panel-samples-float": (lambda: sphere_panel(2, 2.5, 0), TypeError, "n_samples"),
-    "panel-samples-negative": (lambda: sphere_panel(2, -1, 0), ValueError, "n_samples"),
-    "panel-seed-negative": (lambda: sphere_panel(2, 4, -1), ValueError, "seed"),
+    "mc-samples-float": (
+        lambda: gamma_norm_mc(ONE_KERNEL, 2.5, 0), TypeError, _count("n_samples", 2, 2.5)
+    ),
+    "mc-seed-negative": (lambda: gamma_norm_mc(ONE_KERNEL, 16, -1), ValueError, _count("seed", 0, -1)),
+    "mc-seed-float": (lambda: gamma_norm_mc(ONE_KERNEL, 16, 1.5), TypeError, _count("seed", 0, 1.5)),
+    "panel-samples-float": (
+        lambda: sphere_panel(2, 2.5, 0), TypeError, _count("n_samples", 0, 2.5)
+    ),
+    "panel-samples-negative": (
+        lambda: sphere_panel(2, -1, 0), ValueError, _count("n_samples", 0, -1)
+    ),
+    "panel-seed-negative": (lambda: sphere_panel(2, 4, -1), ValueError, _count("seed", 0, -1)),
     "qv-sphere-float": (
-        lambda: qv_partition_estimate(ONE_ENSEMBLE, 2.5, [1]), TypeError, "n_samples"
+        lambda: qv_partition_estimate(ONE_ENSEMBLE, 2.5, [1]),
+        TypeError,
+        _count("n_samples", 0, 2.5),
     ),
     # depths, levels, iteration caps and cell windows (0 <= i0 < i1 <= K)
     # that reached numpy, or raised a ValueError for a non-integer
-    "qv-depth-float": (lambda: qv_partition_estimate(ONE_ENSEMBLE, 4, [1.5]), TypeError, "depths"),
-    "qv-depth-bool": (lambda: qv_partition_estimate(ONE_ENSEMBLE, 4, [True]), TypeError, "depths"),
-    "qv-depth-str": (lambda: qv_partition_estimate(ONE_ENSEMBLE, 4, ["2"]), TypeError, "depths"),
-    "qv-depth-negative": (
-        lambda: qv_partition_estimate(ONE_ENSEMBLE, 4, [1, -1]), ValueError, "depths"
+    "qv-depth-float": (
+        lambda: qv_partition_estimate(ONE_ENSEMBLE, 4, [1.5]), TypeError, _count("depths", 0, 1.5)
     ),
-    "rho-level-float": (lambda: rho_stopping_times(ONE_ENSEMBLE.bracket, 2.5), TypeError, "n"),
-    "rho-level-bool": (lambda: rho_stopping_times(ONE_ENSEMBLE.bracket, True), TypeError, "n"),
+    "qv-depth-bool": (
+        lambda: qv_partition_estimate(ONE_ENSEMBLE, 4, [True]),
+        TypeError,
+        _count("depths", 0, True),
+    ),
+    "qv-depth-str": (
+        lambda: qv_partition_estimate(ONE_ENSEMBLE, 4, ["2"]), TypeError, _count("depths", 0, "2")
+    ),
+    "qv-depth-negative": (
+        lambda: qv_partition_estimate(ONE_ENSEMBLE, 4, [1, -1]),
+        ValueError,
+        _count("depths", 0, -1),
+    ),
+    "rho-level-float": (
+        lambda: rho_stopping_times(ONE_ENSEMBLE.bracket, 2.5), TypeError, _count("n", 0, 2.5)
+    ),
+    "rho-level-bool": (
+        lambda: rho_stopping_times(ONE_ENSEMBLE.bracket, True), TypeError, _count("n", 0, True)
+    ),
     "picard-max-iter-float": (
-        lambda: picard_solve(ONE_PROBLEM, ONE_ENSEMBLE, max_iter=2.0), TypeError, "max_iter"
+        lambda: picard_solve(ONE_PROBLEM, ONE_ENSEMBLE, max_iter=2.0),
+        TypeError,
+        _count("max_iter", 1, 2.0),
     ),
     "picard-max-iter-bool": (
-        lambda: picard_solve(ONE_PROBLEM, ONE_ENSEMBLE, max_iter=True), TypeError, "max_iter"
+        lambda: picard_solve(ONE_PROBLEM, ONE_ENSEMBLE, max_iter=True),
+        TypeError,
+        _count("max_iter", 1, True),
     ),
-    "window-reversed": (_window(5, 2), ValueError, "i0"),
-    "window-negative": (_window(-2, 4), ValueError, "i0"),
-    "window-past-the-grid": (_window(0, 20), ValueError, "i1"),
-    "window-empty": (_window(2, 2), ValueError, "i0"),
-    "window-float": (_window(2.5, 4), TypeError, "i0"),
-    "window-bool": (_window(0, True), TypeError, "i1"),
+    "window-reversed": (_window(5, 2), ValueError, _span(5, 2)),
+    "window-negative": (_window(-2, 4), ValueError, _span(-2, 4)),
+    "window-past-the-grid": (_window(0, 20), ValueError, _span(0, 20)),
+    "window-empty": (_window(2, 2), ValueError, _span(2, 2)),
+    "window-float": (_window(2.5, 4), TypeError, _span(2.5, 4)),
+    "window-bool": (_window(0, True), TypeError, _span(0, True)),
     "lipschitz-window-reversed": (
         lambda: lipschitz_quotient(ONE_PROBLEM, ONE_ENSEMBLE, ONE_PATH, ONE_PATH, 3, 1),
         ValueError,
-        "i0",
+        _span(3, 1),
+    ),
+    # a partial sup's count sliced the list (a bool as 1), a slab with a
+    # fractional end failed in as_process, a Hilbert gamma norm never read
+    # its sample count or its seed
+    "partial-sup-float": (
+        lambda: partial_sup(ONE_MEASURE, 1.5), TypeError, _count("n", 1, 1.5)
+    ),
+    "partial-sup-bool": (
+        lambda: partial_sup(ONE_MEASURE, True), TypeError, _count("n", 1, True)
+    ),
+    "slab-float": (
+        lambda: ElementaryIntegrand(ONE_MEASURE[0].grid, (ElementaryPiece(0.5, 2, ()),)),
+        TypeError,
+        _span(0.5, 2, 2),
+    ),
+    "hilbert-gamma-samples-float": (
+        lambda: gamma_norm(replace(ONE_KERNEL, flavor="hilbert"), 1.5),
+        TypeError,
+        _count("n_samples", 2, 1.5),
+    ),
+    "hilbert-gamma-samples-one": (
+        lambda: gamma_norm(replace(ONE_KERNEL, flavor="hilbert"), 1),
+        ValueError,
+        _count("n_samples", 2, 1),
+    ),
+    # type2_cotype2_check drew its cell-wise replicas from seed + 1, so a
+    # Hilbert kernel ran at seed -1 and named -1 for seed -2
+    "hilbert-type2-seed-negative": (
+        lambda: type2_cotype2_check(replace(ONE_KERNEL, flavor="hilbert"), 16, -2),
+        ValueError,
+        _count("seed", 0, -2),
+    ),
+    # a horizon that is no finite number > 0 warned in numpy or failed in a
+    # comparison; an agreement mask of the wrong length failed in indexing;
+    # f and g of the wrong shape failed in a broadcast, a NaN ran as a slack
+    "horizon-nan": (
+        lambda: TimeGrid.uniform(np.nan, 4),
+        ValueError,
+        "horizon must be a finite number > 0, got nan",
+    ),
+    "horizon-inf": (
+        lambda: TimeGrid.uniform(np.inf, 4),
+        ValueError,
+        "horizon must be a finite number > 0, got inf",
+    ),
+    "horizon-str": (
+        lambda: TimeGrid.uniform("1", 4),
+        ValueError,
+        "horizon must be a finite number > 0, got '1'",
+    ),
+    "agree-mask-short": (
+        lambda: localization_consistency(
+            ONE_PROBLEM, ONE_ENSEMBLE, u0_alt=np.ones(1), agree_mask=[True, False]
+        ),
+        ValueError,
+        "event mask needs one entry per path, 1 in all",
+    ),
+    "kw-f-cells": (
+        lambda: kunita_watanabe_check(np.ones((3, 2)), np.ones((4, 2)), *KW_SPECS),
+        ValueError,
+        "f must be (..., 4, 2), got (3, 2)",
+    ),
+    "kw-g-dimension": (
+        lambda: kunita_watanabe_check(np.ones((4, 2)), np.ones((4, 3)), *KW_SPECS),
+        ValueError,
+        "g must be (..., 4, 2), got (4, 3)",
+    ),
+    "kw-path-counts": (
+        lambda: kunita_watanabe_check(np.ones((2, 4, 2)), np.ones((3, 4, 2)), *KW_SPECS),
+        ValueError,
+        "f and g path axes differ, (2,) and (3,)",
+    ),
+    "kw-f-nan": (
+        lambda: kunita_watanabe_check(np.full((4, 2), np.nan), np.ones((4, 2)), *KW_SPECS),
+        ValueError,
+        "f is not all finite",
     ),
 }
 
@@ -282,7 +412,49 @@ class TestOperatorDensity:
         assert np.abs(exact.matrices - emp.matrices).max() < 1e-10
 
 
+def reference_partition_values(per_dir, depths, k):
+    """Partition suprema by a per-path, block-by-block loop, one pseudo-path
+    for a shared (n_x, K) input: qv_partition_estimate matches it bit for bit."""
+    per_dir = per_dir[None] if per_dir.ndim == 2 else per_dir
+    values = np.zeros((per_dir.shape[0], len(depths), k + 1))
+    for di, depth in enumerate(depths):
+        blocks = np.array_split(np.arange(k), min(2**depth, k))
+        for p in range(per_dir.shape[0]):
+            cum = 0.0
+            row = values[p, di]
+            for block in blocks:
+                partial = np.cumsum(per_dir[p][:, block], axis=1)
+                row[block + 1] = cum + partial.max(axis=0)
+                cum = row[block[-1] + 1]
+    return values
+
+
 class TestPartitionEstimate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        k=st.integers(1, 24),
+        depths=st.lists(st.integers(0, 6), min_size=1, max_size=3),
+        kind=st.sampled_from(["shared", "adapted", "stopped"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_path_loop(self, n, k, depths, kind, seed):
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(np.cumsum(np.r_[0.0, rng.uniform(0.05, 1.0, k)]))
+        base = rng.standard_normal((2, 2))
+        if kind == "adapted":
+            spec = NoiseSpec(2, 2, lambda t, w: base * (1.0 + np.tanh(w)[..., None, :]))
+        else:
+            spec = NoiseSpec(2, 2, base)
+        ens = simulate(spec, grid, n, seed)
+        if kind == "stopped":
+            ens = stop_ensemble(ens, rng.integers(0, k + 1, n))
+        est = qv_partition_estimate(ens, 5, depths, panel_seed=seed)
+        per_dir = ens.direction_bracket_increments(sphere_panel(2, 5, seed))
+        want = reference_partition_values(per_dir, depths, k)
+        assert est.values.shape == (n, len(depths), k + 1)
+        assert np.array_equal(est.values, np.broadcast_to(want, est.values.shape))
+
     def test_scalar_equals_direction_bracket(self, grid):
         spec = NoiseSpec(1, 1, np.array([[1.5]]))
         ens = simulate(spec, grid, 4, seed=1)
@@ -784,28 +956,29 @@ class TestNamedRefusals:
 
     @pytest.mark.parametrize("bad", [2.5, True, "3"])
     def test_non_integer_path_count_named(self, grid, bad):
-        with pytest.raises(TypeError, match="n_paths must be >= 1 and an integer"):
+        with pytest.raises(TypeError, match=rf"n_paths must be an integer >= 1, got {bad!r}$"):
             simulate(NoiseSpec(1, 1, np.eye(1)), grid, bad, seed=1)
 
     def test_negative_seed_named(self, grid):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1$"):
             simulate(NoiseSpec(1, 1, np.eye(1)), grid, 2, seed=-1)
 
     @pytest.mark.parametrize("bad", [1.5, True, None])
     def test_non_integer_seed_named(self, grid, bad):
-        with pytest.raises(TypeError, match="seed must be a non-negative integer"):
+        with pytest.raises(TypeError, match=rf"seed must be an integer >= 0, got {bad!r}$"):
             simulate(NoiseSpec(1, 1, np.eye(1)), grid, 2, seed=bad)
 
     @pytest.mark.parametrize(
-        "call, error, named",
+        "call, error, message",
         COUNT_AND_SEED_REFUSALS.values(),
         ids=list(COUNT_AND_SEED_REFUSALS),
     )
-    def test_counts_and_seeds_refused_by_name(self, call, error, named):
+    def test_counts_and_seeds_refused_by_name(self, call, error, message):
         # a non-integer or a bool is a TypeError, an integer out of range a
-        # ValueError, as in simulate
-        with pytest.raises(error, match=rf"\b{named}\b.*, got "):
+        # ValueError, as in simulate (_util.require_int, _util.require_window)
+        with pytest.raises(error) as info:
             call()
+        assert str(info.value) == message
 
 
 class TestStopIndices:

@@ -121,7 +121,7 @@ class TestSupMeasures:
     @pytest.mark.parametrize("sup", [sup_measures, sup_measures_bruteforce])
     def test_negative_refine_rejected(self, sup):
         m = GridMeasure(TimeGrid.uniform(1.0, 2), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="refine must be >= 0"):
+        with pytest.raises(ValueError, match="refine must be an integer >= 0, got -1$"):
             sup([m], refine=-1)
 
     def test_matches_bruteforce_exactly(self):

@@ -70,18 +70,20 @@ class TestPathRngs:
         # one block per path, so the benchmark's stream count is the path count
         assert len(path_rngs(3, 17, (4, 2))) == 17
         assert path_rngs(3, 0, (4, 2)).shape == (0, 4, 2)
-        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+        with pytest.raises(ValueError, match="n_paths must be an integer >= 1, got 0$"):
             simulate(SPEC, GRID, 0, 3)
 
     @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (-(2**40), 0)])
     def test_negative_seed_raises(self, seed, stream):
-        # numpy's SeedSequence refuses a negative seed or stream word
-        with pytest.raises(ValueError, match="non-negative"):
+        # a negative seed is refused by name, numpy's SeedSequence refuses a
+        # negative stream word
+        named = f"seed must be an integer >= 0, got {seed}$"
+        with pytest.raises(ValueError, match="non-negative" if stream else named):
             single_rng(seed, stream)
         if stream == 0:
-            with pytest.raises(ValueError, match="non-negative"):
+            with pytest.raises(ValueError, match=named):
                 path_rngs(seed, 4, (2,))
-            with pytest.raises(ValueError, match="non-negative"):
+            with pytest.raises(ValueError, match=named):
                 simulate(SPEC, GRID, 3, seed)
 
     @pytest.mark.parametrize("seed", [1.5, "3", None])
@@ -121,7 +123,7 @@ class TestSimulateDraws:
         np.testing.assert_array_equal(small.bracket.increments, large.bracket.increments[:n])
 
     def test_negative_seed_raises(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got -5$"):
             simulate(NoiseSpec(1, 1, np.eye(1)), TimeGrid.uniform(1.0, 4), 3, -5)
 
     def test_prefix_rule_across_a_scaling_chunk(self):
