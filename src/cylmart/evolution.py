@@ -40,15 +40,13 @@ from ._util import (
     require_window,
     single_rng,
 )
-from .martingales import BracketPaths, MartEnsemble, grid_stop_indices, path_mask, stop_ensemble
+from .martingales import BracketPaths, MartEnsemble, grid_stop_indices, stop_ensemble
 from .measures import TimeGrid
 from .operators import check_symmetric
 
 __all__ = [
     "SEEProblem",
     "Semigroup",
-    "det_convolution",
-    "stoch_convolution",
     "fixed_point_map",
     "vp_norm",
     "rho_stopping_times",
@@ -211,16 +209,6 @@ def _scan(
         acc = nxt
 
 
-def _fill(
-    sg: Semigroup, grid: TimeGrid, step: Callable, points: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Run the scan of ``points`` over every cell from ``out[0]``, the state
-    at t_0, writing the state at each t_j to ``out[j]``."""
-    for j, _, state in _scan(sg, grid, step, out[0].copy(), points, 0, grid.n_cells):
-        out[j] = state
-    return out
-
-
 def _drift_step(problem: SEEProblem, grid: TimeGrid) -> Callable:
     """Cell j's drift increment F(t_j, x) dt_j at the state x."""
     return lambda j, x: np.asarray(problem.drift(grid.points[j], x), dtype=float) * grid.widths[j]
@@ -250,38 +238,6 @@ def _noise_step(problem: SEEProblem, ens: MartEnsemble) -> Callable:
         )
 
     return step
-
-
-def det_convolution(problem: SEEProblem, grid: TimeGrid, u: np.ndarray) -> np.ndarray:
-    """Left-point quadrature of int_0^t exp((t-s)A) F(s, u(s)) ds.
-
-    Runs the stable recursion c_{j+1} = exp(dt A)(c_j + F_j dt), which is the
-    exact left-point sum thanks to the semigroup property.  ``u`` is
-    (paths, K+1, dim) on ``grid``, in any layout; the result is C-ordered.
-    """
-    if np.ndim(u) != 3 or np.shape(u)[1:] != (grid.n_cells + 1, problem.dim):
-        raise ValueError(
-            f"u must have shape (paths, {grid.n_cells + 1}, {problem.dim}), got {np.shape(u)}"
-        )
-    out = np.zeros(np.shape(u))
-    step = _drift_step(problem, grid)
-    _fill(problem.semigroup, grid, step, np.swapaxes(u, 0, 1), out.swapaxes(0, 1))
-    return out
-
-
-def stoch_convolution(
-    problem: SEEProblem, ens: MartEnsemble, u: np.ndarray
-) -> np.ndarray:
-    """Left-point sum of int_0^t exp((t-s)A) G(s, u(s)) dM_s.
-
-    With a zero generator this is the integral of G as G (sigma dW), equal
-    up to rounding to ``integrate``'s (G sigma) dW.  ``u`` may be in any
-    layout; the result is C-ordered.
-    """
-    out = np.zeros(_path_shape(problem, ens, u))
-    step = _noise_step(problem, ens)
-    _fill(problem.semigroup, ens.grid, step, np.swapaxes(u, 0, 1), out.swapaxes(0, 1))
-    return out
 
 
 def _mild_map(
@@ -552,8 +508,8 @@ def picard_solve(
         # the scan with a zero step, so a drift- and noise-free problem is an
         # exact fixed point of the discrete map
         u = np.zeros((kp1, n, m))
-        u[0] = base
-        _fill(problem.semigroup, grid, lambda j, x: 0.0, u, u)
+        for j, _, state in _scan(problem.semigroup, grid, lambda j, x: 0.0, base, u, 0, kp1 - 1):
+            u[j] = state
     else:
         u = np.array(np.swapaxes(initial, 0, 1), dtype=float, order="C")
         u[0] = base  # iterates may start anywhere; the anchor may not
@@ -673,7 +629,9 @@ def localization_consistency(
     if u0_alt is not None:
         if agree_mask is None:
             raise ValueError("u0_alt needs the mask of agreeing paths")
-        agree_mask = path_mask(agree_mask, ens.n_paths)
+        agree_mask = np.asarray(agree_mask, dtype=bool)
+        if agree_mask.shape != (ens.n_paths,):
+            raise ValueError(f"agree_mask needs one entry per path, {ens.n_paths} in all")
     u_full, _ = picard_solve(problem, ens, tol=tol, validate=False)
     stop_gaps = None
     event_gaps = None

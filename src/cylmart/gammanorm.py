@@ -31,8 +31,6 @@ __all__ = [
     "primitive_gamma_bound_check",
     "FubiniReport",
     "gamma_fubini_check",
-    "EmbeddingReport",
-    "type2_cotype2_check",
 ]
 
 
@@ -253,29 +251,3 @@ def gamma_fubini_check(kernel: GammaKernel, n_samples: int = 4096, seed: int = 0
     rhs = gamma_norm(kernel, n_samples, seed)
     return FubiniReport(lhs=lhs, rhs=rhs)
 
-
-@dataclass(frozen=True)
-class EmbeddingReport:
-    gamma_full: GammaEstimate
-    cellwise: float
-    cellwise_stderr: float
-
-    @property
-    def ratio(self) -> float:
-        return self.gamma_full.value / self.cellwise if self.cellwise > 0 else np.nan
-
-
-def type2_cotype2_check(kernel: GammaKernel, n_samples: int = 4096, seed: int = 0) -> EmbeddingReport:
-    """Ratio of the full kernel norm to the cell-by-cell aggregated norm.
-
-    For p >= 2 targets the full norm is dominated by the aggregate (up to the
-    type-2 constant); for p <= 2 the inequality reverses.  The report carries
-    the ratio; panels record the empirical constant.
-    """
-    full = gamma_norm(kernel, n_samples, seed)
-    rng = single_rng(seed + 1, stream=13)
-    g = rng.standard_normal((n_samples, kernel.grid.n_cells, kernel.input_dim))
-    per_cell = np.einsum("kmd,skd->skm", kernel.matrices, g)
-    sq = flavor_norm(per_cell, kernel.flavor) ** 2  # (s, K)
-    value, stderr = _root_mean(sq @ kernel.measure.increments)
-    return EmbeddingReport(gamma_full=full, cellwise=value, cellwise_stderr=stderr)

@@ -6,8 +6,7 @@ driver increment, so an integral forms neither sigma dW nor M and carries no
 realized-variation bias.  :func:`integral_steps` is the one walk that forms
 these increments and their running sum; every reader of int phi dM goes
 through it.  Brackets of integrals, covariation operators, the
-bilinear Cauchy-Schwarz check, optional stopping and the local property live
-here too.
+bilinear Cauchy-Schwarz check and optional stopping live here too.
 """
 
 from __future__ import annotations
@@ -17,14 +16,13 @@ from typing import Iterator
 
 import numpy as np
 
-from ._util import cell_apply, first_exceeding, prefix_sums, require_window
+from ._util import cell_apply, first_exceeding, prefix_sums
 from .martingales import (
     MartEnsemble,
     NoiseSpec,
     OperatorProcess,
     grid_stop_indices,
     operator_rate,
-    path_mask,
     rate_pairing,
     stop_ensemble,
 )
@@ -33,20 +31,14 @@ from .measures import GridMeasure, TimeGrid
 __all__ = [
     "IntegrandProcess",
     "IntegralPaths",
-    "ElementaryPiece",
-    "ElementaryIntegrand",
-    "elementary_integral",
     "integral_steps",
     "integrate",
     "bracket_of_integral",
-    "realized_bracket",
     "covariation_operator",
-    "covariation_norm_increments",
     "kunita_watanabe_check",
     "first_passage_time",
     "stop_integral",
     "StoppedIntegral",
-    "local_property_check",
     "CheckReport",
 ]
 
@@ -138,92 +130,6 @@ def integrate(phi: IntegrandProcess, ens: MartEnsemble) -> IntegralPaths:
     return IntegralPaths(ens.grid, out)
 
 
-@dataclass(frozen=True)
-class ElementaryPiece:
-    """One time slab (t_{i0}, t_{i1}] with an event mask and rank-one terms."""
-
-    i0: int
-    i1: int
-    terms: tuple  # ((h, x), ...)
-    mask: np.ndarray | None = None  # per-path bools; None = all paths
-
-
-@dataclass(frozen=True)
-class ElementaryIntegrand:
-    """Normal form of a simple integrand: slabs x events x sum of h (x) x.
-
-    The h vectors used within a slab must be pairwise orthogonal.
-    """
-
-    grid: TimeGrid
-    pieces: tuple
-
-    def __post_init__(self):
-        for piece in self.pieces:
-            require_window(piece.i0, piece.i1, self.grid.n_cells)
-            hs = [np.asarray(h, dtype=float) for h, _ in piece.terms]
-            for a in range(len(hs)):
-                for b in range(a + 1, len(hs)):
-                    denom = np.linalg.norm(hs[a]) * np.linalg.norm(hs[b])
-                    if denom > 0 and abs(hs[a] @ hs[b]) > 1e-10 * denom:
-                        raise ValueError("h vectors within a slab must be orthogonal")
-
-    @property
-    def target_dim(self) -> int:
-        for piece in self.pieces:
-            for _, x in piece.terms:
-                return np.asarray(x).size
-        return 1
-
-    def as_process(self, n_paths: int) -> IntegrandProcess:
-        """Materialize the per-cell (per-path if events are used) matrices."""
-        k = self.grid.n_cells
-        m = self.target_dim
-        d = None
-        for piece in self.pieces:
-            for h, _ in piece.terms:
-                d = np.asarray(h).size
-        per_path = any(p.mask is not None for p in self.pieces)
-        shape = (n_paths, k, m, d) if per_path else (k, m, d)
-        mats = np.zeros(shape)
-        for piece in self.pieces:
-            block = sum(
-                np.outer(np.asarray(x, dtype=float), np.asarray(h, dtype=float))
-                for h, x in piece.terms
-            )
-            if per_path:
-                sel = np.ones(n_paths, bool) if piece.mask is None else piece.mask
-                mats[path_mask(sel, n_paths), piece.i0 : piece.i1] += block
-            else:
-                mats[piece.i0 : piece.i1] += block
-        return IntegrandProcess(self.grid, mats)
-
-
-def elementary_integral(elem: ElementaryIntegrand, ens: MartEnsemble) -> IntegralPaths:
-    """Evaluate a simple integrand from differences of M-evaluations.
-
-    This is the defining formula: per slab and event, each rank-one term
-    contributes (M(t_{i1} ^ t) h - M(t_{i0} ^ t) h) x.  It serves as the
-    independent reference for :func:`integrate` on simple integrands.
-    """
-    if elem.grid != ens.grid:
-        raise ValueError("integrand and ensemble grids differ")
-    k = ens.grid.n_cells
-    m = elem.target_dim
-    out = np.zeros((ens.n_paths, k + 1, m))
-    idx = np.arange(k + 1)
-    for piece in elem.pieces:
-        lo = np.minimum(idx, piece.i0)
-        hi = np.minimum(idx, piece.i1)
-        sel = np.ones(ens.n_paths, bool) if piece.mask is None else piece.mask
-        sel = path_mask(sel, ens.n_paths)
-        for h, x in piece.terms:
-            evals = ens.m_eval(np.asarray(h, dtype=float))  # (n, K+1)
-            contrib = evals[:, hi] - evals[:, lo]
-            out[sel] += contrib[sel, :, None] * np.asarray(x, dtype=float)
-    return IntegralPaths(ens.grid, out)
-
-
 def bracket_of_integral(
     phi_row: np.ndarray, spec: NoiseSpec, grid: TimeGrid
 ) -> GridMeasure:
@@ -237,18 +143,6 @@ def bracket_of_integral(
     sig = spec.sigma_on_grid(grid)
     vals = rate_pairing(rows, operator_rate(sig, spec.q(), sig), rows)
     return GridMeasure(grid, vals * grid.widths)
-
-
-def realized_bracket(paths: IntegralPaths) -> np.ndarray:
-    """Realized squared-increment estimate of a scalar integral's bracket.
-
-    Noisy cross-check (relative error O(sqrt(dt)) per cell aggregate); the
-    exact route is :func:`bracket_of_integral`.
-    """
-    if paths.values.shape[-1] != 1:
-        raise ValueError("realized bracket applies to scalar integrals")
-    inc = np.diff(paths.values[:, :, 0], axis=1)
-    return inc**2
 
 
 def _covariation_rate(spec1: NoiseSpec, spec2: NoiseSpec, grid: TimeGrid) -> np.ndarray:
@@ -269,14 +163,6 @@ def covariation_operator(
     """
     rate = _covariation_rate(spec1, spec2, grid)
     return OperatorProcess(grid, prefix_sums(rate * grid.widths[:, None, None]))
-
-
-def covariation_norm_increments(
-    spec1: NoiseSpec, spec2: NoiseSpec, grid: TimeGrid
-) -> np.ndarray:
-    """Per-cell increments of the scalar covariation ||dA_{12}|| (matrix 2-norm)."""
-    rate = _covariation_rate(spec1, spec2, grid)
-    return np.linalg.svd(rate, compute_uv=False)[..., 0] * grid.widths
 
 
 @dataclass(frozen=True)
@@ -379,21 +265,3 @@ def stop_integral(
     frozen = integrate(phi, stop_ensemble(ens, tau_idx))
     return StoppedIntegral(stopped_path, indicator, frozen)
 
-
-def local_property_check(
-    phi: IntegrandProcess, ens: MartEnsemble, event_mask: np.ndarray
-) -> CheckReport:
-    """On paths where the integrand vanishes identically, so does the integral.
-
-    ``event_mask`` selects the paths on which phi is claimed to vanish; the
-    check first verifies the claim, then asserts the integral is exactly zero
-    there.
-    """
-    event_mask = path_mask(event_mask, ens.n_paths)
-    _check_integrand(phi, ens)
-    mats = phi.matrices if phi.matrices.ndim == 3 else phi.matrices[event_mask]
-    if event_mask.any() and np.any(mats):
-        raise ValueError("integrand does not vanish on the given event")
-    zeta = integrate(phi, ens)
-    worst = float(np.abs(zeta.values[event_mask]).max()) if event_mask.any() else 0.0
-    return CheckReport(worst_slack=-worst, tolerance=0.0)

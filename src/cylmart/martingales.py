@@ -45,8 +45,6 @@ __all__ = [
     "qv_partition_estimate",
     "sphere_panel",
     "countex_spec",
-    "stacked_spec",
-    "stopped_spec",
     "stop_ensemble",
 ]
 
@@ -91,14 +89,6 @@ def grid_stop_indices(tau_idx, n_paths: int, k: int) -> np.ndarray:
     return np.broadcast_to(tau.astype(int), (n_paths,))
 
 
-def path_mask(mask, n_paths: int) -> np.ndarray:
-    """``mask`` as n_paths bools, one per path."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (n_paths,):
-        raise ValueError(f"event mask needs one entry per path, {n_paths} in all")
-    return mask
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Driver covariance plus the map from driver to cylinder space.
@@ -118,6 +108,8 @@ class NoiseSpec:
     q_drive: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "d_cyl", require_int(self.d_cyl, 1, "d_cyl"))
+        object.__setattr__(self, "d_drive", require_int(self.d_drive, 1, "d_drive"))
         if not self.adapted:
             sig = np.asarray(self.sigma, dtype=float)
             if sig.ndim not in (2, 3) or sig.shape[-2:] != (self.d_cyl, self.d_drive):
@@ -400,6 +392,7 @@ def qm_empirical(am: OperatorProcess, qv: GridMeasure) -> OperatorProcess:
 def sphere_panel(d: int, n_samples: int, seed: int) -> np.ndarray:
     """Unit directions: +-coordinates plus seeded Gaussian directions, drawn
     row by row, so a smaller panel is the head of a larger one (same seed)."""
+    d = require_int(d, 1, "d")
     n_samples = require_int(n_samples, 0, "n_samples")
     coords = np.vstack([np.eye(d), -np.eye(d)])
     if n_samples == 0 or d == 1:
@@ -437,11 +430,8 @@ def qv_partition_estimate(
     if not depth_schedule:
         raise ValueError("depth schedule is empty")
     depths = [require_int(d, 0, "depths") for d in depth_schedule]
-    if panel_seed is None:
-        panel_seed = ens.seed + 1
+    panel_seed = ens.seed + 1 if panel_seed is None else require_int(panel_seed, 0, "panel_seed")
     dirs = sphere_panel(ens.spec.d_cyl, sphere_samples, panel_seed)
-    if dirs.size == 0:
-        raise ValueError("empty sphere sample")
     per_dir = ens.direction_bracket_increments(dirs)  # ([n,] n_x, K): one row if shared
 
     k = ens.grid.n_cells
@@ -469,31 +459,6 @@ def countex_spec(n: int) -> tuple[NoiseSpec, TimeGrid]:
     sig = np.eye(n)[:, :, None]
     q = np.array([[float(n)]])
     return NoiseSpec(d_cyl=n, d_drive=1, sigma=sig, q_drive=q), grid
-
-
-def stacked_spec(spec1: NoiseSpec, spec2: NoiseSpec) -> NoiseSpec:
-    """Sum of two truncations with independent drivers, as one spec."""
-    if spec1.d_cyl != spec2.d_cyl:
-        raise ValueError("cylinder dimensions differ")
-    if spec1.adapted or spec2.adapted:
-        raise ValueError("stacking supports deterministic sigma only")
-    q = np.zeros((spec1.d_drive + spec2.d_drive,) * 2)
-    q[: spec1.d_drive, : spec1.d_drive] = spec1.q()
-    q[spec1.d_drive :, spec1.d_drive :] = spec2.q()
-
-    s1 = np.asarray(spec1.sigma, dtype=float)
-    s2 = np.asarray(spec2.sigma, dtype=float)
-    if s1.ndim != 2 or s2.ndim != 2:
-        raise ValueError("stacking supports constant sigma only")
-    sig = np.concatenate([s1, s2], axis=-1)
-    return NoiseSpec(spec1.d_cyl, spec1.d_drive + spec2.d_drive, sig, q)
-
-
-def stopped_spec(spec: NoiseSpec, grid: TimeGrid, stop_idx: int) -> NoiseSpec:
-    """Spec with sigma zeroed on cells at and beyond grid point ``stop_idx``."""
-    sig = spec.sigma_on_grid(grid).copy()
-    sig[grid_stop_indices(stop_idx, 1, grid.n_cells)[0] :] = 0.0
-    return NoiseSpec(spec.d_cyl, spec.d_drive, sig, spec.q_drive)
 
 
 def stop_ensemble(ens: MartEnsemble, tau_idx: np.ndarray) -> MartEnsemble:

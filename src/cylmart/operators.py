@@ -8,7 +8,6 @@ import numpy as np
 
 __all__ = [
     "check_symmetric",
-    "op_norm_sym",
     "psd_sqrt",
     "ProjectionTriple",
     "projection_selection",
@@ -29,16 +28,6 @@ def check_symmetric(b: np.ndarray) -> np.ndarray:
     if np.abs(b - b.T).max() > SYM_RTOL * scale:
         raise ValueError("matrix is not symmetric")
     return b
-
-
-def op_norm_sym(b: np.ndarray) -> float:
-    """Operator norm of a symmetric matrix: the largest |eigenvalue|.
-
-    Agrees with sup over unit vectors of |<Bx, x>|, which is how it is
-    cross-checked in the tests.
-    """
-    b = check_symmetric(b)
-    return float(np.abs(np.linalg.eigvalsh(b)).max())
 
 
 def psd_sqrt(b: np.ndarray) -> np.ndarray:

@@ -17,14 +17,12 @@ from cylmart.evolution import (
     _default_blocks,
     _eval_noise,
     _validate_constants,
-    det_convolution,
     fixed_point_map,
     lipschitz_quotient,
     localization_consistency,
     mild_residual,
     picard_solve,
     rho_stopping_times,
-    stoch_convolution,
     vp_norm,
 )
 from cylmart._util import cell_apply
@@ -137,27 +135,34 @@ class TestProblemSemigroup:
 
 
 class TestConvolutions:
+    """From u0 = 0 with zero noise, fixed_point_map is the left-point
+    deterministic convolution int_0^t exp((t-s)A) F(s, u(s)) ds; with zero
+    drift, the stochastic one, int_0^t exp((t-s)A) G(s, u(s)) dM_s."""
+
     def test_zero_drift_gives_zero(self):
         grid = TimeGrid.uniform(1.0, 16)
+        ens = simulate(WIENER, grid, 3, seed=1)
         prob = make_problem()
         u = np.zeros((3, 17, 1))
-        out = det_convolution(prob, grid, u)
+        out = fixed_point_map(prob, ens, u)
         assert np.abs(out).max() == 0.0
 
     def test_constant_drift_no_generator(self):
         grid = TimeGrid.uniform(1.0, 64)
+        ens = simulate(WIENER, grid, 1, seed=1)
         prob = make_problem(drift=lambda t, x: np.full_like(x, 2.0), lip_f=0.0)
         u = np.zeros((1, 65, 1))
-        out = det_convolution(prob, grid, u)
+        out = fixed_point_map(prob, ens, u)
         np.testing.assert_allclose(out[0, :, 0], 2.0 * grid.points, atol=1e-12)
 
     def test_constant_drift_with_decay(self):
         grid = TimeGrid.uniform(2.0, 512)
+        ens = simulate(WIENER, grid, 1, seed=1)
         prob = make_problem(
             generator=np.array([[-1.0]]), drift=lambda t, x: np.ones_like(x)
         )
         u = np.zeros((1, 513, 1))
-        out = det_convolution(prob, grid, u)
+        out = fixed_point_map(prob, ens, u)
         target = 1.0 - np.exp(-grid.points)
         assert np.abs(out[0, :, 0] - target).max() <= 2.5 * grid.widths[0]
 
@@ -165,7 +170,7 @@ class TestConvolutions:
         grid = TimeGrid.uniform(1.0, 16)
         ens = simulate(WIENER, grid, 4, seed=1)
         prob = make_problem()
-        out = stoch_convolution(prob, ens, np.zeros((4, 17, 1)))
+        out = fixed_point_map(prob, ens, np.zeros((4, 17, 1)))
         assert np.abs(out).max() == 0.0
 
     def test_no_generator_matches_integrate_bitwise(self):
@@ -173,7 +178,7 @@ class TestConvolutions:
         ens = simulate(WIENER, grid, 32, seed=2)
         g_mat = np.array([[0.7]])
         prob = make_problem(noise_map=lambda t, x: np.broadcast_to(g_mat, (x.shape[0], 1, 1)))
-        out = stoch_convolution(prob, ens, np.zeros((32, 17, 1)))
+        out = fixed_point_map(prob, ens, np.zeros((32, 17, 1)))
         ref = integrate(IntegrandProcess.constant(grid, g_mat), ens)
         np.testing.assert_array_equal(out, ref.values)
 
@@ -184,10 +189,8 @@ class TestConvolutions:
         ens = simulate(WIENER, grid, 4, seed=1)
         prob = make_problem(drift=lambda t, x: x, lip_f=1.0, noise_map=lambda t, x: x[:, :, None])
         u = np.ones(shape)
-        with pytest.raises(ValueError, match=r"u must have shape \(paths, 17, 1\)"):
-            det_convolution(prob, grid, u)
         with pytest.raises(ValueError, match=r"u must have shape \(4, 17, 1\)"):
-            stoch_convolution(prob, ens, u)
+            fixed_point_map(prob, ens, u)
 
     def test_ou_variance(self):
         grid = TimeGrid.uniform(1.0, 256)
@@ -196,7 +199,7 @@ class TestConvolutions:
             generator=np.array([[-1.0]]),
             noise_map=lambda t, x: np.ones((x.shape[0], 1, 1)),
         )
-        out = stoch_convolution(prob, ens, np.zeros((ens.n_paths, 257, 1)))
+        out = fixed_point_map(prob, ens, np.zeros((ens.n_paths, 257, 1)))
         var = out[:, -1, 0].var(ddof=1)
         target = (1 - np.exp(-2.0)) / 2
         se = var * np.sqrt(2 / (ens.n_paths - 1))
@@ -470,7 +473,6 @@ class TestSigmaDWUnformed:
         uses = {
             "picard_solve": lambda ens: picard_solve(prob, ens),
             "fixed_point_map": lambda ens: fixed_point_map(prob, ens, u, i0=3, i1=11),
-            "stoch_convolution": lambda ens: stoch_convolution(prob, ens, u),
             "mild_residual": lambda ens: mild_residual(u, prob, ens),
         }
         for name, use in uses.items():
@@ -739,6 +741,21 @@ def reference_stoch_convolution(problem, ens, u):
     return out
 
 
+def drift_alone(problem, ens):
+    """``problem`` from u0 = 0 with zero noise: its mild map is the
+    deterministic convolution."""
+    dim, d_cyl = problem.dim, ens.spec.d_cyl
+    return dataclasses.replace(
+        problem, noise_map=lambda t, x: np.zeros((x.shape[0], dim, d_cyl)), u0=np.zeros(dim)
+    )
+
+
+def noise_alone(problem):
+    """``problem`` from u0 = 0 with zero drift: its mild map is the
+    stochastic convolution."""
+    return dataclasses.replace(problem, drift=zero_drift, u0=np.zeros(problem.dim))
+
+
 def reference_fixed_point_map(problem, ens, u, i0=0, i1=None, base=None):
     grid = ens.grid
     driven = ens.driven_increments()
@@ -837,8 +854,8 @@ class TestScanOracle:
     def test_convolutions(self, case, tile):
         problem, ens, u, _ = case
         with mock.patch.object(evolution, "SCAN_TILE", tile):
-            det = det_convolution(problem, ens.grid, u)
-            stoch = stoch_convolution(problem, ens, u)
+            det = fixed_point_map(drift_alone(problem, ens), ens, u)
+            stoch = fixed_point_map(noise_alone(problem), ens, u)
         np.testing.assert_array_equal(det, reference_det_convolution(problem, ens.grid, u))
         np.testing.assert_array_equal(stoch, reference_stoch_convolution(problem, ens, u))
 
@@ -981,8 +998,8 @@ def reference_mild_residual(u, problem, ens):
     rhs[:, 0, :] = base
     for j in range(grid.n_cells):
         rhs[:, j + 1, :] = sg.apply(grid.points[j + 1], base)
-    rhs += det_convolution(problem, grid, u)
-    rhs += stoch_convolution(problem, ens, u)
+    rhs += reference_det_convolution(problem, grid, u)
+    rhs += reference_stoch_convolution(problem, ens, u)
     rhs[:, 0, :] = base
     gaps = np.linalg.norm(u - rhs, axis=2).max(axis=1)
     return gaps
@@ -1160,13 +1177,11 @@ class TestLayout:
             fixed_point_map(prob, ens, u),
             fixed_point_map(prob, ens, u, i0=2, i1=k - 1),
             picard_solve(prob, ens, initial=u, validate=False)[0],
-            det_convolution(prob, ens.grid, u),
-            stoch_convolution(prob, ens, u),
         ]
         assert u.tobytes() == kept.tobytes()
         for out in outputs:
             assert not np.shares_memory(out, u)
-        for out in outputs[:2] + outputs[3:]:
+        for out in outputs[:2]:
             assert out.flags.c_contiguous
 
 

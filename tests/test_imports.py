@@ -1,16 +1,19 @@
 """The import graph and the public surface: cylmart needs numpy alone,
 scipy is never loaded, the package exports its library modules' public
-names, and every verdict reads one way.
+names, each of which the library, a demo or the benchmark reads, no module
+imports a name it does not read, and every verdict reads one way.
 
 The import checks run in a fresh interpreter, because the test process may
 already hold scipy from other packages.
 """
 
+import ast
 import importlib
 import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,8 +23,6 @@ import numpy as np
 import cylmart
 from cylmart import (
     CheckReport,
-    ElementaryIntegrand,
-    ElementaryPiece,
     GammaEstimate,
     IdealReport,
     IntegralPaths,
@@ -33,7 +34,8 @@ from cylmart import (
 )
 from cylmart.martingales import sphere_panel
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # the library modules whose public names the package exports, in import order
 LIBRARY = (
@@ -153,6 +155,47 @@ def test_package_exports_the_union_of_the_module_lists():
             assert getattr(cylmart, name) is getattr(module, name), name
 
 
+def test_every_public_name_has_a_reader():
+    # a reader is a whole-word mention in a library module other than
+    # __init__.py, a demo or a benchmark file, on no line that defines the
+    # name and in no __all__ list: a name that only tests call is not public
+    texts = [
+        re.sub(r"^__all__ = \[.*?^\]", "", path.read_text(), flags=re.M | re.S)
+        for path in sorted((SRC / "cylmart").glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    others = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    texts += [path.read_text() for path in others]
+    unread = []
+    for name in cylmart.__all__:
+        own = re.compile(rf"^\s*(def|class) {name}\b")
+        word = re.compile(rf"\b{name}\b")
+        if not any(
+            word.search(line) and not own.match(line)
+            for text in texts
+            for line in text.splitlines()
+        ):
+            unread.append(name)
+    assert not unread, f"public names no reader reads: {unread}"
+
+
+def test_every_imported_name_is_read():
+    # no linter runs here: a name a module imports and never reads is
+    # caught by walking its syntax tree
+    for path in sorted((SRC / "cylmart").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if alias.name != "*"
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - read, (path.name, sorted(imported - read))
+
+
 def test_star_import_binds_the_public_names_alone():
     out = run_fresh(
         "names = {}\n"
@@ -181,8 +224,6 @@ def test_failing_verdicts_read_false():
     for rep in failing:
         assert bool(rep.passed) is False, rep
     assert bool(StoppedIntegral(*paths).bit_identical) is False
-    elem = ElementaryIntegrand(grid, (ElementaryPiece(0, 1, ((np.ones(2), np.ones(3)),)),))
-    assert elem.target_dim == 3
 
 
 def test_verdicts_and_dimensions_are_properties():

@@ -1,27 +1,129 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylmart._util import SNAP_RTOL, flavor_norm
+from cylmart._util import SNAP_RTOL, flavor_norm, require_window
 from cylmart.integration import (
-    ElementaryIntegrand,
-    ElementaryPiece,
+    IntegralPaths,
     IntegrandProcess,
     bracket_of_integral,
     covariation_operator,
-    covariation_norm_increments,
-    elementary_integral,
     first_passage_time,
     integrate,
     kunita_watanabe_check,
-    local_property_check,
-    realized_bracket,
     stop_integral,
 )
-from cylmart.martingales import NoiseSpec, am_operator, qv_exact, simulate, stop_ensemble
+from cylmart.martingales import (
+    MartEnsemble,
+    NoiseSpec,
+    am_operator,
+    qv_exact,
+    simulate,
+    stop_ensemble,
+)
 from cylmart.measures import TimeGrid
 from cylmart.timechange import build_time_change
+
+
+# The integral of a simple integrand by its definition, from differences of
+# M-evaluations: the independent reference that ``integrate`` is held to.
+
+
+def path_mask(mask, n_paths: int) -> np.ndarray:
+    """``mask`` as n_paths bools, one per path."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (n_paths,):
+        raise ValueError(f"event mask needs one entry per path, {n_paths} in all")
+    return mask
+
+
+@dataclass(frozen=True)
+class ElementaryPiece:
+    """One time slab (t_{i0}, t_{i1}] with an event mask and rank-one terms."""
+
+    i0: int
+    i1: int
+    terms: tuple  # ((h, x), ...)
+    mask: np.ndarray | None = None  # per-path bools; None = all paths
+
+
+@dataclass(frozen=True)
+class ElementaryIntegrand:
+    """Normal form of a simple integrand: slabs x events x sum of h (x) x.
+
+    The h vectors used within a slab must be pairwise orthogonal.
+    """
+
+    grid: TimeGrid
+    pieces: tuple
+
+    def __post_init__(self):
+        for piece in self.pieces:
+            require_window(piece.i0, piece.i1, self.grid.n_cells)
+            hs = [np.asarray(h, dtype=float) for h, _ in piece.terms]
+            for a in range(len(hs)):
+                for b in range(a + 1, len(hs)):
+                    denom = np.linalg.norm(hs[a]) * np.linalg.norm(hs[b])
+                    if denom > 0 and abs(hs[a] @ hs[b]) > 1e-10 * denom:
+                        raise ValueError("h vectors within a slab must be orthogonal")
+
+    @property
+    def target_dim(self) -> int:
+        for piece in self.pieces:
+            for _, x in piece.terms:
+                return np.asarray(x).size
+        return 1
+
+    def as_process(self, n_paths: int) -> IntegrandProcess:
+        """Materialize the per-cell (per-path if events are used) matrices."""
+        k = self.grid.n_cells
+        m = self.target_dim
+        d = None
+        for piece in self.pieces:
+            for h, _ in piece.terms:
+                d = np.asarray(h).size
+        per_path = any(p.mask is not None for p in self.pieces)
+        shape = (n_paths, k, m, d) if per_path else (k, m, d)
+        mats = np.zeros(shape)
+        for piece in self.pieces:
+            block = sum(
+                np.outer(np.asarray(x, dtype=float), np.asarray(h, dtype=float))
+                for h, x in piece.terms
+            )
+            if per_path:
+                sel = np.ones(n_paths, bool) if piece.mask is None else piece.mask
+                mats[path_mask(sel, n_paths), piece.i0 : piece.i1] += block
+            else:
+                mats[piece.i0 : piece.i1] += block
+        return IntegrandProcess(self.grid, mats)
+
+
+def elementary_integral(elem: ElementaryIntegrand, ens: MartEnsemble) -> IntegralPaths:
+    """Evaluate a simple integrand from differences of M-evaluations.
+
+    This is the defining formula: per slab and event, each rank-one term
+    contributes (M(t_{i1} ^ t) h - M(t_{i0} ^ t) h) x.  It serves as the
+    independent reference for :func:`integrate` on simple integrands.
+    """
+    if elem.grid != ens.grid:
+        raise ValueError("integrand and ensemble grids differ")
+    k = ens.grid.n_cells
+    m = elem.target_dim
+    out = np.zeros((ens.n_paths, k + 1, m))
+    idx = np.arange(k + 1)
+    for piece in elem.pieces:
+        lo = np.minimum(idx, piece.i0)
+        hi = np.minimum(idx, piece.i1)
+        sel = np.ones(ens.n_paths, bool) if piece.mask is None else piece.mask
+        sel = path_mask(sel, ens.n_paths)
+        for h, x in piece.terms:
+            evals = ens.m_eval(np.asarray(h, dtype=float))  # (n, K+1)
+            contrib = evals[:, hi] - evals[:, lo]
+            out[sel] += contrib[sel, :, None] * np.asarray(x, dtype=float)
+    return IntegralPaths(ens.grid, out)
 
 
 @pytest.fixture
@@ -227,7 +329,8 @@ class TestBracketOfIntegral:
         phi = rng.standard_normal(2)
         ens = simulate(spec, grid, 10_000, seed=3)
         zeta = integrate(IntegrandProcess.constant(grid, phi[None, :]), ens)
-        realized = realized_bracket(zeta).sum(axis=1)  # per-path total
+        # per-path total of the squared increments
+        realized = (np.diff(zeta.values[:, :, 0], axis=1) ** 2).sum(axis=1)
         exact = bracket_of_integral(phi, spec, grid).total_mass
         rel = abs(realized.mean() - exact) / exact
         assert rel < 0.05
@@ -302,12 +405,11 @@ class TestCovariation:
         "fn",
         [
             covariation_operator,
-            covariation_norm_increments,
             lambda s1, s2, grid: kunita_watanabe_check(
                 np.ones((16, 2)), np.ones((16, 2)), s1, s2, grid
             ),
         ],
-        ids=["operator", "norm-increments", "kunita-watanabe"],
+        ids=["operator", "kunita-watanabe"],
     )
     def test_other_driver_refused_in_either_order(self, grid, other, fn):
         spec = NoiseSpec(2, 2, np.eye(2))
@@ -319,7 +421,9 @@ class TestCovariation:
         rng = np.random.default_rng(6)
         s1 = NoiseSpec(2, 2, rng.standard_normal((2, 2)))
         s2 = NoiseSpec(2, 2, rng.standard_normal((2, 2)))
-        inc12 = covariation_norm_increments(s1, s2, grid)
+        # per cell, the matrix 2-norm of the covariation operator's increment
+        d12 = np.diff(covariation_operator(s1, s2, grid).matrices, axis=0)
+        inc12 = np.linalg.svd(d12, compute_uv=False)[..., 0]
         inc1 = qv_exact(s1, grid).increments
         inc2 = qv_exact(s2, grid).increments
         assert np.all(inc12 <= np.sqrt(inc1 * inc2) + 1e-12)
@@ -460,10 +564,12 @@ class TestStopping:
 
 
 class TestLocalProperty:
+    """On paths where the integrand vanishes identically, so does the
+    integral, exactly."""
+
     def test_zero_integrand(self, grid, wiener):
         phi = IntegrandProcess.constant(grid, np.zeros((2, 2)))
-        rep = local_property_check(phi, wiener, np.ones(wiener.n_paths, bool))
-        assert rep.passed
+        assert not integrate(phi, wiener).values.any()
 
     def test_event_cut_integrand(self, grid, wiener):
         rng = np.random.default_rng(12)
@@ -473,22 +579,11 @@ class TestLocalProperty:
             rng.standard_normal((2, 2)), (wiener.n_paths, 16, 2, 2)
         ).copy()
         mats[event] = 0.0
-        phi = IntegrandProcess(grid, mats)
-        rep = local_property_check(phi, wiener, event)
-        assert rep.passed and rep.worst_slack == 0.0
+        zeta = integrate(IntegrandProcess(grid, mats), wiener).values
+        assert not zeta[event].any()
+        assert zeta[~event].any()
 
     def test_wrong_path_count_is_named(self, grid, wiener):
         phi = IntegrandProcess(grid, np.zeros((wiener.n_paths - 1, 16, 2, 2)))
         with pytest.raises(ValueError, match="does not match path count"):
-            local_property_check(phi, wiener, np.ones(wiener.n_paths, bool))
-
-    def test_wrong_mask_length_is_named(self, grid):
-        ens = simulate(NoiseSpec(2, 2, np.eye(2)), grid, 5, seed=13)
-        phi = IntegrandProcess.constant(grid, np.zeros((2, 2)))
-        with pytest.raises(ValueError, match=r"event mask needs one entry per path, 5 in all"):
-            local_property_check(phi, ens, np.ones(3, bool))
-
-    def test_claim_checked(self, grid, wiener):
-        phi = IntegrandProcess.constant(grid, np.eye(2))
-        with pytest.raises(ValueError, match="does not vanish"):
-            local_property_check(phi, wiener, np.ones(wiener.n_paths, bool))
+            integrate(phi, wiener)

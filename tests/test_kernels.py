@@ -31,12 +31,11 @@ from hypothesis import strategies as st
 
 from cylmart._util import SNAP_RTOL, cell_apply, first_exceeding, flavor_norm, prefix_sums
 from cylmart.bdg import BDGInstance, _sup_norms, bdg_ratio_panel, ito_isometry, ito_residual
-from cylmart.evolution import SEEProblem, stoch_convolution
+from cylmart.evolution import SEEProblem, fixed_point_map
 from cylmart.integration import (
     IntegralPaths,
     IntegrandProcess,
     StoppedIntegral,
-    covariation_norm_increments,
     covariation_operator,
     integral_steps,
     integrate,
@@ -135,14 +134,6 @@ def ref_covariation_operator(spec1, spec2, grid) -> OperatorProcess:
     out = np.zeros((grid.n_cells + 1, spec2.d_cyl, spec1.d_cyl))
     np.cumsum(inc, axis=0, out=out[1:])
     return OperatorProcess(grid, out)
-
-
-def ref_covariation_norm_increments(spec1, spec2, grid) -> np.ndarray:
-    s1 = spec1.sigma_on_grid(grid)
-    s2 = spec2.sigma_on_grid(grid)
-    rate = np.einsum("kyd,de,kxe->kyx", s2, spec1.q(), s1)
-    norms = np.linalg.svd(rate, compute_uv=False)[..., 0]
-    return norms * grid.widths
 
 
 def ref_grid_prefix(self) -> np.ndarray:
@@ -608,12 +599,6 @@ class TestOperatorRate:
             sig1, sig2 = one.sigma_on_grid(grid), two.sigma_on_grid(grid)
             scale = abs_rate(sig2, one.q(), sig1).max() * grid.widths.sum()
             assert_close(got.matrices, want.matrices, scale, "operator")
-            assert_close(
-                covariation_norm_increments(one, two, grid),
-                ref_covariation_norm_increments(one, two, grid),
-                scale,
-                "norm increments",
-            )
 
     @ORACLE
     @given(
@@ -902,7 +887,7 @@ class TestLayout:
                 lip_noise=1.0,
                 u0=np.zeros(3),
             )
-            return stoch_convolution(problem, ens, u)
+            return fixed_point_map(problem, ens, u)
 
         want = solve(g)
         for layout in ("F", "cells column-major"):

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from cylmart._util import prefix_sums
 from cylmart.integration import (
-    ElementaryIntegrand,
-    ElementaryPiece,
     IntegrandProcess,
     integrate,
     kunita_watanabe_check,
@@ -26,11 +24,9 @@ from cylmart.martingales import (
     qv_partition_estimate,
     simulate,
     sphere_panel,
-    stacked_spec,
     stop_ensemble,
-    stopped_spec,
 )
-from cylmart.gammanorm import GammaKernel, gamma_norm, gamma_norm_mc, type2_cotype2_check
+from cylmart.gammanorm import GammaKernel, gamma_norm, gamma_norm_mc
 from cylmart.measures import (
     GridMeasure,
     TimeGrid,
@@ -47,11 +43,11 @@ from cylmart.evolution import (
     picard_solve,
     rho_stopping_times,
 )
-from cylmart.operators import op_norm_sym
 
 ONE_MEASURE = [GridMeasure(TimeGrid.uniform(1.0, 2), np.array([0.5, 0.5]))]
 ONE_KERNEL = GammaKernel(ONE_MEASURE[0], np.ones((2, 1, 1)), flavor=4)
 ONE_ENSEMBLE = simulate(NoiseSpec(2, 2, np.eye(2)), TimeGrid.uniform(1.0, 4), 1, seed=0)
+SCALAR_ENSEMBLE = simulate(NoiseSpec(1, 1, np.eye(1)), TimeGrid.uniform(1.0, 4), 1, seed=0)
 ONE_PROBLEM = SEEProblem(
     generator=np.array([[-1.0]]),
     drift=lambda t, x: -x,
@@ -114,6 +110,36 @@ COUNT_AND_SEED_REFUSALS = {
         lambda: sphere_panel(2, -1, 0), ValueError, _count("n_samples", 0, -1)
     ),
     "panel-seed-negative": (lambda: sphere_panel(2, 4, -1), ValueError, _count("seed", 0, -1)),
+    # a panel's dimension reached numpy (or gave an empty panel at 0), a
+    # given panel seed ran unread on a one-dimensional ensemble, and a
+    # spec's dimensions were stored as given, unread for an adapted sigma
+    "panel-d-float": (lambda: sphere_panel(2.5, 4, 0), TypeError, _count("d", 1, 2.5)),
+    "panel-d-negative": (lambda: sphere_panel(-1, 4, 0), ValueError, _count("d", 1, -1)),
+    "panel-d-zero": (lambda: sphere_panel(0, 4, 0), ValueError, _count("d", 1, 0)),
+    "qv-panel-seed-negative": (
+        lambda: qv_partition_estimate(SCALAR_ENSEMBLE, 4, [1], panel_seed=-1),
+        ValueError,
+        _count("panel_seed", 0, -1),
+    ),
+    "qv-panel-seed-float": (
+        lambda: qv_partition_estimate(ONE_ENSEMBLE, 4, [1], panel_seed=1.5),
+        TypeError,
+        _count("panel_seed", 0, 1.5),
+    ),
+    "spec-d-cyl-bool": (
+        lambda: NoiseSpec(True, 1, np.eye(1)), TypeError, _count("d_cyl", 1, True)
+    ),
+    "spec-d-drive-float": (
+        lambda: NoiseSpec(2, 2.0, np.eye(2)), TypeError, _count("d_drive", 1, 2.0)
+    ),
+    "spec-d-cyl-zero": (
+        lambda: NoiseSpec(0, 1, np.ones((0, 1))), ValueError, _count("d_cyl", 1, 0)
+    ),
+    "spec-adapted-d-drive-zero": (
+        lambda: NoiseSpec(1, 0, lambda t, w: np.ones(w.shape[:-1] + (1, 0))),
+        ValueError,
+        _count("d_drive", 1, 0),
+    ),
     "qv-sphere-float": (
         lambda: qv_partition_estimate(ONE_ENSEMBLE, 2.5, [1]),
         TypeError,
@@ -164,19 +190,13 @@ COUNT_AND_SEED_REFUSALS = {
         ValueError,
         _span(3, 1),
     ),
-    # a partial sup's count sliced the list (a bool as 1), a slab with a
-    # fractional end failed in as_process, a Hilbert gamma norm never read
-    # its sample count or its seed
+    # a partial sup's count sliced the list (a bool as 1), a Hilbert gamma
+    # norm never read its sample count or its seed
     "partial-sup-float": (
         lambda: partial_sup(ONE_MEASURE, 1.5), TypeError, _count("n", 1, 1.5)
     ),
     "partial-sup-bool": (
         lambda: partial_sup(ONE_MEASURE, True), TypeError, _count("n", 1, True)
-    ),
-    "slab-float": (
-        lambda: ElementaryIntegrand(ONE_MEASURE[0].grid, (ElementaryPiece(0.5, 2, ()),)),
-        TypeError,
-        _span(0.5, 2, 2),
     ),
     "hilbert-gamma-samples-float": (
         lambda: gamma_norm(replace(ONE_KERNEL, flavor="hilbert"), 1.5),
@@ -188,10 +208,8 @@ COUNT_AND_SEED_REFUSALS = {
         ValueError,
         _count("n_samples", 2, 1),
     ),
-    # type2_cotype2_check drew its cell-wise replicas from seed + 1, so a
-    # Hilbert kernel ran at seed -1 and named -1 for seed -2
-    "hilbert-type2-seed-negative": (
-        lambda: type2_cotype2_check(replace(ONE_KERNEL, flavor="hilbert"), 16, -2),
+    "hilbert-gamma-seed-negative": (
+        lambda: gamma_norm(replace(ONE_KERNEL, flavor="hilbert"), 16, -2),
         ValueError,
         _count("seed", 0, -2),
     ),
@@ -218,7 +236,7 @@ COUNT_AND_SEED_REFUSALS = {
             ONE_PROBLEM, ONE_ENSEMBLE, u0_alt=np.ones(1), agree_mask=[True, False]
         ),
         ValueError,
-        "event mask needs one entry per path, 1 in all",
+        "agree_mask needs one entry per path, 1 in all",
     ),
     "kw-f-cells": (
         lambda: kunita_watanabe_check(np.ones((3, 2)), np.ones((4, 2)), *KW_SPECS),
@@ -315,14 +333,18 @@ class TestExactBracket:
     def test_general_matrix(self, grid):
         sig = np.array([[1.0, 2.0], [0.0, 1.0]])
         qv = qv_exact(NoiseSpec(2, 2, sig), grid)
-        np.testing.assert_allclose(qv.total_mass, op_norm_sym(sig @ sig.T))
+        np.testing.assert_allclose(qv.total_mass, np.abs(np.linalg.eigvalsh(sig @ sig.T)).max())
 
     def test_triangle_inequality_for_independent_sum(self, grid):
         rng = np.random.default_rng(0)
         for _ in range(20):
             s1 = NoiseSpec(3, 2, rng.standard_normal((3, 2)))
             s2 = NoiseSpec(3, 3, rng.standard_normal((3, 3)))
-            both = stacked_spec(s1, s2)
+            # the sum with independent drivers: sigma side by side, Q
+            # block-diagonal
+            q = np.zeros((5, 5))
+            q[:2, :2], q[2:, 2:] = s1.q(), s2.q()
+            both = NoiseSpec(3, 5, np.concatenate([s1.sigma, s2.sigma], axis=1), q_drive=q)
             t = np.sqrt(qv_exact(both, grid).prefix())
             t1 = np.sqrt(qv_exact(s1, grid).prefix())
             t2 = np.sqrt(qv_exact(s2, grid).prefix())
@@ -332,7 +354,9 @@ class TestExactBracket:
         rng = np.random.default_rng(1)
         spec = NoiseSpec(2, 2, rng.standard_normal((2, 2)))
         stop = 7
-        stopped = stopped_spec(spec, grid, stop)
+        sig = spec.sigma_on_grid(grid)
+        sig[stop:] = 0.0
+        stopped = NoiseSpec(2, 2, sig)
         qv_stop = qv_exact(stopped, grid)
         qv_full = qv_exact(spec, grid)
         np.testing.assert_array_equal(
@@ -990,8 +1014,6 @@ class TestStopIndices:
         ens = simulate(spec, grid, 3, seed=40)
         with pytest.raises(ValueError, match=r"stopping indices must be integers in \[0, 16\]"):
             stop_ensemble(ens, np.array([3, bad, 5]))
-        with pytest.raises(ValueError, match=r"stopping indices must be integers in \[0, 16\]"):
-            stopped_spec(spec, grid, bad)
 
     def test_wrong_length_rejected(self, grid):
         ens = simulate(NoiseSpec(2, 2, np.eye(2)), grid, 5, seed=43)
@@ -1009,5 +1031,3 @@ class TestStopIndices:
         ens = simulate(spec, grid, 3, seed=42)
         assert not stop_ensemble(ens, 0).driven.any()
         assert np.array_equal(stop_ensemble(ens, 16).driven, ens.driven)
-        assert not stopped_spec(spec, grid, 0).sigma.any()
-        assert np.array_equal(stopped_spec(spec, grid, 16).sigma, spec.sigma_on_grid(grid))

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylmart.martingales import _rate_norms
 from cylmart.operators import (
-    op_norm_sym,
+    check_symmetric,
     projection_selection,
     psd_sqrt,
 )
@@ -16,11 +17,14 @@ def random_sym(rng, d):
 
 
 class TestOpNorm:
+    """The operator norm of a symmetric matrix, the largest |eigenvalue|, as
+    every bracket increment reads it (``martingales._rate_norms``)."""
+
     def test_identity(self):
-        assert op_norm_sym(np.eye(3)) == 1.0
+        assert _rate_norms(np.eye(3)) == 1.0
 
     def test_diagonal_reads_off(self):
-        assert op_norm_sym(np.diag([2.0, -5.0])) == 5.0
+        assert _rate_norms(np.diag([2.0, -5.0])) == 5.0
 
     def test_matches_quadratic_form_supremum(self):
         rng = np.random.default_rng(0)
@@ -28,17 +32,18 @@ class TestOpNorm:
         x = rng.standard_normal((100_000, 4))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         sampled = np.abs(np.einsum("ni,ij,nj->n", x, b, x)).max()
-        assert op_norm_sym(b) == pytest.approx(sampled, rel=1e-2)
+        assert _rate_norms(b) == pytest.approx(sampled, rel=1e-2)
 
     def test_rejects_asymmetric(self):
+        # eigvalsh reads one triangle alone; operators check symmetry first
         with pytest.raises(ValueError, match="not symmetric"):
-            op_norm_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            check_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     @given(st.floats(-100, 100))
     @settings(max_examples=30, deadline=None)
     def test_absolute_homogeneity(self, c):
         b = np.array([[2.0, 1.0], [1.0, -3.0]])
-        assert op_norm_sym(c * b) == pytest.approx(abs(c) * op_norm_sym(b), rel=1e-12)
+        assert _rate_norms(c * b) == pytest.approx(abs(c) * _rate_norms(b), rel=1e-12)
 
     def test_cauchy_schwarz_for_psd_forms(self):
         rng = np.random.default_rng(5)
@@ -66,7 +71,7 @@ class TestPsdSqrt:
             a = rng.standard_normal((d, d))
             b = a.T @ a
             root = psd_sqrt(b)
-            norm = op_norm_sym(b)
+            norm = _rate_norms(b)
             assert np.abs(root.T @ root - b).max() <= 1e-10 * max(norm, 1.0)
             np.testing.assert_allclose(root, root.T, atol=1e-12 * max(norm, 1))
 
@@ -75,7 +80,7 @@ class TestPsdSqrt:
         a = rng.standard_normal((5, 5))
         b = a @ a.T
         root = psd_sqrt(b)
-        np.testing.assert_allclose(root @ root, b, atol=1e-10 * op_norm_sym(b))
+        np.testing.assert_allclose(root @ root, b, atol=1e-10 * _rate_norms(b))
 
     def test_small_negative_eigenvalues_clamped(self):
         b = np.diag([1.0, -1e-10])
@@ -87,7 +92,7 @@ class TestPsdSqrt:
             psd_sqrt(np.diag([1.0, -1e-3]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("fn", [psd_sqrt, op_norm_sym])
+    @pytest.mark.parametrize("fn", [psd_sqrt, check_symmetric])
     def test_non_finite_rejected(self, fn, bad):
         # NaN compares false, so it used to pass the symmetry test
         with pytest.raises(ValueError, match="matrix is not all finite"):
