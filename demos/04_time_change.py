@@ -10,6 +10,7 @@ the cell mass.
 import numpy as np
 
 from cylmart import (
+    GammaKernel,
     IncreasingPath,
     IntegrandProcess,
     NoiseSpec,
@@ -17,6 +18,7 @@ from cylmart import (
     apply_time_change,
     build_time_change,
     dds_integral_check,
+    gamma_timechange_check,
     measure_from_increasing,
     qv_exact,
     simulate,
@@ -34,6 +36,12 @@ print("tau(s) approximates sqrt(s): max gap =",
 # --- substitution: int f d(bracket) = int f(tau(s)) ds ------------------------
 lhs, rhs = substitute(grid.right, quad)
 print(f"int t d(t^2) = {lhs:.6f} vs transported {rhs:.6f} (limit 2/3)")
+
+# --- gamma-norms against the bracket survive its clock change, in l4 too ------
+kernel = GammaKernel(quad, np.random.default_rng(6).standard_normal((64, 3, 2)), flavor=4)
+pair = gamma_timechange_check(kernel, n_samples=8192, seed=7)
+print(f"l4 kernel norm {pair.lhs:.4f} vs clock-changed {pair.rhs:.4f} "
+      f"(passed: {pair.passed})")
 
 # --- transported brackets grow at unit rate -----------------------------------
 def vol(t, w):  # w = W(t_i), the driver before each cell

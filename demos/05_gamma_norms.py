@@ -43,11 +43,16 @@ s_mat = rng.standard_normal((2, 2))
 s_mat /= np.linalg.svd(s_mat, compute_uv=False)[0]
 rep = ideal_check(t_mat, kernel, s_mat)
 print(f"||T R S|| = {rep.lhs.value:.4f} <= ||T|| ||R|| ||S|| = {rep.rhs:.4f}")
+rep4 = ideal_check(t_mat, GammaKernel(measure, kernel.matrices, flavor=4), s_mat,
+                   n_samples=8192, seed=4)
+print(f"l4 target: {rep4.lhs.value:.4f} <= {rep4.rhs:.4f} (passed: {rep4.passed})")
 
 # --- running-integral bound --------------------------------------------------------
 psi = rng.standard_normal((16, 2))
 bound = primitive_gamma_bound_check(psi, measure)
 print(f"prefix-kernel norm {bound.lhs.value:.4f} <= bound {bound.rhs:.4f}")
+bound4 = primitive_gamma_bound_check(psi, measure, flavor=4, n_samples=8192, seed=5)
+print(f"l4 target: {bound4.lhs.value:.4f} <= {bound4.rhs:.4f} (passed: {bound4.passed})")
 
 # --- index-space swap ----------------------------------------------------------------
 for p in (2, 4):

@@ -231,7 +231,8 @@ def validate_derivatives(
     points: Sequence[tuple[float, np.ndarray]],
 ) -> None:
     """Cross-check supplied derivatives by central differences of step 1e-5;
-    raises on disagreement beyond 1e-4 relative to the local scale."""
+    raises on a non-finite value of f or a derivative at a point, and on
+    disagreement beyond 1e-4 relative to the local scale."""
     step, rtol = 1e-5, 1e-4
 
     def central(g, t, x, dt, dx):
@@ -239,6 +240,9 @@ def validate_derivatives(
 
     for t, x in points:
         x = np.asarray(x, dtype=float)[None, :]
+        for name, g in (("f", f), ("d1f", d1f), ("d2f", d2f), ("d22f", d22f)):
+            if not np.isfinite(np.asarray(g(t, x), dtype=float)[0]).all():
+                raise ValueError(f"{name} is not finite at t={t}")
         d1 = central(f, t, x, step, 0.0)
         if abs(d1 - np.asarray(d1f(t, x))[0]) > rtol * (1.0 + abs(d1)):
             raise ValueError(f"time derivative mismatch at t={t}")
@@ -274,7 +278,6 @@ def ito_residual(
     a_path: IncreasingPath | None,
     phi: IntegrandProcess,
     ens: MartEnsemble,
-    validate: bool = True,
 ) -> ItoReport:
     """Residual of the second-order chain rule along simulated paths.
 
@@ -284,7 +287,8 @@ def ito_residual(
     H the second derivative and A = sigma Q sigma^T, from f(t, zeta(t)) -
     f(0, zeta(0)).  sigma is the ensemble's own, per path when it is adapted
     or stopped, and phi may be per path.  All derivative callables take (t,
-    states) with states batched over paths.
+    states) with states batched over paths; ``validate_derivatives`` checks
+    them at t = 0, t_{K/2} and T on states the walk reaches.
     """
     grid, n, m, q = ens.grid, ens.n_paths, phi.target_dim, ens.spec.q()
     k = grid.n_cells
@@ -331,11 +335,10 @@ def ito_residual(
         residual = f_next - f0 - correction
         np.maximum(max_abs, np.abs(residual), out=max_abs)
 
-    if validate:
-        pts = [(grid.points[0], start[0]), (grid.points[k // 2], mid[0])]
-        if n > 1:
-            pts.append((grid.points[k], state[n - 1]))
-        validate_derivatives(f, d1f, d2f, d22f, pts)
+    pts = [(grid.points[0], start[0]), (grid.points[k // 2], mid[0])]
+    if n > 1:
+        pts.append((grid.points[k], state[n - 1]))
+    validate_derivatives(f, d1f, d2f, d22f, pts)
 
     se = float(np.std(residual, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return ItoReport(

@@ -35,7 +35,6 @@ from ._util import (
     cell_apply,
     finite_above_zero,
     first_exceeding,
-    int_at_least,
     require_int,
     require_window,
     single_rng,
@@ -62,6 +61,11 @@ __all__ = [
 
 GENERATOR_EIG_RTOL = 1e-10
 LIPSCHITZ_SLACK = 1e-9
+# mild-map applications per Picard block before it is refused.  Each sweep
+# fixes one more point of a block for good, so a block of L cells reaches its
+# discrete fixed point bit for bit within L + 1 sweeps: a finite distance can
+# be refused only on a block of more than 59 cells
+PICARD_SWEEPS = 60
 # cells per time-major tile of the driver increments that the noise step
 # reads, and per tile of a block's squared changes
 SCAN_TILE = 4
@@ -164,13 +168,13 @@ class Semigroup:
 
 
 def _path_shape(
-    problem: SEEProblem, ens: MartEnsemble, u: np.ndarray | None = None, what: str = "u"
+    problem: SEEProblem, ens: MartEnsemble, u: np.ndarray | None = None
 ) -> tuple[int, int, int]:
     """(paths, grid points, dim), the shape of a solution; ``u``, if given,
     must have it."""
     shape = (ens.n_paths, ens.grid.n_cells + 1, problem.dim)
     if u is not None and np.shape(u) != shape:
-        raise ValueError(f"{what} must have shape {shape}, got {np.shape(u)}")
+        raise ValueError(f"u must have shape {shape}, got {np.shape(u)}")
     return shape
 
 
@@ -307,53 +311,39 @@ def fixed_point_map(
     return out
 
 
-def vp_norm(
-    u: np.ndarray,
-    ens: MartEnsemble,
-    a: float = 0.0,
-    b: float | None = None,
-    p: float = 2.0,
-) -> float:
-    """Moment norm: (E ||u||_{L2(a,b)}^p)^{1/p} + (E ||u||_{bracket}^p)^{1/p}.
+def vp_norm(u: np.ndarray, ens: MartEnsemble) -> float:
+    """Moment norm on [0, T]: (E ||u||_{L2}^2)^{1/2} + (E ||u||_{bracket}^2)^{1/2}.
 
     The second summand weighs the path kernel by the per-path bracket (the
     Euclidean-flavor kernel norm, exact per path).  Cell values are the path
-    values at left endpoints.  ``u`` is (paths, K+1, dim) on the ensemble's
-    grid, and 0 <= a <= b <= T; a window inside one cell is empty.
+    values at left endpoints, so the value at T is not read.  ``u`` is
+    (paths, K+1, dim) on the ensemble's grid.
     """
     grid = ens.grid
-    if not finite_above_zero(p) or p < 1:
-        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
-    if not 0.0 <= a <= (grid.horizon if b is None else b) <= grid.horizon:
-        raise ValueError(f"need 0 <= a <= b <= T = {grid.horizon}, got a={a!r}, b={b!r}")
     if np.ndim(u) != 3 or np.shape(u)[:2] != (ens.n_paths, grid.n_cells + 1):
         raise ValueError(
             f"u must have shape ({ens.n_paths}, {grid.n_cells + 1}, dim), got {np.shape(u)}"
         )
-    # first grid points reaching a and b: all but the negated ones <= -a, -b
-    ends = [-a, -grid.horizon if b is None else -b]
-    i0, i1 = grid.n_cells + 1 - first_exceeding(-grid.points[::-1], ends, grid.horizon)
     # squared C-ordered whatever u's layout: _window_norm's sums and matmul
     # take another path, in other bits, on a transposed array
-    return _window_norm(np.sum(np.square(u[:, i0:i1, :], order="C"), axis=2), ens, p, i0, i1)
+    k = grid.n_cells
+    return _window_norm(np.sum(np.square(u[:, :k, :], order="C"), axis=2), ens, 0, k)
 
 
-def _window_norm(sq: np.ndarray, ens: MartEnsemble, p: float, i0: int, i1: int) -> float:
+def _window_norm(sq: np.ndarray, ens: MartEnsemble, i0: int, i1: int) -> float:
     """``vp_norm`` from the squared path norms on the window alone: ``sq`` is
     (n, i1 - i0), at the left endpoints of cells i0..i1-1, and is overwritten."""
     l2 = np.sqrt(sq @ ens.grid.widths[i0:i1])
     # sq is not read again: weigh it by the bracket in place
     gam = np.sqrt(np.sum(np.multiply(sq, ens.bracket.increments[:, i0:i1], out=sq), axis=1))
-    return float(np.mean(l2**p) ** (1.0 / p) + np.mean(gam**p) ** (1.0 / p))
+    return float(np.mean(l2**2) ** 0.5 + np.mean(gam**2) ** 0.5)
 
 
-def _window_distance(
-    u: np.ndarray, v: np.ndarray, ens: MartEnsemble, p: float, i0: int, i1: int
-) -> float:
+def _window_distance(u: np.ndarray, v: np.ndarray, ens: MartEnsemble, i0: int, i1: int) -> float:
     """``vp_norm`` of u - v on cells i0..i1-1, with the difference formed
     (C-ordered, as in ``vp_norm``) and squared on the window alone."""
     gap = np.subtract(u[:, i0:i1], v[:, i0:i1], order="C")
-    return _window_norm(np.sum(np.square(gap, out=gap), axis=2), ens, p, i0, i1)
+    return _window_norm(np.sum(np.square(gap, out=gap), axis=2), ens, i0, i1)
 
 
 def rho_stopping_times(bracket: BracketPaths, n: int) -> np.ndarray:
@@ -385,9 +375,9 @@ def rho_stopping_times(bracket: BracketPaths, n: int) -> np.ndarray:
 @dataclass
 class PicardDiagnostics:
     blocks: list
-    distances: list = field(default_factory=list)  # per block: list of V distances
-    contractions: list = field(default_factory=list)  # per block: measured ratio
-    block_mass: list = field(default_factory=list)  # per block: worst path mass
+    distances: list = field(default_factory=list, init=False)  # per block: V distances
+    contractions: list = field(default_factory=list, init=False)  # per block: measured ratio
+    block_mass: list = field(default_factory=list, init=False)  # per block: worst path mass
 
     def worst_contraction(self) -> float:
         vals = [c for c in self.contractions if np.isfinite(c)]
@@ -416,20 +406,6 @@ def _default_blocks(problem: SEEProblem, ens: MartEnsemble) -> list[tuple[int, i
         if crit < 0.45 or 2**n >= grid.n_cells:
             return bounds
     return bounds
-
-
-def _tiles(blocks, n_cells: int) -> bool:
-    """Whether ``blocks`` are integer pairs (i0, i1), i0 < i1, each starting
-    where the last ended, from 0 to ``n_cells``."""
-    edge = 0
-    for block in blocks:
-        if np.shape(block) != (2,):
-            return False
-        i0, i1 = block
-        if not (int_at_least(i0, edge) and i0 == edge and int_at_least(i1, edge + 1)):
-            return False
-        edge = i1
-    return edge == n_cells
 
 
 def _validate_constants(problem: SEEProblem, ens: MartEnsemble) -> None:
@@ -464,77 +440,57 @@ def _validate_constants(problem: SEEProblem, ens: MartEnsemble) -> None:
 def picard_solve(
     problem: SEEProblem,
     ens: MartEnsemble,
-    p: float = 2.0,
     tol: float = 1e-8,
-    max_iter: int = 60,
-    blocks: list[tuple[int, int]] | None = None,
     validate: bool = True,
-    initial: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PicardDiagnostics]:
     """Fixed-point iteration of the mild map over a dyadic block schedule.
 
-    Starting from the frozen continuation exp(tA) u0 (or ``initial``), each
-    block iterates until the successive V-distance drops below ``tol``.  A
-    block that fails to contract raises :class:`PicardError` carrying the
-    measured contraction and the advice to halve the block length.  The
-    solve overwrites one iterate of its own in place (``initial`` is copied),
+    Starting from the frozen continuation exp(tA) u0, each block iterates
+    until the successive V-distance drops below ``tol``.  A block whose
+    distance is not below ``tol`` after PICARD_SWEEPS sweeps, or is NaN,
+    raises :class:`PicardError` carrying the last distance and the measured
+    contraction.  The solve overwrites one iterate of its own in place,
     stored time-major as (K+1, paths, dim) so that each grid point the scan
     reads or overwrites is one contiguous block.  The solution returned is
     that iterate's (paths, K+1, dim) view, not a copy: ``u[:, j]`` is
-    contiguous and ``u[i]`` is strided.  ``blocks``, if given, must tile the
-    grid's cells in order.
+    contiguous and ``u[i]`` is strided.
     """
     grid = ens.grid
-    if not finite_above_zero(p) or p < 1:
-        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
     if not finite_above_zero(tol):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-    max_iter = require_int(max_iter, 1, "max_iter")
-    if blocks is not None and not _tiles(blocks, grid.n_cells):
-        raise ValueError(
-            f"blocks must be an increasing, contiguous cover of [0, {grid.n_cells}] "
-            f"by (i0, i1) pairs with i0 < i1, got {blocks!r}"
-        )
-    shape = _path_shape(problem, ens, initial, "initial")
     if validate:
         _validate_constants(problem, ens)
-    if blocks is None:
-        blocks = _default_blocks(problem, ens)
-    diag = PicardDiagnostics(blocks=list(blocks))
+    diag = PicardDiagnostics(blocks=_default_blocks(problem, ens))
 
-    n, kp1, m = shape
+    n, kp1, m = _path_shape(problem, ens)
+    # the scan with a zero step, so a drift- and noise-free problem is an
+    # exact fixed point of the discrete map
+    u = np.zeros((kp1, n, m))
     base = problem.initial_states(n)
-    if initial is None:
-        # the scan with a zero step, so a drift- and noise-free problem is an
-        # exact fixed point of the discrete map
-        u = np.zeros((kp1, n, m))
-        for j, _, state in _scan(problem.semigroup, grid, lambda j, x: 0.0, base, u, 0, kp1 - 1):
-            u[j] = state
-    else:
-        u = np.array(np.swapaxes(initial, 0, 1), dtype=float, order="C")
-        u[0] = base  # iterates may start anywhere; the anchor may not
+    for j, _, state in _scan(problem.semigroup, grid, lambda j, x: 0.0, base, u, 0, kp1 - 1):
+        u[j] = state
 
     prefix = ens.bracket.prefix()
-    for i0, i1 in blocks:
+    for i0, i1 in diag.blocks:
         diag.block_mass.append(float((prefix[:, i1] - prefix[:, i0]).max()))
         block_base = u[i0].copy()
         sq = np.empty((n, i1 - i0))
         dists = []
         ratio = np.nan
-        for it in range(max_iter):
+        for _ in range(PICARD_SWEEPS):
             _mild_map(problem, ens, u, i0, i1, block_base, sq)
-            dist = _window_norm(sq, ens, p, i0, i1)
+            dist = _window_norm(sq, ens, i0, i1)
             dists.append(dist)
             if len(dists) >= 2 and dists[-2] > 0:
                 ratio = dists[-1] / dists[-2]
-            if dist < tol:
+            if not dist >= tol:  # below tol, or NaN, which no further sweep mends
                 break
         diag.distances.append(dists)
         diag.contractions.append(ratio)
-        if dists[-1] >= tol:
+        if not dists[-1] < tol:
             raise PicardError(
-                "block did not contract below tol; halve the block length "
-                f"(measured contraction {ratio:.3g})",
+                f"block [{i0}, {i1}) did not contract below tol: last distance "
+                f"{dists[-1]:.3g}, measured contraction {ratio:.3g}",
                 diag,
             )
     return u.swapaxes(0, 1), diag
@@ -594,8 +550,8 @@ def lipschitz_quotient(
     base = problem.initial_states(ens.n_paths)
     fa = fixed_point_map(problem, ens, u_a, i0=i0, i1=i1, base=base)
     fb = fixed_point_map(problem, ens, u_b, i0=i0, i1=i1, base=base)
-    num = _window_distance(fa, fb, ens, 2.0, i0, i1)
-    den = _window_distance(u_a, u_b, ens, 2.0, i0, i1)
+    num = _window_distance(fa, fb, ens, i0, i1)
+    den = _window_distance(u_a, u_b, ens, i0, i1)
     return num / den if den > 0 else np.nan
 
 

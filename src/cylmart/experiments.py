@@ -45,6 +45,7 @@ from .integration import (
 )
 from .martingales import (
     NoiseSpec,
+    _rate_norms,
     am_operator,
     countex_spec,
     qm_empirical,
@@ -201,7 +202,7 @@ def run_qv(params: dict, seed: int) -> ExperimentResult:
         qm = qm_operator(spec, g2)
         qvm = qv_exact(spec, g2)
         support = qvm.increments > 0
-        norms = np.abs(np.linalg.eigvalsh(qm.matrices[support])).max(axis=-1)
+        norms = _rate_norms(qm.matrices[support])
         if norms.size:
             worst_norm_dev = max(worst_norm_dev, float(np.abs(norms - 1.0).max()))
         emp = qm_empirical(am_operator(spec, g2), qvm)

@@ -224,8 +224,7 @@ class MartEnsemble:
     adapted or stopped sigma both are stored per path.  Integrals multiply
     phi sigma into dW and never read M itself.  The driven increments
     sigma(t_i) dW_i (``driven``) and the coordinate evaluations ``m_evals``,
-    their prefix sums, are formed on first read, kept and read-only;
-    ``m_eval(h)`` evaluates any other direction.
+    their prefix sums, are formed on first read, kept and read-only.
     """
 
     spec: NoiseSpec
@@ -241,10 +240,6 @@ class MartEnsemble:
     @property
     def grid(self) -> TimeGrid:
         return self.bracket.grid
-
-    @property
-    def sigma_is_shared(self) -> bool:
-        return self.sigma_path.ndim == 3
 
     @functools.cached_property
     def driven(self) -> np.ndarray:
@@ -264,10 +259,6 @@ class MartEnsemble:
         out = prefix_sums(self.driven, axis=1)
         out.flags.writeable = False
         return out
-
-    def m_eval(self, h: np.ndarray) -> np.ndarray:
-        """Cylindrical evaluation M_t h on the grid, shape (n, K+1)."""
-        return prefix_sums(self.driven @ np.asarray(h, dtype=float), axis=1)
 
     def direction_bracket_increments(self, directions: np.ndarray) -> np.ndarray:
         """Exact per-direction bracket increments <sigma Q sigma^T x, x> dt.

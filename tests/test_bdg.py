@@ -330,6 +330,15 @@ class TestDerivativeValidation:
                 points=[(0.0, np.array([1.0]))],
             )
 
+    @pytest.mark.parametrize("name", ["f", "d1f", "d2f", "d22f"])
+    def test_rejects_non_finite_values_by_name(self, name):
+        # every comparison with NaN is False: all-NaN derivatives used to pass
+        funcs = dict(_square_functional())
+        exact = funcs[name]
+        funcs[name] = lambda t, x: np.full_like(np.asarray(exact(t, x), dtype=float), np.nan)
+        with pytest.raises(ValueError, match=rf"^{name} is not finite at t=0.5$"):
+            validate_derivatives(**funcs, points=[(0.5, np.array([1.0]))])
+
 
 def _square_functional():
     """f = |x|^2 with its exact derivatives."""
@@ -618,13 +627,15 @@ def reference_ito_residual(
     )
 
 
-def _smooth_functional(a, b, c, nan_above=None):
+def _smooth_functional(a, b, c, nan_above=None, nan_times=(0.1, 0.3)):
     """f = sin(x) . a + b |x|^2 + c t with exact derivatives; with
-    ``nan_above`` f is NaN on paths whose first coordinate exceeds it."""
+    ``nan_above`` f is NaN on paths whose first coordinate exceeds it at
+    times strictly inside ``nan_times``, a window that must keep clear of
+    the derivative check points (t = 0, t_{K/2} and T, each +- 1e-5)."""
 
     def f(t, x):
         out = np.sin(x) @ a + b * np.sum(x**2, axis=1) + c * t
-        if nan_above is not None:
+        if nan_above is not None and nan_times[0] < t < nan_times[1]:
             out = np.where(x[:, 0] > nan_above, np.nan, out)
         return out
 
@@ -689,16 +700,17 @@ class TestItoResidualOracle:
         ens = simulate(spec, grid, n, seed)
         if stopped:  # per-path sigma and bracket, same deterministic spec
             ens = stop_ensemble(ens, rng.integers(0, k + 1, n))
+        # NaN only between the middle and the last check point
+        nan_times = (grid.points[k // 2] + 1e-4, grid.horizon - 1e-4)
         kwargs = dict(
             _smooth_functional(
-                rng.uniform(-2, 2, m), rng.uniform(-1, 1), rng.uniform(-1, 1), nan_above
+                rng.uniform(-2, 2, m), rng.uniform(-1, 1), rng.uniform(-1, 1), nan_above, nan_times
             ),
             xi=rng.standard_normal(m) if shared_xi else rng.standard_normal((n, m)),
             psi=rng.standard_normal((k, m)) if with_psi else None,
             a_path=qv_exact(spec, grid).to_increasing() if with_psi else None,
             phi=IntegrandProcess(grid, rng.standard_normal((k, m, d))),
             ens=ens,
-            validate=nan_above is None,
         )
         got, want = (_outcome(fn, kwargs) for fn in (ito_residual, reference_ito_residual))
         if isinstance(want, str):  # a derivative check failed: it must fail alike
@@ -713,9 +725,7 @@ class TestItoResidualOracle:
         ens = simulate(NoiseSpec(1, 1, np.eye(1)), grid, 20, seed=24)
         funcs = _smooth_functional(np.ones(1), 0.5, 0.0, nan_above=0.0)
         phi = IntegrandProcess.constant(grid, np.eye(1))
-        kwargs = dict(
-            funcs, xi=np.zeros(1), psi=None, a_path=None, phi=phi, ens=ens, validate=False
-        )
+        kwargs = dict(funcs, xi=np.zeros(1), psi=None, a_path=None, phi=phi, ens=ens)
         got = ito_residual(**kwargs)
         assert np.isnan(got.max_abs)
         assert np.isnan(reference_ito_residual(**kwargs).max_abs)

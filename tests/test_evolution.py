@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import tracemalloc
 from unittest import mock
 
@@ -129,7 +128,7 @@ class TestProblemSemigroup:
             u0=np.array([1.0]),
         )
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-            u, _ = picard_solve(prob, ens, blocks=[(0, 4), (4, 8), (8, 16)])
+            u, _ = picard_solve(prob, ens)
             mild_residual(u, prob, ens)
         assert eigh.call_count == 0
 
@@ -167,11 +166,15 @@ class TestConvolutions:
         assert np.abs(out[0, :, 0] - target).max() <= 2.5 * grid.widths[0]
 
     def test_stochastic_zero_noise(self):
+        # a zero noise map adds no stochastic convolution to the flow from
+        # u0, whatever the driver and the input path: the map is exp(tA) u0
         grid = TimeGrid.uniform(1.0, 16)
         ens = simulate(WIENER, grid, 4, seed=1)
-        prob = make_problem()
-        out = fixed_point_map(prob, ens, np.zeros((4, 17, 1)))
-        assert np.abs(out).max() == 0.0
+        a = np.array([[-1.0, 0.3], [0.3, -2.0]])
+        prob = make_problem(generator=a, u0=np.array([1.0, -0.5]), m=2)
+        out = fixed_point_map(prob, ens, np.ones((4, 17, 2)))
+        flow = np.stack([prob.semigroup.flow(t, prob.initial_states(4)) for t in grid.points], 1)
+        np.testing.assert_allclose(out, flow, rtol=0.0, atol=1e-14)
 
     def test_no_generator_matches_integrate_bitwise(self):
         grid = TimeGrid.uniform(1.0, 16)
@@ -227,34 +230,16 @@ class TestVpNorm:
         assert vp_norm(3.0 * u, ens) == pytest.approx(3.0 * vp_norm(u, ens), rel=1e-12)
 
     def test_window_restriction(self):
+        # the window is the K cells of [0, T], read at their left endpoints:
+        # the value at T lies outside it, and u = 1 on the first half of the
+        # cells reads the half-horizon norm sqrt(1/2) in both summands
         grid = TimeGrid.uniform(1.0, 8)
         ens = simulate(WIENER, grid, 2, seed=8)
-        u = np.ones((2, 9, 1))
-        full = vp_norm(u, ens)
-        half = vp_norm(u, ens, a=0.0, b=0.5)
-        assert half == pytest.approx(full / np.sqrt(2), rel=1e-12)
-
-    @pytest.mark.parametrize("p", [0, -1.0, np.nan, np.inf, 0.5])
-    def test_bad_p_refused(self, p):
-        ens = simulate(WIENER, TimeGrid.uniform(1.0, 8), 2, seed=9)
-        with pytest.raises(ValueError, match="p must be a finite number >= 1"):
-            vp_norm(np.ones((2, 9, 1)), ens, p=p)
-
-    @pytest.mark.parametrize(
-        "a, b", [(0.75, 0.25), (0.0, 1.5), (-0.1, 0.5), (np.nan, 0.5), (0.5, np.nan), (1.5, None)]
-    )
-    def test_window_outside_zero_to_horizon_refused(self, a, b):
-        ens = simulate(WIENER, TimeGrid.uniform(1.0, 8), 2, seed=10)
-        with pytest.raises(ValueError, match="need 0 <= a <= b <= T"):
-            vp_norm(np.ones((2, 9, 1)), ens, a=a, b=b)
-
-    def test_empty_window_is_zero(self):
-        # a == b on a grid point, or a window inside one cell, holds no cell
-        ens = simulate(WIENER, TimeGrid.uniform(1.0, 8), 2, seed=11)
-        u = np.ones((2, 9, 1))
-        assert vp_norm(u, ens, a=0.5, b=0.5) == 0.0
-        assert vp_norm(u, ens, a=0.55, b=0.6) == 0.0
-        assert vp_norm(u, ens, a=1.0, b=1.0) == 0.0
+        u = np.zeros((2, 9, 1))
+        u[:, 8] = 5.0
+        assert vp_norm(u, ens) == 0.0
+        u[:, :4] = 1.0
+        assert vp_norm(u, ens) == pytest.approx(2.0 * np.sqrt(0.5), rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(2, 8, 1), (3, 9, 1), (2, 9), (2, 10, 1)])
     def test_u_off_the_grid_refused(self, shape):
@@ -379,13 +364,24 @@ class TestPicard:
             picard_solve(prob, ens)
 
     def test_non_contracting_block_raises_with_advice(self):
+        # a NaN distance is no convergence (NaN >= tol is False): a drift
+        # that is NaN above 1.5 used to run all sweeps and return NaN.  The
+        # first one-cell block measures its left point alone, u0; its right
+        # point, NaN, is the second block's first sweep
         grid = TimeGrid.uniform(1.0, 8)
         ens = simulate(WIENER, grid, 16, seed=18)
-        prob = make_problem(drift=lambda t, x: -x, lip_f=1.0, u0=np.array([1.0]))
-        with pytest.raises(PicardError, match="halve the block"):
-            picard_solve(prob, ens, blocks=[(0, 8)], max_iter=2, tol=1e-14)
+        prob = make_problem(
+            drift=lambda t, x: np.where(x > 1.5, np.nan, -x), lip_f=1.0, u0=np.array([2.0])
+        )
+        with pytest.raises(PicardError, match=r"block \[1, 2\) .* last distance nan") as err:
+            picard_solve(prob, ens, validate=False)
+        distances = err.value.diagnostics.distances
+        assert np.array_equal(distances, [[0.0], [np.nan]], equal_nan=True)
 
     def test_uniqueness_across_initial_iterates(self):
+        # the mild map iterated on the whole horizon from the zero path, K + 1
+        # times (each application fixes one more point), reaches the solution
+        # that the blockwise solve reaches from the flow
         grid = TimeGrid.uniform(1.0, 64)
         ens = simulate(WIENER, grid, 32, seed=19)
         prob = make_problem(
@@ -397,9 +393,9 @@ class TestPicard:
         )
         tol = 1e-10
         u1, _ = picard_solve(prob, ens, tol=tol)
-        u2, _ = picard_solve(
-            prob, ens, tol=tol, initial=np.zeros((32, 65, 1)), validate=False
-        )
+        u2 = np.zeros((32, 65, 1))
+        for _ in range(65):
+            u2 = fixed_point_map(prob, ens, u2)
         assert vp_norm(u1 - u2, ens) <= 2 * tol
 
     def test_growth_bound(self):
@@ -511,36 +507,10 @@ class TestPicardInputs:
         prob = make_problem(drift=_untouchable, lip_f=1.0, u0=np.array([1.0]))
         return picard_solve(prob, ens, **kwargs)
 
-    @pytest.mark.parametrize("max_iter", [0, -1, 2.0, True])
-    def test_bad_max_iter(self, max_iter):
-        # a non-integer is a TypeError, an integer out of range a ValueError
-        error = TypeError if isinstance(max_iter, (bool, float)) else ValueError
-        with pytest.raises(error, match="max_iter must be an integer >= 1"):
-            self.solve(max_iter=max_iter)
-
     @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-8, np.inf])
     def test_bad_tol(self, tol):
         with pytest.raises(ValueError, match="tol must be a finite number > 0"):
             self.solve(tol=tol)
-
-    @pytest.mark.parametrize("p", [0.0, -1.0, 0.5, np.nan, np.inf])
-    def test_bad_p(self, p):
-        with pytest.raises(ValueError, match="p must be a finite number >= 1"):
-            self.solve(p=p)
-
-    @pytest.mark.parametrize(
-        "blocks",
-        [[(0, 9)], [(3, 2)], [(0, 4)], [], [(0, 4), (5, 8)], [(0, 4), (3, 8)],
-         [(0, 0), (0, 8)], [(0, 4.0), (4.0, 8)], [(0, 4, 8)], [8]],
-    )
-    def test_bad_blocks(self, blocks):
-        with pytest.raises(ValueError, match=r"contiguous cover of \[0, 8\]"):
-            self.solve(blocks=blocks)
-
-    @pytest.mark.parametrize("shape", [(2, 12, 1), (2, 5, 1), (3, 9, 1), (2, 9, 2), (2, 9)])
-    def test_bad_initial_shape(self, shape):
-        with pytest.raises(ValueError, match=r"initial must have shape \(2, 9, 1\)"):
-            self.solve(initial=np.zeros(shape))
 
 
 class TestMildResidual:
@@ -1028,14 +998,6 @@ def assert_same_diagnostics(got, want):
     assert got.block_mass == want.block_mass
 
 
-@st.composite
-def block_covers(draw, k):
-    """An increasing, contiguous cover of the cells [0, k] by 1 to k blocks."""
-    cuts = sorted(draw(st.sets(st.integers(1, k - 1), max_size=k - 1))) if k > 1 else []
-    edges = [0, *cuts, k]
-    return list(zip(edges[:-1], edges[1:]))
-
-
 def _maybe_stopped(ens, rng, stop):
     """Optionally stop the ensemble at random times: a per-path bracket."""
     return stop_ensemble(ens, rng.integers(0, ens.grid.n_cells + 1, ens.n_paths)) if stop else ens
@@ -1049,39 +1011,23 @@ class TestWindowOracle:
     def test_vp_norm(self, case, data):
         problem, ens, u, rng = case
         ens = _maybe_stopped(ens, rng, data.draw(st.booleans()))
-        k = ens.grid.n_cells
-        p = data.draw(st.sampled_from([1.0, 2.0, 3.5]))
-        i0 = data.draw(st.integers(0, k - 1))
-        i1 = data.draw(st.integers(i0 + 1, k))
-        ref = materialized(ens)
-        assert vp_norm(u, ens, p=p) == reference_vp_norm(u, ref, p=p)
-        a, b = ens.grid.points[[i0, i1]]  # a window of whole cells
-        assert vp_norm(u, ens, a=a, b=b, p=p) == reference_vp_norm(u, ref, p=p, i0=i0, i1=i1)
-        a, b = sorted(rng.uniform(0.0, ens.grid.horizon, 2))
-        assert vp_norm(u, ens, a=a, b=b, p=p) == reference_vp_norm(u, ref, a=a, b=b, p=p)
+        assert vp_norm(u, ens) == reference_vp_norm(u, materialized(ens))
 
     @given(scan_cases(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_picard_solve(self, case, data):
-        problem, ens, u, rng = case
+        problem, ens, _, rng = case
         ens = _maybe_stopped(ens, rng, data.draw(st.booleans()))
-        # one block or a few long ones may fail to contract
-        k = ens.grid.n_cells
-        kwargs = dict(
-            p=data.draw(st.sampled_from([2.0, 3.0])),
-            max_iter=data.draw(st.sampled_from([2, 60])),
-            blocks=data.draw(st.one_of(st.none(), st.just([(0, k)]), block_covers(k))),
-            initial=u if data.draw(st.booleans()) else None,
-            validate=False,
-        )
+        kwargs = dict(tol=data.draw(st.sampled_from([1e-8, 1e-300])), validate=False)
         # a block's squared changes reach its buffer a tile of cells at a
         # time: small tiles put the tile edges inside these short grids
         tile = data.draw(st.sampled_from([1, 2, 3, evolution.SCAN_TILE]))
         with mock.patch.object(evolution, "SCAN_TILE", tile):
             got_u, got = _picard_outcome(picard_solve, problem, ens, **kwargs)
         want_u, want = _picard_outcome(reference_picard_solve, problem, materialized(ens), **kwargs)
-        assert type(got_u) is type(want_u)
-        assert np.array_equal(got_u, want_u) if isinstance(want_u, np.ndarray) else got_u == want_u
+        # the refusals' wording changed; whether and where they refuse did not
+        assert isinstance(got_u, str) == isinstance(want_u, str)
+        assert isinstance(want_u, str) or np.array_equal(got_u, want_u)
         assert_same_diagnostics(got, want)
 
     @given(scan_cases(), st.data())
@@ -1118,14 +1064,11 @@ class TestLayout:
     def test_same_bits_for_either_layout(self, case, data):
         # a time-major u sent vp_norm's squares, and the gap of
         # _window_distance, into a transposed sum and matmul in other bits;
-        # as such bits often round away in a norm, every window and p is read
+        # as such bits often round away in a norm, every window is read
         problem, ens, u, rng = case
         ens = _maybe_stopped(ens, rng, data.draw(st.booleans()))
         k = ens.grid.n_cells
-        points = ens.grid.points
-        for a, b in itertools.combinations(points, 2):
-            for p in (1.0, 2.0, 3.5):
-                assert vp_norm(time_major(u), ens, a, b, p) == vp_norm(u, ens, a, b, p)
+        assert vp_norm(time_major(u), ens) == vp_norm(u, ens)
         u_b = u + rng.standard_normal(u.shape)
         i0 = data.draw(st.integers(0, k - 1))
         for i1 in range(i0 + 1, k + 1):
@@ -1176,12 +1119,10 @@ class TestLayout:
         outputs = [
             fixed_point_map(prob, ens, u),
             fixed_point_map(prob, ens, u, i0=2, i1=k - 1),
-            picard_solve(prob, ens, initial=u, validate=False)[0],
         ]
         assert u.tobytes() == kept.tobytes()
         for out in outputs:
             assert not np.shares_memory(out, u)
-        for out in outputs[:2]:
             assert out.flags.c_contiguous
 
 
@@ -1248,7 +1189,8 @@ class TestSemigroupCache:
 # rho_stopping_times and localization_consistency as they were when the
 # horizon and the noise spec were stated twice, kept verbatim; only the two
 # SEEProblem fields that no longer exist (noise, horizon) are dropped from the
-# copy of the alternative problem.  The old rho copy is called with the
+# copy of the alternative problem, and the V-norm exponent p, which
+# picard_solve no longer takes, from the solves.  The old rho copy is called with the
 # horizon of the bracket's grid, the value the new one reads.
 def old_rho_stopping_times(bracket, horizon, n):
     grid = bracket.grid
@@ -1271,15 +1213,15 @@ def old_rho_stopping_times(bracket, horizon, n):
 
 
 def old_localization_consistency(
-    problem, ens, tau_idx=None, u0_alt=None, agree_mask=None, tol=1e-8, p=2.0
+    problem, ens, tau_idx=None, u0_alt=None, agree_mask=None, tol=1e-8
 ):
-    u_full, _ = picard_solve(problem, ens, p=p, tol=tol, validate=False)
+    u_full, _ = picard_solve(problem, ens, tol=tol, validate=False)
     stop_gaps = None
     event_gaps = None
     if tau_idx is not None:
         tau_idx = grid_stop_indices(tau_idx, ens.n_paths, ens.grid.n_cells)
         stopped = stop_ensemble(ens, tau_idx)
-        u_stop, _ = picard_solve(problem, stopped, p=p, tol=tol, validate=False)
+        u_stop, _ = picard_solve(problem, stopped, tol=tol, validate=False)
         diffs = np.linalg.norm(u_full - u_stop, axis=2)  # (n, K+1)
         mask = np.arange(ens.grid.n_cells + 1)[None, :] <= tau_idx[:, None]
         stop_gaps = np.where(mask, diffs, 0.0).max(axis=1)
@@ -1295,7 +1237,7 @@ def old_localization_consistency(
             lip_noise=problem.lip_noise,
             u0=u0_alt,
         )
-        u_alt, _ = picard_solve(alt, ens, p=p, tol=tol, validate=False)
+        u_alt, _ = picard_solve(alt, ens, tol=tol, validate=False)
         diffs = np.linalg.norm(u_full - u_alt, axis=2).max(axis=1)
         event_gaps = diffs[np.asarray(agree_mask, dtype=bool)]
     return stop_gaps, event_gaps

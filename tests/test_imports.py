@@ -1,7 +1,8 @@
 """The import graph and the public surface: cylmart needs numpy alone,
 scipy is never loaded, the package exports its library modules' public
-names, each of which the library, a demo or the benchmark reads, no module
-imports a name it does not read, and every verdict reads one way.
+names, each of which the library, a demo or the benchmark reads, and there
+sets each of their defaulted parameters and reads each of their methods,
+no module imports a name it does not read, and every verdict reads one way.
 
 The import checks run in a fresh interpreter, because the test process may
 already hold scipy from other packages.
@@ -177,6 +178,89 @@ def test_every_public_name_has_a_reader():
         ):
             unread.append(name)
     assert not unread, f"public names no reader reads: {unread}"
+
+
+def _defaulted(fn: ast.FunctionDef, skip: int) -> list[tuple[str, int | None]]:
+    """Each defaulted parameter of ``fn`` and its position in a call, the
+    first ``skip`` (self, cls) not passed; keyword-only ones have none."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(pos[first:], first)]
+    return out + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+
+
+def _public_surface() -> tuple[list[tuple[str, str, int | None]], list[str]]:
+    """(callee, parameter, position) for every defaulted parameter a caller
+    of a public name can set, and every public method and property.
+
+    A dataclass's callee is written ``Name()``: its settable fields are
+    those with a default that ``__init__`` takes, in field order."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in (SRC / "cylmart").glob("*.py")}
+    params, members = [], []
+    for name in cylmart.__all__:
+        module = getattr(cylmart, name).__module__.rsplit(".", 1)[1]
+        node = next(n for n in trees[module].body if getattr(n, "name", None) == name)
+        if isinstance(node, ast.FunctionDef):
+            params += [(name, arg, i) for arg, i in _defaulted(node, 0)]
+            continue
+        if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [
+                s for s in node.body
+                if isinstance(s, ast.AnnAssign) and "init=False" not in ast.unparse(s)
+            ]
+            params += [(f"{name}()", s.target.id, i) for i, s in enumerate(fields) if s.value]
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if fn.name == "__init__":
+                params += [(name, arg, i) for arg, i in _defaulted(fn, 1)]
+            elif not fn.name.startswith("_"):
+                members.append(f"{name}.{fn.name}")
+                static = any(ast.unparse(d) == "staticmethod" for d in fn.decorator_list)
+                params += [(f"{name}.{fn.name}", arg, i) for arg, i in _defaulted(fn, 1 - static)]
+    return params, members
+
+
+def test_every_public_parameter_has_a_caller():
+    # the reader rule for what a caller can set: every defaulted parameter
+    # of a public function, class, dataclass or method is bound, by position
+    # or by keyword, in some call in the library, a demo or a benchmark file
+    # (a dataclass field also by dataclasses.replace), and every public
+    # method or property is read there as an attribute
+    trees = [
+        ast.parse(path.read_text())
+        for path in sorted((SRC / "cylmart").glob("*.py"))
+        + sorted(ROOT.glob("demos/*.py"))
+        + sorted(ROOT.glob("perfbench/*.py"))
+    ]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    calls = [node for node in nodes if isinstance(node, ast.Call)]
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+
+    def callee(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    def binds(call, arg, index):
+        return any(k.arg in (arg, None) for k in call.keywords) or index is not None and (
+            len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+        )
+
+    params, members = _public_surface()
+    unset = [
+        f"{owner}({arg})"
+        for owner, arg, index in params
+        if not any(
+            callee(call) == owner.rsplit(".", 1)[-1].removesuffix("()")
+            and binds(call, arg, index)
+            or owner.endswith("()")
+            and callee(call) == "replace"
+            and any(k.arg == arg for k in call.keywords)
+            for call in calls
+        )
+    ]
+    unread = [m for m in members if m.rsplit(".", 1)[1] not in attributes]
+    assert (unset, unread) == ([], []), "parameters no caller sets, members no reader reads"
 
 
 def test_every_imported_name_is_read():

@@ -90,10 +90,21 @@ def ref_prefix_total(inc: np.ndarray, axis: int = 0) -> np.ndarray:
     return out
 
 
+# MartEnsemble.sigma_is_shared and .m_eval, which only tests read, kept
+# verbatim as functions of the ensemble.
+def sigma_is_shared(ens) -> bool:
+    return ens.sigma_path.ndim == 3
+
+
+def m_eval(ens, h: np.ndarray) -> np.ndarray:
+    """Cylindrical evaluation M_t h on the grid, shape (n, K+1)."""
+    return prefix_sums(ens.driven @ np.asarray(h, dtype=float), axis=1)
+
+
 def ref_direction_bracket_increments(self, directions: np.ndarray) -> np.ndarray:
     q = self.spec.q()
     dt = self.grid.widths
-    if self.sigma_is_shared:
+    if sigma_is_shared(self):
         a = np.einsum("kcd,de,kfe->kcf", self.sigma_path, q, self.sigma_path)
         return np.einsum("xc,kcf,xf->xk", directions, a, directions) * dt
     a = np.einsum("nkcd,de,nkfe->nkcf", self.sigma_path, q, self.sigma_path)
@@ -188,7 +199,7 @@ def ref_stop_sigma(ens, tau_idx) -> np.ndarray:
     tau_idx = np.broadcast_to(np.asarray(tau_idx, dtype=int), (ens.n_paths,))
     k = ens.grid.n_cells
     keep = (np.arange(k)[None, :] < tau_idx[:, None]).astype(float)
-    if ens.sigma_is_shared:
+    if sigma_is_shared(ens):
         sigma_vals = ens.sigma_path[None, :, :, :] * keep[:, :, None, None]
     else:
         sigma_vals = ens.sigma_path * keep[:, :, None, None]
@@ -377,7 +388,7 @@ class TestPrefixSums:
         assert_same(ens.m_evals, ref_m_evals(ens), "m_evals")
         assert not ens.m_evals.flags.writeable
         h = case.rng.standard_normal(ens.spec.d_cyl)
-        assert_same(ens.m_eval(h), ref_m_eval(ens, h), "m_eval")
+        assert_same(m_eval(ens, h), ref_m_eval(ens, h), "m_eval")
 
 
 @st.composite
@@ -634,7 +645,7 @@ class TestOperatorRate:
         grid = TimeGrid(np.cumsum(np.r_[0.0, rng.uniform(0.05, 1.0, k)]))
         ens = simulate(NoiseSpec(dc, dd, sig_a, q_drive=None if q_layout is None else q), grid, n, seed)
         stopped = stop_ensemble(ens, k)  # per-path sigma, nothing cut
-        assert not stopped.sigma_is_shared
+        assert not sigma_is_shared(stopped)
         assert_same(stopped.bracket.increments, np.asarray(ens.bracket.increments))
 
     def test_identity_at_d128_is_exact(self):
