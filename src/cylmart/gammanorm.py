@@ -140,6 +140,16 @@ class IdealReport:
         return self.slack >= -tol
 
 
+def _target_norm(t_mat: np.ndarray, flavor) -> float:
+    """The norm bound for T in ``ideal_check``: spectral for a Hilbert
+    flavor, else the Schur test on the absolute column and row sums."""
+    if is_hilbert(flavor):
+        return float(np.linalg.svd(t_mat, compute_uv=False)[0])
+    p = flavor_p(flavor)
+    col, row = (float(np.abs(t_mat).sum(axis=ax).max()) for ax in (0, 1))
+    return col ** (1.0 / p) * row ** (1.0 - 1.0 / p)
+
+
 def ideal_check(
     t_mat: np.ndarray,
     kernel: GammaKernel,
@@ -150,7 +160,13 @@ def ideal_check(
     """Two-sided sandwich bound ||T R S|| <= ||T|| ||R|| ||S||.
 
     ``t_mat`` post-composes in the target, ``s_mat`` pre-composes on the input
-    coordinates; both enter through their spectral norms.
+    coordinates.  S acts on the Hilbert input and enters through its spectral
+    norm; T enters through a bound on its norm on the target: the spectral
+    norm for a Hilbert flavor, and for an l^p target the Schur test
+    ||T||_{p->p} <= ||T||_1^{1/p} ||T||_inf^{1-1/p}, with ||T||_1 and
+    ||T||_inf the largest column and row sums of |T|, exact at p = 1 and
+    p = inf.  The spectral norm would not do there: a rotation by 45 degrees
+    has spectral norm 1 but l^4 norm 2^(1/4).
     """
     t_mat = np.atleast_2d(np.asarray(t_mat, dtype=float))
     s_mat = np.atleast_2d(np.asarray(s_mat, dtype=float))
@@ -158,7 +174,7 @@ def ideal_check(
     new_kernel = GammaKernel(kernel.measure, new_mats, kernel.flavor)
     base = gamma_norm(kernel, n_samples, seed)
     lhs = gamma_norm(new_kernel, n_samples, seed + 1)
-    t_norm = float(np.linalg.svd(t_mat, compute_uv=False)[0]) if t_mat.size else 0.0
+    t_norm = _target_norm(t_mat, kernel.flavor) if t_mat.size else 0.0
     s_norm = float(np.linalg.svd(s_mat, compute_uv=False)[0]) if s_mat.size else 0.0
     rhs = t_norm * base.value * s_norm
     return IdealReport(lhs=lhs, rhs=rhs, rhs_stderr=t_norm * s_norm * base.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import finite_above_zero, prefix_sums, require_int
+from ._util import finite_above_zero, prefix_sums, require_int, require_window
 
 __all__ = [
     "TimeGrid",
@@ -129,7 +129,8 @@ class GridMeasure:
         return IncreasingPath(self.grid, self.prefix())
 
     def interval_mass(self, i0: int, i1: int) -> float:
-        """Mass of (t_{i0}, t_{i1}]."""
+        """Mass of (t_{i0}, t_{i1}], for integers 0 <= i0 < i1 <= K."""
+        require_window(i0, i1, self.grid.n_cells)
         return float(np.sum(self.increments[i0:i1]))
 
 
@@ -191,9 +192,9 @@ def sup_measures_bruteforce(measures: list[GridMeasure], refine: int = 0) -> Gri
     """Reference evaluation of the least dominating measure by its definition.
 
     For every cell of the original grid, maximizes over all partitions of its
-    refined atoms into consecutive blocks the sum of per-block maxima, by the
-    O(n^2) prefix recursion of ``_best_partition_value``.  It shares no code
-    with ``sup_measures``; for verification only.
+    refined atoms into consecutive blocks the sum of per-block maxima, the
+    entry ``[0, -1]`` of ``_best_partition_value``'s table.  It still shares
+    no code with ``sup_measures``; for verification only.
     """
     if not measures:
         raise ValueError("need at least one measure")
@@ -204,35 +205,36 @@ def sup_measures_bruteforce(measures: list[GridMeasure], refine: int = 0) -> Gri
     out = np.empty(grid.n_cells)
     for c in range(grid.n_cells):
         block = atoms[:, c * n_sub : (c + 1) * n_sub]
-        out[c] = _best_partition_value(block)
+        out[c] = _best_partition_value(block)[0, -1]
     return GridMeasure(grid, out)
 
 
-def _best_partition_value(atom_masses: np.ndarray) -> float:
-    """sup over consecutive-block partitions of sum of per-block maxima.
+def _best_partition_value(atom_masses: np.ndarray) -> np.ndarray:
+    """Best partition value of every sub-block of a (rows, n) block of atoms.
 
-    Prefix recursion over the n atoms (columns): ``best[b]`` is the best value
-    of a partition of the first b atoms, ``best[b] = max_{a<b} best[a] +
-    w(a, b)`` with ``w(a, b)`` the largest row sum of atoms a..b-1, which is
-    n(n+1)/2 block evaluations instead of 2^(n-1) partitions.  It is exact in
-    floating point, not just in real arithmetic: a partition's value is the
-    left-to-right float sum of its block values, which is the sum the
-    recursion builds along its chain of cuts, and rounding is monotone
-    (x <= y implies fl(x + w) <= fl(y + w)), so by induction ``best[b]`` is
-    the largest such float sum over all partitions of the first b atoms.
+    ``best[s, b]`` is the sup over partitions of atoms s..b-1 into consecutive
+    blocks of the sum of block values ``w(a, b)``, the largest row sum of
+    atoms a..b-1; -inf below the diagonal, ``[0, -1]`` the whole block.  One
+    ``sum`` over a gathered contiguous last axis sums every block of a length
+    as numpy sums a C-ordered row, whatever the input's layout; the recursion
+    ``best[s, b] = max_{s<=a<b} best[s, a] + w(a, b)`` is one max per end b.
+    Every entry is exact in floats: a partition's value is the left-to-right
+    float sum 0.0 + w_1 + w_2 + ..., built by the recursion along its cuts
+    from s; rounding is monotone (x <= y implies fl(x + w) <= fl(y + w)) and
+    a max exact, so by induction on b ``best[s, b]`` is the largest such sum.
     """
     n = atom_masses.shape[1]
     if n == 0:
         raise ValueError("empty block: need at least one atom")
-    best = [0.0]
+    best = np.where(np.tri(n + 1, k=-1, dtype=bool), -np.inf, 0.0)
+    w = np.zeros_like(best)
+    for length in range(1, n + 1):
+        starts = np.arange(n - length + 1)
+        windows = np.take(atom_masses, starts[:, None] + np.arange(length), axis=1)
+        w[starts, starts + length] = windows.sum(axis=-1).max(axis=0)
     for b in range(1, n + 1):
-        best.append(
-            max(
-                best[a] + float(np.max(np.sum(atom_masses[:, a:b], axis=1)))
-                for a in range(b)
-            )
-        )
-    return best[n]
+        best[:b, b] = (best[:b, :b] + w[:b, b]).max(axis=1)
+    return best
 
 
 def sup_density_measures(densities: list, base: GridMeasure) -> GridMeasure:

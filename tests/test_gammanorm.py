@@ -188,6 +188,33 @@ class TestIdealProperty:
         rep = ideal_check(t, kernel, s, n_samples=4096, seed=13)
         assert rep.passed
 
+    def test_lp_target_reads_the_lp_norm_of_t(self):
+        # a 45 degree rotation has spectral norm 1 but l^4 norm 2^(1/4); on
+        # columns along (1, 1) it stretches every sample by 2^(1/4), so a
+        # spectral-norm bound read lhs 1.420 > rhs 1.193 and failed
+        grid = TimeGrid.uniform(1.0, 4)
+        kernel = GammaKernel(
+            GridMeasure(grid, np.full(4, 0.25)), np.tile([[1.0], [1.0]], (4, 1, 1)), flavor=4
+        )
+        c = np.sqrt(0.5)
+        rotation = np.array([[c, -c], [c, c]])
+        rep = ideal_check(rotation, kernel, np.eye(1), n_samples=8192, seed=3)
+        assert rep.lhs.value == pytest.approx(1.420, abs=5e-4)
+        assert rep.rhs == pytest.approx(1.688, abs=5e-4)
+        assert rep.passed
+
+    @pytest.mark.parametrize(
+        "flavor, x, norm", [(1, [0.0, 1.0], 2.25), (np.inf, [1.0, -1.0], 3.0)]
+    )
+    def test_schur_bound_is_the_norm_at_one_and_infinity(self, flavor, x, norm):
+        # at p = 1 the bound is the largest column sum of |T|, at p = inf the
+        # largest row sum, and x attains it: ||T x|| = bound * ||x||
+        t = np.array([[1.0, -2.0], [0.5, 0.25]])
+        kernel = unit_mass_kernel(np.array([[1.0], [0.0]]), flavor)
+        rep = ideal_check(t, kernel, np.eye(1), n_samples=256, seed=0)
+        assert rep.rhs == pytest.approx(norm * gamma_norm(kernel, 256, 0).value, rel=1e-15)
+        assert flavor_norm(t @ x, flavor) == norm * flavor_norm(np.array(x), flavor)
+
 
 class TestPrimitiveBound:
     def test_zero_integrand(self):

@@ -44,6 +44,7 @@ from cylmart.evolution import (
 )
 
 ONE_MEASURE = [GridMeasure(TimeGrid.uniform(1.0, 2), np.array([0.5, 0.5]))]
+FOUR_CELLS = GridMeasure(TimeGrid.uniform(1.0, 4), np.array([0.1, 0.2, 0.3, 0.4]))
 ONE_KERNEL = GammaKernel(ONE_MEASURE[0], np.ones((2, 1, 1)), flavor=4)
 ONE_ENSEMBLE = simulate(NoiseSpec(2, 2, np.eye(2)), TimeGrid.uniform(1.0, 4), 1, seed=0)
 SCALAR_ENSEMBLE = simulate(NoiseSpec(1, 1, np.eye(1)), TimeGrid.uniform(1.0, 4), 1, seed=0)
@@ -58,6 +59,10 @@ ONE_PROBLEM = SEEProblem(
 )
 ONE_PATH = np.zeros((1, 5, 1))
 KW_SPECS = (ONE_ENSEMBLE.spec, ONE_ENSEMBLE.spec, ONE_ENSEMBLE.grid)
+
+
+def _interval(i0, i1):
+    return lambda: FOUR_CELLS.interval_mass(i0, i1)
 
 
 def _window(i0, i1):
@@ -179,6 +184,13 @@ COUNT_AND_SEED_REFUSALS = {
         ValueError,
         _span(3, 1),
     ),
+    # a measure's cell window sliced its increments: (-1, 4) read the last
+    # cell, (3, 1) read nothing, (0, 9) the whole mass
+    "interval-mass-negative": (_interval(-1, 4), ValueError, _span(-1, 4)),
+    "interval-mass-reversed": (_interval(3, 1), ValueError, _span(3, 1)),
+    "interval-mass-past-the-grid": (_interval(0, 9), ValueError, _span(0, 9)),
+    "interval-mass-empty": (_interval(2, 2), ValueError, _span(2, 2)),
+    "interval-mass-float": (_interval(0, 2.0), TypeError, _span(0, 2.0)),
     # a partial sup's count sliced the list (a bool as 1), a Hilbert gamma
     # norm never read its sample count or its seed
     "partial-sup-float": (

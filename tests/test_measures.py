@@ -211,16 +211,50 @@ def _atom_blocks(draw, max_atoms=10):
     return np.array(values).reshape(m, n)
 
 
+_WILD_BLOCK = np.array([[1e300, 5e-324, 1.0, 1e-8, 1e8, 0.1, 0.2, 0.3, 1e16, 1.0]])
+_TIED_BLOCK = np.array([[0.1] * 10, [0.2] * 10, [0.0] * 10])
+# one dominant row of 9 atoms whose whole-block sum in numpy's pairwise order
+# beats every other chain of cuts: a row summed in another order misses it
+_PAIRWISE_BLOCK = np.array([[0.1, 0.3, 0.2, 3.3, 0.2, 3.3, 10.0, 0.7, 0.2], [0.0] * 9])
+
+
 class TestPartitionOracle:
     """The prefix recursion against the enumeration of all partitions it
-    replaces: equal bit for bit, not only for dyadic masses."""
+    replaces: equal bit for bit, not only for dyadic masses, on the whole
+    block and on every sub-block of its table."""
 
     @given(block=_atom_blocks())
     @settings(max_examples=300, deadline=None)
-    @example(block=np.array([[1e300, 5e-324, 1.0, 1e-8, 1e8, 0.1, 0.2, 0.3, 1e16, 1.0]]))
-    @example(block=np.array([[0.1] * 10, [0.2] * 10, [0.0] * 10]))
+    @example(block=_WILD_BLOCK)
+    @example(block=_TIED_BLOCK)
+    @example(block=_PAIRWISE_BLOCK)
     def test_equals_enumeration(self, block):
-        assert _best_partition_value(block) == _enumerated_partition_value(block)
+        assert _best_partition_value(block)[0, -1] == _enumerated_partition_value(block)
+
+    @given(block=_atom_blocks())
+    @settings(max_examples=150, deadline=None)
+    @example(block=_WILD_BLOCK)
+    @example(block=_TIED_BLOCK)
+    @example(block=_PAIRWISE_BLOCK)
+    def test_every_entry_equals_enumeration(self, block):
+        n = block.shape[1]
+        table = _best_partition_value(block)
+        assert table.shape == (n + 1, n + 1)
+        for s in range(n + 1):
+            assert table[s, s] == 0.0 and np.all(table[s, :s] == -np.inf)
+            for b in range(s + 1, n + 1):
+                assert table[s, b] == _enumerated_partition_value(block[:, s:b])
+
+    @given(block=_atom_blocks(max_atoms=23))
+    @settings(max_examples=50, deadline=None)
+    @example(block=_PAIRWISE_BLOCK)
+    def test_table_ignores_memory_order(self, block):
+        # every row is summed as numpy sums a C-ordered row, so Fortran-ordered
+        # and reversed copies of one block give one table, bit for bit
+        table = _best_partition_value(block)
+        assert np.array_equal(_best_partition_value(np.asfortranarray(block)), table)
+        flipped = np.ascontiguousarray(block[:, ::-1])[:, ::-1]
+        assert np.array_equal(_best_partition_value(flipped), table)
 
     @given(
         data=st.data(),
