@@ -2,30 +2,33 @@
 
 The generator is a symmetric negative-semidefinite matrix (possibly zero), so
 the semigroup is contractive and self-adjoint.  Each problem validates its
-generator and builds its semigroup once, when it is made; the semigroup
-applies through a cached eigendecomposition, with exp(tA) built once per
-distinct t, and as a scalar multiply in one dimension.  Every left-point
-convolution, the mild map, the mild residual and Picard's initial flow run
-one scan, acc <- exp(dt A)(acc + increment), cell by cell, over a sequence
-of grid points in whatever layout the caller holds, and hand each point's
-state to the caller once that point's increment has been taken.  Each
-cell's noise increment G (sigma dW) is formed from sigma and the driver
-increments of that cell alone, the increments copied time-major SCAN_TILE
-cells at a time, so no (paths, cells) array of sigma dW is formed.
+generator, constants and initial value and builds its semigroup once, when
+it is made; the semigroup applies through a cached eigendecomposition, with
+exp(tA) built once per distinct t, and as a scalar multiply in one
+dimension.  The mild map, both convolutions of the mild residual and
+Picard's initial flow run the left-point recursion
+acc <- exp(dt A)(acc + increment) cell by cell over grid points held in
+whatever layout the caller holds.  The increments are formed a tile of
+cells at a time (``_increments``), all from the old points: each cell's
+F(t_j, x_j) dt_j, then one ``cell_apply`` for sigma dW over the tile and one
+for G (sigma dW), bit for bit the per-cell products, so no (paths, cells)
+array of sigma dW is formed.  A tile holds about TILE_ELEMENTS numbers of
+noise matrices, so its length falls as the path count grows.
 Solutions are produced by fixed-point iteration of the variation-of-constants
 map on a dyadic block schedule, with distances measured in the V norm
 (L2-in-time moment plus bracket-weighted kernel moment).  The iteration
 overwrites one iterate in place, stored time-major as (grid points, paths,
-dim) so that each point it reads or writes is one contiguous block, and
-keeps one (paths, cells) buffer of squared changes per block; the mild
-residual streams its gap point by point.
+dim) so that each point it reads or writes is one contiguous block.  Every
+V norm and distance is accumulated cell by cell into two per-path sums
+(``_VSums``), so no (paths, cells) array of squared changes is formed; the
+mild residual streams its gap point by point.
 Per-block stopping times cap the bracket mass a block can carry, and
 localization checks compare runs against stopped drivers pathwise.
 """
 
 from __future__ import annotations
 
-import itertools
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
@@ -40,7 +43,6 @@ from ._util import (
     single_rng,
 )
 from .martingales import BracketPaths, MartEnsemble, grid_stop_indices, stop_ensemble
-from .measures import TimeGrid
 from .operators import check_symmetric
 
 __all__ = [
@@ -66,9 +68,11 @@ LIPSCHITZ_SLACK = 1e-9
 # discrete fixed point bit for bit within L + 1 sweeps: a finite distance can
 # be refused only on a block of more than 59 cells
 PICARD_SWEEPS = 60
-# cells per time-major tile of the driver increments that the noise step
-# reads, and per tile of a block's squared changes
-SCAN_TILE = 4
+# numbers a tile of cells' noise matrices G (cells, paths, dim, d_cyl) may
+# hold, 128 KiB: the tile length falls as the path count grows, so the
+# increments' tiles stay small next to the iterate (one cell a tile at
+# 10^4 paths of dimension 1); a tile has at least one cell
+TILE_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,19 @@ class SEEProblem:
     semigroup: Semigroup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("lip_drift", "growth_drift", "lip_noise"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and 0 <= value < np.inf
+            ):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        u0 = np.asarray(self.u0, dtype=float)
+        if u0.ndim not in (1, 2) or u0.size == 0:
+            raise ValueError(
+                f"u0 must be a non-empty (dim,) or (paths, dim) array, got shape {u0.shape}"
+            )
+        if not np.isfinite(u0).all():
+            raise ValueError("u0 must be finite")
         object.__setattr__(self, "semigroup", Semigroup(self.generator, self.dim))
 
     @property
@@ -114,8 +131,8 @@ class Semigroup:
     """exp(tA) for symmetric negative-semidefinite A, cached eigenbasis.
 
     ``matrix(t)`` and ``apply(t, x)`` cache one read-only matrix per distinct
-    t; the scans call them with cell widths only, so a uniform grid builds
-    exp(dt A) once.  ``flow(t, x)`` takes any t and caches nothing.  In one
+    t; the recursions call them with cell widths only, so a uniform grid
+    builds exp(dt A) once.  ``flow(t, x)`` takes any t and caches nothing.  In one
     dimension both multiply by the 1 x 1 matrix's entry, bit for bit the
     product ``x @ exp(tA).T``, which adds it to +0.0 (so -0.0 becomes +0.0).
     """
@@ -178,70 +195,62 @@ def _path_shape(
     return shape
 
 
-def _eval_noise(problem: SEEProblem, t: float, states: np.ndarray) -> np.ndarray:
-    """G(t, states), C-ordered (``cell_apply``'s bits depend on the layout)."""
+def _eval_drift(problem: SEEProblem, t: float, states: np.ndarray) -> np.ndarray:
+    """F(t, states), which must have the states' (n, m) shape."""
+    f = np.asarray(problem.drift(t, states), dtype=float)
+    if f.shape != states.shape:
+        raise ValueError(f"drift returned shape {f.shape} for states of shape {states.shape}")
+    return f
+
+
+def _eval_noise(problem: SEEProblem, t: float, states: np.ndarray, d_cyl: int) -> np.ndarray:
+    """G(t, states) as (n, m, d_cyl), C-ordered (``cell_apply``'s bits depend
+    on the layout); a constant (m, d_cyl) result is broadcast, and any other
+    shape refused: ``cell_apply`` would broadcast a size-1 axis silently."""
     g = np.ascontiguousarray(problem.noise_map(t, states), dtype=float)
-    if g.ndim == 2:
-        g = np.broadcast_to(g, (states.shape[0],) + g.shape)
+    n, m = states.shape
+    if g.shape == (m, d_cyl):
+        g = np.broadcast_to(g, (n, m, d_cyl))
+    if g.shape != (n, m, d_cyl):
+        raise ValueError(
+            f"noise_map returned shape {g.shape}; need ({n}, {m}, {d_cyl}) or ({m}, {d_cyl})"
+        )
     return g
 
 
-def _scan(
-    sg: Semigroup,
-    grid: TimeGrid,
-    step: Callable,
-    acc: np.ndarray,
-    points: np.ndarray,
-    i0: int,
-    i1: int,
+def _increments(
+    problem: SEEProblem, ens: MartEnsemble, points: np.ndarray, i0: int, i1: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The left-point variation-of-constants recursion from ``acc``, the state
-    at t_{i0}: acc <- exp(dt_j A)(acc + step(j, points[j])) for cells
-    i0 <= j < i1.
+    """The drift and noise increments of cells i0 <= j < i1 at the states
+    ``points[j]``, a tile of cells at a time.
 
     ``points[j]`` is the (paths, dim) state at t_j, in whatever layout the
-    caller holds: a time-major array or a swapped view of a path-major one.
-    Yields (j, points[j], state at t_j) for i0 <= j <= i1, each once step(j)
-    has been taken, so a caller may overwrite point j then.  With the
-    identity semigroup the sums run left to right, bit for bit as
-    ``_util.prefix_sums`` adds them.
+    caller holds.  Yields (lo, drift, noise) for consecutive tiles of cells
+    lo <= j < lo + len(drift), where drift[j - lo] = F(t_j, x_j) dt_j and
+    noise[j - lo] = G(t_j, x_j) (sigma_j dW_j).  A tile's points are all read
+    before it is yielded, so the caller may overwrite them then; the arrays
+    yielded are overwritten by the next tile.  The driver increments are
+    copied time-major, and sigma dW and G (sigma dW) are one ``cell_apply``
+    each over the tile, bit for bit the per-cell products: sigma_j dW_j is
+    cell j of ``ens.driven``, which stays unformed.
     """
-    for j in range(i0, i1 + 1):
-        x = points[j]
-        nxt = sg.apply(grid.widths[j], acc + step(j, x)) if j < i1 else None
-        yield j, x, acc
-        acc = nxt
-
-
-def _drift_step(problem: SEEProblem, grid: TimeGrid) -> Callable:
-    """Cell j's drift increment F(t_j, x) dt_j at the state x."""
-    return lambda j, x: np.asarray(problem.drift(grid.points[j], x), dtype=float) * grid.widths[j]
-
-
-def _noise_step(problem: SEEProblem, ens: MartEnsemble) -> Callable:
-    """Cell j's noise increment G(t_j, x) sigma_j dW_j at the state x.
-
-    The driver increments are copied time-major into one tile of SCAN_TILE
-    cells, refilled from cell j when a step falls outside it, so dW_j is a
-    contiguous block; sigma_j dW_j is bit for bit cell j of ``ens.driven``,
-    which stays unformed.
-    """
-    sigma, dw = ens.sigma_path, ens.driver_increments
-    k = ens.grid.n_cells
-    dw_tile = np.empty((min(SCAN_TILE, k),) + dw[:, 0].shape)
-    lo = hi = 0  # the cells the tile holds
-
-    def step(j, x):
-        nonlocal lo, hi
-        if not lo <= j < hi:
-            lo, hi = j, min(j + len(dw_tile), k)
-            np.copyto(dw_tile[: hi - lo], dw[:, lo:hi].swapaxes(0, 1))
-        return cell_apply(
-            _eval_noise(problem, ens.grid.points[j], x),
-            cell_apply(sigma[..., j, :, :], dw_tile[j - lo]),
-        )
-
-    return step
+    grid, sigma, dw = ens.grid, ens.sigma_path, ens.driver_increments
+    n, m, d_cyl = ens.n_paths, problem.dim, sigma.shape[-2]
+    tile = max(1, min(i1 - i0, TILE_ELEMENTS // (n * m * d_cyl)))
+    dw_tile = np.empty((tile, n, dw.shape[2]))
+    g_tile = np.empty((tile, n, m, d_cyl))
+    drift = np.empty((tile, n, m))
+    for lo in range(i0, i1, tile):
+        hi = min(lo + tile, i1)
+        c = hi - lo
+        np.copyto(dw_tile[:c], dw[:, lo:hi].swapaxes(0, 1))
+        # sigma_j is read in place: shared (cells, d_cyl, d_drive) or per path
+        sig = sigma[lo:hi, None] if sigma.ndim == 3 else sigma[:, lo:hi].swapaxes(0, 1)
+        for j in range(lo, hi):
+            x, t = points[j], grid.points[j]
+            np.multiply(_eval_drift(problem, t, x), grid.widths[j], out=drift[j - lo])
+            g_tile[j - lo] = _eval_noise(problem, t, x, d_cyl)
+        yield lo, drift[:c], cell_apply(g_tile[:c], cell_apply(sig, dw_tile[:c]))
 
 
 def _mild_map(
@@ -251,7 +260,7 @@ def _mild_map(
     i0: int,
     i1: int,
     base: np.ndarray,
-    sq: np.ndarray | None = None,
+    change: _VSums | None = None,
 ) -> np.ndarray:
     """Overwrite the iterate ``u``, indexed time-major as (K+1, n, m), on
     [t_{i0}, t_{i1}] with its image under the mild map started from ``base``
@@ -259,29 +268,20 @@ def _mild_map(
     path-major one.
 
     Drift and noise read each point of ``u`` before it is overwritten.
-    Given ``sq`` of shape (n, i1 - i0), the change of each point
-    i0 <= j < i1, sum over m of (new - old)^2, is written to column j - i0.
+    Given ``change``, the change new - old of each point i0 <= j < i1 is
+    added to it.
     """
-    _, n, m = u.shape
-    drift = _drift_step(problem, ens.grid)
-    noise = _noise_step(problem, ens)
-    gap = np.empty((n, m))
-    # squared changes gathered a tile of cells at a time before one
-    # transposed write into the (paths, cells) buffer: written a column at a
-    # time, its dyadic row strides map every path to a few cache sets
-    sq_tile = np.empty((min(SCAN_TILE, i1 - i0), n))
-    states = _scan(
-        problem.semigroup, ens.grid, lambda j, x: drift(j, x) + noise(j, x), base, u, i0, i1
-    )
-    for j, old, new in states:
-        c = j - i0
-        if sq is not None and j < i1:
-            np.subtract(new, old, out=gap)
-            np.add.reduce(np.square(gap, out=gap), axis=1, out=sq_tile[c % len(sq_tile)])
-            if c % len(sq_tile) == len(sq_tile) - 1 or j == i1 - 1:
-                lo = c - c % len(sq_tile)
-                sq[:, lo : c + 1] = sq_tile[: c + 1 - lo].T
-        u[j] = new
+    sg, widths = problem.semigroup, ens.grid.widths
+    acc = base
+    for lo, inc, noise in _increments(problem, ens, u, i0, i1):
+        inc += noise
+        for j, inc_j in enumerate(inc, lo):
+            nxt = sg.apply(widths[j], acc + inc_j)
+            if change is not None:
+                change.add(j, acc, u[j])
+            u[j] = acc
+            acc = nxt
+    u[i1] = acc
     return u
 
 
@@ -317,33 +317,62 @@ def vp_norm(u: np.ndarray, ens: MartEnsemble) -> float:
     The second summand weighs the path kernel by the per-path bracket (the
     Euclidean-flavor kernel norm, exact per path).  Cell values are the path
     values at left endpoints, so the value at T is not read.  ``u`` is
-    (paths, K+1, dim) on the ensemble's grid.
+    (paths, K+1, dim) on the ensemble's grid, in any layout: the two
+    per-path sums are added cell by cell (``_VSums``), in the same bits for
+    every layout and path count.
     """
     grid = ens.grid
     if np.ndim(u) != 3 or np.shape(u)[:2] != (ens.n_paths, grid.n_cells + 1):
         raise ValueError(
             f"u must have shape ({ens.n_paths}, {grid.n_cells + 1}, dim), got {np.shape(u)}"
         )
-    # squared C-ordered whatever u's layout: _window_norm's sums and matmul
-    # take another path, in other bits, on a transposed array
-    k = grid.n_cells
-    return _window_norm(np.sum(np.square(u[:, :k, :], order="C"), axis=2), ens, 0, k)
+    return _window_distance(u, None, ens, 0, grid.n_cells)
 
 
-def _window_norm(sq: np.ndarray, ens: MartEnsemble, i0: int, i1: int) -> float:
-    """``vp_norm`` from the squared path norms on the window alone: ``sq`` is
-    (n, i1 - i0), at the left endpoints of cells i0..i1-1, and is overwritten."""
-    l2 = np.sqrt(sq @ ens.grid.widths[i0:i1])
-    # sq is not read again: weigh it by the bracket in place
-    gam = np.sqrt(np.sum(np.multiply(sq, ens.bracket.increments[:, i0:i1], out=sq), axis=1))
-    return float(np.mean(l2**2) ** 0.5 + np.mean(gam**2) ** 0.5)
+class _VSums:
+    """The V norm's two per-path sums over a window's cells: sum_j sq_j dt_j
+    and sum_j sq_j d[[M]]_j, where sq_j is the squared norm of cell j's
+    left-endpoint value, added left to right as each cell is added.
+
+    The one spelling of the V norm: ``vp_norm``, the Lipschitz quotient's
+    distances and Picard's sweep distances all read it.  A cell's square is
+    formed in a C-ordered buffer, so its bits do not depend on the layout
+    of the values, nor a path's on the path count.
+    """
+
+    def __init__(self, ens: MartEnsemble, dim: int):
+        n = ens.n_paths
+        self._widths = ens.grid.widths
+        self._bracket = ens.bracket.increments
+        self._cell = np.empty((n, dim))
+        self._sq = np.empty(n)
+        self._term = np.empty(n)
+        self.l2 = np.zeros(n)
+        self.gam = np.zeros(n)
+
+    def add(self, j: int, x: np.ndarray, y: np.ndarray | None = None) -> None:
+        """Add cell j, whose (n, dim) value is ``x``, or ``x - y`` if given."""
+        if y is None:
+            np.square(x, out=self._cell)
+        else:
+            np.square(np.subtract(x, y, out=self._cell), out=self._cell)
+        sq = np.add.reduce(self._cell, axis=1, out=self._sq)
+        self.l2 += np.multiply(sq, self._widths[j], out=self._term)
+        self.gam += np.multiply(sq, self._bracket[:, j], out=self._term)
+
+    def norm(self) -> float:
+        return float(np.mean(self.l2) ** 0.5 + np.mean(self.gam) ** 0.5)
 
 
-def _window_distance(u: np.ndarray, v: np.ndarray, ens: MartEnsemble, i0: int, i1: int) -> float:
-    """``vp_norm`` of u - v on cells i0..i1-1, with the difference formed
-    (C-ordered, as in ``vp_norm``) and squared on the window alone."""
-    gap = np.subtract(u[:, i0:i1], v[:, i0:i1], order="C")
-    return _window_norm(np.sum(np.square(gap, out=gap), axis=2), ens, i0, i1)
+def _window_distance(
+    u: np.ndarray, v: np.ndarray | None, ens: MartEnsemble, i0: int, i1: int
+) -> float:
+    """``vp_norm`` of u - v (of u if v is None) on cells i0..i1-1, added a
+    cell at a time."""
+    sums = _VSums(ens, np.shape(u)[2])
+    for j in range(i0, i1):
+        sums.add(j, u[:, j], None if v is None else v[:, j])
+    return sums.norm()
 
 
 def rho_stopping_times(bracket: BracketPaths, n: int) -> np.ndarray:
@@ -416,9 +445,10 @@ def _validate_constants(problem: SEEProblem, ens: MartEnsemble) -> None:
     xs = rng.standard_normal((1000, m)) * 3.0
     ys = rng.standard_normal((1000, m)) * 3.0
     ts = rng.uniform(0.0, ens.grid.horizon, 1000)
+    d_cyl = ens.sigma_path.shape[-2]
     for t in np.unique(np.round(ts[:5], 3)):
-        fx = np.asarray(problem.drift(t, xs), dtype=float)
-        fy = np.asarray(problem.drift(t, ys), dtype=float)
+        fx = _eval_drift(problem, t, xs)
+        fy = _eval_drift(problem, t, ys)
         dx = np.linalg.norm(xs - ys, axis=1)
         df = np.linalg.norm(fx - fy, axis=1)
         if np.any(df > problem.lip_drift * dx * (1 + LIPSCHITZ_SLACK) + LIPSCHITZ_SLACK):
@@ -430,8 +460,8 @@ def _validate_constants(problem: SEEProblem, ens: MartEnsemble) -> None:
             + LIPSCHITZ_SLACK
         ):
             raise ValueError("declared drift growth constant is violated")
-        gx = _eval_noise(problem, t, xs)
-        gy = _eval_noise(problem, t, ys)
+        gx = _eval_noise(problem, t, xs, d_cyl)
+        gy = _eval_noise(problem, t, ys, d_cyl)
         dg = np.sqrt(np.sum((gx - gy) ** 2, axis=(1, 2)))
         if np.any(dg > problem.lip_noise * dx * (1 + LIPSCHITZ_SLACK) + LIPSCHITZ_SLACK):
             raise ValueError("declared noise Lipschitz constant is violated")
@@ -450,10 +480,13 @@ def picard_solve(
     distance is not below ``tol`` after PICARD_SWEEPS sweeps, or is NaN,
     raises :class:`PicardError` carrying the last distance and the measured
     contraction.  The solve overwrites one iterate of its own in place,
-    stored time-major as (K+1, paths, dim) so that each grid point the scan
-    reads or overwrites is one contiguous block.  The solution returned is
-    that iterate's (paths, K+1, dim) view, not a copy: ``u[:, j]`` is
-    contiguous and ``u[i]`` is strided.
+    stored time-major as (K+1, paths, dim) so that each grid point the map
+    reads or overwrites is one contiguous block.  A sweep's distance is
+    accumulated as each point is overwritten, into two per-path sums
+    (``_VSums``), so next to the iterate a solve holds one tile of
+    increments and a few per-path rows, no (paths, cells) array.  The
+    solution returned is that iterate's (paths, K+1, dim) view, not a copy:
+    ``u[:, j]`` is contiguous and ``u[i]`` is strided.
     """
     grid = ens.grid
     if not finite_above_zero(tol):
@@ -463,23 +496,23 @@ def picard_solve(
     diag = PicardDiagnostics(blocks=_default_blocks(problem, ens))
 
     n, kp1, m = _path_shape(problem, ens)
-    # the scan with a zero step, so a drift- and noise-free problem is an
-    # exact fixed point of the discrete map
-    u = np.zeros((kp1, n, m))
-    base = problem.initial_states(n)
-    for j, _, state in _scan(problem.semigroup, grid, lambda j, x: 0.0, base, u, 0, kp1 - 1):
-        u[j] = state
+    # the recursion with a zero increment, so a drift- and noise-free problem
+    # is an exact fixed point of the discrete map
+    u = np.empty((kp1, n, m))
+    u[0] = problem.initial_states(n)
+    for j in range(kp1 - 1):
+        u[j + 1] = problem.semigroup.apply(grid.widths[j], u[j] + 0.0)
 
     prefix = ens.bracket.prefix()
     for i0, i1 in diag.blocks:
         diag.block_mass.append(float((prefix[:, i1] - prefix[:, i0]).max()))
         block_base = u[i0].copy()
-        sq = np.empty((n, i1 - i0))
         dists = []
         ratio = np.nan
         for _ in range(PICARD_SWEEPS):
-            _mild_map(problem, ens, u, i0, i1, block_base, sq)
-            dist = _window_norm(sq, ens, i0, i1)
+            change = _VSums(ens, m)
+            _mild_map(problem, ens, u, i0, i1, block_base, change)
+            dist = change.norm()
             dists.append(dist)
             if len(dists) >= 2 and dists[-2] > 0:
                 ratio = dists[-1] / dists[-2]
@@ -509,8 +542,9 @@ def mild_residual(u: np.ndarray, problem: SEEProblem, ens: MartEnsemble) -> Resi
     """Pathwise sup distance between u and its variation-of-constants image.
 
     The image (flow + deterministic convolution) + stochastic convolution is
-    formed a grid point at a time, both convolutions streamed from their
-    scans, and each path keeps a running maximum of its squared gap.  ``u``
+    formed a grid point at a time, both convolutions run from the same tiles
+    of increments, and each path keeps a running maximum of its squared
+    gap.  ``u``
     may be in any layout, such as ``picard_solve``'s time-major view.
     """
     _path_shape(problem, ens, u)
@@ -522,15 +556,16 @@ def mild_residual(u: np.ndarray, problem: SEEProblem, ens: MartEnsemble) -> Resi
     gap = np.subtract(points[0], base)
     sup = np.add.reduce(np.square(gap, out=gap), axis=1)
     row = np.empty_like(sup)
-    zero = np.zeros_like(base)
-    det = _scan(sg, grid, _drift_step(problem, grid), zero, points, 0, grid.n_cells)
-    stoch = _scan(sg, grid, _noise_step(problem, ens), zero, points, 0, grid.n_cells)
-    for (j, point, d), (_, _, s) in itertools.islice(zip(det, stoch), 1, None):
-        np.add(sg.flow(grid.points[j], base), d, out=gap)
-        gap += s
-        np.subtract(point, gap, out=gap)
-        np.add.reduce(np.square(gap, out=gap), axis=1, out=row)
-        np.maximum(sup, row, out=sup)  # propagates NaN, as max does
+    det = stoch = np.zeros_like(base)  # the two convolutions at t_j
+    for lo, drift, noise in _increments(problem, ens, points, 0, grid.n_cells):
+        for j in range(lo, lo + len(drift)):
+            det = sg.apply(grid.widths[j], det + drift[j - lo])
+            stoch = sg.apply(grid.widths[j], stoch + noise[j - lo])
+            np.add(sg.flow(grid.points[j + 1], base), det, out=gap)
+            gap += stoch
+            np.subtract(points[j + 1], gap, out=gap)
+            np.add.reduce(np.square(gap, out=gap), axis=1, out=row)
+            np.maximum(sup, row, out=sup)  # propagates NaN, as max does
     return ResidualStats(sup_gaps=np.sqrt(sup, out=sup))  # sqrt is monotone
 
 

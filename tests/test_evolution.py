@@ -116,6 +116,37 @@ class TestProblemSemigroup:
         with pytest.raises(ValueError, match=message):
             make_problem(generator=np.array(generator), m=m)
 
+    @pytest.mark.parametrize("name", ["lip_drift", "growth_drift", "lip_noise"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0, -1e-300, True, "1"])
+    def test_bad_constant_refused_at_construction(self, name, value):
+        # lip_drift=nan used to solve to a result
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number >= 0, got "):
+            dataclasses.replace(make_problem(), **{name: value})
+
+    @pytest.mark.parametrize(
+        "u0, message",
+        [
+            pytest.param(np.zeros(0), r"got shape \(0,\)", id="empty"),
+            pytest.param(np.zeros((0, 1)), r"got shape \(0, 1\)", id="no-paths"),
+            pytest.param(np.zeros((3, 0)), r"got shape \(3, 0\)", id="no-dim"),
+            pytest.param(np.zeros((2, 3, 1)), r"got shape \(2, 3, 1\)", id="3d"),
+            pytest.param(np.float64(1.0), r"got shape \(\)", id="scalar"),
+            pytest.param(np.array([np.nan]), "u0 must be finite", id="nan"),
+            pytest.param(np.array([[0.0], [np.inf]]), "u0 must be finite", id="inf"),
+        ],
+    )
+    def test_bad_u0_refused_at_construction(self, u0, message):
+        # an empty u0 used to return an (n, K+1, 0) solution, and a 3-D one
+        # to fail inside numpy
+        with pytest.raises(ValueError, match=message):
+            make_problem(u0=u0)
+
+    def test_good_constants_and_u0_accepted(self):
+        for value in (0, 0.0, 2, np.float64(0.5), np.int64(3)):
+            make_problem(lip_f=value)
+        make_problem(u0=np.zeros((3, 2)), m=2)
+        make_problem(u0=[1.0, -0.5], m=2)
+
     def test_solves_reuse_the_problem_semigroup(self):
         grid = TimeGrid.uniform(1.0, 16)
         ens = simulate(WIENER, grid, 8, seed=18)
@@ -414,7 +445,9 @@ class TestPicard:
 
     def test_peak_one_iterate_and_block_buffers(self):
         # the iterate is overwritten in place; next to it a call holds one
-        # (paths, cells) buffer of squared changes per block (eight blocks here)
+        # tile of increments and per-path sums (eight blocks here; a
+        # (paths, cells) buffer of squared changes per block used to sit
+        # there too)
         n, k = 4000, 64
         grid = TimeGrid.uniform(1.0, k)
         ens = simulate(WIENER, grid, n, seed=25)
@@ -435,6 +468,29 @@ class TestPicard:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * u.nbytes
+
+    def test_peak_iterate_and_tiles(self):
+        # one 256-cell block: next to the iterate a call holds the tiles of
+        # increments (five (tile, paths) arrays, tile = TILE_ELEMENTS // n)
+        # and a few per-path rows; the (paths, cells) buffer of squared
+        # changes it used to keep was one more iterate
+        n, k = 2000, 256
+        ens = simulate(WIENER, TimeGrid.uniform(1.0, k), n, seed=31)
+        prob = make_problem(
+            generator=np.array([[-1.0]]),
+            noise_map=lambda t, x: np.ones((x.shape[0], 1, 1)),
+            u0=np.array([0.0]),
+        )
+        u, diag = picard_solve(prob, ens, tol=1e-9)
+        assert diag.blocks == [(0, k)]
+        tile = evolution.TILE_ELEMENTS // n
+        tracemalloc.start()
+        try:
+            picard_solve(prob, ens, tol=1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= u.nbytes + 8 * n * (6 * tile + 16)
 
     def test_solution_is_a_view_of_the_time_major_iterate(self):
         grid = TimeGrid.uniform(1.0, 16)
@@ -495,6 +551,49 @@ class TestSigmaDWUnformed:
 
 def _untouchable(t, x):
     raise AssertionError("picard_solve evaluated the drift of a rejected call")
+
+
+class TestMapResultShapes:
+    """A drift or noise_map result of another shape is refused by name, by
+    the solvers' increments and by the check of the declared constants;
+    ``cell_apply`` would broadcast a size-1 axis of G silently."""
+
+    @staticmethod
+    def calls(problem):
+        ens = simulate(WIENER, TimeGrid.uniform(1.0, 4), 4, seed=31)
+        u = np.zeros((4, 5, 1))
+        return (
+            lambda: fixed_point_map(problem, ens, u),
+            lambda: mild_residual(u, problem, ens),
+            lambda: picard_solve(problem, ens, validate=False),
+            lambda: picard_solve(problem, ens),  # through _validate_constants
+        )
+
+    @staticmethod
+    def of_paths(shape):
+        """A map returning ones of ``shape``, with -1 read as the path count."""
+        return lambda t, x: np.ones([x.shape[0] if d == -1 else d for d in shape])
+
+    @pytest.mark.parametrize(
+        "shape", [(-1, 1, 3), (-1, 2, 1), (1, 1, 1), (-1, 1), (1, 3), (-1,), (-1, 1, 1, 1)]
+    )
+    def test_noise_map_shape_refused(self, shape):
+        # an (n, 1, 3) map on a d_cyl = 1 ensemble used to solve, its noise
+        # summed three times
+        prob = make_problem(noise_map=self.of_paths(shape), lip_g=10.0)
+        for call in self.calls(prob):
+            with pytest.raises(
+                ValueError, match=r"noise_map returned shape .*; need \(\d+, 1, 1\)"
+            ):
+                call()
+
+    @pytest.mark.parametrize("shape", [(-1,), (-1, 2), (1, 1), (-1, 1, 1)])
+    def test_drift_shape_refused(self, shape):
+        # an (n,) drift used to fail only inside numpy ("could not broadcast")
+        prob = make_problem(drift=self.of_paths(shape), lip_f=1.0)
+        for call in self.calls(prob):
+            with pytest.raises(ValueError, match="drift returned shape"):
+                call()
 
 
 class TestPicardInputs:
@@ -664,8 +763,9 @@ class TestLocalization:
         assert rep.max_event_gap() <= 2 * tol
 
 
-# Reference copies of the semigroup and the four recursions that ``_scan``
-# replaced, kept verbatim: the scan must reproduce them bit for bit.
+# Reference copies of the semigroup and of the four recursions that the
+# tiled recursions replaced, kept verbatim: these must reproduce them bit for
+# bit.
 class ReferenceSemigroup(Semigroup):
     def matrix(self, t):
         if self.identity:
@@ -698,14 +798,14 @@ def reference_stoch_convolution(problem, ens, u):
     if problem.generator is None:
         inc = np.empty((n, kp1 - 1, m))
         for j in range(kp1 - 1):
-            g = _eval_noise(problem, grid.points[j], u[:, j, :])
+            g = _eval_noise(problem, grid.points[j], u[:, j, :], ens.spec.d_cyl)
             inc[:, j, :] = np.einsum("nmc,nc->nm", g, driven[:, j, :])
         np.cumsum(inc, axis=1, out=out[:, 1:, :])
         return out
     sg = ReferenceSemigroup(problem.generator, m)
     acc = np.zeros((n, m))
     for j in range(kp1 - 1):
-        g = _eval_noise(problem, grid.points[j], u[:, j, :])
+        g = _eval_noise(problem, grid.points[j], u[:, j, :], ens.spec.d_cyl)
         acc = sg.apply(grid.widths[j], acc + np.einsum("nmc,nc->nm", g, driven[:, j, :]))
         out[:, j + 1, :] = acc
     return out
@@ -741,7 +841,7 @@ def reference_fixed_point_map(problem, ens, u, i0=0, i1=None, base=None):
     for j in range(i0, i1):
         t = grid.points[j]
         inc = np.asarray(problem.drift(t, u[:, j, :]), dtype=float) * grid.widths[j]
-        g = _eval_noise(problem, t, u[:, j, :])
+        g = _eval_noise(problem, t, u[:, j, :], ens.spec.d_cyl)
         inc = inc + np.einsum("nmc,nc->nm", g, driven[:, j, :])
         acc = sg.apply(grid.widths[j], acc + inc)
         out[:, j + 1, :] = acc
@@ -760,6 +860,13 @@ def reference_initial_flow(problem, ens):
     return u
 
 
+# grids of up to MAX_CELLS cells; element budgets for the increments' tiles,
+# from one cell a tile (budget 1) to the whole window (the default budget
+# on these small ensembles)
+MAX_CELLS = 11
+TILE_BUDGETS = st.sampled_from([1, 3, 8, 24, evolution.TILE_ELEMENTS])
+
+
 @st.composite
 def scan_cases(draw, max_paths=4):
     """A problem with nonlinear drift and noise, an ensemble and a probe u.
@@ -771,7 +878,7 @@ def scan_cases(draw, max_paths=4):
     m = draw(st.integers(1, 3))
     d_cyl = draw(st.integers(1, 2))
     d_drive = draw(st.integers(1, 2))
-    k = draw(st.integers(1, 2 * evolution.SCAN_TILE + 3))  # crosses two tile edges
+    k = draw(st.integers(1, MAX_CELLS))
     # n = 1: u's one-point slices, and its transpose, are contiguous views
     n = draw(st.integers(1, max_paths))
     uniform = draw(st.booleans())
@@ -817,13 +924,14 @@ def scan_cases(draw, max_paths=4):
 
 
 class TestScanOracle:
-    """The one scan against the four recursions it replaced, bit for bit."""
+    """The tiled recursions against the four recursions they replaced, bit
+    for bit."""
 
-    @given(scan_cases(), st.sampled_from([1, 2, 3, evolution.SCAN_TILE]))
+    @given(scan_cases(), TILE_BUDGETS)
     @settings(max_examples=60, deadline=None)
-    def test_convolutions(self, case, tile):
+    def test_convolutions(self, case, budget):
         problem, ens, u, _ = case
-        with mock.patch.object(evolution, "SCAN_TILE", tile):
+        with mock.patch.object(evolution, "TILE_ELEMENTS", budget):
             det = fixed_point_map(drift_alone(problem, ens), ens, u)
             stoch = fixed_point_map(noise_alone(problem), ens, u)
         np.testing.assert_array_equal(det, reference_det_convolution(problem, ens.grid, u))
@@ -832,16 +940,16 @@ class TestScanOracle:
     @given(scan_cases(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_fixed_point_map_windows(self, case, data):
-        # a scan tiles its window from the window's first point: windows of
-        # every start and length, with tiles of 1 to SCAN_TILE points, cross
-        # tile edges and mostly end inside a tile
+        # the map tiles its window from the window's first cell: windows of
+        # every start and length, with tiles of one cell to the whole window,
+        # cross tile edges and mostly end inside a tile
         problem, ens, u, rng = case
         k = ens.grid.n_cells
-        tile = data.draw(st.sampled_from([1, 2, 3, evolution.SCAN_TILE]))
+        budget = data.draw(TILE_BUDGETS)
         i0 = data.draw(st.integers(0, k - 1))
         i1 = data.draw(st.integers(i0 + 1, k))
         base = rng.standard_normal((ens.n_paths, problem.dim))
-        with mock.patch.object(evolution, "SCAN_TILE", tile):
+        with mock.patch.object(evolution, "TILE_ELEMENTS", budget):
             window = fixed_point_map(problem, ens, u, i0=i0, i1=i1, base=base)
             whole = fixed_point_map(problem, ens, u)
         np.testing.assert_array_equal(
@@ -871,57 +979,55 @@ class TestScanOracle:
     @given(scan_cases(max_paths=1000), st.data())
     @settings(max_examples=40, deadline=None)
     def test_noise_tile_is_the_driven_cell(self, case, data):
-        # sigma_j dW_j read from the time-major dW tile is cell j of
-        # ens.driven, for shared and per-path sigma, from any first cell and
-        # then in any order, backwards included
+        # a tile's noise increments are, cell by cell, G_j applied to cell j
+        # of ens.driven, and its drift increments F(t_j, x_j) dt_j, for
+        # shared and per-path sigma; the tiles cover the window in order
         problem, ens, u, rng = case
         ens = _maybe_stopped(ens, rng, data.draw(st.booleans()))  # per-path sigma
-        k = ens.grid.n_cells
-        i0 = data.draw(st.integers(0, k - 1))
-        revisits = data.draw(st.lists(st.integers(0, k - 1), max_size=k))
-        tile = data.draw(st.sampled_from([1, 2, 3, evolution.SCAN_TILE]))
-        with mock.patch.object(evolution, "SCAN_TILE", tile):
-            step = evolution._noise_step(problem, ens)
-        for j in [*range(i0, k), *revisits]:
-            x = np.ascontiguousarray(u[:, j])
-            g = _eval_noise(problem, ens.grid.points[j], x)
-            want = cell_apply(g, ens.driven_increments()[:, j])
-            np.testing.assert_array_equal(step(j, x), want)
+        grid = ens.grid
+        i0 = data.draw(st.integers(0, grid.n_cells - 1))
+        i1 = data.draw(st.integers(i0 + 1, grid.n_cells))
+        budget = data.draw(TILE_BUDGETS)
+        points = u.swapaxes(0, 1)
+        cells = []
+        with mock.patch.object(evolution, "TILE_ELEMENTS", budget):
+            for lo, drift, noise in evolution._increments(problem, ens, points, i0, i1):
+                assert len(drift) == len(noise) >= 1
+                for j in range(lo, lo + len(drift)):
+                    x = np.ascontiguousarray(u[:, j])
+                    g = _eval_noise(problem, grid.points[j], x, ens.spec.d_cyl)
+                    want = cell_apply(g, ens.driven_increments()[:, j])
+                    np.testing.assert_array_equal(noise[j - lo], want)
+                    want = np.asarray(problem.drift(grid.points[j], x)) * grid.widths[j]
+                    np.testing.assert_array_equal(drift[j - lo], want)
+                    cells.append(j)
+        assert cells == list(range(i0, i1))
 
 
-# vp_norm, picard_solve, lipschitz_quotient and mild_residual as they were
-# when every distance and gap was formed on the whole path array, kept
-# verbatim; they run on ensembles whose bracket is stored per path.
-def reference_vp_norm(u, ens, a=0.0, b=None, p=2.0, i0=None, i1=None):
+# vp_norm, picard_solve and lipschitz_quotient spelled out on the whole
+# path array, with every V norm summed cell by cell in an explicit loop, and
+# mild_residual as it was when every gap was formed on the whole path array;
+# they run on ensembles whose bracket is stored per path.
+def reference_vp_norm(u, ens, i0=0, i1=None):
     grid = ens.grid
-    if i0 is None:
-        i0 = int(np.searchsorted(grid.points, a - 1e-12 * max(grid.horizon, 1.0)))
     if i1 is None:
-        i1 = grid.n_cells if b is None else int(
-            np.searchsorted(grid.points, b - 1e-12 * max(grid.horizon, 1.0))
-        )
-    sq = np.sum(u[:, i0:i1, :] ** 2, axis=2)  # (n, cells)
-    l2 = np.sqrt(sq @ grid.widths[i0:i1])
-    gam = np.sqrt(np.sum(sq * ens.bracket.increments[:, i0:i1], axis=1))
-    return float(np.mean(l2**p) ** (1.0 / p) + np.mean(gam**p) ** (1.0 / p))
+        i1 = grid.n_cells
+    n = u.shape[0]
+    l2 = np.zeros(n)
+    gam = np.zeros(n)
+    for j in range(i0, i1):
+        sq = np.sum(u[:, j, :] ** 2, axis=1)
+        l2 = l2 + sq * grid.widths[j]
+        gam = gam + sq * ens.bracket.increments[:, j]
+    return float(np.mean(l2) ** 0.5 + np.mean(gam) ** 0.5)
 
 
-def reference_picard_solve(
-    problem, ens, p=2.0, tol=1e-8, max_iter=60, blocks=None, validate=True, initial=None
-):
+def reference_picard_solve(problem, ens, tol=1e-8, max_iter=60, validate=True):
     if validate:
         _validate_constants(problem, ens)
-    if blocks is None:
-        blocks = _default_blocks(problem, ens)
+    blocks = _default_blocks(problem, ens)
     diag = PicardDiagnostics(blocks=list(blocks))
-
-    base = problem.initial_states(ens.n_paths)
-    if initial is None:
-        u = reference_initial_flow(problem, ens)
-    else:
-        u = initial.copy()
-        u[:, 0, :] = base
-
+    u = reference_initial_flow(problem, ens)
     prefix = ens.bracket.prefix()
     for i0, i1 in blocks:
         diag.block_mass.append(float((prefix[:, i1] - prefix[:, i0]).max()))
@@ -930,32 +1036,28 @@ def reference_picard_solve(
         ratio = np.nan
         for it in range(max_iter):
             u_next = fixed_point_map(problem, ens, u, i0=i0, i1=i1, base=block_base)
-            dist = reference_vp_norm(u_next - u, ens, p=p, i0=i0, i1=i1)
+            dist = reference_vp_norm(u_next - u, ens, i0=i0, i1=i1)
             dists.append(dist)
             if len(dists) >= 2 and dists[-2] > 0:
                 ratio = dists[-1] / dists[-2]
             u = u_next
-            if dist < tol:
+            if not dist >= tol:
                 break
         diag.distances.append(dists)
         diag.contractions.append(ratio)
-        if dists[-1] >= tol:
-            raise PicardError(
-                "block did not contract below tol; halve the block length "
-                f"(measured contraction {ratio:.3g})",
-                diag,
-            )
+        if not dists[-1] < tol:
+            raise PicardError(f"block did not contract (measured contraction {ratio:.3g})", diag)
     return u, diag
 
 
-def reference_lipschitz_quotient(problem, ens, u_a, u_b, p=2.0, i0=0, i1=None):
+def reference_lipschitz_quotient(problem, ens, u_a, u_b, i0=0, i1=None):
     if i1 is None:
         i1 = ens.grid.n_cells
     base = problem.initial_states(ens.n_paths)
     fa = fixed_point_map(problem, ens, u_a, i0=i0, i1=i1, base=base)
     fb = fixed_point_map(problem, ens, u_b, i0=i0, i1=i1, base=base)
-    num = reference_vp_norm(fa - fb, ens, p=p, i0=i0, i1=i1)
-    den = reference_vp_norm(u_a - u_b, ens, p=p, i0=i0, i1=i1)
+    num = reference_vp_norm(fa - fb, ens, i0=i0, i1=i1)
+    den = reference_vp_norm(u_a - u_b, ens, i0=i0, i1=i1)
     return num / den if den > 0 else np.nan
 
 
@@ -1019,16 +1121,37 @@ class TestWindowOracle:
         problem, ens, _, rng = case
         ens = _maybe_stopped(ens, rng, data.draw(st.booleans()))
         kwargs = dict(tol=data.draw(st.sampled_from([1e-8, 1e-300])), validate=False)
-        # a block's squared changes reach its buffer a tile of cells at a
-        # time: small tiles put the tile edges inside these short grids
-        tile = data.draw(st.sampled_from([1, 2, 3, evolution.SCAN_TILE]))
-        with mock.patch.object(evolution, "SCAN_TILE", tile):
+        # a block's increments are formed a tile of cells at a time: small
+        # budgets put the tile edges inside these short grids
+        budget = data.draw(TILE_BUDGETS)
+        with mock.patch.object(evolution, "TILE_ELEMENTS", budget):
             got_u, got = _picard_outcome(picard_solve, problem, ens, **kwargs)
         want_u, want = _picard_outcome(reference_picard_solve, problem, materialized(ens), **kwargs)
         # the refusals' wording changed; whether and where they refuse did not
         assert isinstance(got_u, str) == isinstance(want_u, str)
         assert isinstance(want_u, str) or np.array_equal(got_u, want_u)
         assert_same_diagnostics(got, want)
+
+    @given(scan_cases(max_paths=1), TILE_BUDGETS)
+    @settings(max_examples=40, deadline=None)
+    def test_one_path_ensembles(self, case, budget):
+        # at n = 1 a point's (1, m) slice, and the transpose of u, are
+        # contiguous views, and every per-path row is one number
+        problem, ens, u, _ = case
+        with mock.patch.object(evolution, "TILE_ELEMENTS", budget):
+            got_u, got = _picard_outcome(picard_solve, problem, ens, validate=False)
+            window = fixed_point_map(problem, ens, u)
+            quotient = lipschitz_quotient(problem, ens, u, u + 1.0)
+            residual = mild_residual(u, problem, ens).sup_gaps
+        ref = materialized(ens)
+        want_u, want = _picard_outcome(reference_picard_solve, problem, ref, validate=False)
+        assert isinstance(got_u, str) == isinstance(want_u, str)
+        assert isinstance(want_u, str) or np.array_equal(got_u, want_u)
+        assert_same_diagnostics(got, want)
+        np.testing.assert_array_equal(window, reference_fixed_point_map(problem, ens, u))
+        want = reference_lipschitz_quotient(problem, ref, u, u + 1.0)
+        assert np.array_equal(quotient, want, equal_nan=True)
+        np.testing.assert_array_equal(residual, reference_mild_residual(u, problem, ref))
 
     @given(scan_cases(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -1109,7 +1232,7 @@ class TestLayout:
     def test_callers_u_never_written(self, n, layout):
         # at n = 1 the transpose of u is contiguous, so an
         # np.ascontiguousarray of it would be u itself
-        k = 2 * evolution.SCAN_TILE + 1
+        k = 9
         ens = simulate(NoiseSpec(1, 2, np.array([[1.0, 0.5]])), TimeGrid.uniform(1.0, k), n, seed=29)
         prob = TestSigmaDWUnformed.problem()
         u = np.random.default_rng(n).standard_normal((n, k + 1, 1))

@@ -199,12 +199,20 @@ class TestReplay:
     def test_report_records_determinism_version(self, tmp_path):
         rep = run(make_config("countex", out=str(tmp_path)))
         obj = json.loads((Path(rep.run_dir) / "report.json").read_text())
-        assert obj["determinism"] == DETERMINISM == 6
+        assert obj["determinism"] == DETERMINISM == 7
 
     @pytest.mark.parametrize(
         "version",
-        [1, 2, 3, 4, 5, None],
-        ids=["version-1", "version-2", "version-3", "version-4", "version-5", "no-field"],
+        [1, 2, 3, 4, 5, 6, None],
+        ids=[
+            "version-1",
+            "version-2",
+            "version-3",
+            "version-4",
+            "version-5",
+            "version-6",
+            "no-field",
+        ],
     )
     def test_other_determinism_version_refused_before_running(
         self, tmp_path, monkeypatch, version
@@ -223,7 +231,7 @@ class TestReplay:
             raise AssertionError("an experiment ran")
 
         monkeypatch.setitem(EXPERIMENTS, "countex", must_not_run)
-        with pytest.raises(ReplayMismatch, match=rf"version {stored}\b.*version 6\b"):
+        with pytest.raises(ReplayMismatch, match=rf"version {stored}\b.*version 7\b"):
             replay(path)
 
     def test_non_finite_values_written_as_standard_json(self, tmp_path, capsys):
